@@ -23,8 +23,10 @@ from . import __version__, engine, gen, labels, schemes
 from .engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, GameOutcome,
                      game_evaluate, identity_variants)
 from .formulas import parse_formula
-from .graphs import (Cls, IdAssignment, InputAssignment, Instance, Lit, Marks,
-                     Ptr, emit_instance, instance_digest, parse_instance)
+from .graphs import (Cls, IdAssignment, InputAssignment, Instance,
+                     InstanceError, Lit, Marks, Ptr, emit_instance,
+                     input_from_json, input_to_json, instance_digest,
+                     parse_instance)
 from .labels import INVALID, Labelling
 from .protocol import Protocol, pattern_tag
 from .protocols import basic, cyclevc, nta, opt, qbf, resolve
@@ -66,6 +68,8 @@ def _value_to_json(x):
         return {"k": type(x).__name__, "f": [_value_to_json(f) for f in x]}
     if isinstance(x, tuple):
         return {"k": "tuple", "f": [_value_to_json(f) for f in x]}
+    if isinstance(x, (Ptr, Marks, Lit, Cls)):
+        return {"k": "input", "v": input_to_json(x)}
     raise ReportError(f"unserializable label value {x!r}")
 
 
@@ -76,6 +80,11 @@ def _value_from_json(obj):
         kind = obj["k"]
         if kind == "invalid":
             return INVALID
+        if kind == "input":
+            try:
+                return input_from_json(obj["v"])
+            except InstanceError as exc:
+                raise ReportError(f"malformed input record: {exc}") from exc
         fields = [_value_from_json(f) for f in obj.get("f", ())]
         if kind == "tuple":
             return tuple(fields)

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .graphs import (BallView, IdAssignment, InputAssignment, Instance, Marks,
-                     Ptr)
+                     Ptr, make_view)
 from .graphs import Graph
 from .labels import (INVALID, DomainError, LabelDomain, Labelling, TreeCert,
                      build_bfs_tree, flag_field, id_field, optional_id_field,
@@ -207,24 +207,9 @@ def shrink_ball(view: BallView, t: int) -> BallView:
     """Restrict a ball view to the radius-t sub-ball around its centre."""
     if t > view.radius:
         raise ProtocolError(f"cannot grow a radius-{view.radius} ball to {t}")
-    members = tuple(v for v in view.members if view.centre_dist[v] <= t)
-    inside = set(members)
-    edges = frozenset(e for e in view.edges
-                      if e[0] in inside and e[1] in inside)
-    return BallView(
-        centre=view.centre,
-        radius=t,
-        members=members,
-        edges=edges,
-        ids_in={v: view.ids_in[v] for v in members},
-        inputs_in={v: view.inputs_in[v] for v in members},
-        layers=tuple({v: layer[v] for v in members} for layer in view.layers),
-        frontier_set=frozenset(v for v in members if view.centre_dist[v] == t),
-        centre_dist={v: view.centre_dist[v] for v in members},
-        weights_in=None if view.weights_in is None else
-        {e: view.weights_in[e] for e in edges},
-        N=view.N,
-    )
+    dist = {v: d for v, d in view.centre_dist.items() if d <= t}
+    return make_view(view.centre, t, dist, view.adj_in, view.ids_in,
+                     view.inputs_in, view.layers, view.weights_in, view.N)
 
 
 def _honest_tree_labelling(instance: Instance, root: int) -> Labelling:

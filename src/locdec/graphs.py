@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 
 class InstanceError(ValueError):
@@ -268,12 +268,17 @@ class BallView:
     at distance exactly `radius` from the centre; their neighbourhoods
     may be truncated and verifiers must not assume they see all edges
     incident to them.
+
+    Views are plain values built by `make_view`, whose cost is the sum of
+    the member degrees; nothing caches them.  `adj_in` maps each member to
+    its neighbours inside the ball.
     """
 
     centre: int
     radius: int
     members: tuple[int, ...]
     edges: frozenset[Edge]
+    adj_in: dict[int, frozenset[int]]
     ids_in: dict[int, int]
     inputs_in: dict[int, InputValue]
     layers: tuple[dict[int, object], ...]
@@ -286,8 +291,7 @@ class BallView:
         return self.members
 
     def neighbours(self, v: int) -> frozenset[int]:
-        return frozenset(u for u in self.members
-                         if u != v and _norm_edge(u, v) in self.edges)
+        return self.adj_in.get(v, frozenset())
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and _norm_edge(u, v) in self.edges
@@ -335,54 +339,79 @@ class BallView:
     def with_layers(self, layers: Sequence[dict[int, object]]) -> "BallView":
         """Same view with the labelling layers replaced (for simulations)."""
         return BallView(self.centre, self.radius, self.members, self.edges,
-                        self.ids_in, self.inputs_in, tuple(layers),
+                        self.adj_in, self.ids_in, self.inputs_in, tuple(layers),
                         self.frontier_set, self.centre_dist, self.weights_in,
                         self.N)
 
     def with_inputs(self, inputs_in: dict[int, InputValue]) -> "BallView":
         return BallView(self.centre, self.radius, self.members, self.edges,
-                        self.ids_in, inputs_in, self.layers,
+                        self.adj_in, self.ids_in, inputs_in, self.layers,
                         self.frontier_set, self.centre_dist, self.weights_in,
                         self.N)
 
 
+def make_view(centre: int, radius: int, dist: dict[int, int],
+              adj: Sequence[frozenset[int]] | Mapping[int, frozenset[int]],
+              ids: Sequence[int] | Mapping[int, int],
+              inputs: Sequence[InputValue] | Mapping[int, InputValue],
+              layers: Sequence[Sequence[object] | Mapping[int, object]],
+              weights: Optional[Mapping[Edge, int]], N: int) -> BallView:
+    """The radius-`radius` view of `centre` whose members are the keys of `dist`.
+
+    `dist` maps every node within `radius` of `centre` to its distance.
+    `adj`, `ids`, `inputs` and each layer are indexed by node, `weights`
+    by edge; a whole instance or a wider view around the same centre can
+    supply them.  A member closer than `radius` has all its neighbours in
+    the ball, so only frontier members filter their adjacency, and the
+    cost is the sum of the member degrees.
+    """
+    members = tuple(sorted(dist))
+    inside = dist.__contains__
+    adj_in = {u: adj[u] if dist[u] < radius else frozenset(filter(inside, adj[u]))
+              for u in members}
+    edges = frozenset([(u, w) for u in members for w in adj_in[u] if u < w])
+    return BallView(
+        centre=centre,
+        radius=radius,
+        members=members,
+        edges=edges,
+        adj_in=adj_in,
+        ids_in={u: ids[u] for u in members},
+        inputs_in={u: inputs[u] for u in members},
+        layers=tuple({u: layer[u] for u in members} for layer in layers),
+        frontier_set=frozenset([u for u in members if dist[u] == radius]),
+        centre_dist=dist,
+        weights_in=None if weights is None else {e: weights[e] for e in edges},
+        N=N,
+    )
+
+
 def ball(instance: Instance, labellings: Sequence[Sequence[object]],
          v: int, t: int) -> BallView:
-    """Radius-t view of node v, with `labellings` restricted to it."""
+    """Radius-t view of node v, with `labellings` restricted to it.
+
+    A breadth-first search over the graph's adjacency lists finds the
+    members, so the cost is the sum of their degrees, not the graph's
+    size.  Every call builds a fresh view.
+    """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")
     if t < 0:
         raise InstanceError("radius must be non-negative")
     g = instance.graph
+    adj = g._adj
     dist = {v: 0}
     frontier = [v]
-    for _ in range(t):
+    for d in range(1, t + 1):
         nxt = []
         for u in frontier:
-            for w in g.neighbours(u):
+            for w in adj[u]:
                 if w not in dist:
-                    dist[w] = dist[u] + 1
+                    dist[w] = d
                     nxt.append(w)
         frontier = nxt
-    members = tuple(sorted(dist))
-    inside = set(members)
-    edges = frozenset(e for e in g.edges if e[0] in inside and e[1] in inside)
-    weights = None
-    if g.weights is not None:
-        weights = {e: g.weights[e] for e in edges}
-    return BallView(
-        centre=v,
-        radius=t,
-        members=members,
-        edges=edges,
-        ids_in={u: instance.id_of(u) for u in members},
-        inputs_in={u: instance.input_of(u) for u in members},
-        layers=tuple({u: layer[u] for u in members} for layer in labellings),
-        frontier_set=frozenset(u for u in members if dist[u] == t),
-        centre_dist=dist,
-        weights_in=weights,
-        N=instance.N,
-    )
+    return make_view(v, t, dist, adj, instance.ids.ids, instance.inputs.values,
+                     labellings, g.weights, instance.N)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +419,8 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
 # Node order in the file is the internal node order.
 # ---------------------------------------------------------------------------
 
-def _input_to_json(x: InputValue):
+def input_to_json(x: InputValue):
+    """JSON form of an input value, as stored in instance files."""
     if x is None:
         return None
     if isinstance(x, bool):
@@ -409,7 +439,8 @@ def _input_to_json(x: InputValue):
     raise InstanceError(f"unserializable input {x!r}")
 
 
-def _input_from_json(obj) -> InputValue:
+def input_from_json(obj) -> InputValue:
+    """Inverse of `input_to_json`; raises InstanceError on malformed data."""
     if obj is None:
         return None
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -451,7 +482,7 @@ def parse_instance(text: str) -> Instance:
         if not isinstance(rec["id"], int):
             raise InstanceError(f"identity {rec['id']!r} is not an integer")
         ids.append(rec["id"])
-        inputs.append(_input_from_json(rec.get("input")))
+        inputs.append(input_from_json(rec.get("input")))
     n = len(ids)
     N = doc.get("N", n * n)
     if not isinstance(N, int) or N < 1:
@@ -490,7 +521,7 @@ def parse_instance(text: str) -> Instance:
 def emit_instance(instance: Instance) -> str:
     doc = {
         "nodes": [{"id": instance.id_of(v),
-                   "input": _input_to_json(instance.input_of(v))}
+                   "input": input_to_json(instance.input_of(v))}
                   for v in range(instance.n)],
         "edges": [
             {"u": instance.id_of(u), "v": instance.id_of(v),

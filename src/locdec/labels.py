@@ -8,6 +8,7 @@ c * ceil(log2 N) bits.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -412,9 +413,9 @@ def build_bfs_tree(instance: Instance, root: int) -> BFSTree:
     dist = [-1] * n
     dist[root] = 0
     order = [root]
-    queue = [root]
+    queue = deque([root])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in sorted(instance.graph.neighbours(v), key=instance.id_of):
             if dist[w] < 0:
                 dist[w] = dist[v] + 1

@@ -8,6 +8,7 @@ rejected at the node that sees it.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional, Sequence
 
 from .graphs import BallView, Edge, Instance, Marks, Ptr
@@ -45,9 +46,9 @@ def _tree_in_subgraph(instance: Instance, edges: frozenset[Edge], root: int):
     parent: list[Optional[int]] = [None] * n
     dist = [-1] * n
     dist[root] = 0
-    queue = [root]
+    queue = deque([root])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in sorted(adj[v], key=instance.id_of):
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
