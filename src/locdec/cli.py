@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import __version__, engine, gen, labels, schemes
+from . import __version__, gen
 from .engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, GameOutcome,
                      game_evaluate, identity_variants)
 from .formulas import parse_formula
@@ -27,9 +27,11 @@ from .graphs import (Cls, IdAssignment, InputAssignment, Instance,
                      InstanceError, Lit, Marks, Ptr, emit_instance,
                      input_from_json, input_to_json, instance_digest,
                      parse_instance)
-from .labels import INVALID, Labelling
+from .engine import CollapsedLabel, CombinedLabel
+from .labels import (INVALID, GatherCert, HamCert, Labelling, NonHamCert,
+                     NSTCert, SizeCert, TreeCert)
 from .protocol import Protocol, pattern_tag
-from .protocols import basic, cyclevc, nta, opt, qbf, resolve
+from .protocols import cyclevc, nta, opt, qbf, resolve
 
 
 class ReportError(ValueError):
@@ -40,21 +42,13 @@ class ReportError(ValueError):
 # label serialization: every label value renders as a tagged record
 
 
-def _record_classes() -> dict[str, type]:
-    registry: dict[str, type] = {}
-    for mod in (labels, schemes, engine, basic, opt, nta, qbf, cyclevc):
-        for obj in vars(mod).values():
-            if (isinstance(obj, type) and issubclass(obj, tuple)
-                    and hasattr(obj, "_fields")
-                    and not obj.__name__.startswith("_")):
-                known = registry.setdefault(obj.__name__, obj)
-                if known is not obj:
-                    raise ReportError(
-                        f"two label classes named {obj.__name__}")
-    return registry
-
-
-_RECORDS = _record_classes()
+# Every label record class a protocol domain can decode, by class name.
+LABEL_RECORDS: tuple[type, ...] = (
+    TreeCert, SizeCert, GatherCert, HamCert, NSTCert, NonHamCert,
+    CollapsedLabel, CombinedLabel,
+    opt.OptLabel, opt.UnitVal, nta.MapDefect, nta.NodeImage, qbf.TruthLabel,
+    cyclevc.XClaim, cyclevc.SPick, cyclevc.CycleResponse)
+_RECORDS = {cls.__name__: cls for cls in LABEL_RECORDS}
 
 
 def _value_to_json(x):

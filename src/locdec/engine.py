@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .graphs import (BallView, IdAssignment, InputAssignment, Instance, Marks,
-                     Ptr, make_view)
-from .graphs import Graph
-from .labels import (INVALID, DomainError, LabelDomain, Labelling, TreeCert,
+from .graphs import (BallView, Graph, IdAssignment, InputAssignment, Instance,
+                     Marks, Ptr, make_view)
+from .labels import (INVALID, DomainError, LabelDomain, Labelling,
                      build_bfs_tree, flag_field, id_field, optional_id_field,
                      range_field, sub_field, tree_cert_domain)
 from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
@@ -30,7 +29,8 @@ from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
                        canonical_labelling, default_cover_size, other_side,
                        pattern_tag, product_cover)
 from .runtime import Decision, LocalVerifier, evaluate, evaluate_verdict
-from .schemes import _MALFORMED, _cert_tree_ok
+from .schemes import (READ_TREE_CERT, honest_tree, subtree_sums, tree_certs,
+                      tree_ok, uniform)
 
 DEFAULT_EVAL_CAP = 1 << 24
 EVAL_CAP_ENV = "LOCDEC_MAX_EVALS"
@@ -212,14 +212,28 @@ def shrink_ball(view: BallView, t: int) -> BallView:
                      view.inputs_in, view.layers, view.weights_in, view.N)
 
 
-def _honest_tree_labelling(instance: Instance, root: int) -> Labelling:
-    t = build_bfs_tree(instance, root)
-    rid = instance.id_of(root)
-    return Labelling(
-        TreeCert(rid,
-                 None if t.parent[v] is None else instance.id_of(t.parent[v]),
-                 t.dist[v])
-        for v in range(instance.n))
+def project(view: BallView, kind: type, part: str, layer: int = 0,
+            missing: object = INVALID) -> dict[int, object]:
+    """Field ``part`` of every member's ``kind`` label in ``layer``, as a
+    layer of its own; members holding anything else get ``missing``."""
+    labels = view.layers[layer]
+    out = {}
+    for v in view.members:
+        lbl = labels[v]
+        out[v] = getattr(lbl, part) if isinstance(lbl, kind) else missing
+    return out
+
+
+def embed(view: BallView, layers: Sequence[dict[int, object]], radius: int,
+          inputs: Optional[dict[int, object]] = None) -> BallView:
+    """The view a radius-``radius`` sub-verifier sees: ``layers`` (and
+    ``inputs``, when given) in place of the view's own, shrunk to its radius."""
+    sub = view.with_layers(layers)
+    if inputs is not None:
+        sub = sub.with_inputs(inputs)
+    if radius < view.radius:
+        sub = shrink_ball(sub, radius)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -240,33 +254,23 @@ def complement_lift(p: Protocol) -> Protocol:
 
     def final_cover(instance: Instance, earlier: tuple[Labelling, ...]):
         for root in sorted(range(instance.n), key=instance.id_of):
-            yield _honest_tree_labelling(instance, root)
+            yield honest_tree(instance, root)
 
     def final_strategy(instance: Instance,
                        earlier: tuple[Labelling, ...]) -> Labelling:
         decision = evaluate(p.verifier, instance, earlier[:k])
         pool = decision.rejecting_nodes or tuple(range(instance.n))
-        return _honest_tree_labelling(instance,
-                                      min(pool, key=instance.id_of))
+        return honest_tree(instance, min(pool, key=instance.id_of))
 
     swapped = tuple(Level(lv.domain_of, lv.cover, None) for lv in p.levels)
     levels = swapped + (Level(tree_cert_domain, final_cover, final_strategy),)
 
     def decide(ball: BallView) -> bool:
-        def triple(v: int):
-            cert = ball.label(k, v)
-            if not isinstance(cert, TreeCert):
-                return _MALFORMED
-            return (cert.root, cert.parent, cert.dist)
-
-        if not _cert_tree_ok(ball, triple):
+        if not tree_ok(ball, k, READ_TREE_CERT):
             return False
         if ball.own_label(k).parent is not None:
             return True
-        inner = ball.with_layers(ball.layers[:k])
-        if base_radius < radius:
-            inner = shrink_ball(inner, base_radius)
-        return not p.verifier.decide(inner)
+        return not p.verifier.decide(embed(ball, ball.layers[:k], base_radius))
 
     first = PROVER if k == 0 else other_side(p.first)
     language = None
@@ -300,25 +304,14 @@ def _path_instance(n: int, N: int) -> Instance:
                     InputAssignment((None,) * n))
 
 
-def _subtree_sizes(instance: Instance, root: int):
-    t = build_bfs_tree(instance, root)
-    sizes = [1] * instance.n
-    for v in reversed(t.order):
-        pv = t.parent[v]
-        if pv is not None:
-            sizes[pv] += sizes[v]
-    return t, sizes
-
-
 def _honest_size_fragment(instance: Instance):
     """Per-node (sroot, sparent, ssize, nhat) along a BFS tree from the
     smallest identity."""
     root = min(range(instance.n), key=instance.id_of)
-    t, sizes = _subtree_sizes(instance, root)
-    rid = instance.id_of(root)
-    return [(rid,
-             None if t.parent[v] is None else instance.id_of(t.parent[v]),
-             sizes[v], instance.n) for v in range(instance.n)]
+    t = build_bfs_tree(instance, root)
+    sizes = subtree_sums(t, [1] * instance.n)
+    return [(c.root, c.parent, size, instance.n)
+            for c, size in zip(tree_certs(instance, t), sizes)]
 
 
 def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
@@ -384,18 +377,12 @@ def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
         axis: tuple = tuple(final_dom.values())
         if final_dom.has_invalid:
             axis += (INVALID,)
-        base_layer = {}
-        for v in ball.members:
-            lbl = ball.label(sl, v)
-            base_layer[v] = lbl.base if isinstance(lbl, CollapsedLabel) else INVALID
+        base_layer = project(ball, CollapsedLabel, "base", sl)
         virtual = [base_layer if j == sl else ball.layers[j]
                    for j in range(k - 1)]
         for combo in product(axis, repeat=len(ball.members)):
             layers = tuple(virtual) + (dict(zip(ball.members, combo)),)
-            sub = ball.with_layers(layers)
-            if base_radius < radius:
-                sub = shrink_ball(sub, base_radius)
-            if not p.verifier.decide(sub):
+            if not p.verifier.decide(embed(ball, layers, base_radius)):
                 return False
         return True
 
@@ -467,31 +454,18 @@ def unanimous_combine(p_yes: Protocol, p_no: Protocol) -> Protocol:
              sub_field("no", ndom)),
             CombinedLabel)
 
-    def _project(ball: BallView, part: str) -> dict[int, object]:
-        out = {}
-        for v in ball.members:
-            lbl = ball.label(0, v)
-            out[v] = getattr(lbl, part) if isinstance(lbl, CombinedLabel) else INVALID
-        return out
-
     def decide(ball: BallView) -> bool:
         own = ball.own_label(0)
         if not isinstance(own, CombinedLabel):
             return False
-        for w in ball.neighbours(ball.centre):
-            lbl = ball.label(0, w)
-            if not isinstance(lbl, CombinedLabel) or lbl.branch != own.branch:
-                # Flag boundary: the node votes its own bit.
-                return bool(own.branch)
+        if uniform(ball, CombinedLabel, "branch") is None:
+            # Flag boundary: the node votes its own bit.
+            return bool(own.branch)
         if own.branch == 1:
-            sub = ball.with_layers((_project(ball, "yes"),))
-            if ry < radius:
-                sub = shrink_ball(sub, ry)
-            return bool(p_yes.verifier.decide(sub))
-        sub = ball.with_layers((_project(ball, "no"),))
-        if rn < radius:
-            sub = shrink_ball(sub, rn)
-        return not p_no.verifier.decide(sub)
+            yes = project(ball, CombinedLabel, "yes")
+            return bool(p_yes.verifier.decide(embed(ball, (yes,), ry)))
+        no = project(ball, CombinedLabel, "no")
+        return not p_no.verifier.decide(embed(ball, (no,), rn))
 
     def cover(instance: Instance, earlier: tuple[Labelling, ...]):
         ydom = p_yes.levels[0].domain_of(instance)

@@ -25,7 +25,7 @@ class InstanceError(ValueError):
 Edge = tuple[int, int]
 
 
-def _norm_edge(u: int, v: int) -> Edge:
+def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
@@ -111,15 +111,7 @@ class Graph:
             raise InstanceError("graph is not connected")
 
     def _connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.neighbours(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(self.distances_from(0)) == self.n
 
     @cached_property
     def _adj(self) -> tuple[frozenset[int], ...]:
@@ -133,12 +125,12 @@ class Graph:
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and _norm_edge(u, v) in self.edges
+        return u != v and norm_edge(u, v) in self.edges
 
     def weight(self, u: int, v: int) -> int:
         if self.weights is None:
             raise InstanceError("graph has no weights")
-        return self.weights[_norm_edge(u, v)]
+        return self.weights[norm_edge(u, v)]
 
     def distances_from(self, v: int) -> dict[int, int]:
         dist = {v: 0}
@@ -287,14 +279,11 @@ class BallView:
     weights_in: Optional[dict[Edge, int]]
     N: int
 
-    def nodes(self) -> tuple[int, ...]:
-        return self.members
-
     def neighbours(self, v: int) -> frozenset[int]:
         return self.adj_in.get(v, frozenset())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and _norm_edge(u, v) in self.edges
+        return u != v and norm_edge(u, v) in self.edges
 
     def id_of(self, v: int) -> int:
         return self.ids_in[v]
@@ -311,9 +300,6 @@ class BallView:
     def label(self, layer: int, v: int) -> object:
         return self.layers[layer][v]
 
-    def layer_count(self) -> int:
-        return len(self.layers)
-
     def is_frontier(self, v: int) -> bool:
         return v in self.frontier_set
 
@@ -323,7 +309,7 @@ class BallView:
     def weight(self, u: int, v: int) -> int:
         if self.weights_in is None:
             raise InstanceError("ball carries no weights")
-        return self.weights_in[_norm_edge(u, v)]
+        return self.weights_in[norm_edge(u, v)]
 
     @property
     def own_id(self) -> int:
@@ -501,7 +487,7 @@ def parse_instance(text: str) -> Instance:
             raise InstanceError(f"edge names unknown identity: {rec!r}") from exc
         if u == v:
             raise InstanceError(f"self-loop at identity {rec['u']}")
-        e = _norm_edge(u, v)
+        e = norm_edge(u, v)
         if e in edges:
             raise InstanceError(f"duplicate edge {rec['u']}–{rec['v']}")
         edges.add(e)

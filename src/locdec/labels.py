@@ -12,9 +12,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import C_IN, MAX_MARKS, Instance, Marks, Ptr
+from .graphs import C_IN, MAX_MARKS, Edge, Instance, Marks, Ptr
 
 
 class DomainError(ValueError):
@@ -344,11 +344,6 @@ class LabelDomain:
         # Spare bit patterns exist, so INVALID is a playable label value.
         return self.size < 1 << self.width
 
-    def bit_size(self, value: object) -> int:
-        if value is INVALID:
-            raise DomainError("INVALID has no encoded size")
-        return self.width
-
     def encode(self, value: object) -> int:
         if value is INVALID:
             raise DomainError("INVALID has no canonical encoding")
@@ -404,11 +399,24 @@ class BFSTree(NamedTuple):
     order: tuple[int, ...]
 
 
-def build_bfs_tree(instance: Instance, root: int) -> BFSTree:
-    """Breadth-first spanning tree, neighbours explored by increasing identity."""
+def build_bfs_tree(instance: Instance, root: int,
+                   edges: Optional[Iterable[Edge]] = None) -> BFSTree:
+    """Breadth-first tree from ``root``, neighbours explored by increasing identity.
+
+    With ``edges`` the search only follows those edges, so a spanning tree
+    given as an edge set comes back as its parent/distance arrays.
+    """
     n = instance.n
     if not 0 <= root < n:
         raise DomainError(f"root {root} not a node of the instance")
+    neighbours: Callable[[int], Iterable[int]] = instance.graph.neighbours
+    if edges is not None:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        neighbours = adj.__getitem__
+    ids = instance.ids.ids
     parent: list[Optional[int]] = [None] * n
     dist = [-1] * n
     dist[root] = 0
@@ -416,7 +424,7 @@ def build_bfs_tree(instance: Instance, root: int) -> BFSTree:
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w in sorted(instance.graph.neighbours(v), key=instance.id_of):
+        for w in sorted(neighbours(v), key=ids.__getitem__):
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 parent[w] = v
@@ -431,63 +439,50 @@ def count_width(instance: Instance) -> int:
     return max(1, (2 * instance.N * instance.n).bit_length())
 
 
+def tree_field_specs(instance: Instance, suffix: str = "") -> tuple[FieldSpec, ...]:
+    """The (root, parent, dist) fields of a rooted-tree certificate."""
+    return (id_field("root" + suffix, instance.N),
+            optional_id_field("parent" + suffix, instance.N),
+            range_field("dist" + suffix, 0, instance.n - 1))
+
+
 def tree_cert_domain(instance: Instance) -> LabelDomain:
-    n, N = instance.n, instance.N
-    fields = (id_field("root", N),
-              optional_id_field("parent", N),
-              range_field("dist", 0, n - 1))
-    return LabelDomain("tree-cert", 3, instance, fields, TreeCert)
+    return LabelDomain("tree-cert", 3, instance, tree_field_specs(instance), TreeCert)
 
 
 def size_cert_domain(instance: Instance) -> LabelDomain:
-    n, N = instance.n, instance.N
-    fields = (id_field("root", N),
-              optional_id_field("parent", N),
-              range_field("size", 1, n, width=count_width(instance)))
+    fields = (*tree_field_specs(instance)[:2],
+              range_field("size", 1, instance.n, width=count_width(instance)))
     return LabelDomain("size-cert", 5, instance, fields, SizeCert)
 
 
 def gather_cert_domain(instance: Instance) -> LabelDomain:
     n, N = instance.n, instance.N
-    fields = (id_field("root", N),
-              optional_id_field("parent", N),
-              range_field("dist", 0, n - 1),
+    fields = (*tree_field_specs(instance),
               range_field("agg", 0, 2 * N * n, width=count_width(instance)))
     return LabelDomain("gather-cert", 6, instance, fields, GatherCert)
 
 
 def ham_cert_domain(instance: Instance) -> LabelDomain:
-    n, N = instance.n, instance.N
-    fields = (id_field("root", N),
-              optional_id_field("parent", N),
-              range_field("dist", 0, n - 1),
-              range_field("pos", 0, n - 1))
+    fields = (*tree_field_specs(instance), range_field("pos", 0, instance.n - 1))
     return LabelDomain("ham-cert", 4, instance, fields, HamCert)
 
 
 def nst_cert_domain(instance: Instance) -> LabelDomain:
-    n, N = instance.n, instance.N
+    n = instance.n
     fields = (flag_field("flag", 3),
               range_field("idx", 1, max(2, n)),
-              id_field("root1", N),
-              optional_id_field("parent1", N),
-              range_field("dist1", 0, n - 1),
+              *tree_field_specs(instance, "1"),
               optional_range_field("cpos", 0, n - 1),
               optional_range_field("clen", 2, max(2, n)),
-              id_field("root2", N),
-              optional_id_field("parent2", N),
-              range_field("dist2", 0, n - 1))
+              *tree_field_specs(instance, "2"))
     return LabelDomain("nst-cert", 11, instance, fields, NSTCert)
 
 
 def non_ham_cert_domain(instance: Instance) -> LabelDomain:
-    n, N = instance.n, instance.N
+    n = instance.n
     fields = (flag_field("flag", 2),
               range_field("idx", 1, max(2, n)),
-              id_field("root1", N),
-              optional_id_field("parent1", N),
-              range_field("dist1", 0, n - 1),
-              id_field("root2", N),
-              optional_id_field("parent2", N),
-              range_field("dist2", 0, n - 1))
+              *tree_field_specs(instance, "1"),
+              *tree_field_specs(instance, "2"))
     return LabelDomain("non-ham-cert", 8, instance, fields, NonHamCert)

@@ -11,7 +11,7 @@ from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
 from .formulas import Formula
-from .graphs import Edge, Graph, Instance, Ptr, _norm_edge
+from .graphs import Edge, Graph, Instance, Ptr, norm_edge
 
 
 # ---------------------------------------------------------------- trees
@@ -80,7 +80,7 @@ def oracle_pointer_tree(instance: Instance) -> bool:
         if x.to is None:
             roots.append(v)
         else:
-            edges.append(_norm_edge(v, instance.node_of(x.to)))
+            edges.append(norm_edge(v, instance.node_of(x.to)))
     if len(roots) != 1:
         return False
     return _spans(instance.n, edges)
@@ -304,7 +304,7 @@ def iso_representatives(n: int) -> tuple[Graph, ...]:
     reps: list[Graph] = []
     for g in connected_graphs(n):
         canon = min(
-            (frozenset(_norm_edge(p[u], p[v]) for (u, v) in g.edges) for p in perms),
+            (frozenset(norm_edge(p[u], p[v]) for (u, v) in g.edges) for p in perms),
             key=sorted)
         if canon not in seen:
             seen.add(canon)

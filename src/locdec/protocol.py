@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .graphs import Instance
+from .graphs import BallView, Instance
 from .labels import INVALID, LabelDomain, Labelling
 from .runtime import LocalVerifier
 
@@ -91,6 +91,33 @@ class Protocol:
         if not 1 <= i <= len(self.levels):
             raise ProtocolError(f"{self.name} has no level {i}")
         return self.first if i % 2 == 1 else other_side(self.first)
+
+
+def certificate_protocol(name: str, domain_of: DomainFactory,
+                         honest: Callable[[Instance], Optional[Labelling]],
+                         decide: Callable[[BallView], bool],
+                         oracle: Callable[[Instance], bool],
+                         class_tag: str) -> Protocol:
+    """Single prover level whose only move is one honest certificate.
+
+    ``honest(instance)`` builds the certificate, or returns None when there
+    is no witness to encode: the cover is then empty, and constructive play
+    falls back to the domain's canonical labelling.  ``decide`` is the
+    radius-1 verifier.
+    """
+
+    def cover(instance: Instance, earlier) -> Iterator[Labelling]:
+        move = honest(instance)
+        if move is not None:
+            yield move
+
+    def strategy(instance: Instance, earlier) -> Labelling:
+        move = honest(instance)
+        return move if move is not None else canonical_labelling(domain_of(instance))
+
+    return Protocol(name, PROVER, (Level(domain_of, cover, strategy),),
+                    LocalVerifier(1, 1, decide),
+                    LanguageSpec(name, oracle, class_tag))
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ _FACTORIES: dict[str, Callable[[], Protocol]] = {
 }
 
 
-def register(name: str, factory: Callable[[], Protocol]) -> None:
-    _FACTORIES[name] = factory
-
-
 def names() -> tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 

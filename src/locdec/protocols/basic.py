@@ -1,22 +1,25 @@
 """Single-level protocols for the directly certified languages.
 
-Each protocol wraps one certificate scheme: the prover's strategy runs the
-honest builder, the cover offers that single certificate (or nothing when
-the builder has no witness to encode), and the verifier is the scheme's.
+Each certified protocol wraps one certificate scheme through
+``protocol.certificate_protocol``: the honest builder is the prover's only
+move (none when it has no witness to encode), and the verifier is the
+scheme's.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..graphs import Instance, Ptr
 from ..labels import Labelling, nst_cert_domain, size_cert_domain, tree_cert_domain
 from ..oracles import oracle_spanning_tree
-from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
-                        canonical_labelling)
+from ..protocol import PROVER, LanguageSpec, Protocol, certificate_protocol
 from ..runtime import LocalVerifier
-from ..schemes import (SchemeError, _pointer_structure, build_bfs_spanning_tree,
+from ..schemes import (SchemeError, build_bfs_spanning_tree,
                        build_non_spanning_tree_cert, build_size_cert,
-                       build_spanning_tree_cert, verify_non_spanning_tree_cert,
-                       verify_size_cert, verify_spanning_tree_cert)
+                       build_spanning_tree_cert, pointer_structure,
+                       verify_non_spanning_tree_cert, verify_size_cert,
+                       verify_spanning_tree_cert)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +54,7 @@ def protocol_proper_3colouring() -> Protocol:
 
 def _pointer_tree(instance: Instance):
     """Pointer edge set and the unique root, or SchemeError."""
-    targets, edges = _pointer_structure(instance)
+    targets, edges = pointer_structure(instance)
     roots = [v for v in range(instance.n) if targets[v] is None]
     if len(roots) != 1:
         raise SchemeError("pointer inputs need exactly one root")
@@ -69,25 +72,16 @@ def spanning_tree_inputs(instance: Instance) -> bool:
 
 
 def protocol_spanning_tree() -> Protocol:
-    def cover(instance: Instance, earlier):
-        try:
-            edges, root = _pointer_tree(instance)
-            yield build_spanning_tree_cert(instance, edges, root)
-        except SchemeError:
-            return
-
-    def strategy(instance: Instance, earlier) -> Labelling:
+    def honest(instance: Instance) -> Optional[Labelling]:
         try:
             edges, root = _pointer_tree(instance)
             return build_spanning_tree_cert(instance, edges, root)
         except SchemeError:
-            return canonical_labelling(tree_cert_domain(instance))
+            return None
 
-    return Protocol(
-        "spanning-tree", PROVER,
-        (Level(tree_cert_domain, cover, strategy),),
-        LocalVerifier(1, 1, verify_spanning_tree_cert),
-        LanguageSpec("spanning-tree", spanning_tree_inputs, "existential-1"))
+    return certificate_protocol("spanning-tree", tree_cert_domain, honest,
+                                verify_spanning_tree_cert,
+                                spanning_tree_inputs, "existential-1")
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +98,9 @@ def protocol_size() -> Protocol:
         tree, root = build_bfs_spanning_tree(instance)
         return build_size_cert(instance, tree, root)
 
-    def cover(instance: Instance, earlier):
-        yield honest(instance)
-
-    def strategy(instance: Instance, earlier) -> Labelling:
-        return honest(instance)
-
-    return Protocol(
-        "size", PROVER,
-        (Level(size_cert_domain, cover, strategy),),
-        LocalVerifier(1, 1, verify_size_cert),
-        LanguageSpec("size", inputs_equal_size, "existential-1"))
+    return certificate_protocol("size", size_cert_domain, honest,
+                                verify_size_cert, inputs_equal_size,
+                                "existential-1")
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +116,13 @@ def non_spanning_tree_inputs(instance: Instance) -> bool:
 
 
 def protocol_non_spanning_tree() -> Protocol:
-    def cover(instance: Instance, earlier):
+    def honest(instance: Instance) -> Optional[Labelling]:
         try:
-            _targets, edges = _pointer_structure(instance)
-            yield build_non_spanning_tree_cert(instance, edges)
-        except SchemeError:
-            return
-
-    def strategy(instance: Instance, earlier) -> Labelling:
-        try:
-            _targets, edges = _pointer_structure(instance)
+            _targets, edges = pointer_structure(instance)
             return build_non_spanning_tree_cert(instance, edges)
         except SchemeError:
-            return canonical_labelling(nst_cert_domain(instance))
+            return None
 
-    return Protocol(
-        "non-spanning-tree", PROVER,
-        (Level(nst_cert_domain, cover, strategy),),
-        LocalVerifier(1, 1, verify_non_spanning_tree_cert),
-        LanguageSpec("non-spanning-tree", non_spanning_tree_inputs, "dual-1"))
+    return certificate_protocol("non-spanning-tree", nst_cert_domain, honest,
+                                verify_non_spanning_tree_cert,
+                                non_spanning_tree_inputs, "dual-1")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
+from ..engine import project
 from ..graphs import BallView, Instance
 from ..labels import (GatherCert, LabelDomain, Labelling, flag_field,
                       gather_cert_domain, optional_range_field, range_field,
@@ -104,12 +105,8 @@ def _decide(b: BallView) -> bool:
         if b.input_of(w) != k or not isinstance(b.label(0, w), XClaim):
             return False
 
-    def layer(part) -> BallView:
-        return b.with_layers(({v: part(v) for v in b.members},))
-
-    count_ball = layer(lambda v: b.label(0, v).count)
-    if not verify_gathering_cert(count_ball, "sum",
-                                 lambda _: own1.member,
+    count_ball = b.with_layers((project(b, XClaim, "count"),))
+    if not verify_gathering_cert(count_ball, lambda _: own1.member,
                                  lambda agg: agg >= k):
         return False
 
@@ -139,9 +136,9 @@ def _decide(b: BallView) -> bool:
          and (own3.clen == 0 or own3.clen >= 3)),
     )
     for part, value, at_root in checks:
-        gball = layer(lambda v, part=part: getattr(b.label(2, v), part))
-        if not verify_gathering_cert(gball, "sum",
-                                     lambda _, value=value: value, at_root):
+        gball = b.with_layers((project(b, CycleResponse, part, 2),))
+        if not verify_gathering_cert(gball, lambda _, value=value: value,
+                                     at_root):
             return False
 
     if own3.onc == 1:
@@ -168,7 +165,7 @@ def _decide(b: BallView) -> bool:
 def _honest_claim(instance: Instance, members: frozenset[int]) -> Labelling:
     tree, root = build_bfs_spanning_tree(instance)
     flags = [1 if v in members else 0 for v in range(instance.n)]
-    gather = build_gathering_cert(instance, tree, root, flags, "sum")
+    gather = build_gathering_cert(instance, tree, root, flags)
     return Labelling(XClaim(flags[v], gather[v]) for v in range(instance.n))
 
 
@@ -189,7 +186,7 @@ def _response(instance: Instance, earlier,
     tree, root = build_bfs_spanning_tree(instance)
 
     def gather(values) -> Labelling:
-        return build_gathering_cert(instance, tree, root, values, "sum")
+        return build_gathering_cert(instance, tree, root, values)
 
     n = instance.n
     s_total = gather([1 if v in challenged else 0 for v in range(n)])

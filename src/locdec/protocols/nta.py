@@ -25,15 +25,16 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, NamedTuple, Optional
 
-from ..engine import complement_lift
+from ..engine import complement_lift, embed, project
 from ..graphs import BallView, Instance
-from ..labels import (LabelDomain, Labelling, TreeCert, flag_field, id_field,
-                      sub_field, tree_cert_domain)
+from ..labels import (LabelDomain, Labelling, flag_field, id_field, sub_field,
+                      tree_cert_domain)
 from ..oracles import has_nontrivial_automorphism, oracle_automorphisms
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
-                        canonical_labelling, pattern_tag)
+                        canonical_labelling, certificate_protocol, pattern_tag)
 from ..runtime import LocalVerifier
-from ..schemes import _MALFORMED, _cert_tree_ok, _tree_fields
+from ..schemes import (READ_TREE_CERT, TreeReader, honest_tree, tree_ok,
+                       uniform)
 
 IDENTITY_MAP = 0
 SHARED_IMAGE = 1
@@ -67,31 +68,27 @@ def map_defect_domain(instance: Instance) -> LabelDomain:
                        MapDefect)
 
 
-def _part_tree_ok(b: BallView, part: str) -> bool:
-    def triple(v: int):
-        lbl = b.label(0, v)
-        val = getattr(lbl, part) if isinstance(lbl, MapDefect) else None
-        return (val.root, val.parent, val.dist) \
-            if isinstance(val, TreeCert) else _MALFORMED
+def _part_reader(part: str) -> TreeReader:
+    def read(lbl: object):
+        return READ_TREE_CERT(getattr(lbl, part)) \
+            if isinstance(lbl, MapDefect) else None
+    return read
 
-    return _cert_tree_ok(b, triple)
+
+_READ_PART = {part: _part_reader(part) for part in ("ta", "tb", "tc", "td")}
 
 
 def verify_map_defect(b: BallView) -> bool:
-    own = b.own_label(0)
-    if not isinstance(own, MapDefect):
+    own = uniform(b, MapDefect, "flag")
+    if own is None:
         return False
-    for w in b.neighbours(b.centre):
-        lbl = b.label(0, w)
-        if not isinstance(lbl, MapDefect) or lbl.flag != own.flag:
-            return False
     image = b.own_input
     if own.flag == IDENTITY_MAP:
         return image == b.own_id
     parts = ("ta", "tb", "tc") if own.flag == SHARED_IMAGE \
         else ("ta", "tb", "tc", "td")
     for part in parts:
-        if not _part_tree_ok(b, part):
+        if not tree_ok(b, 0, _READ_PART[part]):
             return False
     if own.ta.root == own.tb.root:
         return False
@@ -126,13 +123,10 @@ def _first_map_defect(instance: Instance) -> Optional[Labelling]:
             return instance.node_of(img)
         return None
 
-    def tree(root: int) -> list:
-        return [TreeCert(*t) for t in _tree_fields(instance, root)]
-
     def packed(flag: int, *roots: int) -> Labelling:
-        trees = [tree(r) for r in roots]
+        trees = [honest_tree(instance, r) for r in roots]
         while len(trees) < 4:
-            trees.append(list(filler))
+            trees.append(filler)
         return Labelling(MapDefect(flag, trees[0][v], trees[1][v],
                                    trees[2][v], trees[3][v])
                          for v in range(n))
@@ -176,20 +170,9 @@ def map_defect_exists(instance: Instance) -> bool:
 
 
 def protocol_map_defect() -> Protocol:
-    def cover(instance: Instance, earlier) -> Iterable[Labelling]:
-        move = _first_map_defect(instance)
-        if move is not None:
-            yield move
-
-    def strategy(instance: Instance, earlier) -> Labelling:
-        move = _first_map_defect(instance)
-        return move if move is not None \
-            else canonical_labelling(map_defect_domain(instance))
-
-    return Protocol(
-        "map-defect", PROVER, (Level(map_defect_domain, cover, strategy),),
-        LocalVerifier(1, 1, verify_map_defect),
-        LanguageSpec("map-defect", map_defect_exists, "existential-1"))
+    return certificate_protocol("map-defect", map_defect_domain,
+                                _first_map_defect, verify_map_defect,
+                                map_defect_exists, "existential-1")
 
 
 def protocol_nontrivial_automorphism() -> Protocol:
@@ -227,13 +210,9 @@ def protocol_nontrivial_automorphism() -> Protocol:
                                  (earlier[1],))
 
     def decide(b: BallView) -> bool:
-        images = {}
-        for v in b.members:
-            lbl = b.label(0, v)
-            images[v] = lbl.image if isinstance(lbl, NodeImage) else None
-        rest = tuple({v: b.label(i, v) for v in b.members} for i in (1, 2))
+        images = project(b, NodeImage, "image", missing=None)
         return bool(lifted.verifier.decide(
-            b.with_inputs(images).with_layers(rest)))
+            embed(b, b.layers[1:], lifted.verifier.radius, images)))
 
     return Protocol(
         "nta", PROVER,

@@ -15,21 +15,21 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from ..engine import shrink_ball
+from ..engine import embed, project
 from ..graphs import (MAX_MARKS, BallView, Instance, InstanceError, InputValue,
                       Marks, Ptr, ball)
-from ..labels import (INVALID, GatherCert, LabelDomain, Labelling, TreeCert,
+from ..labels import (GatherCert, LabelDomain, Labelling, build_bfs_tree,
                       flag_field, gather_cert_domain, ham_cert_domain,
                       input_value_field, non_ham_cert_domain, sub_field,
                       tree_cert_domain)
 from ..oracles import hamiltonian_cycles, is_matching, spanning_trees
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
-                        canonical_labelling, pattern_tag)
+                        canonical_labelling, certificate_protocol, pattern_tag)
 from ..runtime import LocalVerifier
-from ..schemes import (SchemeError, _cert_tree_ok, _MALFORMED, _mutual_pair,
-                       _tree_fields, _tree_in_subgraph, build_bfs_spanning_tree,
+from ..schemes import (READ_TREE_CERT, SchemeError, build_bfs_spanning_tree,
                        build_gathering_cert, build_hamiltonian_cert,
-                       build_non_hamiltonian_cert, verify_gathering_cert,
+                       build_non_hamiltonian_cert, honest_tree, mutual_pair,
+                       tree_certs, tree_ok, uniform, verify_gathering_cert,
                        verify_hamiltonian_cert, verify_non_hamiltonian_cert)
 from .basic import protocol_non_spanning_tree, protocol_spanning_tree
 
@@ -74,22 +74,10 @@ def _local_rule_protocol(name: str,
     """Level-1 protocol with a contentless label: accepts iff every node
     satisfies the radius-1 rule on its own input."""
 
-    def cover(instance: Instance, earlier) -> Iterable[Labelling]:
-        yield canonical_labelling(unit_domain(instance))
-
-    def strategy(instance: Instance, earlier) -> Labelling:
-        return canonical_labelling(unit_domain(instance))
-
-    return Protocol(
-        name, PROVER, (Level(unit_domain, cover, strategy),),
-        LocalVerifier(1, 1, lambda b: bool(rule(b))),
-        LanguageSpec(name, lambda inst: _all_nodes(inst, rule),
-                     "existential-1"))
-
-
-def _honest_tree(instance: Instance, root: int) -> Labelling:
-    return Labelling(TreeCert(*_tree_fields(instance, root)[v])
-                     for v in range(instance.n))
+    return certificate_protocol(
+        name, unit_domain, lambda inst: canonical_labelling(unit_domain(inst)),
+        lambda b: bool(rule(b)), lambda inst: _all_nodes(inst, rule),
+        "existential-1")
 
 
 def _defect_protocol(name: str,
@@ -98,33 +86,21 @@ def _defect_protocol(name: str,
     the certificate is a tree rooted at a violating node."""
 
     def decide(b: BallView) -> bool:
-        def triple(v: int):
-            val = b.label(0, v)
-            return (val.root, val.parent, val.dist) \
-                if isinstance(val, TreeCert) else _MALFORMED
-
-        if not _cert_tree_ok(b, triple):
+        if not tree_ok(b, 0, READ_TREE_CERT):
             return False
         if b.own_label(0).parent is None:
             return not rule(b)
         return True
 
-    def cover(instance: Instance, earlier) -> Iterable[Labelling]:
+    def honest(instance: Instance) -> Optional[Labelling]:
         for v in sorted(range(instance.n), key=instance.id_of):
             if not rule(_node_view(instance, v)):
-                yield _honest_tree(instance, v)
-                return
+                return honest_tree(instance, v)
+        return None
 
-    def strategy(instance: Instance, earlier) -> Labelling:
-        for v in sorted(range(instance.n), key=instance.id_of):
-            if not rule(_node_view(instance, v)):
-                return _honest_tree(instance, v)
-        return canonical_labelling(tree_cert_domain(instance))
-
-    return Protocol(
-        name, PROVER, (Level(tree_cert_domain, cover, strategy),),
-        LocalVerifier(1, 1, decide),
-        LanguageSpec(name, lambda inst: not _all_nodes(inst, rule), "dual-1"))
+    return certificate_protocol(name, tree_cert_domain, honest, decide,
+                                lambda inst: not _all_nodes(inst, rule),
+                                "dual-1")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +110,7 @@ def _defect_protocol(name: str,
 def _marked_cycle_edges(instance: Instance) -> frozenset:
     pairs = []
     for v in range(instance.n):
-        pair = _mutual_pair(instance, v)
+        pair = mutual_pair(instance, v)
         if pair is None:
             raise SchemeError(f"node {v} does not mark a reciprocated pair")
         pairs.append(pair)
@@ -158,43 +134,30 @@ def hamiltonian_inputs(instance: Instance) -> bool:
 
 
 def protocol_hamiltonian_cycle() -> Protocol:
-    def cover(instance: Instance, earlier) -> Iterable[Labelling]:
-        try:
-            yield _honest_ham_cert(instance)
-        except SchemeError:
-            return
-
-    def strategy(instance: Instance, earlier) -> Labelling:
+    def honest(instance: Instance) -> Optional[Labelling]:
         try:
             return _honest_ham_cert(instance)
         except SchemeError:
-            return canonical_labelling(ham_cert_domain(instance))
+            return None
 
-    return Protocol(
-        "hamiltonian-cycle", PROVER, (Level(ham_cert_domain, cover, strategy),),
-        LocalVerifier(1, 1, verify_hamiltonian_cert),
-        LanguageSpec("hamiltonian-cycle", hamiltonian_inputs, "existential-1"))
+    return certificate_protocol("hamiltonian-cycle", ham_cert_domain, honest,
+                                verify_hamiltonian_cert, hamiltonian_inputs,
+                                "existential-1")
 
 
 def protocol_non_hamiltonian() -> Protocol:
-    def cover(instance: Instance, earlier) -> Iterable[Labelling]:
-        try:
-            yield build_non_hamiltonian_cert(instance)
-        except SchemeError:
-            yield canonical_labelling(non_ham_cert_domain(instance))
-
-    def strategy(instance: Instance, earlier) -> Labelling:
+    def honest(instance: Instance) -> Labelling:
+        # Never None: without a defect the canonical labelling stays the
+        # one move, and the tsp cover embeds it as its flag-0 move.
         try:
             return build_non_hamiltonian_cert(instance)
         except SchemeError:
             return canonical_labelling(non_ham_cert_domain(instance))
 
-    return Protocol(
-        "non-hamiltonian", PROVER,
-        (Level(non_ham_cert_domain, cover, strategy),),
-        LocalVerifier(1, 1, verify_non_hamiltonian_cert),
-        LanguageSpec("non-hamiltonian",
-                     lambda inst: not hamiltonian_inputs(inst), "dual-1"))
+    return certificate_protocol("non-hamiltonian", non_ham_cert_domain, honest,
+                                verify_non_hamiltonian_cert,
+                                lambda inst: not hamiltonian_inputs(inst),
+                                "dual-1")
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +192,8 @@ def _tree_candidates(instance: Instance) -> Iterable[tuple[InputValue, ...]]:
     smallest identity."""
     root = min(range(instance.n), key=instance.id_of)
     for tree in spanning_trees(instance.graph):
-        parent, _ = _tree_in_subgraph(instance, tree, root)
-        yield tuple(Ptr(None) if parent[v] is None
-                    else Ptr(instance.id_of(parent[v]))
-                    for v in range(instance.n))
+        yield tuple(Ptr(c.parent) for c in
+                    tree_certs(instance, build_bfs_tree(instance, root, tree)))
 
 
 def _cycle_candidates(instance: Instance) -> Iterable[tuple[InputValue, ...]]:
@@ -316,35 +277,17 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
              sub_field("agg_xp", gdom)),
             OptLabel)
 
-    def _part_layer(b: BallView, part: str) -> dict[int, object]:
-        out = {}
-        for v in b.members:
-            lbl = b.label(0, v)
-            out[v] = getattr(lbl, part) if isinstance(lbl, OptLabel) else INVALID
-        return out
-
     def _sub_view(b: BallView, part: str, r: int,
                   inputs: Optional[dict[int, InputValue]] = None) -> BallView:
-        sub = b.with_layers((_part_layer(b, part),))
-        if inputs is not None:
-            sub = sub.with_inputs(inputs)
-        if r < radius:
-            sub = shrink_ball(sub, r)
-        return sub
+        return embed(b, (project(b, OptLabel, part),), r, inputs)
 
     def decide(b: BallView) -> bool:
-        own = b.own_label(0)
-        if not isinstance(own, OptLabel):
+        own = uniform(b, OptLabel, "flag")
+        if own is None:
             return False
-        for w in b.neighbours(b.centre):
-            lbl = b.label(0, w)
-            if not isinstance(lbl, OptLabel) or lbl.flag != own.flag:
-                return False
         if own.flag == 0:
             return bool(adm_no.verifier.decide(_sub_view(b, "no_part", rn)))
-        xp_inputs = {v: (b.label(0, v).xprime
-                         if isinstance(b.label(0, v), OptLabel) else None)
-                     for v in b.members}
+        xp_inputs = project(b, OptLabel, "xprime", missing=None)
         if not adm_yes.verifier.decide(_sub_view(b, "yes_x", ry)):
             return False
         if not adm_yes.verifier.decide(_sub_view(b, "yes_xp", ry, xp_inputs)):
@@ -355,13 +298,11 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
             return (isinstance(rival, GatherCert) and rival.parent is None
                     and better(rival.agg, total_x))
 
-        if not verify_gathering_cert(b.with_layers((_part_layer(b, "agg_x"),)),
-                                     "sum", local_value, at_root):
+        if not verify_gathering_cert(_sub_view(b, "agg_x", b.radius),
+                                     local_value, at_root):
             return False
-        rival_view = b.with_layers(
-            (_part_layer(b, "agg_xp"),)).with_inputs(xp_inputs)
-        return verify_gathering_cert(rival_view, "sum", local_value,
-                                     lambda total: True)
+        return verify_gathering_cert(_sub_view(b, "agg_xp", b.radius, xp_inputs),
+                                     local_value, lambda total: True)
 
     def _values(instance: Instance) -> list[int]:
         return [local_value(_node_view(instance, v))
@@ -395,7 +336,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         try:
             tree, root = build_bfs_spanning_tree(instance)
             agg_x = build_gathering_cert(instance, tree, root,
-                                         _values(instance), "sum")
+                                         _values(instance))
         except _VALUE_ERRORS:
             return
         for xp in propose(instance):
@@ -405,7 +346,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
                 continue
             try:
                 agg_xp = build_gathering_cert(inst2, tree, root,
-                                              _values(inst2), "sum")
+                                              _values(inst2))
             except _VALUE_ERRORS:
                 continue
             yield _packed(instance, 1, fill_no, yx, xp, yxp, agg_x, agg_xp)
@@ -434,7 +375,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         try:
             tree, root = build_bfs_spanning_tree(instance)
             vals_x = _values(instance)
-            agg_x = build_gathering_cert(instance, tree, root, vals_x, "sum")
+            agg_x = build_gathering_cert(instance, tree, root, vals_x)
         except _VALUE_ERRORS:
             return _packed(instance, 1, fill_no, fill_yes, no_xp, fill_yes,
                            fill_g, fill_g)
@@ -459,7 +400,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
                            honest_yes(instance), agg_x, agg_x)
         xp = best[0]
         inst2 = instance.with_inputs(xp)
-        agg_xp = build_gathering_cert(inst2, tree, root, _values(inst2), "sum")
+        agg_xp = build_gathering_cert(inst2, tree, root, _values(inst2))
         return _packed(instance, 1, fill_no, honest_yes(instance), xp,
                        honest_yes(inst2), agg_x, agg_xp)
 

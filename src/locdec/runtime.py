@@ -87,11 +87,3 @@ def evaluate_verdict(verifier: LocalVerifier, instance: Instance,
         if not verifier.decide(ball(instance, labellings, v, verifier.radius)):
             return False
     return True
-
-
-def decide_ld(verifier: LocalVerifier, instance: Instance) -> Decision:
-    """Evaluate a label-free verifier on the bare instance."""
-    if verifier.layer_count != 0:
-        raise VerifierError(
-            f"verifier expects {verifier.layer_count} labelling layers, none supplied")
-    return evaluate(verifier, instance, ())

@@ -1,4 +1,19 @@
-"""Certificate builders and their verifier fragments.
+"""The certificate kernel, certificate builders and their verifier fragments.
+
+Almost every certificate sits on a rooted spanning tree whose nodes carry
+(root, parent, dist) fields, and this module is the one place that builds
+and checks such a tree:
+
+* ``labels.build_bfs_tree`` finds the tree, over the whole graph or inside
+  a given edge set; ``tree_certs`` names its nodes by identity, and
+  ``honest_tree`` does both for one root;
+* ``subtree_sums`` folds per-node values up a tree (size and gathering
+  certificates);
+* ``tree_ok`` is the one local check of a tree certificate.  It reads the
+  fields through a ``tree_reader`` built once per label class, lazily, so
+  no projected view is made for it;
+* ``uniform`` checks that a node and its neighbours carry labels of one
+  class that agree on a flag.
 
 Each scheme pairs a constructive builder (instance + witness object ->
 labelling) with a radius-1 verification fragment (ball -> bool).  Verifier
@@ -8,15 +23,13 @@ rejected at the node that sees it.
 
 from __future__ import annotations
 
-from collections import deque
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from .graphs import BallView, Edge, Instance, Marks, Ptr
-from .labels import (GatherCert, HamCert, Labelling, NonHamCert, NSTCert,
-                     SizeCert, TreeCert, build_bfs_tree)
+from .labels import (BFSTree, GatherCert, HamCert, Labelling, NonHamCert,
+                     NSTCert, SizeCert, TreeCert, build_bfs_tree)
 from .oracles import oracle_spanning_tree
-
-GATHER_OPS = ("sum", "min", "max")
 
 
 class SchemeError(ValueError):
@@ -24,7 +37,33 @@ class SchemeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# the tree kernel
+
+TreeFields = tuple[int, Optional[int], int]
+TreeReader = Callable[[object], Optional[TreeFields]]
+
+
+def tree_certs(instance: Instance, tree: BFSTree) -> list[TreeCert]:
+    """Per-node (root, parent, dist) of ``tree``, nodes named by identity."""
+    ids = instance.ids.ids
+    rid = ids[tree.root]
+    return [TreeCert(rid, None if p is None else ids[p], d)
+            for p, d in zip(tree.parent, tree.dist)]
+
+
+def honest_tree(instance: Instance, root: int) -> Labelling:
+    """The breadth-first tree certificate rooted at ``root``."""
+    return Labelling(tree_certs(instance, build_bfs_tree(instance, root)))
+
+
+def subtree_sums(tree: BFSTree, values: Sequence[int]) -> list[int]:
+    """Per node, the sum of ``values`` over its subtree."""
+    sums = list(values)
+    for v in reversed(tree.order):
+        p = tree.parent[v]
+        if p is not None:
+            sums[p] += sums[v]
+    return sums
 
 
 def build_bfs_spanning_tree(instance: Instance) -> tuple[frozenset[Edge], int]:
@@ -36,50 +75,57 @@ def build_bfs_spanning_tree(instance: Instance) -> tuple[frozenset[Edge], int]:
     return edges, root
 
 
-def _tree_in_subgraph(instance: Instance, edges: frozenset[Edge], root: int):
-    """Parent/distance arrays for the tree formed by ``edges``, rooted at root."""
-    n = instance.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent: list[Optional[int]] = [None] * n
-    dist = [-1] * n
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v], key=instance.id_of):
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                queue.append(w)
-    return parent, dist
+def tree_reader(kind: type, root: str = "root", parent: str = "parent",
+                dist: str = "dist") -> TreeReader:
+    """Reads the named tree fields of a ``kind`` label; None for any other value."""
+    fields = attrgetter(root, parent, dist)
+
+    def read(value: object) -> Optional[TreeFields]:
+        return fields(value) if isinstance(value, kind) else None
+
+    return read
 
 
-_MALFORMED = object()
+def tree_ok(ball: BallView, layer: int, read: TreeReader) -> bool:
+    """Root/parent/distance checks of a tree certificate carried in ``layer``.
 
-
-def _cert_tree_ok(ball: BallView, triple: Callable[[int], object]) -> bool:
-    """Root/parent/distance checks for a tree certificate carried in a layer.
-
-    ``triple(v)`` yields (root, parent, dist) or _MALFORMED.  The parent field
-    is read from the certificate itself.
+    The centre and its neighbours must name the same root; a node without a
+    parent must be that root at distance 0, and any other node's parent
+    must be a neighbour one step closer to the root.
     """
-    own = triple(ball.centre)
-    if own is _MALFORMED:
+    labels = ball.layers[layer]
+    own = read(labels[ball.centre])
+    if own is None:
         return False
     r, p, d = own
     for w in ball.neighbours(ball.centre):
-        other = triple(w)
-        if other is _MALFORMED or other[0] != r:
+        other = read(labels[w])
+        if other is None or other[0] != r:
             return False
     if p is None:
         return d == 0 and ball.own_id == r
     target = ball.node_of(p)
     if target is None or not ball.has_edge(ball.centre, target):
         return False
-    return triple(target)[2] == d - 1
+    return read(labels[target])[2] == d - 1
+
+
+READ_TREE_CERT = tree_reader(TreeCert)
+
+
+def uniform(ball: BallView, kind: type, field: str) -> Optional[object]:
+    """The centre's layer-0 label if it and every neighbour's label are
+    ``kind`` labels agreeing on ``field``; None otherwise."""
+    labels = ball.layers[0]
+    own = labels[ball.centre]
+    if not isinstance(own, kind):
+        return None
+    want = getattr(own, field)
+    for w in ball.neighbours(ball.centre):
+        other = labels[w]
+        if not isinstance(other, kind) or getattr(other, field) != want:
+            return None
+    return own
 
 
 # ---------------------------------------------------------------------------
@@ -90,23 +136,13 @@ def build_spanning_tree_cert(instance: Instance, tree: frozenset[Edge],
                              root: int) -> Labelling:
     if not oracle_spanning_tree(instance.graph, tree):
         raise SchemeError("edge set is not a spanning tree")
-    parent, dist = _tree_in_subgraph(instance, tree, root)
-    rid = instance.id_of(root)
-    return Labelling(
-        TreeCert(rid, None if parent[v] is None else instance.id_of(parent[v]), dist[v])
-        for v in range(instance.n))
+    return Labelling(tree_certs(instance, build_bfs_tree(instance, root, tree)))
 
 
 def verify_spanning_tree_cert(ball: BallView) -> bool:
-    own = ball.own_label(0)
-    if not isinstance(own, TreeCert):
-        return False
-    for w in ball.neighbours(ball.centre):
-        other = ball.label(0, w)
-        if not isinstance(other, TreeCert) or other.root != own.root:
-            return False
+    own = uniform(ball, TreeCert, "root")
     x = ball.own_input
-    if not isinstance(x, Ptr):
+    if own is None or not isinstance(x, Ptr):
         return False
     if x.to is None:
         return own.dist == 0 and ball.own_id == own.root
@@ -126,28 +162,19 @@ def verify_spanning_tree_cert(ball: BallView) -> bool:
 def build_size_cert(instance: Instance, tree: frozenset[Edge], root: int) -> Labelling:
     if not oracle_spanning_tree(instance.graph, tree):
         raise SchemeError("edge set is not a spanning tree")
-    parent, dist = _tree_in_subgraph(instance, tree, root)
-    size = [1] * instance.n
-    for v in sorted(range(instance.n), key=dist.__getitem__, reverse=True):
-        if parent[v] is not None:
-            size[parent[v]] += size[v]
-    rid = instance.id_of(root)
-    return Labelling(
-        SizeCert(rid, None if parent[v] is None else instance.id_of(parent[v]), size[v])
-        for v in range(instance.n))
+    t = build_bfs_tree(instance, root, tree)
+    size = subtree_sums(t, [1] * instance.n)
+    return Labelling(SizeCert(c.root, c.parent, s)
+                     for c, s in zip(tree_certs(instance, t), size))
 
 
 def verify_size_cert(ball: BallView) -> bool:
-    own = ball.own_label(0)
+    own = uniform(ball, SizeCert, "root")
     x = ball.own_input
-    if not isinstance(own, SizeCert) or not isinstance(x, int):
+    if own is None or not isinstance(x, int):
         return False
-    for w in ball.neighbours(ball.centre):
-        other = ball.label(0, w)
-        if not isinstance(other, SizeCert) or other.root != own.root:
-            return False
-        if ball.input_of(w) != x:
-            return False
+    if any(ball.input_of(w) != x for w in ball.neighbours(ball.centre)):
+        return False
     if own.parent is None:
         if ball.own_id != own.root or own.size != x:
             return False
@@ -166,18 +193,9 @@ def verify_size_cert(ball: BallView) -> bool:
 # gathering certificates
 
 
-def _combine(op: str, own_value: int, child_aggs: Sequence[int]) -> int:
-    if op == "sum":
-        return own_value + sum(child_aggs)
-    if op == "min":
-        return min([own_value, *child_aggs])
-    return max([own_value, *child_aggs])
-
-
 def build_gathering_cert(instance: Instance, tree: frozenset[Edge], root: int,
-                         values: Sequence[int], op: str) -> Labelling:
-    if op not in GATHER_OPS:
-        raise SchemeError(f"unknown aggregation op {op!r}")
+                         values: Sequence[int]) -> Labelling:
+    """Sums of ``values`` over the subtrees of ``tree``, rooted at ``root``."""
     if not oracle_spanning_tree(instance.graph, tree):
         raise SchemeError("edge set is not a spanning tree")
     values = tuple(values)
@@ -187,33 +205,20 @@ def build_gathering_cert(instance: Instance, tree: frozenset[Edge], root: int,
     for v, val in enumerate(values):
         if not isinstance(val, int) or not 0 <= val <= cap:
             raise SchemeError(f"value {val!r} at node {v} outside [0, {cap}]")
-    if op == "sum" and sum(values) > cap:
+    if sum(values) > cap:
         raise SchemeError(f"aggregate {sum(values)} exceeds the certifiable cap {cap}")
-    parent, dist = _tree_in_subgraph(instance, tree, root)
-    agg = list(values)
-    order = sorted(range(instance.n), key=dist.__getitem__, reverse=True)
-    kids: list[list[int]] = [[] for _ in range(instance.n)]
-    for v in range(instance.n):
-        if parent[v] is not None:
-            kids[parent[v]].append(v)
-    for v in order:
-        agg[v] = _combine(op, values[v], [agg[w] for w in kids[v]])
-    rid = instance.id_of(root)
-    return Labelling(
-        GatherCert(rid, None if parent[v] is None else instance.id_of(parent[v]),
-                   dist[v], agg[v])
-        for v in range(instance.n))
+    t = build_bfs_tree(instance, root, tree)
+    agg = subtree_sums(t, values)
+    return Labelling(GatherCert(*c, a)
+                     for c, a in zip(tree_certs(instance, t), agg))
 
 
-def verify_gathering_cert(ball: BallView, op: str,
-                          value_of: Callable[[BallView], int],
+_READ_GATHER = tree_reader(GatherCert)
+
+
+def verify_gathering_cert(ball: BallView, value_of: Callable[[BallView], int],
                           at_root: Callable[[int], bool]) -> bool:
-    def triple(v: int):
-        val = ball.label(0, v)
-        return (val.root, val.parent, val.dist) if isinstance(val, GatherCert) \
-            else _MALFORMED
-
-    if not _cert_tree_ok(ball, triple):
+    if not tree_ok(ball, 0, _READ_GATHER):
         return False
     own = ball.own_label(0)
     try:
@@ -222,7 +227,7 @@ def verify_gathering_cert(ball: BallView, op: str,
         return False
     child_aggs = [ball.label(0, w).agg for w in ball.neighbours(ball.centre)
                   if ball.label(0, w).parent == ball.own_id]
-    if own.agg != _combine(op, value, child_aggs):
+    if own.agg != value + sum(child_aggs):
         return False
     return own.parent is not None or bool(at_root(own.agg))
 
@@ -265,12 +270,8 @@ def build_hamiltonian_cert(instance: Instance, cycle: frozenset[Edge],
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    tree = build_bfs_tree(instance, root)
-    rid = instance.id_of(root)
-    return Labelling(
-        HamCert(rid, None if tree.parent[v] is None else instance.id_of(tree.parent[v]),
-                tree.dist[v], pos[v])
-        for v in range(instance.n))
+    return Labelling(HamCert(*c, pos[v])
+                     for v, c in enumerate(honest_tree(instance, root)))
 
 
 def _marked_nodes(ball: BallView, v: int) -> Optional[list[int]]:
@@ -287,25 +288,19 @@ def _marked_nodes(ball: BallView, v: int) -> Optional[list[int]]:
     return out
 
 
-def verify_hamiltonian_cert(ball: BallView) -> bool:
-    def triple(v: int):
-        val = ball.label(0, v)
-        return (val.root, val.parent, val.dist) if isinstance(val, HamCert) \
-            else _MALFORMED
+_READ_HAM = tree_reader(HamCert)
 
-    if not _cert_tree_ok(ball, triple):
+
+def verify_hamiltonian_cert(ball: BallView) -> bool:
+    if not tree_ok(ball, 0, _READ_HAM):
         return False
     own = ball.own_label(0)
-    marked = _marked_nodes(ball, ball.centre)
+    # Cycle edges must be marked symmetrically.
+    marked = _mutual_marks(ball, ball.centre)
     if marked is None:
         return False
-    for w in marked:
-        # Cycle edges must be marked symmetrically.
-        back = ball.input_of(w)
-        if not isinstance(back, Marks) or ball.own_id not in back.ids:
-            return False
-        if not isinstance(ball.label(0, w), HamCert):
-            return False
+    if not all(isinstance(ball.label(0, w), HamCert) for w in marked):
+        return False
     q1, q2 = (ball.label(0, w).pos for w in marked)
     p = own.pos
     if p == 0:
@@ -327,7 +322,7 @@ def verify_hamiltonian_cert(ball: BallView) -> bool:
 # directed pointer cycle, or an acyclic pointer forest with several roots.
 
 
-def _pointer_structure(instance: Instance) -> tuple[list[Optional[int]], frozenset[Edge]]:
+def pointer_structure(instance: Instance) -> tuple[list[Optional[int]], frozenset[Edge]]:
     """Per-node pointer target (as node index) and the pointer edge set."""
     targets: list[Optional[int]] = []
     edges = set()
@@ -390,17 +385,42 @@ def _components(n: int, adj: Sequence[Sequence[int]]) -> list[list[int]]:
     return comp
 
 
-def _tree_fields(instance: Instance, root: int) -> list[tuple]:
-    t = build_bfs_tree(instance, root)
-    return [(instance.id_of(root),
-             None if t.parent[v] is None else instance.id_of(t.parent[v]),
-             t.dist[v]) for v in range(instance.n)]
+def _split_certs(instance: Instance, adj: Sequence[Sequence[int]],
+                 whole: str) -> tuple[list[int], Labelling, Labelling]:
+    """Split a defect into components: 1-based component index per node,
+    ordered by smallest identity, plus trees rooted in the first two.
+    Raises SchemeError(whole) when there is only one component."""
+    comps = _components(instance.n, adj)
+    if len(comps) < 2:
+        raise SchemeError(whole)
+    comps.sort(key=lambda group: min(instance.id_of(v) for v in group))
+    idx = [0] * instance.n
+    for i, group in enumerate(comps):
+        for v in group:
+            idx[v] = i + 1
+    tree1, tree2 = (honest_tree(instance, min(group, key=instance.id_of))
+                    for group in comps[:2])
+    return idx, tree1, tree2
+
+
+def _split_ok(ball: BallView, own: NSTCert | NonHamCert, read2: TreeReader,
+              linked: Sequence[int]) -> bool:
+    """Checks of a split defect past the first tree: the second tree, the
+    first tree's root in component 1 and the second's in component 2, and
+    one component index over the ``linked`` neighbours."""
+    if not tree_ok(ball, 0, read2):
+        return False
+    if own.parent1 is None and own.idx != 1:
+        return False
+    if own.parent2 is None and own.idx != 2:
+        return False
+    return all(ball.label(0, w).idx == own.idx for w in linked)
 
 
 def build_non_spanning_tree_cert(instance: Instance,
                                  fset: frozenset[Edge]) -> Labelling:
     n = instance.n
-    targets, pointer_edges = _pointer_structure(instance)
+    targets, pointer_edges = pointer_structure(instance)
     if frozenset(fset) != pointer_edges:
         raise SchemeError("edge set disagrees with the pointer inputs")
 
@@ -411,33 +431,21 @@ def build_non_spanning_tree_cert(instance: Instance,
 
     unspanned = [v for v in range(n) if not adj[v]]
     if unspanned and n > 1:
-        root = min(unspanned, key=instance.id_of)
-        tree = _tree_fields(instance, root)
+        tree = honest_tree(instance, min(unspanned, key=instance.id_of))
         return Labelling(NSTCert(0, 1, *tree[v], None, None, *tree[v])
                          for v in range(n))
 
     cycle = _pointer_cycle(instance, targets)
     if cycle is not None:
-        root = cycle[0]
         cpos: list[Optional[int]] = [None] * n
         for i, v in enumerate(cycle):
             cpos[v] = i
-        tree = _tree_fields(instance, root)
+        tree = honest_tree(instance, cycle[0])
         return Labelling(NSTCert(1, 1, *tree[v], cpos[v], len(cycle), *tree[v])
                          for v in range(n))
 
-    comps = _components(n, adj)
-    if len(comps) < 2:
-        raise SchemeError("pointer inputs encode a spanning tree; no defect to certify")
-    comps.sort(key=lambda group: min(instance.id_of(v) for v in group))
-    idx = [0] * n
-    for i, group in enumerate(comps):
-        for v in group:
-            idx[v] = i + 1
-    root1 = min(comps[0], key=instance.id_of)
-    root2 = min(comps[1], key=instance.id_of)
-    tree1 = _tree_fields(instance, root1)
-    tree2 = _tree_fields(instance, root2)
+    idx, tree1, tree2 = _split_certs(
+        instance, adj, "pointer inputs encode a spanning tree; no defect to certify")
     return Labelling(NSTCert(2, idx[v], *tree1[v], None, None, *tree2[v])
                      for v in range(n))
 
@@ -462,26 +470,13 @@ def _pointer_neighbours(ball: BallView, v: int) -> Optional[list[int]]:
     return sorted(out)
 
 
+_READ_NST1 = tree_reader(NSTCert, "root1", "parent1", "dist1")
+_READ_NST2 = tree_reader(NSTCert, "root2", "parent2", "dist2")
+
+
 def verify_non_spanning_tree_cert(ball: BallView) -> bool:
-    own = ball.own_label(0)
-    if not isinstance(own, NSTCert):
-        return False
-    for w in ball.neighbours(ball.centre):
-        other = ball.label(0, w)
-        if not isinstance(other, NSTCert) or other.flag != own.flag:
-            return False
-
-    def triple1(v: int):
-        val = ball.label(0, v)
-        return (val.root1, val.parent1, val.dist1) if isinstance(val, NSTCert) \
-            else _MALFORMED
-
-    def triple2(v: int):
-        val = ball.label(0, v)
-        return (val.root2, val.parent2, val.dist2) if isinstance(val, NSTCert) \
-            else _MALFORMED
-
-    if not _cert_tree_ok(ball, triple1):
+    own = uniform(ball, NSTCert, "flag")
+    if own is None or not tree_ok(ball, 0, _READ_NST1):
         return False
     fnbrs = _pointer_neighbours(ball, ball.centre)
     if fnbrs is None:
@@ -517,13 +512,7 @@ def verify_non_spanning_tree_cert(ball: BallView) -> bool:
             return False
         return ball.label(0, target).cpos == (p + 1) % own.clen
 
-    if not _cert_tree_ok(ball, triple2):
-        return False
-    if own.parent1 is None and own.idx != 1:
-        return False
-    if own.parent2 is None and own.idx != 2:
-        return False
-    return all(ball.label(0, w).idx == own.idx for w in fnbrs)
+    return _split_ok(ball, own, _READ_NST2, fnbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +524,7 @@ def verify_non_spanning_tree_cert(ball: BallView) -> bool:
 # reciprocated pair, or marked edges split into several cycles.
 
 
-def _mutual_pair(instance: Instance, v: int) -> Optional[tuple[int, int]]:
+def mutual_pair(instance: Instance, v: int) -> Optional[tuple[int, int]]:
     """The two nodes v marks, when both marks are reciprocated."""
     x = instance.input_of(v)
     if not isinstance(x, Marks) or len(x.ids) != 2:
@@ -555,26 +544,16 @@ def _mutual_pair(instance: Instance, v: int) -> Optional[tuple[int, int]]:
 
 def build_non_hamiltonian_cert(instance: Instance) -> Labelling:
     n = instance.n
-    pairs = [_mutual_pair(instance, v) for v in range(n)]
+    pairs = [mutual_pair(instance, v) for v in range(n)]
     defective = [v for v in range(n) if pairs[v] is None]
     if defective:
-        root = min(defective, key=instance.id_of)
-        tree = _tree_fields(instance, root)
+        tree = honest_tree(instance, min(defective, key=instance.id_of))
         return Labelling(NonHamCert(0, 1, *tree[v], *tree[v]) for v in range(n))
 
     # Reciprocated pairs everywhere: the marked edges split V into cycles.
-    comps = _components(n, [list(pairs[v]) for v in range(n)])
-    if len(comps) < 2:
-        raise SchemeError("marks encode a Hamiltonian cycle; no defect to certify")
-    comps.sort(key=lambda group: min(instance.id_of(v) for v in group))
-    idx = [0] * n
-    for i, group in enumerate(comps):
-        for v in group:
-            idx[v] = i + 1
-    root1 = min(comps[0], key=instance.id_of)
-    root2 = min(comps[1], key=instance.id_of)
-    tree1 = _tree_fields(instance, root1)
-    tree2 = _tree_fields(instance, root2)
+    idx, tree1, tree2 = _split_certs(
+        instance, [list(pairs[v]) for v in range(n)],
+        "marks encode a Hamiltonian cycle; no defect to certify")
     return Labelling(NonHamCert(1, idx[v], *tree1[v], *tree2[v]) for v in range(n))
 
 
@@ -591,26 +570,13 @@ def _mutual_marks(ball: BallView, v: int) -> Optional[list[int]]:
     return marked
 
 
+_READ_NONHAM1 = tree_reader(NonHamCert, "root1", "parent1", "dist1")
+_READ_NONHAM2 = tree_reader(NonHamCert, "root2", "parent2", "dist2")
+
+
 def verify_non_hamiltonian_cert(ball: BallView) -> bool:
-    own = ball.own_label(0)
-    if not isinstance(own, NonHamCert):
-        return False
-    for w in ball.neighbours(ball.centre):
-        other = ball.label(0, w)
-        if not isinstance(other, NonHamCert) or other.flag != own.flag:
-            return False
-
-    def triple1(v: int):
-        val = ball.label(0, v)
-        return (val.root1, val.parent1, val.dist1) if isinstance(val, NonHamCert) \
-            else _MALFORMED
-
-    def triple2(v: int):
-        val = ball.label(0, v)
-        return (val.root2, val.parent2, val.dist2) if isinstance(val, NonHamCert) \
-            else _MALFORMED
-
-    if not _cert_tree_ok(ball, triple1):
+    own = uniform(ball, NonHamCert, "flag")
+    if own is None or not tree_ok(ball, 0, _READ_NONHAM1):
         return False
 
     if own.flag == 0:
@@ -622,10 +588,4 @@ def verify_non_hamiltonian_cert(ball: BallView) -> bool:
     marked = _mutual_marks(ball, ball.centre)
     if marked is None:
         return False
-    if not _cert_tree_ok(ball, triple2):
-        return False
-    if own.parent1 is None and own.idx != 1:
-        return False
-    if own.parent2 is None and own.idx != 2:
-        return False
-    return all(ball.label(0, w).idx == own.idx for w in marked)
+    return _split_ok(ball, own, _READ_NONHAM2, marked)

@@ -2,10 +2,13 @@
 
 import pytest
 
-from locdec.cli import ReportError, build_report, emit_report, parse_report
+from locdec.cli import (LABEL_RECORDS, _RECORDS, ReportError, build_report,
+                        emit_report, parse_report)
 from locdec.engine import game_evaluate
+from locdec.formulas import parse_formula
 from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, Ptr
-from locdec.protocols import resolve
+from locdec.protocols import names, resolve
+from locdec.protocols.qbf import encode_qbf
 
 
 def _mst_report():
@@ -32,3 +35,26 @@ def test_malformed_input_value_in_report_is_rejected():
     text = emit_report(_mst_report()).replace('"kind": "ptr"', '"kind": "bogus"', 1)
     with pytest.raises(ReportError, match="malformed input record"):
         parse_report(text)
+
+
+def _records_in(value, found: set) -> None:
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        found.add(type(value))
+        for part in value:
+            _records_in(part, found)
+
+
+def test_record_registry_is_what_protocol_domains_decode():
+    # Walk the all-zero label of every level of every protocol, through
+    # nested record fields; the report registry must name exactly those.
+    plain = Instance(Graph(3, frozenset({(0, 1), (1, 2)})),
+                     IdAssignment((1, 2, 3), 9), InputAssignment((None,) * 3))
+    formula = encode_qbf(parse_formula("Ey1 Ay2: (y1 | y2) & (y1 | ~y2)"))
+    found: set = set()
+    for name in (*names(), "lift:3col",
+                 "unanimous:spanning-tree+non-spanning-tree", "collapse:qbf"):
+        instance = formula if name.endswith("qbf") else plain
+        for level in resolve(name).levels:
+            _records_in(level.domain_of(instance).decode(0), found)
+    assert _RECORDS == {cls.__name__: cls for cls in found}
+    assert len(LABEL_RECORDS) == len(_RECORDS) == 16

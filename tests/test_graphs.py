@@ -114,7 +114,7 @@ def test_weights_capped_by_N():
 def test_ball_p3_radius1():
     inst = parse_instance(P3_TEXT)
     view = ball(inst, [], 1, 1)
-    assert view.nodes() == (0, 1, 2)
+    assert view.members == (0, 1, 2)
     assert view.is_frontier(0) and view.is_frontier(2)
     assert not view.is_frontier(1)
     assert view.edges == frozenset({(0, 1), (1, 2)})
@@ -124,7 +124,7 @@ def test_ball_zero_radius():
     inst = parse_instance(P3_TEXT)
     for v in range(3):
         view = ball(inst, [], v, 0)
-        assert view.nodes() == (v,)
+        assert view.members == (v,)
         assert view.edges == frozenset()
         assert view.own_id == inst.id_of(v)
 
@@ -132,7 +132,7 @@ def test_ball_zero_radius():
 def test_ball_c4_radius2():
     inst = plain_instance(c4())
     view = ball(inst, [], 0, 2)
-    assert view.nodes() == (0, 1, 2, 3)
+    assert view.members == (0, 1, 2, 3)
     assert view.is_frontier(2)          # the antipodal node
     assert not any(view.is_frontier(v) for v in (0, 1, 3))
 
@@ -145,9 +145,9 @@ def test_ball_matches_independent_distances():
             for v in range(n):
                 for t in range(0, n + 1):
                     view = ball(inst, [], v, t)
-                    assert set(view.nodes()) == {u for u in range(n)
+                    assert set(view.members) == {u for u in range(n)
                                                  if dist[v][u] <= t}
-                    for u in view.nodes():
+                    for u in view.members:
                         assert view.is_frontier(u) == (dist[v][u] == t)
 
 
@@ -170,10 +170,10 @@ def test_ball_nesting():
             for t in range(0, 4):
                 small = ball(inst, [], v, t)
                 big = ball(inst, [], v, t + 1)
-                inner = {u for u in big.nodes() if big.dist_from_centre(u) <= t}
-                assert inner == set(small.nodes())
+                inner = {u for u in big.members if big.dist_from_centre(u) <= t}
+                assert inner == set(small.members)
                 assert {e for e in big.edges
-                        if e[0] in set(small.nodes()) and e[1] in set(small.nodes())} \
+                        if e[0] in set(small.members) and e[1] in set(small.members)} \
                     >= set(small.edges)
 
 
@@ -181,7 +181,7 @@ def test_ball_carries_layers_and_weights():
     g = Graph(3, frozenset({(0, 1), (1, 2)}), {(0, 1): 4, (1, 2): 7})
     inst = plain_instance(g)
     view = ball(inst, [["a", "b", "c"], [10, 20, 30]], 0, 1)
-    assert view.layer_count() == 2
+    assert len(view.layers) == 2
     assert view.label(0, 1) == "b"
     assert view.own_label(1) == 10
     assert view.weight(0, 1) == 4

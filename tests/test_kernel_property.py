@@ -1,0 +1,85 @@
+"""The rooted-tree certificate kernel on random connected graphs.
+
+Honest trees pass ``tree_ok`` at every node for every root, ``subtree_sums``
+matches a brute-force sum, and a tree certificate that every node accepts
+describes a real rooted tree.
+"""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, ball
+from locdec.labels import Labelling, TreeCert, build_bfs_tree
+from locdec.schemes import READ_TREE_CERT, honest_tree, subtree_sums, tree_ok
+
+
+@st.composite
+def instances(draw, max_n: int = 7):
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else [])
+    N = n * n + 1
+    ids = draw(st.lists(st.integers(1, N), min_size=n, max_size=n, unique=True))
+    return Instance(Graph(n, frozenset(edges)), IdAssignment(tuple(ids), N),
+                    InputAssignment((None,) * n))
+
+
+def accepted_everywhere(inst: Instance, lab: Labelling) -> bool:
+    return all(tree_ok(ball(inst, (lab,), v, 1), 0, READ_TREE_CERT)
+               for v in range(inst.n))
+
+
+@settings(deadline=None)
+@given(instances())
+def test_honest_tree_passes_at_every_node_for_every_root(inst):
+    for root in range(inst.n):
+        assert accepted_everywhere(inst, honest_tree(inst, root))
+
+
+@settings(deadline=None)
+@given(instances(), st.data())
+def test_subtree_sums_match_brute_force(inst, data):
+    root = data.draw(st.integers(0, inst.n - 1))
+    values = data.draw(st.lists(st.integers(0, 50), min_size=inst.n,
+                                max_size=inst.n))
+    tree = build_bfs_tree(inst, root)
+    want = [0] * inst.n
+    for v in range(inst.n):
+        w = v
+        while w is not None:  # v's value counts at v and every ancestor
+            want[w] += values[v]
+            w = tree.parent[w]
+    assert subtree_sums(tree, values) == want
+
+
+@st.composite
+def tree_labellings(draw):
+    # An honest tree with some nodes' fields redrawn, so that both accepted
+    # and rejected labellings come up often.
+    inst = draw(instances(max_n=5))
+    n = inst.n
+    certs = list(honest_tree(inst, draw(st.integers(0, n - 1))))
+    for v in range(n):
+        if draw(st.booleans()):
+            nbr_ids = sorted(inst.id_of(w) for w in inst.graph.neighbours(v))
+            parent = st.none() | st.sampled_from(nbr_ids) if nbr_ids else st.none()
+            certs[v] = TreeCert(draw(st.sampled_from(inst.ids.ids)),
+                                draw(parent), draw(st.integers(0, n - 1)))
+    return inst, Labelling(certs)
+
+
+@settings(deadline=None)
+@given(tree_labellings())
+def test_accepted_certificate_parent_chains_reach_the_root(case):
+    inst, lab = case
+    if not accepted_everywhere(inst, lab):
+        return
+    for v in range(inst.n):
+        w = v
+        for _ in range(lab[v].dist):
+            assert lab[w].parent is not None
+            w = inst.node_of(lab[w].parent)
+        assert inst.id_of(w) == lab[v].root
+        assert lab[w].parent is None

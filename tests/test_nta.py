@@ -6,7 +6,7 @@ from locdec import gen
 from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, check_protocol,
                            game_evaluate)
 from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance
-from locdec.labels import INVALID, DomainError, Labelling, TreeCert
+from locdec.labels import INVALID, DomainError, Labelling
 from locdec.oracles import has_nontrivial_automorphism
 from locdec.protocols import resolve
 from locdec.protocols.nta import (GAINED_EDGE, IDENTITY_MAP, LOST_EDGE,
@@ -14,7 +14,7 @@ from locdec.protocols.nta import (GAINED_EDGE, IDENTITY_MAP, LOST_EDGE,
                                   map_defect_domain, map_defect_exists,
                                   node_image_domain, protocol_map_defect)
 from locdec.runtime import evaluate
-from locdec.schemes import _tree_fields
+from locdec.schemes import honest_tree
 
 ASYMMETRIC_6 = Graph(6, frozenset({(0, 1), (0, 2), (0, 3),
                                    (1, 2), (1, 4), (3, 5)}))
@@ -29,7 +29,7 @@ def inst_of(graph, ids, N, inputs=None):
 
 
 def tree(instance, root):
-    return [TreeCert(*t) for t in _tree_fields(instance, root)]
+    return list(honest_tree(instance, root))
 
 
 # ---------------------------------------------------------------------------

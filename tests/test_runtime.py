@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from locdec.graphs import Graph, IdAssignment
-from locdec.runtime import (Decision, LocalVerifier, VerifierError, decide_ld,
-                            evaluate, evaluate_verdict)
+from locdec.runtime import (Decision, LocalVerifier, VerifierError, evaluate,
+                            evaluate_verdict)
 
 from corpus import c4, p3, plain_instance
 
@@ -24,14 +24,14 @@ def triangle_with_colours(colours):
 
 
 def test_proper_colouring_accepts():
-    d = decide_ld(colour_verifier(), triangle_with_colours((1, 2, 3)))
+    d = evaluate(colour_verifier(), triangle_with_colours((1, 2, 3)))
     assert d.accepts == (True, True, True)
     assert d.verdict is True
     assert d.rejecting_nodes == ()
 
 
 def test_monochromatic_edge_rejects_both_endpoints():
-    d = decide_ld(colour_verifier(), triangle_with_colours((1, 1, 2)))
+    d = evaluate(colour_verifier(), triangle_with_colours((1, 1, 2)))
     assert d.accepts == (False, False, True)
     assert d.verdict is False
     assert d.rejecting_nodes == (0, 1)
@@ -40,16 +40,10 @@ def test_monochromatic_edge_rejects_both_endpoints():
 def test_out_of_palette_rejects_at_that_node():
     g = Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
     good = plain_instance(g).with_inputs((1, 2, 1, 2, 3))
-    assert decide_ld(colour_verifier(), good).verdict is True
+    assert evaluate(colour_verifier(), good).verdict is True
     bad = plain_instance(g).with_inputs((1, 2, 1, 2, 4))
-    d = decide_ld(colour_verifier(), bad)
+    d = evaluate(colour_verifier(), bad)
     assert d.rejecting_nodes == (4,)
-
-
-def test_decide_ld_refuses_label_reading_verifier():
-    v = LocalVerifier(radius=0, layer_count=1, decide=lambda b: True)
-    with pytest.raises(VerifierError, match="expects 1 labelling"):
-        decide_ld(v, plain_instance(p3()))
 
 
 def test_layer_count_mismatch():
@@ -109,7 +103,7 @@ def test_decisions_ignore_ids_outside_ball():
 
 def test_evaluate_is_deterministic():
     inst = triangle_with_colours((1, 1, 2))
-    assert decide_ld(colour_verifier(), inst) == decide_ld(colour_verifier(), inst)
+    assert evaluate(colour_verifier(), inst) == evaluate(colour_verifier(), inst)
 
 
 def test_verdict_early_exit_and_charging():

@@ -29,8 +29,8 @@ NST = LocalVerifier(1, 1, verify_non_spanning_tree_cert)
 NONHAM = LocalVerifier(1, 1, verify_non_hamiltonian_cert)
 
 
-def gather_verifier(op, value_of, at_root):
-    return LocalVerifier(1, 1, lambda b: verify_gathering_cert(b, op, value_of, at_root))
+def gather_verifier(value_of, at_root):
+    return LocalVerifier(1, 1, lambda b: verify_gathering_cert(b, value_of, at_root))
 
 
 def p3_pointer_instance():
@@ -159,41 +159,41 @@ def test_size_cert_ghost_parent_rejected():
 
 def test_build_gather_star_sum():
     inst = plain_instance(star_graph(4))
-    cert = build_gathering_cert(inst, star_graph(4).edges, 0, (1, 1, 1, 1), "sum")
+    cert = build_gathering_cert(inst, star_graph(4).edges, 0, (1, 1, 1, 1))
     assert cert[0].agg == 4
     assert [c.agg for c in cert][1:] == [1, 1, 1]
 
 
-def test_build_gather_chain_max():
+def test_build_gather_chain_sum():
     inst = plain_instance(path_graph(3))
-    cert = build_gathering_cert(inst, frozenset({(0, 1), (1, 2)}), 0, (5, 1, 7), "max")
-    assert [c.agg for c in cert] == [7, 7, 7]
-    assert cert[0].agg == 7
+    cert = build_gathering_cert(inst, frozenset({(0, 1), (1, 2)}), 0, (5, 1, 7))
+    assert [c.agg for c in cert] == [13, 8, 7]
+    assert [c.dist for c in cert] == [0, 1, 2]
 
 
 def test_build_gather_zeroes():
     inst = plain_instance(path_graph(4))
-    cert = build_gathering_cert(inst, path_graph(4).edges, 0, (0, 0, 0, 0), "sum")
+    cert = build_gathering_cert(inst, path_graph(4).edges, 0, (0, 0, 0, 0))
     assert [c.agg for c in cert] == [0, 0, 0, 0]
 
 
 def test_gather_sum_honest_accepts():
     inst = plain_instance(star_graph(4)).with_inputs((1, 1, 1, 1))
-    cert = build_gathering_cert(inst, star_graph(4).edges, 0, (1, 1, 1, 1), "sum")
-    v = gather_verifier("sum", lambda b: b.own_input, lambda agg: agg == 4)
+    cert = build_gathering_cert(inst, star_graph(4).edges, 0, (1, 1, 1, 1))
+    v = gather_verifier(lambda b: b.own_input, lambda agg: agg == 4)
     assert evaluate(v, inst, (cert,)).verdict is True
 
 
 def test_gather_tampered_child_rejects_parent():
     inst = plain_instance(star_graph(4)).with_inputs((1, 1, 1, 1))
-    cert = build_gathering_cert(inst, star_graph(4).edges, 0, (1, 1, 1, 1), "sum")
+    cert = build_gathering_cert(inst, star_graph(4).edges, 0, (1, 1, 1, 1))
     bad = cert.replace(2, GatherCert(cert[2].root, cert[2].parent, cert[2].dist, 2))
-    v = gather_verifier("sum", lambda b: b.own_input, lambda agg: agg == 4)
+    v = gather_verifier(lambda b: b.own_input, lambda agg: agg == 4)
     d = evaluate(v, inst, (bad,))
     assert d.at(0) is False
 
 
-def test_gather_min_matches_direct_min_on_random_trees():
+def test_gather_sum_matches_direct_sum_on_random_trees():
     for seed in range(8):
         rng = random.Random(seed)
         n = rng.randint(2, 6)
@@ -204,19 +204,17 @@ def test_gather_min_matches_direct_min_on_random_trees():
         t = build_bfs_tree(inst, 0)
         tree = frozenset(tuple(sorted((v, t.parent[v]))) for v in range(n)
                          if t.parent[v] is not None)
-        cert = build_gathering_cert(inst, tree, 0, values, "min")
-        assert cert[0].agg == min(values)
-        v = gather_verifier("min", lambda b: b.own_input,
-                            lambda agg: agg == min(values))
+        cert = build_gathering_cert(inst, tree, 0, values)
+        assert cert[0].agg == sum(values)
+        v = gather_verifier(lambda b: b.own_input,
+                            lambda agg: agg == sum(values))
         assert evaluate(v, inst, (cert,)).verdict is True
 
 
 def test_gather_value_overflow():
     inst = plain_instance(path_graph(2))
     with pytest.raises(SchemeError, match="outside"):
-        build_gathering_cert(inst, path_graph(2).edges, 0, (1, 99), "sum")
-    with pytest.raises(SchemeError, match="unknown aggregation"):
-        build_gathering_cert(inst, path_graph(2).edges, 0, (1, 1), "avg")
+        build_gathering_cert(inst, path_graph(2).edges, 0, (1, 99))
 
 
 # ---------------------------------------------------------------------------
