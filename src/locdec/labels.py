@@ -123,6 +123,8 @@ class FieldSpec:
     encode: Callable[[object], int]
     decode: Callable[[int], object]
     values: Callable[[], Iterator[object]]
+    # The value ``values()`` yields first, known without enumerating.
+    first: object
 
     @property
     def exact(self) -> bool:
@@ -149,7 +151,7 @@ def range_field(name: str, lo: int, hi: int, width: Optional[int] = None) -> Fie
         return lo + raw if raw <= hi - lo else _BAD
 
     return FieldSpec(name, width, hi - lo + 1, enc, dec,
-                     lambda: iter(range(lo, hi + 1)))
+                     lambda: iter(range(lo, hi + 1)), lo)
 
 
 def id_field(name: str, N: int) -> FieldSpec:
@@ -177,7 +179,7 @@ def optional_id_field(name: str, N: int) -> FieldSpec:
         yield None
         yield from range(1, N + 1)
 
-    return FieldSpec(name, idw + 1, N + 1, enc, dec, vals)
+    return FieldSpec(name, idw + 1, N + 1, enc, dec, vals, None)
 
 
 def flag_field(name: str, count: int) -> FieldSpec:
@@ -206,7 +208,7 @@ def optional_range_field(name: str, lo: int, hi: int) -> FieldSpec:
         yield None
         yield from range(lo, hi + 1)
 
-    return FieldSpec(name, base + 1, hi - lo + 2, enc, dec, vals)
+    return FieldSpec(name, base + 1, hi - lo + 2, enc, dec, vals, None)
 
 
 def input_value_field(name: str, instance: Instance) -> FieldSpec:
@@ -278,7 +280,7 @@ def input_value_field(name: str, instance: Instance) -> FieldSpec:
 
     count = (1 + (hi_int + 1) + (N + 1)
              + 1 + N + N * (N - 1) // 2)
-    return FieldSpec(name, 2 + payload, count, enc, dec, vals)
+    return FieldSpec(name, 2 + payload, count, enc, dec, vals, None)
 
 
 def sub_field(name: str, domain: "LabelDomain") -> FieldSpec:
@@ -300,7 +302,7 @@ def sub_field(name: str, domain: "LabelDomain") -> FieldSpec:
             yield INVALID
 
     return FieldSpec(name, domain.width, domain.size + (1 if spare else 0),
-                     enc, dec, vals)
+                     enc, dec, vals, domain.first())
 
 
 @dataclass(frozen=True)
@@ -371,8 +373,18 @@ class LabelDomain:
         return self.make(*reversed(parts))
 
     def values(self) -> Iterator[object]:
+        """Every structured value, the last field varying fastest.
+
+        This materialises every field's values (nested domains included)
+        before yielding anything, so it is for full enumerations only;
+        use ``first`` for a single value.
+        """
         for combo in product(*(tuple(f.values()) for f in self.fields)):
             yield self.make(*combo)
+
+    def first(self) -> object:
+        """The value ``values()`` yields first, in O(number of fields)."""
+        return self.make(*(f.first for f in self.fields))
 
     def contains(self, value: object) -> bool:
         if value is INVALID:

@@ -126,11 +126,7 @@ def certificate_protocol(name: str, domain_of: DomainFactory,
 
 def canonical_labelling(domain: LabelDomain) -> Labelling:
     """First structured value of the domain at every node."""
-    try:
-        first = next(iter(domain.values()))
-    except StopIteration:
-        raise ProtocolError(f"domain {domain.name} has no values") from None
-    return Labelling((first,) * domain.instance.n)
+    return Labelling((domain.first(),) * domain.instance.n)
 
 
 def all_invalid_labelling(n: int) -> Labelling:

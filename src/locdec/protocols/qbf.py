@@ -268,10 +268,6 @@ def protocol_qbf_k(k: int) -> Protocol:
                 f" the {k}-level game")
         return view
 
-    def domain_of(instance: Instance) -> LabelDomain:
-        checked_view(instance)
-        return truth_domain(instance)
-
     def cover_at(level: int):
         def cover(instance: Instance, earlier) -> Iterable[Labelling]:
             yield from _assignments(checked_view(instance), level,
@@ -294,7 +290,7 @@ def protocol_qbf_k(k: int) -> Protocol:
             return False
 
     levels = tuple(
-        Level(domain_of, cover_at(i), strategy_at(i) if i % 2 == 1 else None)
+        Level(truth_domain, cover_at(i), strategy_at(i) if i % 2 == 1 else None)
         for i in range(1, k + 1))
     name = "qbf" if k == 2 else f"qbf-{k}"
     return Protocol(name, PROVER, levels, LocalVerifier(1, k, _decide),

@@ -3,7 +3,7 @@
 import pytest
 
 from locdec.cli import (LABEL_RECORDS, _RECORDS, ReportError, build_report,
-                        emit_report, parse_report)
+                        emit_report, main, parse_report)
 from locdec.engine import game_evaluate
 from locdec.formulas import parse_formula
 from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, Ptr
@@ -58,3 +58,15 @@ def test_record_registry_is_what_protocol_domains_decode():
             _records_in(level.domain_of(instance).decode(0), found)
     assert _RECORDS == {cls.__name__: cls for cls in found}
     assert len(LABEL_RECORDS) == len(_RECORDS) == 16
+
+
+@pytest.mark.parametrize("formula, status", [
+    ("Ey1 Ay2: (y1 | y2) & (y1 | ~y2)", 0),
+    ("Ey1 Ay2: (y1 | y2) & (~y1 | y2)", 1),
+])
+def test_check_collapsed_qbf_exits_with_the_verdict(tmp_path, capsys, formula,
+                                                    status):
+    path = tmp_path / "formula.json"
+    assert main(["gen", "qbf", formula, "-o", str(path)]) == 0
+    assert main(["check", "collapse:qbf", str(path)]) == status
+    assert '"verdict"' in capsys.readouterr().out

@@ -116,6 +116,23 @@ class TestGames:
             assert game_evaluate(p, inst, WIDE).verdict == want, f.to_text()
         assert tested >= 40
 
+    def test_collapsed_game_matches_oracle_on_generated_formulas(self):
+        # The universal level is played inside each ball, on a domain the
+        # verifier builds from the certified node count alone.
+        corpus = []
+        for seed in range(60):
+            try:
+                corpus.append(encode_qbf(
+                    gen.random_formula(seed, max_vars=4, max_clauses=3, k=2)))
+            except InstanceError:
+                continue
+            if len(corpus) == 15:
+                break
+        assert len(corpus) == 15
+        report = check_protocol(resolve("collapse:qbf"), corpus, mode=WIDE)
+        assert report.total_runs == 45
+        assert report.ok, report.disagreements
+
     def test_six_variable_two_block_formula(self):
         f = parse_formula("∃a b c∀d e f:(a∨d)∧(b∨¬e)∧(c∨f)∧(¬a∨¬d)"
                           "∧(a∨b∨¬c)∧(d∨e∨¬f)")
