@@ -111,7 +111,8 @@ def build_report(protocol: Protocol, instance: Instance,
                  outcome: GameOutcome, extra: Optional[dict] = None,
                  ) -> RunReport:
     stats = {"leaf_evaluations": outcome.stats.leaf_evaluations,
-             "node_evaluations": outcome.stats.node_evaluations}
+             "node_evaluations": outcome.stats.node_evaluations,
+             "views_reused": outcome.stats.views_reused}
     if extra:
         stats.update(extra)
     return RunReport(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -28,7 +29,8 @@ from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
                        ProtocolError, all_invalid_labelling,
                        canonical_labelling, default_cover_size, other_side,
                        pattern_tag, product_cover)
-from .runtime import Decision, LocalVerifier, evaluate, evaluate_verdict
+from .runtime import (Decision, LocalVerifier, ViewStore, evaluate,
+                      evaluate_verdict)
 from .schemes import (READ_TREE_CERT, honest_tree, subtree_sums, tree_certs,
                       tree_ok, uniform)
 
@@ -79,8 +81,13 @@ def _resolve_eval_cap(mode: EvalMode) -> int:
 
 @dataclass(frozen=True)
 class GameStats:
+    """Work done by one game.  ``node_evaluations`` counts node decisions
+    at the leaves; ``views_reused`` counts those whose view the game's
+    store served from kept geometry instead of building it."""
+
     leaf_evaluations: int
     node_evaluations: int
+    views_reused: int
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
 
     k = protocol.level_count
     domains = tuple(lv.domain_of(instance) for lv in protocol.levels)
+    views = ViewStore(instance, protocol.verifier.radius)
 
     def leaf_value(chosen: tuple[Labelling, ...]) -> bool:
         counters["leaf"] += 1
@@ -119,7 +127,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             raise CapExceeded(
                 f"{protocol.name}: leaf evaluations exceed the cap {eval_cap}")
         return evaluate_verdict(protocol.verifier, instance, chosen,
-                                charge=charge)
+                                charge=charge, views=views)
 
     def moves(idx: int, earlier: tuple[Labelling, ...]):
         level = protocol.levels[idx]
@@ -189,14 +197,15 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         return not wants, (move,) + rest
 
     verdict, line = play(0, ())
+    # The replay builds its views afresh, apart from the game's store.
     leaf = evaluate(protocol.verifier, instance, line)
     if leaf.verdict != verdict:
         raise ProtocolError(
             f"{protocol.name}: replaying the principal line gives"
             f" {leaf.verdict} but the game gave {verdict}; the verifier is"
             f" not a pure function of the ball")
-    return GameOutcome(verdict, line, leaf, GameStats(counters["leaf"],
-                                                      counters["node"]))
+    return GameOutcome(verdict, line, leaf, GameStats(
+        counters["leaf"], counters["node"], views.reused))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +358,14 @@ def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
              range_field("nhat", 1, n)),
             CollapsedLabel)
 
+    @cache
+    def final_axis(nhat: int, N: int) -> tuple:
+        # The removed level's labels for any nhat-node instance under
+        # identities up to N; its domain depends on nothing else.
+        final_dom = final_level.domain_of(_path_instance(nhat, N))
+        axis = tuple(final_dom.values())
+        return axis + (INVALID,) if final_dom.has_invalid else axis
+
     def decide(ball: BallView) -> bool:
         own = ball.own_label(sl)
         if not isinstance(own, CollapsedLabel):
@@ -373,10 +390,7 @@ def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
         if own.ssize != 1 + children:
             return False
         # n is now certified; play the removed level inside the ball.
-        final_dom = final_level.domain_of(_path_instance(own.nhat, ball.N))
-        axis: tuple = tuple(final_dom.values())
-        if final_dom.has_invalid:
-            axis += (INVALID,)
+        axis = final_axis(own.nhat, ball.N)
         base_layer = project(ball, CollapsedLabel, "base", sl)
         virtual = [base_layer if j == sl else ball.layers[j]
                    for j in range(k - 1)]

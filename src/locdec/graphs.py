@@ -262,8 +262,10 @@ class BallView:
     incident to them.
 
     Views are plain values built by `make_view`, whose cost is the sum of
-    the member degrees; nothing caches them.  `adj_in` maps each member to
-    its neighbours inside the ball.
+    the member degrees.  `adj_in` maps each member to its neighbours
+    inside the ball.  A game's `runtime.ViewStore` keeps a centre's view
+    and serves later leaves `with_layers` copies that share its geometry
+    dicts, so nothing may write into a view.
     """
 
     centre: int
@@ -323,11 +325,12 @@ class BallView:
         return self.layers[layer][self.centre]
 
     def with_layers(self, layers: Sequence[dict[int, object]]) -> "BallView":
-        """Same view with the labelling layers replaced (for simulations)."""
-        return BallView(self.centre, self.radius, self.members, self.edges,
-                        self.adj_in, self.ids_in, self.inputs_in, tuple(layers),
-                        self.frontier_set, self.centre_dist, self.weights_in,
-                        self.N)
+        """Same view with the labelling layers replaced, sharing every other
+        field.  Runs once per reused view at every leaf, so it copies the
+        field dict instead of going through the frozen constructor."""
+        view = object.__new__(BallView)
+        view.__dict__.update(self.__dict__, layers=tuple(layers))
+        return view
 
     def with_inputs(self, inputs_in: dict[int, InputValue]) -> "BallView":
         return BallView(self.centre, self.radius, self.members, self.edges,
@@ -378,7 +381,8 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
 
     A breadth-first search over the graph's adjacency lists finds the
     members, so the cost is the sum of their degrees, not the graph's
-    size.  Every call builds a fresh view.
+    size.  Each call builds a new view; `runtime.ViewStore` calls it to
+    build views and reuses a centre's geometry across a game's leaves.
     """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")

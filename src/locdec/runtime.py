@@ -1,4 +1,22 @@
-"""Local verifier execution: per-node decisions over ball views, conjunct verdict."""
+"""Local verifier execution: per-node decisions over ball views, conjunct verdict.
+
+Every view comes from a ``ViewStore``, bound to one instance and one
+radius.  Across the leaves of one game only the label layers change, so a
+centre's members, edges, identities, inputs and frontier stay the same.
+A store builds a centre's view with ``ball`` on its first request and
+builds it again on its second, keeping that one; from then on it serves
+the kept view with the requested labellings projected onto its members,
+with no search and no geometry rebuilt.  Keeping only on the second
+request means a game whose centres are each asked once (a one-leaf
+game) keeps nothing, and costs no memory beyond a plain build.
+
+``game_evaluate`` shares one store across the leaves of a game.  Its
+final replay of the principal line calls ``evaluate``, which makes a
+fresh store: the replay rebuilds every view from the instance, so it
+stays an independent check, and a verifier that depends on anything but
+its view, or a view the game's store served wrongly, can show up as a
+verdict mismatch instead of being repeated.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +35,8 @@ class LocalVerifier:
     """A radius-``t`` decision rule applied independently at every node.
 
     ``decide`` must be pure: equal ball views yield equal decisions, and it
-    may only inspect what the view exposes.
+    may only inspect what the view exposes.  It must not write into the
+    view: a kept view shares its geometry with every later leaf.
     """
 
     radius: int
@@ -49,6 +68,36 @@ class Decision:
         return tuple(v for v, ok in enumerate(self.accepts) if not ok)
 
 
+class ViewStore:
+    """Radius-``radius`` views of ``instance``, geometry kept per centre
+    from its second request on (see the module docstring).
+
+    ``kept`` maps each centre whose view is kept to that view, and
+    ``reused`` counts the views served from kept geometry.
+    """
+
+    def __init__(self, instance: Instance, radius: int) -> None:
+        self.instance = instance
+        self.radius = radius
+        self.reused = 0
+        self.kept: dict[int, BallView] = {}
+        self._asked: set[int] = set()
+
+    def view(self, labellings: Sequence[Sequence[object]], v: int) -> BallView:
+        kept = self.kept.get(v)
+        if kept is not None:
+            self.reused += 1
+            members = kept.members
+            return kept.with_layers([{u: lab[u] for u in members}
+                                     for lab in labellings])
+        view = ball(self.instance, labellings, v, self.radius)
+        if v in self._asked:
+            self.kept[v] = view
+        else:
+            self._asked.add(v)
+        return view
+
+
 def _check_layers(verifier: LocalVerifier, instance: Instance,
                   labellings: Sequence[Sequence[object]]) -> None:
     if len(labellings) != verifier.layer_count:
@@ -62,28 +111,37 @@ def _check_layers(verifier: LocalVerifier, instance: Instance,
 
 def evaluate(verifier: LocalVerifier, instance: Instance,
              labellings: Sequence[Sequence[object]] = ()) -> Decision:
-    """Run the verifier at every node and collect the full decision map."""
+    """Run the verifier at every node and collect the full decision map.
+
+    Views come from a fresh store, never from a game's."""
     labellings = tuple(labellings)
     _check_layers(verifier, instance, labellings)
-    accepts = tuple(
-        bool(verifier.decide(ball(instance, labellings, v, verifier.radius)))
-        for v in range(instance.n))
+    views = ViewStore(instance, verifier.radius)
+    accepts = tuple(bool(verifier.decide(views.view(labellings, v)))
+                    for v in range(instance.n))
     return Decision(accepts)
 
 
 def evaluate_verdict(verifier: LocalVerifier, instance: Instance,
                      labellings: Sequence[Sequence[object]] = (),
-                     charge: Optional[Callable[[], None]] = None) -> bool:
+                     charge: Optional[Callable[[], None]] = None,
+                     views: Optional[ViewStore] = None) -> bool:
     """Verdict-only evaluation, stopping at the first rejecting node.
 
     ``charge`` is invoked once per node evaluation; callers use it to meter
-    work or abort long runs.
+    work or abort long runs.  ``views`` is the store to draw views from,
+    bound to this instance and the verifier's radius; without one the
+    call uses a fresh store.
     """
     labellings = tuple(labellings)
     _check_layers(verifier, instance, labellings)
+    if views is None:
+        views = ViewStore(instance, verifier.radius)
+    elif views.instance is not instance or views.radius != verifier.radius:
+        raise VerifierError("view store belongs to another instance or radius")
     for v in range(instance.n):
         if charge is not None:
             charge()
-        if not verifier.decide(ball(instance, labellings, v, verifier.radius)):
+        if not verifier.decide(views.view(labellings, v)):
             return False
     return True

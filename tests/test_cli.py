@@ -31,6 +31,13 @@ def test_mst_report_round_trips_input_valued_labels():
     assert parse_report(text) == report
 
 
+def test_report_stats_round_trip_keeps_views_reused():
+    report = _mst_report()
+    assert set(report.stats) == {"leaf_evaluations", "node_evaluations",
+                                 "views_reused"}
+    assert parse_report(emit_report(report)).stats == report.stats
+
+
 def test_malformed_input_value_in_report_is_rejected():
     text = emit_report(_mst_report()).replace('"kind": "ptr"', '"kind": "bogus"', 1)
     with pytest.raises(ReportError, match="malformed input record"):

@@ -1,0 +1,215 @@
+"""The per-game view store: exact views, bounded keeping, read-only views.
+
+A ``ViewStore`` serves every view a game's leaves ask for.  Its views must
+equal what ``graphs.ball`` builds for the same labellings, it keeps a
+centre's geometry only from the second request on, and verifiers must
+leave the views they are given untouched, since a kept view's geometry
+is shared by every later leaf.
+"""
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import fields, replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
+from locdec.formulas import parse_formula
+from locdec.gen import clique_graph, grid_graph, path_graph
+from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance,
+                           Marks, Ptr, ball)
+from locdec.protocols import names, resolve
+from locdec.protocols.qbf import encode_qbf
+from locdec.runtime import LocalVerifier, VerifierError, ViewStore, evaluate_verdict
+
+from corpus import asymmetric6, plain_instance
+
+
+def _graph(draw, n: int) -> Graph:
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else [])
+    return Graph(n, frozenset(edges))
+
+
+def _instance(draw, n: int) -> Instance:
+    N = n * n + 1
+    ids = draw(st.lists(st.integers(1, N), min_size=n, max_size=n, unique=True))
+    inputs = draw(st.lists(st.none() | st.integers(0, N), min_size=n, max_size=n))
+    return Instance(_graph(draw, n), IdAssignment(tuple(ids), N),
+                    InputAssignment(tuple(inputs)))
+
+
+@st.composite
+def cases(draw):
+    """Two instances on the same node count, a radius, labellings of one
+    layer count, and a sequence of (instance, labellings, centre) requests."""
+    n = draw(st.integers(1, 8))
+    instances = (_instance(draw, n), _instance(draw, n))
+    t = draw(st.integers(0, 3))
+    width = draw(st.integers(1, 3))
+    layer = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    labellings = draw(st.lists(st.lists(layer, min_size=width, max_size=width)
+                               .map(tuple), min_size=1, max_size=4))
+    requests = draw(st.lists(st.tuples(st.integers(0, 1),
+                                       st.integers(0, len(labellings) - 1),
+                                       st.integers(0, n - 1)),
+                             min_size=1, max_size=30))
+    return instances, t, labellings, requests
+
+
+def _scrambling_verifier(t: int, width: int) -> LocalVerifier:
+    """Accepts or rejects on a mix of everything in the view."""
+    def decide(view) -> bool:
+        acc = view.centre + 3 * len(view.edges) + len(view.frontier_set)
+        for u in view.members:
+            acc += view.id_of(u) * (1 + sum(layer[u] for layer in view.layers))
+            acc += view.dist_from_centre(u)
+        return acc % 5 != 0
+    return LocalVerifier(t, width, decide)
+
+
+@settings(deadline=None)
+@given(cases())
+def test_store_views_equal_fresh_balls(case):
+    instances, t, labellings, requests = case
+    stores = tuple(ViewStore(inst, t) for inst in instances)
+    asked = Counter()
+    for which, lab, v in requests:
+        inst = instances[which]
+        got = stores[which].view(labellings[lab], v)
+        assert got == ball(inst, labellings[lab], v, t)
+        asked[which, v] += 1
+    for which, store in enumerate(stores):
+        counts = [c for (w, _), c in asked.items() if w == which]
+        assert store.reused == sum(max(0, c - 2) for c in counts)
+        assert set(store.kept) == {v for (w, v), c in asked.items()
+                                   if w == which and c >= 2}
+
+
+@settings(deadline=None)
+@given(cases())
+def test_store_asked_once_per_centre_keeps_nothing(case):
+    instances, t, labellings, _ = case
+    inst = instances[0]
+    store = ViewStore(inst, t)
+    for v in range(inst.n):
+        assert store.view(labellings[v % len(labellings)], v) == ball(
+            inst, labellings[v % len(labellings)], v, t)
+    assert store.kept == {} and store.reused == 0
+
+
+@settings(deadline=None)
+@given(cases())
+def test_shared_store_gives_fresh_store_verdicts(case):
+    instances, t, labellings, requests = case
+    verifier = _scrambling_verifier(t, len(labellings[0]))
+    shared = tuple(ViewStore(inst, t) for inst in instances)
+    for which, lab, _ in requests:
+        runs = []
+        for views in (shared[which], None):
+            charged = []
+            verdict = evaluate_verdict(verifier, instances[which], labellings[lab],
+                                       charge=lambda: charged.append(1), views=views)
+            runs.append((verdict, len(charged)))
+        assert runs[0] == runs[1]
+
+
+def test_store_refuses_another_instance_or_radius():
+    inst = plain_instance(path_graph(3))
+    other = plain_instance(path_graph(3))
+    verifier = LocalVerifier(1, 0, lambda view: True)
+    with pytest.raises(VerifierError, match="another instance"):
+        evaluate_verdict(verifier, inst, (), views=ViewStore(other, 1))
+    with pytest.raises(VerifierError, match="another instance"):
+        evaluate_verdict(verifier, inst, (), views=ViewStore(inst, 2))
+
+
+# ---------------------------------------------------------------------------
+# verifiers leave their views untouched
+
+TRANSFORMS = ("lift:3col", "unanimous:spanning-tree+non-spanning-tree",
+              "collapse:qbf")
+
+
+def _small_instances(name: str) -> list[Instance]:
+    """Three-node instances, inside and outside the language where the
+    inputs allow both, whose inputs the protocol reads as intended."""
+    if name.endswith("qbf"):
+        return [encode_qbf(parse_formula(f"Ey1 Ay2: (y1 | y2) & ({c} | y2)"))
+                for c in ("y1", "~y1")]
+    graphs = [path_graph(3), clique_graph(3)]
+    tree, two_roots = (Ptr(None), Ptr(1), Ptr(2)), (Ptr(None), Ptr(1), Ptr(None))
+    if name in ("mst", "tsp"):
+        weights = {(0, 1): 1, (0, 2): 2, (1, 2): 3}
+        graphs = [Graph(3, frozenset(weights), weights)]
+    inputs = {
+        "3col": [(1, 2, 1), (1, 1, 2)], "lift:3col": [(1, 2, 1), (1, 1, 2)],
+        "size": [(3, 3, 3), (4, 3, 3)], "cycle-vc": [(2, 2, 2), (1, 1, 1)],
+        "matching": [(Ptr(2), Ptr(1), Ptr(None)), (Ptr(None),) * 3],
+        "mst": [(Ptr(None), Ptr(1), Ptr(1)), tree],
+        "tsp": [(Marks({2, 3}), Marks({1, 3}), Marks({1, 2})),
+                (Marks({2}), Marks({1}), Marks(()))],
+        "nta": [(None,) * 3],
+    }.get(name, [(1, 0, 1), (0, 1, 1)] if name in ("mis", "mds", "maxcut", "mincut")
+          else [tree, two_roots])
+    return [Instance(g, IdAssignment((1, 2, 3), 9), InputAssignment(x))
+            for g in graphs for x in inputs]
+
+
+def _snapshot(view) -> list:
+    out = []
+    for f in fields(view):
+        value = getattr(view, f.name)
+        if isinstance(value, dict):
+            value = dict(value)
+        elif f.name == "layers":
+            value = tuple(dict(layer) for layer in value)
+        out.append((f.name, value))
+    return out
+
+
+@pytest.mark.parametrize("name", (*names(), *TRANSFORMS))
+def test_verifiers_do_not_write_into_views(name):
+    protocol = resolve(name)
+    calls = {"n": 0}
+
+    def checked(view) -> bool:
+        before = _snapshot(view)
+        try:
+            return protocol.verifier.decide(view)
+        finally:
+            calls["n"] += 1
+            assert _snapshot(view) == before, f"{name} wrote into a view"
+
+    watched = replace(protocol, verifier=replace(protocol.verifier, decide=checked))
+    nodes = 0
+    for inst in _small_instances(name):
+        nodes += game_evaluate(watched, inst, EXHAUSTIVE).stats.node_evaluations
+    assert calls["n"] >= nodes > 0
+
+
+# ---------------------------------------------------------------------------
+# work counts
+
+
+def test_nta_exhaustive_counts():
+    # Two builds per centre, every later view served from kept geometry.
+    inst = Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
+                    InputAssignment((None,) * 6))
+    stats = game_evaluate(resolve("nta"), inst, EXHAUSTIVE).stats
+    assert stats.leaf_evaluations == 4_320
+    assert stats.node_evaluations == 15_120
+    assert stats.views_reused == 15_120 - 2 * inst.n
+
+
+def test_one_leaf_game_reuses_no_view():
+    n = 9
+    inst = Instance(grid_graph(3, 3), IdAssignment.default(n),
+                    InputAssignment((n,) * n))
+    stats = game_evaluate(resolve("size"), inst, CONSTRUCTIVE).stats
+    assert stats.leaf_evaluations == 1
+    assert stats.node_evaluations == n
+    assert stats.views_reused == 0
