@@ -5,7 +5,12 @@ under several identity assignments), ``transform`` (derive a lifted,
 collapsed or combined protocol name), ``gen`` (instance files for stock
 graph families and encoded formulas) and ``export`` (DOT text).
 
-Reports go to stdout as JSON; diagnostics go to stderr.  Exit status is
+Reports go to stdout as JSON; diagnostics go to stderr.  A run report
+puts each top-level key on its own line and each witness label on its
+own line inside its layer's list; every value is compact JSON with the
+default ``", "`` and ``": "`` separators.  The layout keeps every value
+in ``json``'s C encoder (``indent`` would switch to the pure-Python one)
+and is not pinned: readers should parse it as JSON.  Exit status is
 0 for an in-language verdict, 1 for out-of-language, 2 for any error.
 The ``LOCDEC_MAX_EVALS`` environment variable caps leaf enumeration.
 """
@@ -126,18 +131,31 @@ def build_report(protocol: Protocol, instance: Instance,
     )
 
 
+def _rows(rows: list[str], pad: str) -> str:
+    """A JSON list of rendered rows, one per line, closing at indent `pad`."""
+    return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
+
+
 def emit_report(report: RunReport) -> str:
-    doc = {
-        "protocol": report.protocol,
-        "instance": report.digest,
-        "verdict": report.verdict,
-        "decisions": list(report.decisions),
-        "witness": [[_value_to_json(x) for x in layer]
-                    for layer in report.witness],
-        "stats": report.stats,
-        "version": report.version,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    dumps = json.dumps
+    witness = _rows(["    " + _rows(["      " + dumps(_value_to_json(x))
+                                     for x in layer], "    ")
+                     for layer in report.witness], "  ")
+    return ("{\n"
+            f'  "protocol": {dumps(report.protocol)},\n'
+            f'  "instance": {dumps(report.digest)},\n'
+            f'  "verdict": {dumps(report.verdict)},\n'
+            f'  "decisions": {dumps(list(report.decisions))},\n'
+            f'  "witness": {witness},\n'
+            f'  "stats": {dumps(report.stats)},\n'
+            f'  "version": {dumps(report.version)}\n'
+            "}\n")
+
+
+def _boolean(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ReportError(f"{field} {value!r} is not a JSON boolean")
+    return value
 
 
 def parse_report(text: str) -> RunReport:
@@ -146,11 +164,14 @@ def parse_report(text: str) -> RunReport:
     except json.JSONDecodeError as exc:
         raise ReportError(f"malformed report: {exc}") from exc
     try:
+        decisions = doc["decisions"]
+        if not isinstance(decisions, list):
+            raise ReportError(f"decisions {decisions!r} is not a list")
         return RunReport(
             protocol=doc["protocol"],
             digest=doc["instance"],
-            verdict=bool(doc["verdict"]),
-            decisions=tuple(bool(d) for d in doc["decisions"]),
+            verdict=_boolean(doc["verdict"], "verdict"),
+            decisions=tuple(_boolean(d, "decision") for d in decisions),
             witness=tuple(Labelling(_value_from_json(x) for x in layer)
                           for layer in doc["witness"]),
             stats=dict(doc["stats"]),
@@ -286,6 +307,9 @@ def _cmd_export(args) -> int:
             report = parse_report(fh.read())
         if report.digest != instance_digest(instance):
             raise ReportError("report was produced for a different instance")
+        if len(report.decisions) != instance.n:
+            raise ReportError(f"report holds {len(report.decisions)} decisions "
+                              f"for {instance.n} nodes")
         decisions = report.decisions
     lines = ["graph locdec {"]
     for v in range(instance.n):

@@ -12,6 +12,7 @@ identity assignments.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +24,11 @@ class InstanceError(ValueError):
 
 
 Edge = tuple[int, int]
+
+
+def _is_int(x) -> bool:
+    """A true int.  `bool` is an int subclass, but JSON renders it `true`."""
+    return type(x) is int
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -155,10 +161,14 @@ class IdAssignment:
 
     def __post_init__(self) -> None:
         n = len(self.ids)
+        if not _is_int(self.N):
+            raise InstanceError(f"N {self.N!r} is not an integer")
         if self.N < n:
             raise InstanceError(f"N={self.N} cannot host {n} distinct identities")
         seen = set()
         for i in self.ids:
+            if not _is_int(i):
+                raise InstanceError(f"identity {i!r} is not an integer")
             if not (1 <= i <= self.N):
                 raise InstanceError(f"identity {i} outside [1, {self.N}]")
             if i in seen:
@@ -205,21 +215,26 @@ class Instance:
         for v in range(n):
             x = self.inputs.value(v)
             nbr_ids = {self.ids.id_of(u) for u in self.graph.neighbours(v)}
-            if isinstance(x, Ptr) and x.to is not None and x.to not in nbr_ids:
+            if isinstance(x, Ptr) and x.to is not None and (
+                    not _is_int(x.to) or x.to not in nbr_ids):
                 raise InstanceError(
-                    f"pointer input at node {v} names {x.to}, not a neighbour identity")
+                    f"pointer input at node {v} names {x.to!r}, not a neighbour identity")
             if isinstance(x, Marks):
                 if len(x.ids) > MAX_MARKS:
                     raise InstanceError(f"more than {MAX_MARKS} marks at node {v}")
-                if not x.ids <= nbr_ids:
+                if not (x.ids <= nbr_ids and all(map(_is_int, x.ids))):
                     raise InstanceError(f"mark at node {v} names a non-neighbour")
-            if isinstance(x, int) and not (0 <= x <= self.N * self.N):
-                raise InstanceError(f"integer input {x} at node {v} out of range")
+            if isinstance(x, Lit) and not _is_int(x.level):
+                raise InstanceError(f"literal level {x.level!r} at node {v} is not an integer")
+            if isinstance(x, int) and not (_is_int(x) and 0 <= x <= self.N * self.N):
+                raise InstanceError(f"integer input {x!r} at node {v} out of range")
             if input_bits(x, id_bits) > C_IN * id_bits:
                 raise InstanceError(f"input at node {v} exceeds the bit budget")
         if self.graph.weights is not None:
             # Keeps objective sums within the label bit budget.
             for e, w in self.graph.weights.items():
+                if not _is_int(w):
+                    raise InstanceError(f"weight {w!r} on {e} is not an integer")
                 if w > self.N:
                     raise InstanceError(f"weight {w} on {e} exceeds N={self.N}")
 
@@ -406,7 +421,15 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
 
 # ---------------------------------------------------------------------------
 # Instance file format: a JSON object with `nodes`, `edges` and optional `N`.
-# Node order in the file is the internal node order.
+# Node order in the file is the internal node order.  Identities, `N`,
+# weights and every integer inside an input are JSON integers; `true`, `2.9`
+# and `"7"` are refused, not coerced.
+#
+# `emit_instance` writes one fixed layout: the bytes of
+# `json.dumps(doc, indent=2) + "\n"` for the document below, produced by
+# string templates because `indent` switches `json` to its pure-Python
+# encoder.  These bytes are fixed: `instance_digest` hashes them, and saved
+# reports and benchmark pins name instances by that digest.
 # ---------------------------------------------------------------------------
 
 def input_to_json(x: InputValue):
@@ -429,6 +452,12 @@ def input_to_json(x: InputValue):
     raise InstanceError(f"unserializable input {x!r}")
 
 
+def _int_field(x, kind: str) -> int:
+    if not _is_int(x):
+        raise InstanceError(f"malformed {kind} input: {x!r} is not an integer")
+    return x
+
+
 def input_from_json(obj) -> InputValue:
     """Inverse of `input_to_json`; raises InstanceError on malformed data."""
     if obj is None:
@@ -438,18 +467,18 @@ def input_from_json(obj) -> InputValue:
     kind = obj["kind"]
     try:
         if kind == "int":
-            return int(obj["value"])
+            return _int_field(obj["value"], kind)
         if kind == "ptr":
             to = obj["to"]
-            return Ptr(None if to is None else int(to))
+            return Ptr(None if to is None else _int_field(to, kind))
         if kind == "marks":
-            return Marks(int(i) for i in obj["ids"])
+            return Marks(_int_field(i, kind) for i in obj["ids"])
         if kind == "lit":
             sign = {"+": 1, "-": -1}[obj["sign"]]
-            return Lit(int(obj["level"]), sign)
+            return Lit(_int_field(obj["level"], kind), sign)
         if kind == "clause":
             return Cls()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed {kind} input: {exc}") from exc
     raise InstanceError(f"unknown input kind {kind!r}")
 
@@ -469,13 +498,13 @@ def parse_instance(text: str) -> Instance:
     for rec in nodes:
         if not isinstance(rec, dict) or "id" not in rec:
             raise InstanceError(f"malformed node record {rec!r}")
-        if not isinstance(rec["id"], int):
+        if not _is_int(rec["id"]):
             raise InstanceError(f"identity {rec['id']!r} is not an integer")
         ids.append(rec["id"])
         inputs.append(input_from_json(rec.get("input")))
     n = len(ids)
     N = doc.get("N", n * n)
-    if not isinstance(N, int) or N < 1:
+    if not _is_int(N) or N < 1:
         raise InstanceError(f"bad N {N!r}")
     id_assignment = IdAssignment(tuple(ids), N)  # checks range + duplicates
     by_id = id_assignment.node_by_id
@@ -485,10 +514,10 @@ def parse_instance(text: str) -> Instance:
     for rec in doc["edges"]:
         if not isinstance(rec, dict) or "u" not in rec or "v" not in rec:
             raise InstanceError(f"malformed edge record {rec!r}")
-        try:
-            u, v = by_id[rec["u"]], by_id[rec["v"]]
-        except (KeyError, TypeError) as exc:
-            raise InstanceError(f"edge names unknown identity: {rec!r}") from exc
+        if not (_is_int(rec["u"]) and _is_int(rec["v"])
+                and rec["u"] in by_id and rec["v"] in by_id):
+            raise InstanceError(f"edge names unknown identity: {rec!r}")
+        u, v = by_id[rec["u"]], by_id[rec["v"]]
         if u == v:
             raise InstanceError(f"self-loop at identity {rec['u']}")
         e = norm_edge(u, v)
@@ -501,29 +530,64 @@ def parse_instance(text: str) -> Instance:
         elif weighted != has_w:
             raise InstanceError("either all edges carry weights or none do")
         if has_w:
-            if not isinstance(rec["w"], int):
+            if not _is_int(rec["w"]):
                 raise InstanceError(f"weight {rec['w']!r} is not an integer")
             weights[e] = rec["w"]
     graph = Graph(n, frozenset(edges), weights if weighted else None)
     return Instance(graph, id_assignment, InputAssignment(tuple(inputs)))
 
 
+# Line breaks plus indentation inside a node's `input` object and inside a
+# `marks` input's `ids` list.
+_IN = "\n        "
+_IDS = ",\n          "
+
+
+def _render_input(x: InputValue) -> str:
+    """`input_to_json(x)` as indent-2 JSON at a node record's `input` key."""
+    if x is None:
+        return "null"
+    t = type(x)
+    if t is int:
+        body = f'"kind": "int",{_IN}"value": {x}'
+    elif t is Ptr:
+        body = f'"kind": "ptr",{_IN}"to": {"null" if x.to is None else x.to}'
+    elif t is Marks:
+        ids = _IDS.join(map(str, sorted(x.ids)))
+        body = f'"kind": "marks",{_IN}"ids": ' + (
+            f"[\n          {ids}\n        ]" if ids else "[]")
+    elif t is Lit:
+        sign = "+" if x.sign > 0 else "-"
+        body = f'"kind": "lit",{_IN}"level": {x.level},{_IN}"sign": "{sign}"'
+    elif t is Cls:
+        body = '"kind": "clause"'
+    else:
+        raise InstanceError(f"unserializable input {x!r}")
+    return f"{{{_IN}{body}\n      }}"
+
+
 def emit_instance(instance: Instance) -> str:
-    doc = {
-        "nodes": [{"id": instance.id_of(v),
-                   "input": input_to_json(instance.input_of(v))}
-                  for v in range(instance.n)],
-        "edges": [
-            {"u": instance.id_of(u), "v": instance.id_of(v),
-             **({"w": instance.graph.weights[(u, v)]}
-                if instance.graph.weights is not None else {})}
-            for (u, v) in sorted(instance.graph.edges)
-        ],
-        "N": instance.N,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The instance file text: `nodes` in node order, `edges` sorted, `N`.
+
+    Instance validation keeps every number a true int, so `{x}` prints
+    what `json.dumps` would.
+    """
+    ids = instance.ids.ids
+    nodes = ",\n".join([
+        f'    {{\n      "id": {i},\n      "input": {_render_input(x)}\n    }}'
+        for i, x in zip(ids, instance.inputs.values)])
+    weights = instance.graph.weights
+    if weights is None:
+        edges = [f'    {{\n      "u": {ids[u]},\n      "v": {ids[v]}\n    }}'
+                 for (u, v) in sorted(instance.graph.edges)]
+    else:
+        edges = [f'    {{\n      "u": {ids[u]},\n      "v": {ids[v]},\n'
+                 f'      "w": {weights[u, v]}\n    }}'
+                 for (u, v) in sorted(instance.graph.edges)]
+    edge_list = "[\n" + ",\n".join(edges) + "\n  ]" if edges else "[]"
+    return (f'{{\n  "nodes": [\n{nodes}\n  ],\n  "edges": {edge_list},\n'
+            f'  "N": {instance.N}\n}}\n')
 
 
 def instance_digest(instance: Instance) -> str:
-    import hashlib
     return hashlib.sha256(emit_instance(instance).encode()).hexdigest()[:16]

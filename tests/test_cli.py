@@ -1,12 +1,17 @@
 """CLI run reports: emit and parse round trips."""
 
+import json
+import json.encoder
+
 import pytest
 
 from locdec.cli import (LABEL_RECORDS, _RECORDS, ReportError, build_report,
                         emit_report, main, parse_report)
-from locdec.engine import game_evaluate
+from locdec.engine import EvalMode, game_evaluate
 from locdec.formulas import parse_formula
-from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, Ptr
+from locdec.gen import grid_graph
+from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance, Ptr,
+                           instance_digest)
 from locdec.protocols import names, resolve
 from locdec.protocols.qbf import encode_qbf
 
@@ -42,6 +47,59 @@ def test_malformed_input_value_in_report_is_rejected():
     text = emit_report(_mst_report()).replace('"kind": "ptr"', '"kind": "bogus"', 1)
     with pytest.raises(ReportError, match="malformed input record"):
         parse_report(text)
+
+
+def test_report_layout_is_one_key_and_one_label_per_line():
+    text = emit_report(_mst_report())
+    lines, doc = text.splitlines(), json.loads(text)
+    assert [line.split(":")[0].strip() for line in lines
+            if line.startswith('  "')] == [json.dumps(key) for key in doc]
+    labels = [line.strip().rstrip(",") for line in lines
+              if line.startswith("      ")]
+    assert [json.loads(label) for label in labels] == doc["witness"][0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("verdict", "false"), ("verdict", 0), ("verdict", None),
+    ("decisions", ["false", 0, "no"]), ("decisions", [True, 1, True]),
+    ("decisions", "ttt"),
+])
+def test_non_boolean_verdicts_are_rejected(field, value):
+    doc = json.loads(emit_report(_mst_report()))
+    doc[field] = value
+    with pytest.raises(ReportError, match=field.rstrip("s")):
+        parse_report(json.dumps(doc))
+
+
+def test_export_refuses_a_report_with_missing_decisions(tmp_path, capsys):
+    instance, report = tmp_path / "p3.json", tmp_path / "report.json"
+    assert main(["gen", "path", "3", "-o", str(instance)]) == 0
+    assert main(["check", "spanning-tree", str(instance)]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    doc["decisions"] = doc["decisions"][:1]
+    report.write_text(json.dumps(doc))
+    assert main(["export", str(instance), "--report", str(report)]) == 2
+    assert "1 decisions for 3 nodes" in capsys.readouterr().err
+
+
+def test_reports_never_use_the_pure_python_encoder(monkeypatch):
+    # `json.dumps(..., indent=...)` encodes through `_make_iterencode`;
+    # the C encoder never does.
+    graph = grid_graph(6, 6)
+    inst = Instance(graph, IdAssignment.default(graph.n),
+                    InputAssignment((graph.n,) * graph.n))
+    protocol = resolve("size")
+    outcome = game_evaluate(protocol, inst,
+                            EvalMode(constructive=True, node_cap=graph.n))
+    assert outcome.verdict
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder on the report path")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert len(instance_digest(inst)) == 16
+    report = build_report(protocol, inst, outcome)
+    assert parse_report(emit_report(report)) == report
 
 
 def _records_in(value, found: set) -> None:

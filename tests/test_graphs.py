@@ -111,6 +111,64 @@ def test_weights_capped_by_N():
         Instance(g, IdAssignment((1, 2), 4), InputAssignment((None, None)))
 
 
+@pytest.mark.parametrize("value", [2.9, "7", True, None])
+def test_int_input_must_be_a_json_integer(value):
+    doc = json.loads(P3_TEXT)
+    doc["nodes"][0]["input"] = {"kind": "int", "value": value}
+    with pytest.raises(InstanceError, match="not an integer|malformed int"):
+        parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("node_input", [
+    {"kind": "ptr", "to": True},
+    {"kind": "ptr", "to": 2.0},
+    {"kind": "ptr", "to": "2"},
+    {"kind": "marks", "ids": [True]},
+    {"kind": "marks", "ids": ["2"]},
+    {"kind": "marks", "ids": "2"},
+    {"kind": "lit", "level": True, "sign": "+"},
+    {"kind": "lit", "level": 1.5, "sign": "-"},
+])
+def test_input_fields_must_be_json_integers(node_input):
+    doc = json.loads(P3_TEXT)
+    doc["nodes"][0]["input"] = node_input
+    with pytest.raises(InstanceError, match="not an integer"):
+        parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mangle,needle", [
+    (lambda d: d["nodes"][0].update(id=True), "not an integer"),
+    (lambda d: d["nodes"][0].update(id=1.0), "not an integer"),
+    (lambda d: d.update(N=True), "bad N"),
+    (lambda d: d.update(N=9.0), "bad N"),
+    (lambda d: d["edges"][0].update(u=True), "unknown identity"),
+    (lambda d: d["edges"][0].update(u=1.0), "unknown identity"),
+    (lambda d: [e.update(w=True) for e in d["edges"]], "not an integer"),
+    (lambda d: [e.update(w=1.0) for e in d["edges"]], "not an integer"),
+])
+def test_parse_refuses_non_integer_numbers(mangle, needle):
+    doc = json.loads(P3_TEXT)
+    mangle(doc)
+    with pytest.raises(InstanceError, match=needle):
+        parse_instance(json.dumps(doc))
+
+
+def test_instances_refuse_booleans():
+    g = Graph(2, frozenset({(0, 1)}), {(0, 1): True})
+    with pytest.raises(InstanceError, match="weight True"):
+        Instance(g, IdAssignment((1, 2), 4), InputAssignment((None, None)))
+    with pytest.raises(InstanceError, match="identity True"):
+        IdAssignment((True, 2), 4)
+    with pytest.raises(InstanceError, match="not an integer"):
+        IdAssignment((1, 2), True)
+    inst = plain_instance(c4())  # node 0 has identity 1, next to 2 and 4
+    for bad in (True, Ptr(True), Ptr(2.0), Marks({True}), Lit(True, 1)):
+        with pytest.raises(InstanceError):
+            inst.with_inputs([bad, None, None, None])
+        with pytest.raises(InstanceError):
+            inst.with_inputs([None, bad, None, None])
+
+
 def test_ball_p3_radius1():
     inst = parse_instance(P3_TEXT)
     view = ball(inst, [], 1, 1)
