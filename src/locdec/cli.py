@@ -73,7 +73,10 @@ def _value_to_json(x):
 
 
 def _value_from_json(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if isinstance(obj, bool):
+        # `_value_to_json` writes none, and no domain decodes one.
+        raise ReportError(f"label value {obj!r} is a JSON boolean")
+    if obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, dict) and "k" in obj:
         kind = obj["k"]

@@ -107,6 +107,10 @@ class Graph:
         for (u, v) in self.edges:
             if not (0 <= u < v < self.n):
                 raise InstanceError(f"bad edge ({u}, {v})")
+        if self.weights == {} and not self.edges:
+            # An edgeless graph's empty weight map has no place in the
+            # instance file, so it is stored as no weights at all.
+            object.__setattr__(self, "weights", None)
         if self.weights is not None:
             if set(self.weights) != set(self.edges):
                 raise InstanceError("weights must cover exactly the edge set")
@@ -212,18 +216,20 @@ class Instance:
         if len(self.ids.ids) != n or len(self.inputs.values) != n:
             raise InstanceError("graph, identities and inputs disagree on node count")
         id_bits = self.id_bits
-        for v in range(n):
-            x = self.inputs.value(v)
-            nbr_ids = {self.ids.id_of(u) for u in self.graph.neighbours(v)}
-            if isinstance(x, Ptr) and x.to is not None and (
-                    not _is_int(x.to) or x.to not in nbr_ids):
-                raise InstanceError(
-                    f"pointer input at node {v} names {x.to!r}, not a neighbour identity")
-            if isinstance(x, Marks):
-                if len(x.ids) > MAX_MARKS:
-                    raise InstanceError(f"more than {MAX_MARKS} marks at node {v}")
-                if not (x.ids <= nbr_ids and all(map(_is_int, x.ids))):
-                    raise InstanceError(f"mark at node {v} names a non-neighbour")
+        ids = self.ids.ids
+        for v, x in enumerate(self.inputs.values):
+            if isinstance(x, (Ptr, Marks)):
+                # Only these inputs name neighbours.
+                nbr_ids = {ids[u] for u in self.graph.neighbours(v)}
+                if isinstance(x, Ptr) and x.to is not None and (
+                        not _is_int(x.to) or x.to not in nbr_ids):
+                    raise InstanceError(
+                        f"pointer input at node {v} names {x.to!r}, not a neighbour identity")
+                if isinstance(x, Marks):
+                    if len(x.ids) > MAX_MARKS:
+                        raise InstanceError(f"more than {MAX_MARKS} marks at node {v}")
+                    if not (x.ids <= nbr_ids and all(map(_is_int, x.ids))):
+                        raise InstanceError(f"mark at node {v} names a non-neighbour")
             if isinstance(x, Lit) and not _is_int(x.level):
                 raise InstanceError(f"literal level {x.level!r} at node {v} is not an integer")
             if isinstance(x, int) and not (_is_int(x) and 0 <= x <= self.N * self.N):
@@ -280,7 +286,8 @@ class BallView:
     the member degrees.  `adj_in` maps each member to its neighbours
     inside the ball.  A game's `runtime.ViewStore` keeps a centre's view
     and serves later leaves `with_layers` copies that share its geometry
-    dicts, so nothing may write into a view.
+    dicts, so nothing may write into a view.  `node_by_id` inverts
+    `ids_in`; it is built with the geometry, so `node_of` is one lookup.
     """
 
     centre: int
@@ -289,6 +296,7 @@ class BallView:
     edges: frozenset[Edge]
     adj_in: dict[int, frozenset[int]]
     ids_in: dict[int, int]
+    node_by_id: dict[int, int]
     inputs_in: dict[int, InputValue]
     layers: tuple[dict[int, object], ...]
     frontier_set: frozenset[int]
@@ -306,10 +314,7 @@ class BallView:
         return self.ids_in[v]
 
     def node_of(self, ident: int) -> Optional[int]:
-        for v, i in self.ids_in.items():
-            if i == ident:
-                return v
-        return None
+        return self.node_by_id.get(ident)
 
     def input_of(self, v: int) -> InputValue:
         return self.inputs_in[v]
@@ -348,10 +353,10 @@ class BallView:
         return view
 
     def with_inputs(self, inputs_in: dict[int, InputValue]) -> "BallView":
-        return BallView(self.centre, self.radius, self.members, self.edges,
-                        self.adj_in, self.ids_in, inputs_in, self.layers,
-                        self.frontier_set, self.centre_dist, self.weights_in,
-                        self.N)
+        """Same view with the inputs replaced, copied like `with_layers`."""
+        view = object.__new__(BallView)
+        view.__dict__.update(self.__dict__, inputs_in=inputs_in)
+        return view
 
 
 def make_view(centre: int, radius: int, dist: dict[int, int],
@@ -374,13 +379,19 @@ def make_view(centre: int, radius: int, dist: dict[int, int],
     adj_in = {u: adj[u] if dist[u] < radius else frozenset(filter(inside, adj[u]))
               for u in members}
     edges = frozenset([(u, w) for u in members for w in adj_in[u] if u < w])
-    return BallView(
+    ids_in = {u: ids[u] for u in members}
+    # Filled like `with_layers` fills its copies: the frozen constructor
+    # sets each field through `object.__setattr__`, a noticeable share of
+    # the cost of the small views a game builds by the thousand.
+    view = object.__new__(BallView)
+    view.__dict__.update(
         centre=centre,
         radius=radius,
         members=members,
         edges=edges,
         adj_in=adj_in,
-        ids_in={u: ids[u] for u in members},
+        ids_in=ids_in,
+        node_by_id={i: u for u, i in ids_in.items()},
         inputs_in={u: inputs[u] for u in members},
         layers=tuple({u: layer[u] for u in members} for layer in layers),
         frontier_set=frozenset([u for u in members if dist[u] == radius]),
@@ -388,6 +399,7 @@ def make_view(centre: int, radius: int, dist: dict[int, int],
         weights_in=None if weights is None else {e: weights[e] for e in edges},
         N=N,
     )
+    return view
 
 
 def ball(instance: Instance, labellings: Sequence[Sequence[object]],

@@ -7,7 +7,7 @@ size guards.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .formulas import Formula
@@ -218,13 +218,8 @@ def oracle_three_colourable(graph: Graph) -> bool:
 def oracle_automorphisms(graph: Graph) -> list[tuple[int, ...]]:
     if graph.n > 8:
         raise ValueError("automorphism search is capped at 8 nodes")
-    out = []
-    for perm in product(*[range(graph.n)] * graph.n):
-        if len(set(perm)) != graph.n:
-            continue
-        if all(graph.has_edge(perm[u], perm[v]) for (u, v) in graph.edges):
-            out.append(perm)
-    return out
+    return [perm for perm in permutations(range(graph.n))
+            if all(graph.has_edge(perm[u], perm[v]) for (u, v) in graph.edges)]
 
 
 def has_nontrivial_automorphism(graph: Graph) -> bool:

@@ -113,9 +113,9 @@ def verify_map_defect(b: BallView) -> bool:
 def _first_map_defect(instance: Instance) -> Optional[Labelling]:
     """The lowest-identity defect of the input map, honestly certified."""
     n = instance.n
-    phi = [instance.input_of(v) for v in range(n)]
-    order = sorted(range(n), key=instance.id_of)
-    filler = canonical_labelling(tree_cert_domain(instance))
+    ids = instance.ids.ids
+    phi = instance.inputs.values
+    order = sorted(range(n), key=ids.__getitem__)
 
     def image_node(v: int) -> Optional[int]:
         img = phi[v]
@@ -125,35 +125,33 @@ def _first_map_defect(instance: Instance) -> Optional[Labelling]:
 
     def packed(flag: int, *roots: int) -> Labelling:
         trees = [honest_tree(instance, r) for r in roots]
-        while len(trees) < 4:
-            trees.append(filler)
-        return Labelling(MapDefect(flag, trees[0][v], trees[1][v],
-                                   trees[2][v], trees[3][v])
-                         for v in range(n))
+        if len(trees) < 4:
+            filler = canonical_labelling(tree_cert_domain(instance))
+            trees += [filler] * (4 - len(trees))
+        return Labelling(MapDefect(flag, *parts)
+                         for parts in zip(*trees))
 
-    if all(phi[v] == instance.id_of(v) for v in range(n)):
+    if tuple(phi) == ids:
         return packed(IDENTITY_MAP)
     for u in order:
         for v in order:
-            if instance.id_of(u) >= instance.id_of(v):
+            if ids[u] >= ids[v]:
                 continue
             if phi[u] != phi[v]:
                 continue
             w = image_node(u)
             if w is not None:
                 return packed(SHARED_IMAGE, u, v, w)
-    for u, v in sorted(((min(p, q, key=instance.id_of),
-                         max(p, q, key=instance.id_of))
+    for u, v in sorted(((p, q) if ids[p] < ids[q] else (q, p)
                         for p, q in instance.graph.edges),
-                       key=lambda e: (instance.id_of(e[0]),
-                                      instance.id_of(e[1]))):
+                       key=lambda e: (ids[e[0]], ids[e[1]])):
         w1, w2 = image_node(u), image_node(v)
         if w1 is not None and w2 is not None \
                 and not instance.graph.has_edge(w1, w2):
             return packed(LOST_EDGE, u, v, w1, w2)
     for u in order:
         for v in order:
-            if instance.id_of(u) >= instance.id_of(v):
+            if ids[u] >= ids[v]:
                 continue
             if instance.graph.has_edge(u, v):
                 continue
@@ -179,10 +177,19 @@ def protocol_nontrivial_automorphism() -> Protocol:
     lifted = complement_lift(protocol_map_defect())
     refute_lv, rebut_lv = lifted.levels
 
+    # The refute and rebut levels of one image move read the same mapped
+    # instance, so the last one is kept, keyed on the identity of
+    # (instance, move).  The entry holds both, so neither can be freed and
+    # its id reused while it is kept.
+    last: tuple = (None, None, None)
+
     def map_inputs(instance: Instance, move: Labelling) -> Instance:
-        return instance.with_inputs(tuple(
-            lbl.image if isinstance(lbl, NodeImage) else None
-            for lbl in move))
+        nonlocal last
+        if last[0] is not instance or last[1] is not move:
+            last = (instance, move, instance.with_inputs(tuple(
+                lbl.image if isinstance(lbl, NodeImage) else None
+                for lbl in move)))
+        return last[2]
 
     def image_cover(instance: Instance, earlier) -> Iterable[Labelling]:
         idents = sorted(instance.id_of(v) for v in range(instance.n))

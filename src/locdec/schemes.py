@@ -51,9 +51,31 @@ def tree_certs(instance: Instance, tree: BFSTree) -> list[TreeCert]:
             for p, d in zip(tree.parent, tree.dist)]
 
 
+# The trees of the last (graph, identities) pair honest_tree saw, by root.
+_tree_memo: tuple[object, tuple[int, ...], dict[int, Labelling]] = (None, (), {})
+
+
 def honest_tree(instance: Instance, root: int) -> Labelling:
-    """The breadth-first tree certificate rooted at ``root``."""
-    return Labelling(tree_certs(instance, build_bfs_tree(instance, root)))
+    """The breadth-first tree certificate rooted at ``root``.
+
+    A tree reads only the graph and the identities, never the inputs, so
+    the trees of the last (graph, identities) pair are kept by root and
+    shared by every instance that differs from it only in inputs, such as
+    the mapped instances of all image moves in one ``nta`` game.  One pair
+    is kept at a time: another graph or identity tuple replaces it, so at
+    most n trees stay alive.  The returned ``Labelling`` is immutable.
+    """
+    global _tree_memo
+    key = (instance.graph, instance.ids.ids)
+    graph, ids, trees = _tree_memo
+    if (graph, ids) != key:
+        trees = {}
+        _tree_memo = (*key, trees)
+    tree = trees.get(root)
+    if tree is None:
+        tree = trees[root] = Labelling(
+            tree_certs(instance, build_bfs_tree(instance, root)))
+    return tree
 
 
 def subtree_sums(tree: BFSTree, values: Sequence[int]) -> list[int]:

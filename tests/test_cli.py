@@ -71,6 +71,19 @@ def test_non_boolean_verdicts_are_rejected(field, value):
         parse_report(json.dumps(doc))
 
 
+@pytest.mark.parametrize("path", [(0,), (1, "f", 0), (2, "f", 1)])
+def test_boolean_label_values_are_rejected(path):
+    # A top-level field of the first witness label, then fields of its
+    # nested NSTCert and TreeCert records.
+    doc = json.loads(emit_report(_mst_report()))
+    fields = doc["witness"][0][0]["f"]
+    for key in path[:-1]:
+        fields = fields[key]
+    fields[path[-1]] = True
+    with pytest.raises(ReportError, match="JSON boolean"):
+        parse_report(json.dumps(doc))
+
+
 def test_export_refuses_a_report_with_missing_decisions(tmp_path, capsys):
     instance, report = tmp_path / "p3.json", tmp_path / "report.json"
     assert main(["gen", "path", "3", "-o", str(instance)]) == 0

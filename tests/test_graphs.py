@@ -272,6 +272,15 @@ def test_roundtrip_weighted_and_tagged():
     assert again == inst
 
 
+def test_empty_weight_map_on_an_edgeless_graph_round_trips():
+    g = Graph(1, frozenset(), {})
+    assert g.weights is None and g == Graph(1, frozenset())
+    inst = Instance(g, IdAssignment((1,), 1), InputAssignment((None,)))
+    assert parse_instance(emit_instance(inst)) == inst
+    with pytest.raises(InstanceError, match="cover exactly the edge set"):
+        Graph(2, frozenset({(0, 1)}), {})
+
+
 def test_digest_depends_on_identities():
     inst = plain_instance(p3())
     other = inst.with_ids(IdAssignment((3, 2, 1), 9))

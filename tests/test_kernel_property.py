@@ -1,8 +1,9 @@
 """The rooted-tree certificate kernel on random connected graphs.
 
-Honest trees pass ``tree_ok`` at every node for every root, ``subtree_sums``
-matches a brute-force sum, and a tree certificate that every node accepts
-describes a real rooted tree.
+Honest trees pass ``tree_ok`` at every node for every root, the trees
+``honest_tree`` keeps equal freshly built ones, ``subtree_sums`` matches a
+brute-force sum, and a tree certificate that every node accepts describes a
+real rooted tree.
 """
 from __future__ import annotations
 
@@ -11,19 +12,27 @@ from hypothesis import strategies as st
 
 from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, ball
 from locdec.labels import Labelling, TreeCert, build_bfs_tree
-from locdec.schemes import READ_TREE_CERT, honest_tree, subtree_sums, tree_ok
+from locdec.schemes import (READ_TREE_CERT, honest_tree, subtree_sums,
+                            tree_certs, tree_ok)
+
+
+def _graph(draw, n: int) -> Graph:
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else [])
+    return Graph(n, frozenset(edges))
+
+
+def _ids(draw, n: int) -> IdAssignment:
+    N = n * n + 1
+    ids = draw(st.lists(st.integers(1, N), min_size=n, max_size=n, unique=True))
+    return IdAssignment(tuple(ids), N)
 
 
 @st.composite
 def instances(draw, max_n: int = 7):
     n = draw(st.integers(1, max_n))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else [])
-    N = n * n + 1
-    ids = draw(st.lists(st.integers(1, N), min_size=n, max_size=n, unique=True))
-    return Instance(Graph(n, frozenset(edges)), IdAssignment(tuple(ids), N),
-                    InputAssignment((None,) * n))
+    return Instance(_graph(draw, n), _ids(draw, n), InputAssignment((None,) * n))
 
 
 def accepted_everywhere(inst: Instance, lab: Labelling) -> bool:
@@ -36,6 +45,34 @@ def accepted_everywhere(inst: Instance, lab: Labelling) -> bool:
 def test_honest_tree_passes_at_every_node_for_every_root(inst):
     for root in range(inst.n):
         assert accepted_everywhere(inst, honest_tree(inst, root))
+
+
+@st.composite
+def tree_requests(draw):
+    """Four instances on n nodes and a sequence of (instance, root) requests.
+
+    Against the first instance, the others change only the identities,
+    only the graph, or only the inputs."""
+    n = draw(st.integers(1, 7))
+    graph, ids = _graph(draw, n), _ids(draw, n)
+    inputs = [InputAssignment(tuple(draw(st.lists(
+        st.none() | st.integers(0, ids.N), min_size=n, max_size=n))))
+        for _ in range(2)]
+    family = [Instance(graph, ids, inputs[0]),
+              Instance(graph, _ids(draw, n), inputs[0]),
+              Instance(_graph(draw, n), ids, inputs[0]),
+              Instance(graph, ids, inputs[1])]
+    return draw(st.lists(st.tuples(st.sampled_from(family),
+                                   st.integers(0, n - 1)),
+                         min_size=1, max_size=12))
+
+
+@settings(deadline=None)
+@given(tree_requests())
+def test_kept_honest_trees_equal_fresh_ones(requests):
+    for inst, root in requests:
+        fresh = Labelling(tree_certs(inst, build_bfs_tree(inst, root)))
+        assert honest_tree(inst, root) == fresh
 
 
 @settings(deadline=None)

@@ -1,7 +1,7 @@
 """Centralized ground truth: frozen answers and self-consistency."""
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -87,6 +87,21 @@ def test_automorphism_frozen():
     assert oracle_automorphisms(asymmetric6()) == [tuple(range(6))]
     assert not has_nontrivial_automorphism(asymmetric6())
     assert has_nontrivial_automorphism(c4())
+
+
+def _automorphisms_by_product(graph: Graph) -> list[tuple[int, ...]]:
+    """The reference: every n-tuple over the nodes, kept when it is a
+    bijection that maps edges to edges."""
+    return [perm for perm in product(range(graph.n), repeat=graph.n)
+            if len(set(perm)) == graph.n
+            and all(graph.has_edge(perm[u], perm[v]) for (u, v) in graph.edges)]
+
+
+def test_automorphisms_equal_the_product_filter_in_order():
+    graphs = [g for n in range(1, 6) for g in iso_representatives(n)]
+    for g in graphs + [asymmetric6(), cycle_graph(6)]:
+        assert oracle_automorphisms(g) == _automorphisms_by_product(g)
+    assert len(oracle_automorphisms(cycle_graph(6))) == 12
 
 
 def test_automorphism_group_laws():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locdec import schemes
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
 from locdec.formulas import parse_formula
 from locdec.gen import clique_graph, grid_graph, path_graph
@@ -203,6 +204,31 @@ def test_nta_exhaustive_counts():
     assert stats.leaf_evaluations == 4_320
     assert stats.node_evaluations == 15_120
     assert stats.views_reused == 15_120 - 2 * inst.n
+
+
+def test_nta_exhaustive_builds_graph_only_work_once(monkeypatch):
+    # Honest trees depend on the graph and identities alone, and the
+    # refute and rebut levels of one image move share its mapped instance.
+    inst = Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
+                    InputAssignment((None,) * 6))
+    calls = Counter()
+    build_tree = schemes.build_bfs_tree
+    post_init = Instance.__post_init__
+
+    def counted_build(*args, **kwargs):
+        calls["tree"] += 1
+        return build_tree(*args, **kwargs)
+
+    def counted_post_init(self):
+        calls["instance"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(schemes, "build_bfs_tree", counted_build)
+    monkeypatch.setattr(Instance, "__post_init__", counted_post_init)
+    stats = game_evaluate(resolve("nta"), inst, EXHAUSTIVE).stats
+    assert stats.leaf_evaluations == 4_320
+    assert calls["tree"] <= inst.n
+    assert calls["instance"] <= 720 + 8
 
 
 def test_one_leaf_game_reuses_no_view():
