@@ -20,15 +20,15 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .graphs import (BallView, Graph, IdAssignment, InputAssignment, Instance,
-                     Marks, Ptr, make_view)
+from .graphs import (BallView, IdAssignment, InputAssignment, Instance, Marks,
+                     Ptr, make_view)
 from .labels import (INVALID, DomainError, LabelDomain, Labelling,
                      build_bfs_tree, flag_field, id_field, optional_id_field,
                      range_field, sub_field, tree_cert_domain)
 from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
                        ProtocolError, all_invalid_labelling,
-                       canonical_labelling, default_cover_size, other_side,
-                       pattern_tag, product_cover)
+                       canonical_labelling, default_cover_size, node_axis,
+                       other_side, pattern_tag, product_cover)
 from .runtime import (Decision, LocalVerifier, ViewStore, evaluate,
                       evaluate_verdict)
 from .schemes import (READ_TREE_CERT, honest_tree, subtree_sums, tree_certs,
@@ -76,7 +76,12 @@ def _resolve_eval_cap(mode: EvalMode) -> int:
     if mode.eval_cap is not None:
         return mode.eval_cap
     raw = os.environ.get(EVAL_CAP_ENV)
-    return int(raw) if raw is not None else DEFAULT_EVAL_CAP
+    if raw is None:
+        return DEFAULT_EVAL_CAP
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(
+            f"{EVAL_CAP_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         counters["node"] += 1
 
     k = protocol.level_count
-    domains = tuple(lv.domain_of(instance) for lv in protocol.levels)
+    domains = tuple(lv.domain_of(instance.n, instance.N)
+                    for lv in protocol.levels)
     views = ViewStore(instance, protocol.verifier.radius)
 
     def leaf_value(chosen: tuple[Labelling, ...]) -> bool:
@@ -139,7 +145,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
                 raise CapExceeded(
                     f"{protocol.name}: level {idx + 1} enumerates {total} moves,"
                     f" cap is {mode.move_cap}")
-            yield from product_cover(domain, include_invalid=adversarial)
+            yield from product_cover(instance, domain, adversarial)
             return
         forfeit = None
         if adversarial and domain.has_invalid:
@@ -307,12 +313,6 @@ class CollapsedLabel(NamedTuple):
     nhat: int
 
 
-def _path_instance(n: int, N: int) -> Instance:
-    g = Graph(n, frozenset((v, v + 1) for v in range(n - 1)))
-    return Instance(g, IdAssignment(tuple(range(1, n + 1)), N),
-                    InputAssignment((None,) * n))
-
-
 def _honest_size_fragment(instance: Instance):
     """Per-node (sroot, sparent, ssize, nhat) along a BFS tree from the
     smallest identity."""
@@ -346,25 +346,21 @@ def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
     radius = max(base_radius, 1)
     sl = size_level - 1
 
-    def domain_of(instance: Instance) -> LabelDomain:
-        base = base_level.domain_of(instance)
-        n = instance.n
+    def domain_of(n: int, N: int) -> LabelDomain:
+        base = base_level.domain_of(n, N)
         return LabelDomain(
-            "sized:" + base.name, base.c + 5, instance,
+            "sized:" + base.name, base.c + 5, n, N,
             (sub_field("base", base),
-             id_field("sroot", instance.N),
-             optional_id_field("sparent", instance.N),
+             id_field("sroot", N),
+             optional_id_field("sparent", N),
              range_field("ssize", 1, n),
              range_field("nhat", 1, n)),
             CollapsedLabel)
 
     @cache
     def final_axis(nhat: int, N: int) -> tuple:
-        # The removed level's labels for any nhat-node instance under
-        # identities up to N; its domain depends on nothing else.
-        final_dom = final_level.domain_of(_path_instance(nhat, N))
-        axis = tuple(final_dom.values())
-        return axis + (INVALID,) if final_dom.has_invalid else axis
+        # The removed level's labels for any nhat-node instance.
+        return node_axis(final_level.domain_of(nhat, N), True)
 
     def decide(ball: BallView) -> bool:
         own = ball.own_label(sl)
@@ -404,7 +400,7 @@ def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
         fragment = _honest_size_fragment(instance)
         if base_level.cover is None:
             base_moves: Iterable[Labelling] = product_cover(
-                base_level.domain_of(instance))
+                instance, base_level.domain_of(instance.n, instance.N))
         else:
             base_moves = base_level.cover(instance, earlier)
         for bm in base_moves:
@@ -458,11 +454,11 @@ def unanimous_combine(p_yes: Protocol, p_no: Protocol) -> Protocol:
     rn = p_no.verifier.radius
     radius = max(ry, rn, 1)
 
-    def domain_of(instance: Instance) -> LabelDomain:
-        ydom = p_yes.levels[0].domain_of(instance)
-        ndom = p_no.levels[0].domain_of(instance)
+    def domain_of(n: int, N: int) -> LabelDomain:
+        ydom = p_yes.levels[0].domain_of(n, N)
+        ndom = p_no.levels[0].domain_of(n, N)
         return LabelDomain(
-            f"either:{ydom.name}|{ndom.name}", ydom.c + ndom.c + 1, instance,
+            f"either:{ydom.name}|{ndom.name}", ydom.c + ndom.c + 1, n, N,
             (flag_field("branch", 2),
              sub_field("yes", ydom),
              sub_field("no", ndom)),
@@ -482,7 +478,7 @@ def unanimous_combine(p_yes: Protocol, p_no: Protocol) -> Protocol:
         return not p_no.verifier.decide(embed(ball, (no,), rn))
 
     def cover(instance: Instance, earlier: tuple[Labelling, ...]):
-        ydom = p_yes.levels[0].domain_of(instance)
+        ydom = p_yes.levels[0].domain_of(instance.n, instance.N)
         blank = canonical_labelling(ydom)
         # All-no flags over unreadable no-labels win at every node.
         yield Labelling(CombinedLabel(0, blank[v], INVALID)
@@ -494,8 +490,8 @@ def unanimous_combine(p_yes: Protocol, p_no: Protocol) -> Protocol:
             and p_no.levels[0].strategy is not None):
         def strategy(instance: Instance,
                      earlier: tuple[Labelling, ...]) -> Labelling:
-            ydom = p_yes.levels[0].domain_of(instance)
-            ndom = p_no.levels[0].domain_of(instance)
+            ydom = p_yes.levels[0].domain_of(instance.n, instance.N)
+            ndom = p_no.levels[0].domain_of(instance.n, instance.N)
             if p_yes.language.oracle(instance):
                 branch = 1
                 ys = p_yes.levels[0].strategy(instance, ())

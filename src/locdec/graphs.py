@@ -76,6 +76,11 @@ C_IN = 4
 MAX_MARKS = 2  # marks beyond two per node never change admissibility
 
 
+def id_width(N: int) -> int:
+    """Bits per identity under the identity bound N (at least one)."""
+    return max(1, (N - 1).bit_length())
+
+
 def input_bits(value: InputValue, id_bits: int) -> int:
     """Encoded size of an input value, given bits per identity."""
     if value is None:
@@ -254,7 +259,7 @@ class Instance:
 
     @property
     def id_bits(self) -> int:
-        return max(1, (self.N - 1).bit_length())
+        return id_width(self.N)
 
     def id_of(self, v: int) -> int:
         return self.ids.id_of(v)

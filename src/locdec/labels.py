@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import C_IN, MAX_MARKS, Edge, Instance, Marks, Ptr
+from .graphs import C_IN, MAX_MARKS, Edge, Instance, Marks, Ptr, id_width
 
 
 class DomainError(ValueError):
@@ -160,26 +160,7 @@ def id_field(name: str, N: int) -> FieldSpec:
 
 def optional_id_field(name: str, N: int) -> FieldSpec:
     """An identity in [1, N] or None, with a presence flag in the top bit."""
-    idw = (N - 1).bit_length()
-
-    def enc(v: object) -> int:
-        if v is None:
-            return 0
-        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= N:
-            raise DomainError(f"field {name}: {v!r} is neither None nor an id in [1, {N}]")
-        return (1 << idw) | (v - 1)
-
-    def dec(raw: int) -> object:
-        if raw >> idw == 0:
-            return None if raw == 0 else _BAD
-        payload = raw & ((1 << idw) - 1)
-        return payload + 1 if payload < N else _BAD
-
-    def vals() -> Iterator[object]:
-        yield None
-        yield from range(1, N + 1)
-
-    return FieldSpec(name, idw + 1, N + 1, enc, dec, vals, None)
+    return optional_range_field(name, 1, N)
 
 
 def flag_field(name: str, count: int) -> FieldSpec:
@@ -211,15 +192,14 @@ def optional_range_field(name: str, lo: int, hi: int) -> FieldSpec:
     return FieldSpec(name, base + 1, hi - lo + 2, enc, dec, vals, None)
 
 
-def input_value_field(name: str, instance: Instance) -> FieldSpec:
+def input_value_field(name: str, N: int) -> FieldSpec:
     """A node input value (None, bounded int, pointer or marks).
 
-    Two tag bits select the shape; the payload reuses the instance's input
-    budget of C_IN identity-sized units, so any value a node of this
-    instance could carry as input is encodable.
+    Two tag bits select the shape; the payload reuses the input budget of
+    C_IN identity-sized units, so any value a node could carry as input
+    under the identity bound N is encodable.
     """
-    idb = instance.id_bits
-    N = instance.N
+    idb = id_width(N)
     payload = C_IN * idb
     id_mask = (1 << idb) - 1
     hi_int = N * N
@@ -291,18 +271,13 @@ def sub_field(name: str, domain: "LabelDomain") -> FieldSpec:
             raise DomainError(f"field {name}: INVALID has no canonical encoding")
         return domain.encode(v)
 
-    def dec(raw: int) -> object:
-        return domain.decode(raw)
-
-    spare = domain.size < 1 << domain.width
-
     def vals() -> Iterator[object]:
         yield from domain.values()
-        if spare:
+        if domain.has_invalid:
             yield INVALID
 
-    return FieldSpec(name, domain.width, domain.size + (1 if spare else 0),
-                     enc, dec, vals, domain.first())
+    return FieldSpec(name, domain.width, domain.size + int(domain.has_invalid),
+                     enc, domain.decode, vals, domain.first())
 
 
 @dataclass(frozen=True)
@@ -311,12 +286,15 @@ class LabelDomain:
 
     ``decode`` is total on width-bit integers: patterns that fit no structured
     value yield INVALID.  The budget is c * ceil(log2 N) bits (floored at c),
-    and the packed width never exceeds it.
+    and the packed width never exceeds it.  A domain is a function of the
+    node count ``n`` and the identity bound ``N`` alone: no instance goes
+    into it, so one domain serves every instance of that size.
     """
 
     name: str
     c: int
-    instance: Instance
+    n: int
+    N: int
     fields: tuple[FieldSpec, ...]
     make: Callable[..., object]
 
@@ -324,7 +302,7 @@ class LabelDomain:
         if self.width > self.budget:
             raise DomainError(
                 f"domain {self.name}: width {self.width} exceeds budget {self.budget}"
-                f" (c={self.c}, N={self.instance.N})")
+                f" (c={self.c}, N={self.N})")
 
     @cached_property
     def width(self) -> int:
@@ -332,7 +310,7 @@ class LabelDomain:
 
     @cached_property
     def budget(self) -> int:
-        return self.c * max(1, (self.instance.N - 1).bit_length())
+        return self.c * id_width(self.N)
 
     @cached_property
     def size(self) -> int:
@@ -396,9 +374,9 @@ class LabelDomain:
         return True
 
     def check_labelling(self, labelling: Sequence[object]) -> None:
-        if len(labelling) != self.instance.n:
+        if len(labelling) != self.n:
             raise DomainError(
-                f"labelling covers {len(labelling)} nodes, instance has {self.instance.n}")
+                f"labelling covers {len(labelling)} nodes, domain has {self.n}")
         for v, value in enumerate(labelling):
             if not self.contains(value):
                 raise DomainError(f"node {v}: {value!r} not in domain {self.name}")
@@ -445,56 +423,53 @@ def build_bfs_tree(instance: Instance, root: int,
     return BFSTree(root, tuple(parent), tuple(dist), tuple(order))
 
 
-def count_width(instance: Instance) -> int:
+def count_width(n: int, N: int) -> int:
     # Aggregates range over [0, 2*N*n]: doubled objective totals peak at
     # twice the weight of an n-edge tour with every weight at the cap N.
-    return max(1, (2 * instance.N * instance.n).bit_length())
+    return max(1, (2 * N * n).bit_length())
 
 
-def tree_field_specs(instance: Instance, suffix: str = "") -> tuple[FieldSpec, ...]:
+def tree_field_specs(n: int, N: int, suffix: str = "") -> tuple[FieldSpec, ...]:
     """The (root, parent, dist) fields of a rooted-tree certificate."""
-    return (id_field("root" + suffix, instance.N),
-            optional_id_field("parent" + suffix, instance.N),
-            range_field("dist" + suffix, 0, instance.n - 1))
+    return (id_field("root" + suffix, N),
+            optional_id_field("parent" + suffix, N),
+            range_field("dist" + suffix, 0, n - 1))
 
 
-def tree_cert_domain(instance: Instance) -> LabelDomain:
-    return LabelDomain("tree-cert", 3, instance, tree_field_specs(instance), TreeCert)
+def tree_cert_domain(n: int, N: int) -> LabelDomain:
+    return LabelDomain("tree-cert", 3, n, N, tree_field_specs(n, N), TreeCert)
 
 
-def size_cert_domain(instance: Instance) -> LabelDomain:
-    fields = (*tree_field_specs(instance)[:2],
-              range_field("size", 1, instance.n, width=count_width(instance)))
-    return LabelDomain("size-cert", 5, instance, fields, SizeCert)
+def size_cert_domain(n: int, N: int) -> LabelDomain:
+    fields = (*tree_field_specs(n, N)[:2],
+              range_field("size", 1, n, width=count_width(n, N)))
+    return LabelDomain("size-cert", 5, n, N, fields, SizeCert)
 
 
-def gather_cert_domain(instance: Instance) -> LabelDomain:
-    n, N = instance.n, instance.N
-    fields = (*tree_field_specs(instance),
-              range_field("agg", 0, 2 * N * n, width=count_width(instance)))
-    return LabelDomain("gather-cert", 6, instance, fields, GatherCert)
+def gather_cert_domain(n: int, N: int) -> LabelDomain:
+    fields = (*tree_field_specs(n, N),
+              range_field("agg", 0, 2 * N * n, width=count_width(n, N)))
+    return LabelDomain("gather-cert", 6, n, N, fields, GatherCert)
 
 
-def ham_cert_domain(instance: Instance) -> LabelDomain:
-    fields = (*tree_field_specs(instance), range_field("pos", 0, instance.n - 1))
-    return LabelDomain("ham-cert", 4, instance, fields, HamCert)
+def ham_cert_domain(n: int, N: int) -> LabelDomain:
+    fields = (*tree_field_specs(n, N), range_field("pos", 0, n - 1))
+    return LabelDomain("ham-cert", 4, n, N, fields, HamCert)
 
 
-def nst_cert_domain(instance: Instance) -> LabelDomain:
-    n = instance.n
+def nst_cert_domain(n: int, N: int) -> LabelDomain:
     fields = (flag_field("flag", 3),
               range_field("idx", 1, max(2, n)),
-              *tree_field_specs(instance, "1"),
+              *tree_field_specs(n, N, "1"),
               optional_range_field("cpos", 0, n - 1),
               optional_range_field("clen", 2, max(2, n)),
-              *tree_field_specs(instance, "2"))
-    return LabelDomain("nst-cert", 11, instance, fields, NSTCert)
+              *tree_field_specs(n, N, "2"))
+    return LabelDomain("nst-cert", 11, n, N, fields, NSTCert)
 
 
-def non_ham_cert_domain(instance: Instance) -> LabelDomain:
-    n = instance.n
+def non_ham_cert_domain(n: int, N: int) -> LabelDomain:
     fields = (flag_field("flag", 2),
               range_field("idx", 1, max(2, n)),
-              *tree_field_specs(instance, "1"),
-              *tree_field_specs(instance, "2"))
-    return LabelDomain("non-ham-cert", 8, instance, fields, NonHamCert)
+              *tree_field_specs(n, N, "1"),
+              *tree_field_specs(n, N, "2"))
+    return LabelDomain("non-ham-cert", 8, n, N, fields, NonHamCert)

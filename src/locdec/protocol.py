@@ -12,6 +12,7 @@ exists, so substituting it for the full product never changes the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -38,7 +39,8 @@ def pattern_tag(first: str, k: int) -> str:
     return f"{'existential' if first == PROVER else 'universal'}-{k}"
 
 
-DomainFactory = Callable[[Instance], LabelDomain]
+# Called as domain_of(n, N): the domain depends on nothing else.
+DomainFactory = Callable[[int, int], LabelDomain]
 Cover = Callable[[Instance, tuple[Labelling, ...]], Iterable[Labelling]]
 Strategy = Callable[[Instance, tuple[Labelling, ...]], Labelling]
 
@@ -47,6 +49,9 @@ Strategy = Callable[[Instance, tuple[Labelling, ...]], Labelling]
 class Level:
     """One labelling round: its domain, move cover and optional strategy.
 
+    ``domain_of(n, N)`` gives the level's domain for n nodes under identity
+    bound N.  The level caches it per (n, N), the one place domains are
+    cached, so every game of one size shares one domain object.
     ``cover`` None means the full product over the domain (plus INVALID per
     node on disprover levels).  ``strategy`` picks the honest move during
     constructive play; it is only consulted on prover levels.
@@ -55,6 +60,9 @@ class Level:
     domain_of: DomainFactory
     cover: Optional[Cover] = None
     strategy: Optional[Strategy] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "domain_of", cache(self.domain_of))
 
 
 @dataclass(frozen=True)
@@ -113,9 +121,11 @@ def certificate_protocol(name: str, domain_of: DomainFactory,
 
     def strategy(instance: Instance, earlier) -> Labelling:
         move = honest(instance)
-        return move if move is not None else canonical_labelling(domain_of(instance))
+        return move if move is not None else canonical_labelling(
+            level.domain_of(instance.n, instance.N))
 
-    return Protocol(name, PROVER, (Level(domain_of, cover, strategy),),
+    level = Level(domain_of, cover, strategy)
+    return Protocol(name, PROVER, (level,),
                     LocalVerifier(1, 1, decide),
                     LanguageSpec(name, oracle, class_tag))
 
@@ -126,7 +136,7 @@ def certificate_protocol(name: str, domain_of: DomainFactory,
 
 def canonical_labelling(domain: LabelDomain) -> Labelling:
     """First structured value of the domain at every node."""
-    return Labelling((domain.first(),) * domain.instance.n)
+    return Labelling((domain.first(),) * domain.n)
 
 
 def all_invalid_labelling(n: int) -> Labelling:
@@ -135,22 +145,25 @@ def all_invalid_labelling(n: int) -> Labelling:
 
 def default_cover_size(domain: LabelDomain, include_invalid: bool) -> int:
     per_node = domain.size + (1 if include_invalid and domain.has_invalid else 0)
-    return per_node ** domain.instance.n
+    return per_node ** domain.n
 
 
-def product_cover(domain: LabelDomain,
+def node_axis(domain: LabelDomain, include_invalid: bool) -> tuple:
+    """One node's labels: the domain in enumeration order, then INVALID
+    when requested and the encoding has spare patterns."""
+    axis = tuple(domain.values())
+    return axis + (INVALID,) if include_invalid and domain.has_invalid else axis
+
+
+def product_cover(instance: Instance, domain: LabelDomain,
                   include_invalid: bool = False) -> Iterator[Labelling]:
     """Every labelling over the domain, lexicographic in identity order.
 
     The node with the smallest identity is the most significant position,
-    and each node runs through the domain in enumeration order (INVALID
-    last when requested and the encoding has spare patterns).
+    and each node runs through ``node_axis``.
     """
-    instance = domain.instance
     order = sorted(range(instance.n), key=instance.id_of)
-    axis: list[object] = list(domain.values())
-    if include_invalid and domain.has_invalid:
-        axis.append(INVALID)
+    axis = node_axis(domain, include_invalid)
     slot: list[object] = [None] * instance.n
     for combo in product(axis, repeat=instance.n):
         for pos, value in zip(order, combo):

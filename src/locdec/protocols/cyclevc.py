@@ -50,22 +50,21 @@ class CycleResponse(NamedTuple):
     cycle_size: object
 
 
-def x_claim_domain(instance: Instance) -> LabelDomain:
-    return LabelDomain("x-claim", 7, instance,
+def x_claim_domain(n: int, N: int) -> LabelDomain:
+    return LabelDomain("x-claim", 7, n, N,
                        (flag_field("member", 2),
-                        sub_field("count", gather_cert_domain(instance))),
+                        sub_field("count", gather_cert_domain(n, N))),
                        XClaim)
 
 
-def s_pick_domain(instance: Instance) -> LabelDomain:
-    return LabelDomain("s-pick", 1, instance,
+def s_pick_domain(n: int, N: int) -> LabelDomain:
+    return LabelDomain("s-pick", 1, n, N,
                        (flag_field("chosen", 2),), SPick)
 
 
-def cycle_response_domain(instance: Instance) -> LabelDomain:
-    n = instance.n
-    gdom = gather_cert_domain(instance)
-    return LabelDomain("cycle-response", 23, instance,
+def cycle_response_domain(n: int, N: int) -> LabelDomain:
+    gdom = gather_cert_domain(n, N)
+    return LabelDomain("cycle-response", 23, n, N,
                        (flag_field("onc", 2),
                         optional_range_field("cpos", 0, max(1, n - 1)),
                         range_field("clen", 0, n),
@@ -222,7 +221,7 @@ def protocol_cycle_vc() -> Protocol:
                         return _honest_claim(instance, xset)
             for move in claim_cover(instance, ()):
                 return move
-        return canonical_labelling(x_claim_domain(instance))
+        return canonical_labelling(x_claim_domain(instance.n, instance.N))
 
     def pick_cover(instance: Instance, earlier) -> Iterable[Labelling]:
         members = sorted(_flagged(earlier[0], XClaim, "member"))
@@ -246,7 +245,8 @@ def protocol_cycle_vc() -> Protocol:
     def respond_strategy(instance: Instance, earlier) -> Labelling:
         for move in respond_cover(instance, earlier):
             return move
-        return canonical_labelling(cycle_response_domain(instance))
+        return canonical_labelling(
+            cycle_response_domain(instance.n, instance.N))
 
     def in_language(instance: Instance) -> bool:
         k = uniform_threshold(instance)

@@ -54,14 +54,14 @@ class NodeImage(NamedTuple):
     image: int
 
 
-def node_image_domain(instance: Instance) -> LabelDomain:
-    return LabelDomain("node-image", 1, instance,
-                       (id_field("image", instance.N),), NodeImage)
+def node_image_domain(n: int, N: int) -> LabelDomain:
+    return LabelDomain("node-image", 1, n, N,
+                       (id_field("image", N),), NodeImage)
 
 
-def map_defect_domain(instance: Instance) -> LabelDomain:
-    tdom = tree_cert_domain(instance)
-    return LabelDomain("map-defect", 14, instance,
+def map_defect_domain(n: int, N: int) -> LabelDomain:
+    tdom = tree_cert_domain(n, N)
+    return LabelDomain("map-defect", 14, n, N,
                        (flag_field("flag", 4),
                         sub_field("ta", tdom), sub_field("tb", tdom),
                         sub_field("tc", tdom), sub_field("td", tdom)),
@@ -126,7 +126,7 @@ def _first_map_defect(instance: Instance) -> Optional[Labelling]:
     def packed(flag: int, *roots: int) -> Labelling:
         trees = [honest_tree(instance, r) for r in roots]
         if len(trees) < 4:
-            filler = canonical_labelling(tree_cert_domain(instance))
+            filler = canonical_labelling(tree_cert_domain(n, instance.N))
             trees += [filler] * (4 - len(trees))
         return Labelling(MapDefect(flag, *parts)
                          for parts in zip(*trees))

@@ -57,8 +57,8 @@ class UnitVal(NamedTuple):
     tag: int
 
 
-def unit_domain(instance: Instance) -> LabelDomain:
-    return LabelDomain("unit", 1, instance, (flag_field("tag", 1),), UnitVal)
+def unit_domain(n: int, N: int) -> LabelDomain:
+    return LabelDomain("unit", 1, n, N, (flag_field("tag", 1),), UnitVal)
 
 
 def _node_view(instance: Instance, v: int) -> BallView:
@@ -75,7 +75,7 @@ def _local_rule_protocol(name: str,
     satisfies the radius-1 rule on its own input."""
 
     return certificate_protocol(
-        name, unit_domain, lambda inst: canonical_labelling(unit_domain(inst)),
+        name, unit_domain, lambda inst: Labelling((UnitVal(0),) * inst.n),
         lambda b: bool(rule(b)), lambda inst: _all_nodes(inst, rule),
         "existential-1")
 
@@ -152,7 +152,8 @@ def protocol_non_hamiltonian() -> Protocol:
         try:
             return build_non_hamiltonian_cert(instance)
         except SchemeError:
-            return canonical_labelling(non_ham_cert_domain(instance))
+            return canonical_labelling(
+                non_ham_cert_domain(instance.n, instance.N))
 
     return certificate_protocol("non-hamiltonian", non_ham_cert_domain, honest,
                                 verify_non_hamiltonian_cert,
@@ -261,17 +262,17 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         better = lambda a, b: a > b
     pname = name or f"opt:{adm_yes.name}"
 
-    def domain_of(instance: Instance) -> LabelDomain:
-        ydom = adm_yes.levels[0].domain_of(instance)
-        ndom = adm_no.levels[0].domain_of(instance)
-        gdom = gather_cert_domain(instance)
+    def domain_of(n: int, N: int) -> LabelDomain:
+        ydom = adm_yes.levels[0].domain_of(n, N)
+        ndom = adm_no.levels[0].domain_of(n, N)
+        gdom = gather_cert_domain(n, N)
         return LabelDomain(
             f"opt:{ydom.name}|{ndom.name}",
-            1 + ndom.c + 2 * ydom.c + 6 + 2 * gdom.c, instance,
+            1 + ndom.c + 2 * ydom.c + 6 + 2 * gdom.c, n, N,
             (flag_field("flag", 2),
              sub_field("no_part", ndom),
              sub_field("yes_x", ydom),
-             input_value_field("xprime", instance),
+             input_value_field("xprime", N),
              sub_field("yes_xp", ydom),
              sub_field("agg_x", gdom),
              sub_field("agg_xp", gdom)),
@@ -314,9 +315,10 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         return None
 
     def _fillers(instance: Instance):
-        return (canonical_labelling(adm_no.levels[0].domain_of(instance)),
-                canonical_labelling(adm_yes.levels[0].domain_of(instance)),
-                canonical_labelling(gather_cert_domain(instance)))
+        # The level domain's first value, part by part, at every node.
+        first = level.domain_of(instance.n, instance.N).first()
+        return tuple(Labelling((part,) * instance.n)
+                     for part in (first.no_part, first.yes_x, first.agg_x))
 
     def _packed(instance: Instance, flag: int, no_mv, yes_mv, xp,
                 yes_xp_mv, ax, axp) -> Labelling:
@@ -432,7 +434,8 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
 
         language = LanguageSpec(pname, not_optimal, "dual-1")
 
-    return Protocol(pname, PROVER, (Level(domain_of, cover, strategy),),
+    level = Level(domain_of, cover, strategy)
+    return Protocol(pname, PROVER, (level,),
                     LocalVerifier(radius, 1, decide), language)
 
 

@@ -35,8 +35,8 @@ class TruthLabel(NamedTuple):
     bit: Optional[int]
 
 
-def truth_domain(instance: Instance) -> LabelDomain:
-    return LabelDomain("truth", 1, instance,
+def truth_domain(n: int, N: int) -> LabelDomain:
+    return LabelDomain("truth", 1, n, N,
                        (optional_range_field("bit", 0, 1),), TruthLabel)
 
 

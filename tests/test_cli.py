@@ -95,6 +95,14 @@ def test_export_refuses_a_report_with_missing_decisions(tmp_path, capsys):
     assert "1 decisions for 3 nodes" in capsys.readouterr().err
 
 
+def test_check_refuses_a_bad_eval_cap(tmp_path, capsys, monkeypatch):
+    instance = tmp_path / "p3.json"
+    assert main(["gen", "path", "3", "-o", str(instance)]) == 0
+    monkeypatch.setenv("LOCDEC_MAX_EVALS", "abc")
+    assert main(["check", "3col", str(instance)]) == 2
+    assert "LOCDEC_MAX_EVALS" in capsys.readouterr().err
+
+
 def test_reports_never_use_the_pure_python_encoder(monkeypatch):
     # `json.dumps(..., indent=...)` encodes through `_make_iterencode`;
     # the C encoder never does.
@@ -133,7 +141,8 @@ def test_record_registry_is_what_protocol_domains_decode():
                  "unanimous:spanning-tree+non-spanning-tree", "collapse:qbf"):
         instance = formula if name.endswith("qbf") else plain
         for level in resolve(name).levels:
-            _records_in(level.domain_of(instance).decode(0), found)
+            domain = level.domain_of(instance.n, instance.N)
+            _records_in(domain.decode(0), found)
     assert _RECORDS == {cls.__name__: cls for cls in found}
     assert len(LABEL_RECORDS) == len(_RECORDS) == 16
 

@@ -163,14 +163,14 @@ class TestVerifier:
 class TestDomains:
     def test_claim_domain_round_trip(self):
         inst = inst_of(gen.clique_graph(4), (1, 2, 3, 4), 6, 2)
-        dom = x_claim_domain(inst)
+        dom = x_claim_domain(inst.n, inst.N)
         lbl = _honest_claim(inst, frozenset({1, 2}))[0]
         assert isinstance(lbl, XClaim)
         assert dom.decode(dom.encode(lbl)) == lbl
 
     def test_response_domain_round_trip(self):
         inst = inst_of(gen.clique_graph(4), (1, 2, 3, 4), 6, 2)
-        dom = cycle_response_domain(inst)
+        dom = cycle_response_domain(inst.n, inst.N)
         claim = _honest_claim(inst, frozenset({0, 1}))
         resp = _response(inst, (claim, picks(4, {0, 1})), (0, 1, 2))
         for lbl in resp:

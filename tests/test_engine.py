@@ -39,12 +39,12 @@ class Tri(NamedTuple):
     val: int
 
 
-def bit_domain(instance: Instance) -> LabelDomain:
-    return LabelDomain("bit", 1, instance, (flag_field("bit", 2),), Bit)
+def bit_domain(n: int, N: int) -> LabelDomain:
+    return LabelDomain("bit", 1, n, N, (flag_field("bit", 2),), Bit)
 
 
-def tri_domain(instance: Instance) -> LabelDomain:
-    return LabelDomain("tri", 2, instance, (flag_field("val", 3),), Tri)
+def tri_domain(n: int, N: int) -> LabelDomain:
+    return LabelDomain("tri", 2, n, N, (flag_field("val", 3),), Tri)
 
 
 def _degree_at_most_two(ball_view) -> bool:
@@ -247,7 +247,7 @@ def test_non_spanning_tree_game():
 def test_product_cover_identity_order():
     inst = Instance(path_graph(2), IdAssignment((2, 1), 4),
                     InputAssignment((None, None)))
-    got = list(product_cover(bit_domain(inst)))
+    got = list(product_cover(inst, bit_domain(inst.n, inst.N)))
     # Node 1 holds the smaller identity, so it is the slow axis.
     assert got == [Labelling((Bit(0), Bit(0))), Labelling((Bit(1), Bit(0))),
                    Labelling((Bit(0), Bit(1))), Labelling((Bit(1), Bit(1)))]
@@ -255,15 +255,17 @@ def test_product_cover_identity_order():
 
 def test_product_cover_appends_invalid():
     inst = plain_instance(path_graph(2))
-    got = list(product_cover(tri_domain(inst), include_invalid=True))
+    got = list(product_cover(inst, tri_domain(inst.n, inst.N),
+                             include_invalid=True))
     assert len(got) == 16
     assert got[-1] == Labelling((INVALID, INVALID))
-    assert list(product_cover(tri_domain(inst))) == got[:3] + got[4:7] + got[8:11]
+    assert list(product_cover(inst, tri_domain(inst.n, inst.N))) \
+        == got[:3] + got[4:7] + got[8:11]
 
 
 def test_canonical_and_invalid_labellings():
     inst = plain_instance(path_graph(3))
-    assert canonical_labelling(tree_cert_domain(inst)) == Labelling(
+    assert canonical_labelling(tree_cert_domain(inst.n, inst.N)) == Labelling(
         (TreeCert(1, None, 0),) * 3)
     assert all_invalid_labelling(2) == Labelling((INVALID, INVALID))
 
@@ -335,6 +337,13 @@ def test_eval_cap_env_fallback(monkeypatch):
     with pytest.raises(CapExceeded, match="leaf evaluations exceed the cap 2"):
         game_evaluate(TWOCOL, inst)
     assert game_evaluate(TWOCOL, inst, EvalMode(eval_cap=1000)).verdict is False
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
+def test_eval_cap_env_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("LOCDEC_MAX_EVALS", raw)
+    with pytest.raises(ValueError, match="LOCDEC_MAX_EVALS"):
+        game_evaluate(TWOCOL, plain_instance(cycle_graph(5)))
 
 
 def test_constructive_needs_strategy():

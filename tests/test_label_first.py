@@ -2,17 +2,19 @@
 
 ``first()`` must name the value ``values()`` yields first, without
 enumerating anything: canonical labellings are built from it at every
-size.  Collapse builds the removed level's domain on a stand-in path with
-the certified n and the instance's N, so every level domain must depend on
-(n, N) alone.
+size.  A level's domain is a function of the node count n and the
+identity bound N, so each level builds it once per (n, N) and every game
+of that size shares it.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdec import gen
+from locdec.engine import CONSTRUCTIVE, game_evaluate
 from locdec.formulas import parse_formula
 from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, Ptr
 from locdec.labels import LabelDomain
@@ -30,32 +32,19 @@ PROTOCOLS = (*names(), *TRANSFORMS)
 EAGER_LIMIT = 50_000
 
 
-def level_domains(instance: Instance):
+def level_domains(n: int, N: int):
     for name in PROTOCOLS:
         for i, level in enumerate(resolve(name).levels):
-            yield f"{name}[{i}]", level.domain_of(instance)
+            yield f"{name}[{i}]", level.domain_of(n, N)
 
 
-def path_instance(n: int, N: int) -> Instance:
-    return Instance(Graph(n, frozenset((v, v + 1) for v in range(n - 1))),
-                    IdAssignment(tuple(range(1, n + 1)), N),
-                    InputAssignment((None,) * n))
-
-
-@st.composite
-def small_instances(draw):
-    n = draw(st.integers(1, 3))
-    N = draw(st.integers(5, 9))
-    graph = gen.random_connected_graph(n, draw(st.integers(0, 1000)))
-    ids = draw(st.lists(st.integers(1, N), min_size=n, max_size=n, unique=True))
-    return Instance(graph, IdAssignment(tuple(ids), N),
-                    InputAssignment((None,) * n))
+small_sizes = st.tuples(st.integers(1, 3), st.integers(5, 9))
 
 
 @settings(deadline=None, max_examples=20)
-@given(small_instances())
-def test_first_is_what_values_yields_first(inst):
-    for where, domain in level_domains(inst):
+@given(small_sizes)
+def test_first_is_what_values_yields_first(size):
+    for where, domain in level_domains(*size):
         for f in domain.fields:
             assert f.first == next(iter(f.values())), (where, f.name)
         if sum(f.count for f in domain.fields) <= EAGER_LIMIT:
@@ -69,36 +58,49 @@ def test_canonical_labelling_never_enumerates_values(monkeypatch):
 
     monkeypatch.setattr(LabelDomain, "values", refuse)
     n = 12
-    inst = Instance(gen.random_connected_graph(n, 3),
-                    IdAssignment(tuple(range(1, n + 1)), n * n),
-                    InputAssignment((None,) * n))
     seen = 0
-    for where, domain in level_domains(inst):
+    for where, domain in level_domains(n, n * n):
         labelling = canonical_labelling(domain)
         assert list(labelling) == [domain.first()] * n, where
         seen += 1
     assert seen == sum(len(resolve(name).levels) for name in PROTOCOLS)
 
 
-def _real_instances():
+def _same_size_pairs():
     weighted = Instance(Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}),
                               {(0, 1): 1, (0, 2): 2, (1, 2): 3}),
                         IdAssignment((1, 2, 3), 5),
                         InputAssignment((Ptr(None), Ptr(1), Ptr(2))))
-    plain = Instance(gen.random_connected_graph(4, 7),
-                     IdAssignment((9, 2, 14, 5), 16),
-                     InputAssignment((3, None, 3, 3)))
-    formula = encode_qbf(parse_formula("Ey1 Ay2: (y1 | y2) & (y1 | ~y2)"))
-    return weighted, plain, formula
+    path = Instance(Graph(3, frozenset({(0, 1), (1, 2)}),
+                          {(0, 1): 4, (1, 2): 1}),
+                    IdAssignment((5, 3, 1), 5),
+                    InputAssignment((Ptr(3), Ptr(None), Ptr(3))))
+    formulas = tuple(encode_qbf(parse_formula(text)) for text in (
+        "Ey1 Ay2: (y1 | y2) & (y1 | ~y2)", "Ey1 Ay2: (y1 | ~y2) & (~y1 | y2)"))
+    return (weighted, path), formulas
+
+
+def _counted(level, counts: list, i: int):
+    def domain_of(*args):
+        counts[i] += 1
+        return level.domain_of(*args)
+    return dataclasses.replace(level, domain_of=domain_of)
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
 def test_level_domains_depend_on_n_and_N_only(name):
-    weighted, plain, formula = _real_instances()
-    for inst in ((formula,) if name.endswith("qbf") else (weighted, plain)):
-        stand_in = path_instance(inst.n, inst.N)
-        for i, level in enumerate(resolve(name).levels):
-            real, path = level.domain_of(inst), level.domain_of(stand_in)
-            got = (real.width, real.size, real.has_invalid, real.first())
-            want = (path.width, path.size, path.has_invalid, path.first())
-            assert got == want, (name, i)
+    # Two games on different instances of one (n, N) build each level's
+    # domain once between them.
+    plain, formulas = _same_size_pairs()
+    pair = formulas if name.endswith("qbf") else plain
+    assert len({(inst.n, inst.N) for inst in pair}) == 1
+    protocol = resolve(name)
+    counts = [0] * protocol.level_count
+    counted = dataclasses.replace(protocol, levels=tuple(
+        _counted(lv, counts, i) for i, lv in enumerate(protocol.levels)))
+    for inst in pair:
+        game_evaluate(counted, inst, CONSTRUCTIVE)
+    assert counts == [1] * protocol.level_count, name
+    n, N = pair[0].n, pair[0].N
+    for lv in counted.levels:
+        assert lv.domain_of(n, N) is lv.domain_of(n, N)

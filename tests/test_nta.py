@@ -5,7 +5,8 @@ import pytest
 from locdec import gen
 from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, check_protocol,
                            game_evaluate)
-from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance
+from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance,
+                           id_width)
 from locdec.labels import INVALID, DomainError, Labelling
 from locdec.oracles import has_nontrivial_automorphism
 from locdec.protocols import resolve
@@ -188,7 +189,7 @@ class TestGames:
 class TestDomains:
     def test_image_domain_covers_exactly_the_identifier_space(self):
         inst = inst_of(gen.path_graph(3), (2, 1, 3), 5)
-        dom = node_image_domain(inst)
+        dom = node_image_domain(inst.n, inst.N)
         decoded = [dom.decode(r) for r in range(1 << dom.width)]
         valid = {lbl for lbl in decoded if lbl is not INVALID}
         assert valid == {NodeImage(i) for i in range(1, 6)}
@@ -197,7 +198,7 @@ class TestDomains:
 
     def test_defect_domain_round_trip(self):
         inst = inst_of(gen.path_graph(3), (2, 1, 3), 5)
-        dom = map_defect_domain(inst)
+        dom = map_defect_domain(inst.n, inst.N)
         t = tree(inst, 0)
         lbl = MapDefect(LOST_EDGE, t[0], t[1], t[2], t[0])
         assert dom.decode(dom.encode(lbl)) == lbl
@@ -207,10 +208,10 @@ class TestDomains:
         for graph, ids, N in ((Graph(2, frozenset({(0, 1)})), (1, 2), 3),
                               (ASYMMETRIC_6, (1, 2, 3, 4, 5, 6), 9)):
             inst = inst_of(graph, ids, N)
-            idb = max(1, (inst.N - 1).bit_length())
-            assert map_defect_domain(inst).width <= 14 * idb
+            idb = id_width(inst.N)
+            assert map_defect_domain(inst.n, inst.N).width <= 14 * idb
 
     def test_tiny_identifier_space_is_rejected(self):
         inst = inst_of(Graph(2, frozenset({(0, 1)})), (1, 2), 2)
         with pytest.raises(DomainError):
-            map_defect_domain(inst)
+            map_defect_domain(inst.n, inst.N)

@@ -54,10 +54,10 @@ def pointer_pools(graph, ids):
 
 def _accept_everything():
     def cover(instance, earlier):
-        yield canonical_labelling(unit_domain(instance))
+        yield canonical_labelling(unit_domain(instance.n, instance.N))
 
     def strategy(instance, earlier):
-        return canonical_labelling(unit_domain(instance))
+        return canonical_labelling(unit_domain(instance.n, instance.N))
 
     return Protocol("any", PROVER, (Level(unit_domain, cover, strategy),),
                     LocalVerifier(1, 1, lambda b: True),
@@ -69,7 +69,7 @@ def _accept_nothing():
         return iter(())
 
     def strategy(instance, earlier):
-        return canonical_labelling(unit_domain(instance))
+        return canonical_labelling(unit_domain(instance.n, instance.N))
 
     return Protocol("none", PROVER, (Level(unit_domain, cover, strategy),),
                     LocalVerifier(1, 1, lambda b: False),
@@ -383,7 +383,7 @@ class TestProtocolOptConstruction:
     def test_packed_label_round_trips_through_domain(self):
         inst = triangle_instance((Ptr(None), Ptr(1), Ptr(2)))
         proto = resolve("mst")
-        domain = proto.levels[0].domain_of(inst)
+        domain = proto.levels[0].domain_of(inst.n, inst.N)
         assert domain.width <= domain.c * inst.id_bits
         move = game_evaluate(proto, inst).line[0]
         for lbl in move:
@@ -400,7 +400,7 @@ class TestInputValueField:
         graph = path_graph(n)
         inst = Instance(graph, IdAssignment(tuple(range(1, n + 1)), N),
                         InputAssignment((None,) * n))
-        return input_value_field("x", inst), inst
+        return input_value_field("x", N), inst
 
     def test_round_trips_every_enumerated_value(self):
         spec, inst = self.field()
@@ -424,7 +424,7 @@ class TestInputValueField:
         import collections
         spec, inst = self.field()
         Wrapped = collections.namedtuple("Wrapped", "x")
-        domain = LabelDomain("inp", 6, inst, (spec,), Wrapped)
+        domain = LabelDomain("inp", 6, inst.n, inst.N, (spec,), Wrapped)
         valid = {domain.encode(Wrapped(v)) for v in spec.values()}
         assert len(valid) == spec.count
         for raw in range(1 << spec.width):

@@ -495,25 +495,25 @@ def scheme_factories():
 def test_domain_budgets(n):
     inst = plain_instance(path_graph(n)) if n > 1 else plain_instance(Graph(1, frozenset()))
     for factory, _name in scheme_factories():
-        dom = factory(inst)
+        dom = factory(inst.n, inst.N)
         assert dom.width <= dom.budget
 
 
 def test_built_certs_fit_domains():
     inst = p3_pointer_instance()
     tree = frozenset({(0, 1), (1, 2)})
-    dom = tree_cert_domain(inst)
+    dom = tree_cert_domain(inst.n, inst.N)
     for value in build_spanning_tree_cert(inst, tree, 0):
         bits = dom.encode(value)
         assert dom.decode(bits) == value
-    sdom = size_cert_domain(inst)
+    sdom = size_cert_domain(inst.n, inst.N)
     for value in build_size_cert(inst, tree, 0):
         assert sdom.decode(sdom.encode(value)) == value
 
 
 def test_decode_total_on_small_domain():
     inst = plain_instance(path_graph(2))
-    dom = tree_cert_domain(inst)
+    dom = tree_cert_domain(inst.n, inst.N)
     structured = set(dom.values())
     seen = set()
     from locdec.labels import INVALID
