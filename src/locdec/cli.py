@@ -192,6 +192,8 @@ def _mode_of(args) -> EvalMode:
     base = CONSTRUCTIVE if args.mode == "constructive" else EXHAUSTIVE
     if args.node_cap is None:
         return base
+    if args.node_cap < 1:
+        raise ValueError(f"--node-cap must be a positive integer, got {args.node_cap}")
     return EvalMode(constructive=base.constructive, node_cap=args.node_cap)
 
 

@@ -62,6 +62,14 @@ class EvalMode:
     move_cap: int = 1 << 20
     eval_cap: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        for name in ("node_cap", "move_cap", "eval_cap"):
+            cap = getattr(self, name)
+            if name == "eval_cap" and cap is None:
+                continue
+            if type(cap) is not int or cap < 1:
+                raise ValueError(f"{name} must be a positive integer, got {cap!r}")
+
     def constructive_at(self, level: int) -> bool:
         if isinstance(self.constructive, bool):
             return self.constructive

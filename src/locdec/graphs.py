@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 
 class InstanceError(ValueError):
@@ -277,6 +277,24 @@ class Instance:
         return Instance(self.graph, self.ids, InputAssignment(tuple(values)))
 
 
+class _first_read:
+    """A view attribute computed from the view's own fields on its first
+    read and stored in the view's `__dict__`, where later reads find it
+    before this descriptor.  `functools.cached_property` does the same but,
+    before Python 3.12, takes a lock on each first read, which shows in
+    games that build thousands of small views."""
+
+    def __init__(self, compute: Callable[["BallView"], object]) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, view: Optional["BallView"], owner: type) -> object:
+        if view is None:
+            return self
+        value = view.__dict__[self.name] = self.compute(view)
+        return value
+
+
 @dataclass(frozen=True)
 class BallView:
     """Everything a node sees within a fixed radius.  Self-contained.
@@ -288,32 +306,61 @@ class BallView:
     incident to them.
 
     Views are plain values built by `make_view`, whose cost is the sum of
-    the member degrees.  `adj_in` maps each member to its neighbours
-    inside the ball.  A game's `runtime.ViewStore` keeps a centre's view
-    and serves later leaves `with_layers` copies that share its geometry
-    dicts, so nothing may write into a view.  `node_by_id` inverts
-    `ids_in`; it is built with the geometry, so `node_of` is one lookup.
+    the member degrees.  Every field is built with the view: `adj_in` maps
+    each member to its neighbours inside the ball, and `weights_in` is None
+    unless the instance is weighted.  `edges`, `node_by_id` (the inverse of
+    `ids_in`) and `frontier_set` are not fields.  Each is computed from the
+    fields on its first read and cached in the view; these caches are the
+    only writes a view takes after it is built.  Equality is over the
+    fields, and the three are functions of them.  A view holds no
+    reference to graph-wide data (adjacency, identities, weights), so only
+    what can be derived from in-ball data can be left to a first read.
+
+    A game's `runtime.ViewStore` settles a view when it keeps it and serves
+    later leaves `with_layers` copies that share its geometry dicts and its
+    cached attributes, so nothing else may write into a view.
     """
 
     centre: int
     radius: int
     members: tuple[int, ...]
-    edges: frozenset[Edge]
     adj_in: dict[int, frozenset[int]]
     ids_in: dict[int, int]
-    node_by_id: dict[int, int]
     inputs_in: dict[int, InputValue]
     layers: tuple[dict[int, object], ...]
-    frontier_set: frozenset[int]
     centre_dist: dict[int, int]
     weights_in: Optional[dict[Edge, int]]
     N: int
+
+    @_first_read
+    def edges(self) -> frozenset[Edge]:
+        adj_in = self.adj_in
+        return frozenset([(u, w) for u in self.members for w in adj_in[u] if u < w])
+
+    @_first_read
+    def node_by_id(self) -> dict[int, int]:
+        return {i: u for u, i in self.ids_in.items()}
+
+    @_first_read
+    def frontier_set(self) -> frozenset[int]:
+        radius = self.radius
+        return frozenset([u for u, d in self.centre_dist.items() if d == radius])
+
+    DERIVED = ("edges", "node_by_id", "frontier_set")
+
+    def settle(self) -> "BallView":
+        """Compute every first-read attribute now, so that `with_layers`
+        and `with_inputs` copies share them instead of each building its
+        own."""
+        for name in self.DERIVED:
+            getattr(self, name)
+        return self
 
     def neighbours(self, v: int) -> frozenset[int]:
         return self.adj_in.get(v, frozenset())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and norm_edge(u, v) in self.edges
+        return v in self.adj_in.get(u, ())
 
     def id_of(self, v: int) -> int:
         return self.ids_in[v]
@@ -351,8 +398,9 @@ class BallView:
 
     def with_layers(self, layers: Sequence[dict[int, object]]) -> "BallView":
         """Same view with the labelling layers replaced, sharing every other
-        field.  Runs once per reused view at every leaf, so it copies the
-        field dict instead of going through the frozen constructor."""
+        field and every attribute computed so far.  Runs once per reused
+        view at every leaf, so it copies the field dict instead of going
+        through the frozen constructor."""
         view = object.__new__(BallView)
         view.__dict__.update(self.__dict__, layers=tuple(layers))
         return view
@@ -383,8 +431,6 @@ def make_view(centre: int, radius: int, dist: dict[int, int],
     inside = dist.__contains__
     adj_in = {u: adj[u] if dist[u] < radius else frozenset(filter(inside, adj[u]))
               for u in members}
-    edges = frozenset([(u, w) for u in members for w in adj_in[u] if u < w])
-    ids_in = {u: ids[u] for u in members}
     # Filled like `with_layers` fills its copies: the frozen constructor
     # sets each field through `object.__setattr__`, a noticeable share of
     # the cost of the small views a game builds by the thousand.
@@ -393,15 +439,13 @@ def make_view(centre: int, radius: int, dist: dict[int, int],
         centre=centre,
         radius=radius,
         members=members,
-        edges=edges,
         adj_in=adj_in,
-        ids_in=ids_in,
-        node_by_id={i: u for u, i in ids_in.items()},
+        ids_in={u: ids[u] for u in members},
         inputs_in={u: inputs[u] for u in members},
         layers=tuple({u: layer[u] for u in members} for layer in layers),
-        frontier_set=frozenset([u for u in members if dist[u] == radius]),
         centre_dist=dist,
-        weights_in=None if weights is None else {e: weights[e] for e in edges},
+        weights_in=None if weights is None else {
+            (u, w): weights[u, w] for u in members for w in adj_in[u] if u < w},
         N=N,
     )
     return view

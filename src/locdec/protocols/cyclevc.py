@@ -221,7 +221,8 @@ def protocol_cycle_vc() -> Protocol:
                         return _honest_claim(instance, xset)
             for move in claim_cover(instance, ()):
                 return move
-        return canonical_labelling(x_claim_domain(instance.n, instance.N))
+        return canonical_labelling(
+            protocol.levels[0].domain_of(instance.n, instance.N))
 
     def pick_cover(instance: Instance, earlier) -> Iterable[Labelling]:
         members = sorted(_flagged(earlier[0], XClaim, "member"))
@@ -246,16 +247,17 @@ def protocol_cycle_vc() -> Protocol:
         for move in respond_cover(instance, earlier):
             return move
         return canonical_labelling(
-            cycle_response_domain(instance.n, instance.N))
+            protocol.levels[2].domain_of(instance.n, instance.N))
 
     def in_language(instance: Instance) -> bool:
         k = uniform_threshold(instance)
         return k is not None and oracle_cycle_vc(instance.graph, k)
 
-    return Protocol(
+    protocol = Protocol(
         "cycle-vc", PROVER,
         (Level(x_claim_domain, claim_cover, claim_strategy),
          Level(s_pick_domain, pick_cover, None),
          Level(cycle_response_domain, respond_cover, respond_strategy)),
         LocalVerifier(1, 3, _decide),
         LanguageSpec("cycle-vc", in_language, pattern_tag(PROVER, 3)))
+    return protocol

@@ -31,7 +31,7 @@ from ..labels import (LabelDomain, Labelling, flag_field, id_field, sub_field,
                       tree_cert_domain)
 from ..oracles import has_nontrivial_automorphism, oracle_automorphisms
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
-                        canonical_labelling, certificate_protocol, pattern_tag)
+                        certificate_protocol, pattern_tag)
 from ..runtime import LocalVerifier
 from ..schemes import (READ_TREE_CERT, TreeReader, honest_tree, tree_ok,
                        uniform)
@@ -110,8 +110,9 @@ def verify_map_defect(b: BallView) -> bool:
     return ok
 
 
-def _first_map_defect(instance: Instance) -> Optional[Labelling]:
-    """The lowest-identity defect of the input map, honestly certified."""
+def _first_map_defect(instance: Instance) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The lowest-identity defect of the input map: its flag and the roots
+    of the honest trees that certify it, in part order."""
     n = instance.n
     ids = instance.ids.ids
     phi = instance.inputs.values
@@ -123,16 +124,8 @@ def _first_map_defect(instance: Instance) -> Optional[Labelling]:
             return instance.node_of(img)
         return None
 
-    def packed(flag: int, *roots: int) -> Labelling:
-        trees = [honest_tree(instance, r) for r in roots]
-        if len(trees) < 4:
-            filler = canonical_labelling(tree_cert_domain(n, instance.N))
-            trees += [filler] * (4 - len(trees))
-        return Labelling(MapDefect(flag, *parts)
-                         for parts in zip(*trees))
-
     if tuple(phi) == ids:
-        return packed(IDENTITY_MAP)
+        return IDENTITY_MAP, ()
     for u in order:
         for v in order:
             if ids[u] >= ids[v]:
@@ -141,14 +134,14 @@ def _first_map_defect(instance: Instance) -> Optional[Labelling]:
                 continue
             w = image_node(u)
             if w is not None:
-                return packed(SHARED_IMAGE, u, v, w)
+                return SHARED_IMAGE, (u, v, w)
     for u, v in sorted(((p, q) if ids[p] < ids[q] else (q, p)
                         for p, q in instance.graph.edges),
                        key=lambda e: (ids[e[0]], ids[e[1]])):
         w1, w2 = image_node(u), image_node(v)
         if w1 is not None and w2 is not None \
                 and not instance.graph.has_edge(w1, w2):
-            return packed(LOST_EDGE, u, v, w1, w2)
+            return LOST_EDGE, (u, v, w1, w2)
     for u in order:
         for v in order:
             if ids[u] >= ids[v]:
@@ -158,7 +151,7 @@ def _first_map_defect(instance: Instance) -> Optional[Labelling]:
             w1, w2 = image_node(u), image_node(v)
             if w1 is not None and w2 is not None \
                     and instance.graph.has_edge(w1, w2):
-                return packed(GAINED_EDGE, u, v, w1, w2)
+                return GAINED_EDGE, (u, v, w1, w2)
     return None
 
 
@@ -168,9 +161,23 @@ def map_defect_exists(instance: Instance) -> bool:
 
 
 def protocol_map_defect() -> Protocol:
-    return certificate_protocol("map-defect", map_defect_domain,
-                                _first_map_defect, verify_map_defect,
-                                map_defect_exists, "existential-1")
+    def honest(instance: Instance) -> Optional[Labelling]:
+        """The lowest-identity defect, honestly certified.  Tree parts no
+        root fills carry the first value of the level domain's tree part."""
+        defect = _first_map_defect(instance)
+        if defect is None:
+            return None
+        flag, roots = defect
+        trees = [honest_tree(instance, r) for r in roots]
+        if len(trees) < 4:
+            first = protocol.levels[0].domain_of(instance.n, instance.N).first()
+            trees += [(first.td,) * instance.n] * (4 - len(trees))
+        return Labelling(MapDefect(flag, *parts) for parts in zip(*trees))
+
+    protocol = certificate_protocol("map-defect", map_defect_domain, honest,
+                                    verify_map_defect, map_defect_exists,
+                                    "existential-1")
+    return protocol
 
 
 def protocol_nontrivial_automorphism() -> Protocol:

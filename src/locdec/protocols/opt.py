@@ -153,12 +153,13 @@ def protocol_non_hamiltonian() -> Protocol:
             return build_non_hamiltonian_cert(instance)
         except SchemeError:
             return canonical_labelling(
-                non_ham_cert_domain(instance.n, instance.N))
+                protocol.levels[0].domain_of(instance.n, instance.N))
 
-    return certificate_protocol("non-hamiltonian", non_ham_cert_domain, honest,
-                                verify_non_hamiltonian_cert,
-                                lambda inst: not hamiltonian_inputs(inst),
-                                "dual-1")
+    protocol = certificate_protocol("non-hamiltonian", non_ham_cert_domain,
+                                    honest, verify_non_hamiltonian_cert,
+                                    lambda inst: not hamiltonian_inputs(inst),
+                                    "dual-1")
+    return protocol
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ with no search and no geometry rebuilt.  Keeping only on the second
 request means a game whose centres are each asked once (a one-leaf
 game) keeps nothing, and costs no memory beyond a plain build.
 
+A view computes its edge set, identity inverse and frontier on first
+read (see ``BallView``), so a fresh view costs only what its verifier
+reads.  The store settles a view when it keeps it: it computes all three
+once, and every copy served from the kept view shares them instead of
+computing its own at each leaf.
+
 ``game_evaluate`` shares one store across the leaves of a game.  Its
 final replay of the principal line calls ``evaluate``, which makes a
 fresh store: the replay rebuilds every view from the instance, so it
@@ -70,7 +76,8 @@ class Decision:
 
 class ViewStore:
     """Radius-``radius`` views of ``instance``, geometry kept per centre
-    from its second request on (see the module docstring).
+    from its second request on and settled when kept (see the module
+    docstring).
 
     ``kept`` maps each centre whose view is kept to that view, and
     ``reused`` counts the views served from kept geometry.
@@ -92,7 +99,7 @@ class ViewStore:
                                      for lab in labellings])
         view = ball(self.instance, labellings, v, self.radius)
         if v in self._asked:
-            self.kept[v] = view
+            self.kept[v] = view.settle()
         else:
             self._asked.add(v)
         return view

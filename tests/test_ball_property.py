@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locdec.engine import shrink_ball
-from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, ball
+from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance, ball,
+                           norm_edge)
 
 RADII = range(4)
+# Computed on first read, never by `ball` itself.
+DERIVED = ("edges", "node_by_id", "frontier_set")
 
 
 @st.composite
@@ -66,6 +69,33 @@ def test_ball_matches_brute_force(case):
                 assert view.neighbours(outside[0]) == frozenset()
                 assert view.node_of(inst.id_of(outside[0])) is None
             assert view.node_of(inst.N + 1) is None
+
+
+@settings(deadline=None)
+@given(instances())
+def test_fresh_views_build_no_derived_attribute(case):
+    inst, labellings = case
+    for v in range(inst.n):
+        for t in RADII:
+            view = ball(inst, labellings, v, t)
+            assert not set(DERIVED) & set(vars(view))
+            view.has_edge(v, v)
+            view.neighbours(v)
+            assert not set(DERIVED) & set(vars(view))
+
+
+@settings(deadline=None)
+@given(instances())
+def test_has_edge_matches_brute_force(case):
+    inst, labellings = case
+    for v in range(inst.n):
+        for t in RADII:
+            view = ball(inst, labellings, v, t)
+            ref = _reference(inst, v, t)["edges"]
+            for u in range(inst.n):
+                for w in range(inst.n):
+                    assert view.has_edge(u, w) == (
+                        u != w and norm_edge(u, w) in ref), (u, w)
 
 
 @settings(deadline=None)

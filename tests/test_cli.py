@@ -103,6 +103,17 @@ def test_check_refuses_a_bad_eval_cap(tmp_path, capsys, monkeypatch):
     assert "LOCDEC_MAX_EVALS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["check", "game"])
+def test_run_refuses_a_non_positive_node_cap(tmp_path, capsys, command, cap):
+    instance = tmp_path / "p3.json"
+    assert main(["gen", "path", "3", "-o", str(instance)]) == 0
+    assert main([command, "3col", str(instance), "--node-cap", cap]) == 2
+    err = capsys.readouterr().err
+    assert "--node-cap must be a positive integer" in err
+    assert "instance has" not in err
+
+
 def test_reports_never_use_the_pure_python_encoder(monkeypatch):
     # `json.dumps(..., indent=...)` encodes through `_make_iterencode`;
     # the C encoder never does.

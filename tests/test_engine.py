@@ -346,6 +346,18 @@ def test_eval_cap_env_must_be_a_positive_integer(monkeypatch, raw):
         game_evaluate(TWOCOL, plain_instance(cycle_graph(5)))
 
 
+@pytest.mark.parametrize("cap", ["node_cap", "move_cap", "eval_cap"])
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "3"])
+def test_caps_must_be_positive_integers(cap, bad):
+    with pytest.raises(ValueError, match=f"{cap} must be a positive integer"):
+        EvalMode(**{cap: bad})
+
+
+def test_caps_accept_one_and_eval_cap_none():
+    assert EvalMode(eval_cap=None).eval_cap is None
+    assert EvalMode(node_cap=1, move_cap=1, eval_cap=1).eval_cap == 1
+
+
 def test_constructive_needs_strategy():
     bare = Protocol("bare", PROVER, (Level(bit_domain),),
                     LocalVerifier(1, 1, lambda b: True))

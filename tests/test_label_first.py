@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdec.engine import CONSTRUCTIVE, game_evaluate
+from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
 from locdec.formulas import parse_formula
-from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, Ptr
+from locdec.gen import path_graph
+from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance, Marks,
+                           Ptr)
 from locdec.labels import LabelDomain
 from locdec.protocol import canonical_labelling
 from locdec.protocols import names, resolve
@@ -104,3 +106,42 @@ def test_level_domains_depend_on_n_and_N_only(name):
     n, N = pair[0].n, pair[0].N
     for lv in counted.levels:
         assert lv.domain_of(n, N) is lv.domain_of(n, N)
+
+
+def _fallback_cases():
+    """Games whose moves come from a level's fallback: a map-defect filler
+    tree (nta's identity image), a non-Hamiltonian certificate for a
+    Hamiltonian input (tsp), and cycle-vc's canonical claim (thresholds
+    that differ) and canonical response (a challenge no cycle covers)."""
+    def inst(graph, inputs):
+        return Instance(graph, IdAssignment((1, 2, 3), 9), InputAssignment(inputs))
+
+    triangle = {(0, 1): 1, (0, 2): 2, (1, 2): 3}
+    cycle = (Marks({2, 3}), Marks({1, 3}), Marks({1, 2}))
+    return [
+        pytest.param("nta", inst(path_graph(3), (None,) * 3), EXHAUSTIVE,
+                     id="nta-filler"),
+        pytest.param("tsp", inst(Graph(3, frozenset(triangle), triangle), cycle),
+                     EXHAUSTIVE, id="tsp-hamiltonian"),
+        pytest.param("cycle-vc", inst(path_graph(3), (1, 2, 1)), CONSTRUCTIVE,
+                     id="cycle-vc-claim"),
+        pytest.param("cycle-vc", inst(path_graph(3), (1, 1, 1)), CONSTRUCTIVE,
+                     id="cycle-vc-response"),
+    ]
+
+
+@pytest.mark.parametrize("name, inst, mode", _fallback_cases())
+def test_fallback_moves_read_the_level_domains(name, inst, mode, monkeypatch):
+    # A second game of one size builds no domain at all, fallbacks included.
+    protocol = resolve(name)
+    game_evaluate(protocol, inst, mode)
+    built = []
+    post_init = LabelDomain.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(LabelDomain, "__post_init__", counted)
+    game_evaluate(protocol, inst, mode)
+    assert built == []

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdec import schemes
+from locdec import runtime, schemes
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
 from locdec.formulas import parse_formula
 from locdec.gen import clique_graph, grid_graph, path_graph
-from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance,
-                           Marks, Ptr, ball)
+from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
+                           Instance, Marks, Ptr, ball)
 from locdec.protocols import names, resolve
 from locdec.protocols.qbf import encode_qbf
 from locdec.runtime import LocalVerifier, VerifierError, ViewStore, evaluate_verdict
@@ -160,15 +160,20 @@ def _small_instances(name: str) -> list[Instance]:
             for g in graphs for x in inputs]
 
 
+# Attributes a view computes on first read; they are not fields, so the
+# snapshot names them.  Reading them builds them, which is harmless here.
+DERIVED = ("edges", "node_by_id", "frontier_set")
+
+
 def _snapshot(view) -> list:
     out = []
-    for f in fields(view):
-        value = getattr(view, f.name)
+    for name in (*(f.name for f in fields(view)), *DERIVED):
+        value = getattr(view, name)
         if isinstance(value, dict):
             value = dict(value)
-        elif f.name == "layers":
+        elif name == "layers":
             value = tuple(dict(layer) for layer in value)
-        out.append((f.name, value))
+        out.append((name, value))
     return out
 
 
@@ -204,6 +209,40 @@ def test_nta_exhaustive_counts():
     assert stats.leaf_evaluations == 4_320
     assert stats.node_evaluations == 15_120
     assert stats.views_reused == 15_120 - 2 * inst.n
+
+
+def test_nta_exhaustive_computes_derived_attributes_once_per_ball(monkeypatch):
+    # A kept view is settled, so the copies served from it at every leaf
+    # share its edge set and identity inverse.  Each computation is charged
+    # to the geometry it serves, which copies share with their source: a
+    # view `ball` built and never kept may have one copy compute for it.
+    inst = Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
+                    InputAssignment((None,) * 6))
+    built = []
+    computed = Counter()
+    build = runtime.ball
+
+    def counted_ball(*args):
+        view = build(*args)
+        built.append(view)
+        return view
+
+    monkeypatch.setattr(runtime, "ball", counted_ball)
+    for name in ("edges", "node_by_id"):
+        attr = BallView.__dict__[name]
+
+        def counted(view, compute=attr.compute, name=name):
+            computed[name, id(view.adj_in)] += 1
+            return compute(view)
+
+        monkeypatch.setattr(attr, "compute", counted)
+    stats = game_evaluate(resolve("nta"), inst, EXHAUSTIVE).stats
+    assert stats.views_reused == 15_120 - 2 * inst.n
+    geometries = {id(view.adj_in) for view in built}
+    assert {geometry for _, geometry in computed} <= geometries
+    assert max(computed.values()) == 1
+    # Settling each kept view computes its edge set.
+    assert sum(n for (name, _), n in computed.items() if name == "edges") >= inst.n
 
 
 def test_nta_exhaustive_builds_graph_only_work_once(monkeypatch):
