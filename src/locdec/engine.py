@@ -18,21 +18,21 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import (BallView, IdAssignment, InputAssignment, Instance, Marks,
                      Ptr, make_view)
 from .labels import (INVALID, DomainError, LabelDomain, Labelling,
-                     build_bfs_tree, flag_field, id_field, optional_id_field,
-                     range_field, sub_field, tree_cert_domain)
+                     flag_field, id_field, optional_id_field, range_field,
+                     sub_field, tree_cert_domain)
 from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
                        ProtocolError, all_invalid_labelling,
-                       canonical_labelling, default_cover_size, node_axis,
-                       other_side, pattern_tag, product_cover)
+                       canonical_labelling, node_axis, other_side,
+                       pattern_tag)
 from .runtime import (Decision, LocalVerifier, ViewStore, evaluate,
                       evaluate_verdict)
-from .schemes import (READ_TREE_CERT, honest_tree, subtree_sums, tree_certs,
-                      tree_ok, uniform)
+from .schemes import (READ_TREE_CERT, build_bfs_spanning_tree, build_size_cert,
+                      honest_tree, size_ok, tree_ok, tree_reader, uniform)
 
 DEFAULT_EVAL_CAP = 1 << 24
 EVAL_CAP_ENV = "LOCDEC_MAX_EVALS"
@@ -50,30 +50,30 @@ class StrategyError(RuntimeError):
 class EvalMode:
     """Resource caps and the constructive/exhaustive switch.
 
-    ``constructive`` is False (search every prover level), True (take the
-    strategy move on every prover level), or a frozenset of 1-based level
-    numbers to play constructively.  Disprover levels are always searched
-    exhaustively.  ``eval_cap`` bounds leaf evaluations (complete label
+    ``constructive`` False searches every prover level over its cover;
+    True takes the strategy move on every prover level.  Disprover levels
+    are always searched over their covers.  ``move_cap`` bounds the moves
+    drawn from one level's cover at one position: covers, the default
+    full product among them, are drawn lazily and refused once they yield
+    more.  ``eval_cap`` bounds leaf evaluations (complete label
     assignments tested); None reads LOCDEC_MAX_EVALS, default 2**24.
     """
 
-    constructive: Union[bool, frozenset[int]] = False
+    constructive: bool = False
     node_cap: int = 12
     move_cap: int = 1 << 20
     eval_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if type(self.constructive) is not bool:
+            raise ValueError(
+                f"constructive must be a bool, got {self.constructive!r}")
         for name in ("node_cap", "move_cap", "eval_cap"):
             cap = getattr(self, name)
             if name == "eval_cap" and cap is None:
                 continue
             if type(cap) is not int or cap < 1:
                 raise ValueError(f"{name} must be a positive integer, got {cap!r}")
-
-    def constructive_at(self, level: int) -> bool:
-        if isinstance(self.constructive, bool):
-            return self.constructive
-        return level in self.constructive
 
 
 EXHAUSTIVE = EvalMode()
@@ -144,24 +144,12 @@ def game_evaluate(protocol: Protocol, instance: Instance,
                                 charge=charge, views=views)
 
     def moves(idx: int, earlier: tuple[Labelling, ...]):
-        level = protocol.levels[idx]
-        domain = domains[idx]
-        adversarial = protocol.owner(idx + 1) == DISPROVER
-        if level.cover is None:
-            total = default_cover_size(domain, adversarial)
-            if total > mode.move_cap:
-                raise CapExceeded(
-                    f"{protocol.name}: level {idx + 1} enumerates {total} moves,"
-                    f" cap is {mode.move_cap}")
-            yield from product_cover(instance, domain, adversarial)
-            return
         forfeit = None
-        if adversarial and domain.has_invalid:
+        if protocol.owner(idx + 1) == DISPROVER and domains[idx].has_invalid:
             forfeit = all_invalid_labelling(instance.n)
         seen_forfeit = False
-        count = 0
-        for move in level.cover(instance, earlier):
-            count += 1
+        cover = protocol.levels[idx].cover(instance, earlier)
+        for count, move in enumerate(cover, 1):
             if count > mode.move_cap:
                 raise CapExceeded(
                     f"{protocol.name}: level {idx + 1} cover exceeds the move"
@@ -179,7 +167,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         level = protocol.levels[idx]
         side = protocol.owner(idx + 1)
         domain = domains[idx]
-        if side == PROVER and mode.constructive_at(idx + 1):
+        if side == PROVER and mode.constructive:
             if level.strategy is None:
                 raise ProtocolError(
                     f"{protocol.name}: level {idx + 1} has no strategy for"
@@ -322,13 +310,13 @@ class CollapsedLabel(NamedTuple):
 
 
 def _honest_size_fragment(instance: Instance):
-    """Per-node (sroot, sparent, ssize, nhat) along a BFS tree from the
-    smallest identity."""
-    root = min(range(instance.n), key=instance.id_of)
-    t = build_bfs_tree(instance, root)
-    sizes = subtree_sums(t, [1] * instance.n)
-    return [(c.root, c.parent, size, instance.n)
-            for c, size in zip(tree_certs(instance, t), sizes)]
+    """Per-node (sroot, sparent, ssize, nhat): the size certificate on the
+    BFS tree from the smallest identity, plus the node count."""
+    cert = build_size_cert(instance, *build_bfs_spanning_tree(instance))
+    return [(c.root, c.parent, c.size, instance.n) for c in cert]
+
+
+_READ_SIZE_PROOF = tree_reader(CollapsedLabel, "sroot", "sparent", "ssize")
 
 
 def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
@@ -368,30 +356,15 @@ def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
     @cache
     def final_axis(nhat: int, N: int) -> tuple:
         # The removed level's labels for any nhat-node instance.
-        return node_axis(final_level.domain_of(nhat, N), True)
+        return tuple(node_axis(final_level.domain_of(nhat, N)))
 
     def decide(ball: BallView) -> bool:
         own = ball.own_label(sl)
-        if not isinstance(own, CollapsedLabel):
-            return False
-        neighbour_labels = []
-        for w in ball.neighbours(ball.centre):
-            lbl = ball.label(sl, w)
-            if not isinstance(lbl, CollapsedLabel):
-                return False
-            if lbl.sroot != own.sroot or lbl.nhat != own.nhat:
-                return False
-            neighbour_labels.append(lbl)
-        if own.sparent is None:
-            if ball.own_id != own.sroot or own.ssize != own.nhat:
-                return False
-        else:
-            target = ball.node_of(own.sparent)
-            if target is None or not ball.has_edge(ball.centre, target):
-                return False
-        children = sum(lbl.ssize for lbl in neighbour_labels
-                       if lbl.sparent == ball.own_id)
-        if own.ssize != 1 + children:
+        # Once size_ok holds, every neighbour carries a CollapsedLabel.
+        if not (isinstance(own, CollapsedLabel)
+                and size_ok(ball, sl, _READ_SIZE_PROOF, own.nhat)
+                and all(ball.label(sl, w).nhat == own.nhat
+                        for w in ball.neighbours(ball.centre))):
             return False
         # n is now certified; play the removed level inside the ball.
         axis = final_axis(own.nhat, ball.N)
@@ -406,12 +379,7 @@ def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
 
     def cover(instance: Instance, earlier: tuple[Labelling, ...]):
         fragment = _honest_size_fragment(instance)
-        if base_level.cover is None:
-            base_moves: Iterable[Labelling] = product_cover(
-                instance, base_level.domain_of(instance.n, instance.N))
-        else:
-            base_moves = base_level.cover(instance, earlier)
-        for bm in base_moves:
+        for bm in base_level.cover(instance, earlier):
             yield Labelling(CollapsedLabel(bm[v], *fragment[v])
                             for v in range(instance.n))
 

@@ -129,31 +129,28 @@ def cycle_node_sets(graph: Graph) -> list[frozenset[int]]:
     return sorted(set(frozenset(c) for c in simple_cycles(graph)), key=sorted)
 
 
-def oracle_cycle_vc(graph: Graph, k: int) -> bool:
-    """Is there an X with |X| >= k such that every S inside X lies on a
-    cycle that avoids the rest of X?  The empty S asks for nothing."""
+def cycle_vc_witness(graph: Graph, k: int) -> Optional[frozenset[int]]:
+    """The first X with |X| >= k such that every S inside X lies on a
+    cycle that avoids the rest of X, or None.  Sizes run upwards from k and
+    each size in ``combinations`` order; the empty S asks for nothing, so
+    k = 0 gives the empty set."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return True
     cycles = cycle_node_sets(graph)
-    nodes = range(graph.n)
     for r in range(k, graph.n + 1):
-        for xs in combinations(nodes, r):
+        for xs in combinations(range(graph.n), r):
             xset = frozenset(xs)
-            ok = True
-            for m in range(1, len(xs) + 1):
-                for ss in combinations(xs, m):
-                    sset = frozenset(ss)
-                    rest = xset - sset
-                    if not any(sset <= c and not (rest & c) for c in cycles):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
-    return False
+            if all(any(sset <= c and not (xset - sset) & c for c in cycles)
+                   for m in range(1, r + 1)
+                   for sset in map(frozenset, combinations(xs, m))):
+                return xset
+    return None
+
+
+def oracle_cycle_vc(graph: Graph, k: int) -> bool:
+    """Is there an X with |X| >= k such that every S inside X lies on a
+    cycle that avoids the rest of X?"""
+    return cycle_vc_witness(graph, k) is not None
 
 
 # ---------------------------------------------------------------- set problems

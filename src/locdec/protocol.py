@@ -2,19 +2,23 @@
 
 A protocol fixes k label layers, claimed alternately by two players, and a
 radius-t verifier run at every node once all layers are down.  The prover
-wants every node to accept; the disprover wants one rejection.  Each level
-describes its move space twice: a label domain (what one node may carry)
-and an optional cover (which whole labellings the evaluator tries).  A
-cover must contain a winning move for the level's owner whenever one
-exists, so substituting it for the full product never changes the verdict.
+wants every node to accept; the disprover wants one rejection.  A level's
+move space is the same whoever owns it: every labelling that puts one
+decodable label at each node, that is, a domain value or, when the
+encoding has spare bit patterns, ``INVALID``.  Each level describes that
+space twice: a label domain (what one node may carry) and a cover (which
+whole labellings the evaluator tries).  The cover defaults to the full
+product over the domain; a hand-written cover must contain a winning move
+for the level's owner whenever the product does, so substituting it never
+changes the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Union
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import BallView, Instance
 from .labels import INVALID, LabelDomain, Labelling
@@ -52,8 +56,10 @@ class Level:
     ``domain_of(n, N)`` gives the level's domain for n nodes under identity
     bound N.  The level caches it per (n, N), the one place domains are
     cached, so every game of one size shares one domain object.
-    ``cover`` None means the full product over the domain (plus INVALID per
-    node on disprover levels).  ``strategy`` picks the honest move during
+    ``cover`` left out (None) binds the full product over that cached
+    domain, so a built level always has a cover; the product is drawn
+    lazily, and the engine refuses it only once more than ``move_cap``
+    moves have been drawn.  ``strategy`` picks the honest move during
     constructive play; it is only consulted on prover levels.
     """
 
@@ -62,7 +68,13 @@ class Level:
     strategy: Optional[Strategy] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "domain_of", cache(self.domain_of))
+        domain_of = cache(self.domain_of)
+        object.__setattr__(self, "domain_of", domain_of)
+
+        def full_product(instance: Instance, earlier) -> Iterator[Labelling]:
+            return product_cover(instance, domain_of(instance.n, instance.N))
+
+        object.__setattr__(self, "cover", self.cover or full_product)
 
 
 @dataclass(frozen=True)
@@ -143,29 +155,39 @@ def all_invalid_labelling(n: int) -> Labelling:
     return Labelling((INVALID,) * n)
 
 
-def default_cover_size(domain: LabelDomain, include_invalid: bool) -> int:
-    per_node = domain.size + (1 if include_invalid and domain.has_invalid else 0)
-    return per_node ** domain.n
-
-
-def node_axis(domain: LabelDomain, include_invalid: bool) -> tuple:
+def node_axis(domain: LabelDomain) -> Iterator[object]:
     """One node's labels: the domain in enumeration order, then INVALID
-    when requested and the encoding has spare patterns."""
-    axis = tuple(domain.values())
-    return axis + (INVALID,) if include_invalid and domain.has_invalid else axis
+    when the encoding has spare patterns."""
+    yield from domain.values()
+    if domain.has_invalid:
+        yield INVALID
 
 
-def product_cover(instance: Instance, domain: LabelDomain,
-                  include_invalid: bool = False) -> Iterator[Labelling]:
+def product_cover(instance: Instance, domain: LabelDomain) -> Iterator[Labelling]:
     """Every labelling over the domain, lexicographic in identity order.
 
     The node with the smallest identity is the most significant position,
-    and each node runs through ``node_axis``.
+    and each node runs through ``node_axis``, read at most one label per
+    move drawn, so the move cap also bounds the memory of a huge product.
     """
     order = sorted(range(instance.n), key=instance.id_of)
-    axis = node_axis(domain, include_invalid)
+    labels = node_axis(domain)
+    axis: list[object] = []
     slot: list[object] = [None] * instance.n
-    for combo in product(axis, repeat=instance.n):
-        for pos, value in zip(order, combo):
-            slot[pos] = value
-        yield Labelling(tuple(slot))
+
+    def has(j: int) -> bool:
+        if j == len(axis):
+            axis.extend(islice(labels, 1))
+        return j < len(axis)
+
+    def fill(i: int) -> Iterator[Labelling]:
+        if i == len(order):
+            yield Labelling(tuple(slot))
+            return
+        j = 0
+        while has(j):
+            slot[order[i]] = axis[j]
+            yield from fill(i + 1)
+            j += 1
+
+    return fill(0)

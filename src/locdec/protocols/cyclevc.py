@@ -24,7 +24,7 @@ from ..graphs import BallView, Instance
 from ..labels import (GatherCert, LabelDomain, Labelling, flag_field,
                       gather_cert_domain, optional_range_field, range_field,
                       sub_field)
-from ..oracles import oracle_cycle_vc, simple_cycles
+from ..oracles import cycle_vc_witness, oracle_cycle_vc, simple_cycles
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
                         canonical_labelling, pattern_tag)
 from ..runtime import LocalVerifier
@@ -210,15 +210,9 @@ def protocol_cycle_vc() -> Protocol:
     def claim_strategy(instance: Instance, earlier) -> Labelling:
         k = uniform_threshold(instance)
         if k is not None:
-            cycles = [frozenset(c) for c in simple_cycles(instance.graph)]
-            for r in range(k, instance.n + 1):
-                for xs in combinations(range(instance.n), r):
-                    xset = frozenset(xs)
-                    if all(any(sset <= c and not (xset - sset) & c
-                               for c in cycles)
-                           for m in range(1, r + 1)
-                           for sset in map(frozenset, combinations(xs, m))):
-                        return _honest_claim(instance, xset)
+            xset = cycle_vc_witness(instance.graph, k)
+            if xset is not None:
+                return _honest_claim(instance, xset)
             for move in claim_cover(instance, ()):
                 return move
         return canonical_labelling(

@@ -251,8 +251,6 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
             raise ProtocolError(
                 f"optimality needs single-level prover-first admissibility"
                 f" protocols, {q.name} is {pattern_tag(q.first, q.level_count)}")
-        if q.levels[0].cover is None:
-            raise ProtocolError(f"{q.name} has no move cover to embed")
     propose = candidates if candidates is not None else _default_candidates
     ry = adm_yes.verifier.radius
     rn = adm_no.verifier.radius

@@ -9,9 +9,10 @@ and checks such a tree:
   ``honest_tree`` does both for one root;
 * ``subtree_sums`` folds per-node values up a tree (size and gathering
   certificates);
-* ``tree_ok`` is the one local check of a tree certificate.  It reads the
+* ``tree_ok`` is the one local check of a tree certificate, and
+  ``size_ok`` the one check of a subtree-size certificate.  Both read the
   fields through a ``tree_reader`` built once per label class, lazily, so
-  no projected view is made for it;
+  no projected view is made for them;
 * ``uniform`` checks that a node and its neighbours carry labels of one
   class that agree on a flag.
 
@@ -190,25 +191,43 @@ def build_size_cert(instance: Instance, tree: frozenset[Edge], root: int) -> Lab
                      for c, s in zip(tree_certs(instance, t), size))
 
 
+def size_ok(ball: BallView, layer: int, read: TreeReader, total: int) -> bool:
+    """Subtree-size checks of a size certificate carried in ``layer``.
+
+    ``read`` gives a label's (root, parent, size).  The centre and its
+    neighbours must name the same root; a node without a parent must be
+    that root with size ``total``, and any other node's parent must be a
+    neighbour.  Every node's size is one more than its children's sizes.
+    """
+    labels = ball.layers[layer]
+    own = read(labels[ball.centre])
+    if own is None:
+        return False
+    r, p, size = own
+    children = 0
+    for w in ball.neighbours(ball.centre):
+        other = read(labels[w])
+        if other is None or other[0] != r:
+            return False
+        if other[1] == ball.own_id:
+            children += other[2]
+    if p is None:
+        return ball.own_id == r and size == total == 1 + children
+    target = ball.node_of(p)
+    return (target is not None and ball.has_edge(ball.centre, target)
+            and size == 1 + children)
+
+
+_READ_SIZE = tree_reader(SizeCert, "root", "parent", "size")
+
+
 def verify_size_cert(ball: BallView) -> bool:
-    own = uniform(ball, SizeCert, "root")
     x = ball.own_input
-    if own is None or not isinstance(x, int):
+    if not isinstance(x, int):
         return False
     if any(ball.input_of(w) != x for w in ball.neighbours(ball.centre)):
         return False
-    if own.parent is None:
-        if ball.own_id != own.root or own.size != x:
-            return False
-    else:
-        target = ball.node_of(own.parent)
-        if target is None or not ball.has_edge(ball.centre, target):
-            return False
-    total = 1
-    for w in ball.neighbours(ball.centre):
-        if ball.label(0, w).parent == ball.own_id:
-            total += ball.label(0, w).size
-    return own.size == total
+    return size_ok(ball, 0, _READ_SIZE, x)
 
 
 # ---------------------------------------------------------------------------

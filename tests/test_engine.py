@@ -255,12 +255,25 @@ def test_product_cover_identity_order():
 
 def test_product_cover_appends_invalid():
     inst = plain_instance(path_graph(2))
-    got = list(product_cover(inst, tri_domain(inst.n, inst.N),
-                             include_invalid=True))
+    got = list(product_cover(inst, tri_domain(inst.n, inst.N)))
+    # Three values, then INVALID for the spare pattern, at each node.
     assert len(got) == 16
+    assert got[:4] == [Labelling((Tri(0), x))
+                       for x in (Tri(0), Tri(1), Tri(2), INVALID)]
     assert got[-1] == Labelling((INVALID, INVALID))
-    assert list(product_cover(inst, tri_domain(inst.n, inst.N))) \
-        == got[:3] + got[4:7] + got[8:11]
+    # A gap-free encoding has no INVALID to add.
+    assert len(list(product_cover(inst, bit_domain(inst.n, inst.N)))) == 4
+
+
+def test_level_without_cover_gets_the_product():
+    level = Level(tree_cert_domain)
+    assert level.cover is not None
+    inst = plain_instance(path_graph(2))
+    moves = list(level.cover(inst, ()))
+    axis = tree_cert_domain(inst.n, inst.N).size + 1
+    assert len(moves) == axis ** 2
+    assert moves[-1] == Labelling((INVALID, INVALID))
+    assert any(INVALID in move for move in moves)
 
 
 def test_canonical_and_invalid_labellings():
@@ -308,9 +321,39 @@ def test_node_cap():
 
 
 def test_move_cap_refuses_large_default_cover():
-    with pytest.raises(CapExceeded, match="enumerates 16 moves"):
-        game_evaluate(TWOCOL, plain_instance(cycle_graph(4)),
+    # C4 is two-coloured by the sixth product move, inside the cap.
+    out = game_evaluate(TWOCOL, plain_instance(cycle_graph(4)),
+                        EvalMode(move_cap=10))
+    assert out.verdict is True
+    # C5 has no winning move, so all 32 would be drawn.
+    with pytest.raises(CapExceeded, match="exceeds the move cap"):
+        game_evaluate(TWOCOL, plain_instance(cycle_graph(5)),
                       EvalMode(move_cap=10))
+
+
+class Wide:
+    """Stand-in domain with 10,000 values; counts the values read."""
+
+    has_invalid = False
+
+    def __init__(self, n: int, N: int) -> None:
+        self.reads = 0
+
+    def values(self):
+        for i in range(10_000):
+            self.reads += 1
+            yield Bit(i)
+
+
+def test_move_cap_bounds_the_product_axis_read():
+    level = Level(Wide)
+    never = Protocol("never", PROVER, (level,),
+                     LocalVerifier(1, 1, lambda b: False))
+    inst = plain_instance(path_graph(2))
+    with pytest.raises(CapExceeded, match="exceeds the move cap 50"):
+        game_evaluate(never, inst, EvalMode(move_cap=50))
+    # One label per drawn move at most: the axis is never listed whole.
+    assert level.domain_of(inst.n, inst.N).reads <= 51
 
 
 def test_move_cap_counts_custom_cover():
@@ -351,6 +394,12 @@ def test_eval_cap_env_must_be_a_positive_integer(monkeypatch, raw):
 def test_caps_must_be_positive_integers(cap, bad):
     with pytest.raises(ValueError, match=f"{cap} must be a positive integer"):
         EvalMode(**{cap: bad})
+
+
+@pytest.mark.parametrize("bad", [frozenset({1}), 1, None, "yes"])
+def test_constructive_must_be_a_bool(bad):
+    with pytest.raises(ValueError, match="constructive must be a bool"):
+        EvalMode(constructive=bad)
 
 
 def test_caps_accept_one_and_eval_cap_none():

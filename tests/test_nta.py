@@ -3,7 +3,7 @@
 import pytest
 
 from locdec import gen
-from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, check_protocol,
+from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, check_protocol,
                            game_evaluate)
 from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance,
                            id_width)
@@ -20,7 +20,9 @@ from locdec.schemes import honest_tree
 ASYMMETRIC_6 = Graph(6, frozenset({(0, 1), (0, 2), (0, 3),
                                    (1, 2), (1, 4), (3, 5)}))
 
-MIXED = EvalMode(constructive=frozenset({1, 3}))
+# nta's prover levels are 1 and 3: every one is played from its strategy,
+# while the disprover's level 2 is searched.
+MIXED = CONSTRUCTIVE
 
 
 def inst_of(graph, ids, N, inputs=None):
