@@ -457,8 +457,10 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
 
     A breadth-first search over the graph's adjacency lists finds the
     members, so the cost is the sum of their degrees, not the graph's
-    size.  Each call builds a new view; `runtime.ViewStore` calls it to
-    build views and reuses a centre's geometry across a game's leaves.
+    size.  Each call builds a new view.  Two callers reuse the geometry of
+    the views they build: `runtime.ViewStore` across a game's leaves, and
+    `protocols.opt` across the substitute inputs of one (graph,
+    identities) pair, whose views differ only in their inputs.
     """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")

@@ -55,7 +55,9 @@ class Level:
 
     ``domain_of(n, N)`` gives the level's domain for n nodes under identity
     bound N.  The level caches it per (n, N), the one place domains are
-    cached, so every game of one size shares one domain object.
+    cached, so every game of one size shares one domain object.  A factory
+    taken from another built level already has that cache and is kept as
+    it is, so transforms stacked on one level still read one cache.
     ``cover`` left out (None) binds the full product over that cached
     domain, so a built level always has a cover; the product is drawn
     lazily, and the engine refuses it only once more than ``move_cap``
@@ -68,8 +70,10 @@ class Level:
     strategy: Optional[Strategy] = None
 
     def __post_init__(self) -> None:
-        domain_of = cache(self.domain_of)
-        object.__setattr__(self, "domain_of", domain_of)
+        domain_of = self.domain_of
+        if not hasattr(domain_of, "cache_info"):
+            domain_of = cache(domain_of)
+            object.__setattr__(self, "domain_of", domain_of)
 
         def full_product(instance: Instance, earlier) -> Iterator[Labelling]:
             return product_cover(instance, domain_of(instance.n, instance.N))

@@ -239,6 +239,16 @@ def build_gathering_cert(instance: Instance, tree: frozenset[Edge], root: int,
     """Sums of ``values`` over the subtrees of ``tree``, rooted at ``root``."""
     if not oracle_spanning_tree(instance.graph, tree):
         raise SchemeError("edge set is not a spanning tree")
+    t = build_bfs_tree(instance, root, tree)
+    return fold_gathering_cert(instance, t, tree_certs(instance, t), values)
+
+
+def fold_gathering_cert(instance: Instance, tree: BFSTree,
+                        certs: Sequence[TreeCert],
+                        values: Sequence[int]) -> Labelling:
+    """Sums of ``values`` over the subtrees of a tree already built, whose
+    ``tree_certs`` are ``certs``: many value vectors on one tree build it
+    once.  Each value and the total must lie in [0, 2·N·n]."""
     values = tuple(values)
     if len(values) != instance.n:
         raise SchemeError("one value per node required")
@@ -248,10 +258,8 @@ def build_gathering_cert(instance: Instance, tree: frozenset[Edge], root: int,
             raise SchemeError(f"value {val!r} at node {v} outside [0, {cap}]")
     if sum(values) > cap:
         raise SchemeError(f"aggregate {sum(values)} exceeds the certifiable cap {cap}")
-    t = build_bfs_tree(instance, root, tree)
-    agg = subtree_sums(t, values)
-    return Labelling(GatherCert(*c, a)
-                     for c, a in zip(tree_certs(instance, t), agg))
+    agg = subtree_sums(tree, values)
+    return Labelling(GatherCert(*c, a) for c, a in zip(certs, agg))
 
 
 _READ_GATHER = tree_reader(GatherCert)

@@ -3,15 +3,18 @@
 Honest trees pass ``tree_ok`` at every node for every root, the trees
 ``honest_tree`` keeps equal freshly built ones, ``subtree_sums`` matches a
 brute-force sum, and a tree certificate that every node accepts describes a
-real rooted tree.
+real rooted tree.  The radius-1 views ``opt`` keeps for substitute inputs
+equal freshly built ones too.
 """
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, ball
+from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
+                           Instance, ball)
 from locdec.labels import Labelling, TreeCert, build_bfs_tree
+from locdec.protocols.opt import _node_view
 from locdec.schemes import (READ_TREE_CERT, honest_tree, subtree_sums,
                             tree_certs, tree_ok)
 
@@ -73,6 +76,45 @@ def test_kept_honest_trees_equal_fresh_ones(requests):
     for inst, root in requests:
         fresh = Labelling(tree_certs(inst, build_bfs_tree(inst, root)))
         assert honest_tree(inst, root) == fresh
+
+
+def _weighted(draw, graph: Graph, N: int) -> Graph:
+    return Graph(graph.n, graph.edges,
+                 {e: draw(st.integers(0, N)) for e in graph.edges})
+
+
+@st.composite
+def view_requests(draw):
+    """Instances on n nodes and a sequence of (instance, centre) requests.
+
+    The instances share one graph (weighted or not) under two identity
+    assignments and the first one's identities under a larger N, or use a
+    second graph; each request draws fresh inputs."""
+    n = draw(st.integers(1, 6))
+    ids, other_ids = _ids(draw, n), _ids(draw, n)
+    graph, other_graph = _graph(draw, n), _graph(draw, n)
+    if draw(st.booleans()):
+        graph = _weighted(draw, graph, ids.N)
+    pairs = [(graph, ids), (graph, other_ids),
+             (graph, IdAssignment(ids.ids, ids.N + 1)), (other_graph, ids)]
+    requests = []
+    for _ in range(draw(st.integers(1, 12))):
+        g, a = draw(st.sampled_from(pairs))
+        inputs = draw(st.lists(st.none() | st.integers(0, a.N),
+                               min_size=n, max_size=n))
+        inst = Instance(g, a, InputAssignment(tuple(inputs)))
+        requests.append((inst, draw(st.integers(0, n - 1))))
+    return requests
+
+
+@settings(deadline=None)
+@given(view_requests())
+def test_opt_node_views_equal_fresh_balls(requests):
+    for inst, v in requests:
+        view, fresh = _node_view(inst, v), ball(inst, (), v, 1)
+        assert view == fresh
+        for name in BallView.DERIVED:
+            assert getattr(view, name) == getattr(fresh, name), name
 
 
 @settings(deadline=None)

@@ -108,6 +108,17 @@ def test_level_domains_depend_on_n_and_N_only(name):
         assert lv.domain_of(n, N) is lv.domain_of(n, N)
 
 
+@pytest.mark.parametrize("name", (*PROTOCOLS, "lift:lift:spanning-tree"))
+def test_every_level_reads_its_domain_through_one_cache(name):
+    # A transform that reuses a built level's factory keeps its cache
+    # instead of wrapping it in another one.
+    for level in resolve(name).levels:
+        factory, depth = level.domain_of, 0
+        while hasattr(factory, "__wrapped__"):
+            factory, depth = factory.__wrapped__, depth + 1
+        assert depth == 1, name
+
+
 def _fallback_cases():
     """Games whose moves come from a level's fallback: a map-defect filler
     tree (nta's identity image), a non-Hamiltonian certificate for a

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from locdec import runtime, schemes
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
 from locdec.formulas import parse_formula
-from locdec.gen import clique_graph, grid_graph, path_graph
+from locdec.gen import clique_graph, cycle_graph, grid_graph, path_graph
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
                            Instance, Marks, Ptr, ball)
-from locdec.protocols import names, resolve
+from locdec.protocols import names, opt, resolve
 from locdec.protocols.qbf import encode_qbf
 from locdec.runtime import LocalVerifier, VerifierError, ViewStore, evaluate_verdict
 
@@ -268,6 +268,27 @@ def test_nta_exhaustive_builds_graph_only_work_once(monkeypatch):
     assert stats.leaf_evaluations == 4_320
     assert calls["tree"] <= inst.n
     assert calls["instance"] <= 720 + 8
+
+
+def test_opt_candidates_share_one_view_per_node(monkeypatch):
+    # The 16 substitute inputs of a 4-node maxcut instance differ from it
+    # only in inputs, so the cover, the language oracle and every
+    # candidate's objective read views built once per node.
+    inst = Instance(cycle_graph(4), IdAssignment((3, 1, 4, 2), 16),
+                    InputAssignment((1, 1, 0, 0)))
+    built = []
+    build = opt.ball
+
+    def counted_ball(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(opt, "ball", counted_ball)
+    monkeypatch.setattr(opt, "_view_memo", (None, None, []))
+    protocol = resolve("maxcut")
+    verdict = game_evaluate(protocol, inst, EXHAUSTIVE).verdict
+    assert verdict is protocol.language.oracle(inst) is True
+    assert len(built) <= inst.n
 
 
 def test_one_leaf_game_reuses_no_view():
