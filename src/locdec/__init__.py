@@ -5,4 +5,4 @@ transforms that move protocols between levels.
 """
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -6,13 +6,15 @@ collapsed or combined protocol name), ``gen`` (instance files for stock
 graph families and encoded formulas) and ``export`` (DOT text).
 
 Reports go to stdout as JSON; diagnostics go to stderr.  A run report
-puts each top-level key on its own line and each witness label on its
-own line inside its layer's list; every value is compact JSON with the
-default ``", "`` and ``": "`` separators.  The layout keeps every value
-in ``json``'s C encoder (``indent`` would switch to the pure-Python one)
-and is not pinned: readers should parse it as JSON.  Exit status is
-0 for an in-language verdict, 1 for out-of-language, 2 for any error.
-The ``LOCDEC_MAX_EVALS`` environment variable caps leaf enumeration.
+gives the identity bound ``N``, each level's domain ``width`` and bit
+``budget`` c * ceil(log2 N) (``bits``: the certificate size), and each
+witness label as its bit pattern under ``level.domain_of(n, N)``, or
+``null`` for ``INVALID``.  Each top-level key and each witness label sits
+on its own line, as compact JSON kept in ``json``'s C encoder (``indent``
+would switch to the pure-Python one); the layout is not pinned, so parse
+it as JSON.  Exit status is 0 for an in-language verdict, 1 for
+out-of-language, 2 for any error.  The ``LOCDEC_MAX_EVALS`` environment
+variable caps leaf enumeration.
 """
 
 from __future__ import annotations
@@ -22,21 +24,17 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__, gen
 from .engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, GameOutcome,
                      game_evaluate, identity_variants)
 from .formulas import parse_formula
-from .graphs import (Cls, IdAssignment, InputAssignment, Instance,
-                     InstanceError, Lit, Marks, Ptr, emit_instance,
-                     input_from_json, input_to_json, instance_digest,
-                     parse_instance)
-from .engine import CollapsedLabel, CombinedLabel
-from .labels import (INVALID, GatherCert, HamCert, Labelling, NonHamCert,
-                     NSTCert, SizeCert, TreeCert)
+from .graphs import (Cls, IdAssignment, InputAssignment, Instance, Lit, Marks,
+                     Ptr, emit_instance, instance_digest, parse_instance)
+from .labels import INVALID
 from .protocol import Protocol, pattern_tag
-from .protocols import cyclevc, nta, opt, qbf, resolve
+from .protocols import qbf, resolve
 
 
 class ReportError(ValueError):
@@ -44,73 +42,26 @@ class ReportError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# label serialization: every label value renders as a tagged record
-
-
-# Every label record class a protocol domain can decode, by class name.
-LABEL_RECORDS: tuple[type, ...] = (
-    TreeCert, SizeCert, GatherCert, HamCert, NSTCert, NonHamCert,
-    CollapsedLabel, CombinedLabel,
-    opt.OptLabel, opt.UnitVal, nta.MapDefect, nta.NodeImage, qbf.TruthLabel,
-    cyclevc.XClaim, cyclevc.SPick, cyclevc.CycleResponse)
-_RECORDS = {cls.__name__: cls for cls in LABEL_RECORDS}
-
-
-def _value_to_json(x):
-    if x is INVALID:
-        return {"k": "invalid"}
-    if x is None or isinstance(x, (int, str)):
-        return x
-    if isinstance(x, tuple) and hasattr(x, "_fields"):
-        if type(x).__name__ not in _RECORDS:
-            raise ReportError(f"unregistered label class {type(x).__name__}")
-        return {"k": type(x).__name__, "f": [_value_to_json(f) for f in x]}
-    if isinstance(x, tuple):
-        return {"k": "tuple", "f": [_value_to_json(f) for f in x]}
-    if isinstance(x, (Ptr, Marks, Lit, Cls)):
-        return {"k": "input", "v": input_to_json(x)}
-    raise ReportError(f"unserializable label value {x!r}")
-
-
-def _value_from_json(obj):
-    if isinstance(obj, bool):
-        # `_value_to_json` writes none, and no domain decodes one.
-        raise ReportError(f"label value {obj!r} is a JSON boolean")
-    if obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, dict) and "k" in obj:
-        kind = obj["k"]
-        if kind == "invalid":
-            return INVALID
-        if kind == "input":
-            try:
-                return input_from_json(obj["v"])
-            except InstanceError as exc:
-                raise ReportError(f"malformed input record: {exc}") from exc
-        fields = [_value_from_json(f) for f in obj.get("f", ())]
-        if kind == "tuple":
-            return tuple(fields)
-        cls = _RECORDS.get(kind)
-        if cls is None:
-            raise ReportError(f"unknown label record {kind!r}")
-        try:
-            return cls(*fields)
-        except TypeError as exc:
-            raise ReportError(f"malformed {kind} record: {exc}") from exc
-    raise ReportError(f"malformed label value {obj!r}")
-
-
-# ---------------------------------------------------------------------------
 # run reports
+
+
+class LevelBits(NamedTuple):
+    """One level's certificate size: its domain's width and bit budget."""
+
+    width: int
+    budget: int
 
 
 @dataclass(frozen=True)
 class RunReport:
     protocol: str
     digest: str
+    N: int
     verdict: bool
     decisions: tuple[bool, ...]
-    witness: tuple[Labelling, ...]
+    bits: tuple[LevelBits, ...]
+    # One row per level: each node's bit pattern, None for INVALID.
+    witness: tuple[tuple[Optional[int], ...], ...]
     stats: dict
     version: str
 
@@ -123,12 +74,18 @@ def build_report(protocol: Protocol, instance: Instance,
              "views_reused": outcome.stats.views_reused}
     if extra:
         stats.update(extra)
+    domains = [level.domain_of(instance.n, instance.N)
+               for level in protocol.levels]
     return RunReport(
         protocol=protocol.name,
         digest=instance_digest(instance),
+        N=instance.N,
         verdict=outcome.verdict,
         decisions=tuple(outcome.leaf.at(v) for v in range(instance.n)),
-        witness=outcome.line,
+        bits=tuple(LevelBits(d.width, d.budget) for d in domains),
+        witness=tuple(tuple(None if x is INVALID else d.encode(x)
+                            for x in layer)
+                      for d, layer in zip(domains, outcome.line)),
         stats=stats,
         version=__version__,
     )
@@ -141,14 +98,17 @@ def _rows(rows: list[str], pad: str) -> str:
 
 def emit_report(report: RunReport) -> str:
     dumps = json.dumps
-    witness = _rows(["    " + _rows(["      " + dumps(_value_to_json(x))
+    # A row holds ints and None only, and str(int) is the int's JSON text.
+    witness = _rows(["    " + _rows(["      " + ("null" if x is None else str(x))
                                      for x in layer], "    ")
                      for layer in report.witness], "  ")
     return ("{\n"
             f'  "protocol": {dumps(report.protocol)},\n'
             f'  "instance": {dumps(report.digest)},\n'
+            f'  "N": {dumps(report.N)},\n'
             f'  "verdict": {dumps(report.verdict)},\n'
             f'  "decisions": {dumps(list(report.decisions))},\n'
+            f'  "bits": {dumps([b._asdict() for b in report.bits])},\n'
             f'  "witness": {witness},\n'
             f'  "stats": {dumps(report.stats)},\n'
             f'  "version": {dumps(report.version)}\n'
@@ -161,7 +121,26 @@ def _boolean(value, field: str) -> bool:
     return value
 
 
+def _natural(value, field: str) -> int:
+    # `type` rather than `isinstance`: JSON booleans parse to bool, an int.
+    if type(value) is not int or value < 0:
+        raise ReportError(f"{field} {value!r} is not a non-negative JSON integer")
+    return value
+
+
+def _row(row, width: int, n: int, level: int) -> tuple[Optional[int], ...]:
+    if not isinstance(row, list) or len(row) != n:
+        raise ReportError(f"witness layer {level} is not a row of {n} labels")
+    for x in row:
+        # bit_length, not 1 << width: the width is read from the report.
+        if x is not None and _natural(x, "label").bit_length() > width:
+            raise ReportError(
+                f"witness layer {level}: {x} is not a {width}-bit pattern")
+    return tuple(row)
+
+
 def parse_report(text: str) -> RunReport:
+    """The report in ``text``, checked for shape; labels stay bit patterns."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -170,13 +149,21 @@ def parse_report(text: str) -> RunReport:
         decisions = doc["decisions"]
         if not isinstance(decisions, list):
             raise ReportError(f"decisions {decisions!r} is not a list")
+        bits = tuple(LevelBits(_natural(b["width"], "width"),
+                               _natural(b["budget"], "budget"))
+                     for b in doc["bits"])
+        witness = doc["witness"]
+        if not isinstance(witness, list) or len(witness) != len(bits):
+            raise ReportError(f"witness is not a list of {len(bits)} layers")
         return RunReport(
             protocol=doc["protocol"],
             digest=doc["instance"],
+            N=_natural(doc["N"], "N"),
             verdict=_boolean(doc["verdict"], "verdict"),
             decisions=tuple(_boolean(d, "decision") for d in decisions),
-            witness=tuple(Labelling(_value_from_json(x) for x in layer)
-                          for layer in doc["witness"]),
+            bits=bits,
+            witness=tuple(_row(row, b.width, len(decisions), level)
+                          for level, (b, row) in enumerate(zip(bits, witness), 1)),
             stats=dict(doc["stats"]),
             version=doc["version"],
         )

@@ -125,11 +125,8 @@ class FieldSpec:
     values: Callable[[], Iterator[object]]
     # The value ``values()`` yields first, known without enumerating.
     first: object
-
-    @property
-    def exact(self) -> bool:
-        # Every bit pattern of this field decodes to a structured value.
-        return self.count == 1 << self.width
+    # One raw value that ``decode`` maps to a bad pattern, or None.
+    spare: Optional[int] = None
 
 
 def range_field(name: str, lo: int, hi: int, width: Optional[int] = None) -> FieldSpec:
@@ -150,8 +147,10 @@ def range_field(name: str, lo: int, hi: int, width: Optional[int] = None) -> Fie
     def dec(raw: int) -> object:
         return lo + raw if raw <= hi - lo else _BAD
 
-    return FieldSpec(name, width, hi - lo + 1, enc, dec,
-                     lambda: iter(range(lo, hi + 1)), lo)
+    count = hi - lo + 1
+    return FieldSpec(name, width, count, enc, dec,
+                     lambda: iter(range(lo, hi + 1)), lo,
+                     count if count < 1 << width else None)
 
 
 def id_field(name: str, N: int) -> FieldSpec:
@@ -189,7 +188,9 @@ def optional_range_field(name: str, lo: int, hi: int) -> FieldSpec:
         yield None
         yield from range(lo, hi + 1)
 
-    return FieldSpec(name, base + 1, hi - lo + 2, enc, dec, vals, None)
+    # With a payload, presence flag 0 over a non-zero payload is bad.
+    return FieldSpec(name, base + 1, hi - lo + 2, enc, dec, vals, None,
+                     1 if base else None)
 
 
 def input_value_field(name: str, N: int) -> FieldSpec:
@@ -260,16 +261,20 @@ def input_value_field(name: str, N: int) -> FieldSpec:
 
     count = (1 + (hi_int + 1) + (N + 1)
              + 1 + N + N * (N - 1) // 2)
-    return FieldSpec(name, 2 + payload, count, enc, dec, vals, None)
+    return FieldSpec(name, 2 + payload, count, enc, dec, vals, None, 1)
 
 
 def sub_field(name: str, domain: "LabelDomain") -> FieldSpec:
-    """Embeds another domain as one component; bad patterns carry INVALID."""
+    """Embeds another domain as one component; bad patterns carry INVALID,
+    which encodes as the domain's ``spare`` pattern."""
 
     def enc(v: object) -> int:
-        if v is INVALID:
-            raise DomainError(f"field {name}: INVALID has no canonical encoding")
-        return domain.encode(v)
+        if v is not INVALID:
+            return domain.encode(v)
+        if domain.spare is None:
+            raise DomainError(
+                f"field {name}: domain {domain.name} has no pattern for INVALID")
+        return domain.spare
 
     def vals() -> Iterator[object]:
         yield from domain.values()
@@ -318,6 +323,16 @@ class LabelDomain:
         for f in self.fields:
             total *= f.count
         return total
+
+    @cached_property
+    def spare(self) -> Optional[int]:
+        # The pattern for INVALID: the first spare raw value, other fields 0.
+        shift = self.width
+        for f in self.fields:
+            shift -= f.width
+            if f.spare is not None:
+                return f.spare << shift
+        return None
 
     @property
     def has_invalid(self) -> bool:

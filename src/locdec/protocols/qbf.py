@@ -71,12 +71,6 @@ class _FormulaView(NamedTuple):
     clause_nodes: tuple[int, ...]
     depth: int
 
-    def pair_of(self, v: int) -> tuple[int, int, int]:
-        for p in self.pairs:
-            if v in p[:2]:
-                return p
-        raise FormulaError(f"node {v} is not a literal")
-
 
 def _formula_view(instance: Instance) -> _FormulaView:
     lits, clause_nodes = {}, []

@@ -5,15 +5,26 @@ import json.encoder
 
 import pytest
 
-from locdec.cli import (LABEL_RECORDS, _RECORDS, ReportError, build_report,
-                        emit_report, main, parse_report)
+import locdec.cli
+import locdec.protocols
+from locdec.cli import ReportError, build_report, emit_report, main, parse_report
 from locdec.engine import EvalMode, game_evaluate
-from locdec.formulas import parse_formula
-from locdec.gen import grid_graph
+from locdec.gen import grid_graph, path_graph
 from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance, Ptr,
                            instance_digest)
-from locdec.protocols import names, resolve
-from locdec.protocols.qbf import encode_qbf
+from locdec.labels import INVALID
+from locdec.protocols import resolve
+
+
+def _decoded(report):
+    """The report's rows decoded by its protocol's level domains."""
+    n = len(report.decisions)
+    levels = resolve(report.protocol).levels
+    assert len(levels) == len(report.witness)
+    return tuple(
+        tuple(INVALID if bits is None
+              else level.domain_of(n, report.N).decode(bits) for bits in row)
+        for level, row in zip(levels, report.witness))
 
 
 def _mst_report():
@@ -26,31 +37,71 @@ def _mst_report():
     protocol = resolve("mst")
     outcome = game_evaluate(protocol, inst)
     assert any(isinstance(lbl.xprime, Ptr) for lbl in outcome.line[0])
-    return build_report(protocol, inst, outcome)
+    return build_report(protocol, inst, outcome), outcome
 
 
 def test_mst_report_round_trips_input_valued_labels():
-    report = _mst_report()
-    text = emit_report(report)
-    assert '"k": "input"' in text
-    assert parse_report(text) == report
+    report, outcome = _mst_report()
+    parsed = parse_report(emit_report(report))
+    assert parsed == report and parsed.N == 5
+    assert all(type(bits) is int for bits in parsed.witness[0])
+    assert _decoded(parsed) == tuple(tuple(layer) for layer in outcome.line)
+
+
+@pytest.mark.parametrize("name, n", [
+    ("nta", 2),  # the disprover forfeits level 2: top-level INVALID
+    ("unanimous:spanning-tree+non-spanning-tree", 3),  # nested INVALID
+])
+def test_invalid_labels_round_trip(name, n):
+    graph = path_graph(n)
+    inst = Instance(graph, IdAssignment.default(n), InputAssignment((None,) * n))
+    protocol = resolve(name)
+    outcome = game_evaluate(protocol, inst)
+    report = parse_report(emit_report(build_report(protocol, inst, outcome)))
+    line = tuple(tuple(layer) for layer in outcome.line)
+    assert _decoded(report) == line
+    if name == "nta":
+        assert report.witness[1] == (None,) * n
+    else:
+        assert all(lbl.no is INVALID for lbl in line[0])
 
 
 def test_report_stats_round_trip_keeps_views_reused():
-    report = _mst_report()
+    report, _ = _mst_report()
     assert set(report.stats) == {"leaf_evaluations", "node_evaluations",
                                  "views_reused"}
     assert parse_report(emit_report(report)).stats == report.stats
 
 
-def test_malformed_input_value_in_report_is_rejected():
-    text = emit_report(_mst_report()).replace('"kind": "ptr"', '"kind": "bogus"', 1)
-    with pytest.raises(ReportError, match="malformed input record"):
-        parse_report(text)
+@pytest.mark.parametrize("change", ["too-wide", "negative", "short-row",
+                                    "extra-layer", "no-bits", "bits-boolean"])
+def test_malformed_rows_are_rejected(change):
+    doc = json.loads(emit_report(_mst_report()[0]))
+    width = doc["bits"][0]["width"]
+    if change == "too-wide":
+        doc["witness"][0][0] = 2 ** width
+    elif change == "negative":
+        doc["witness"][0][0] = -1
+    elif change == "short-row":
+        doc["witness"][0].pop()
+    elif change == "extra-layer":
+        doc["witness"].append(doc["witness"][0])
+    elif change == "no-bits":
+        del doc["bits"]
+    else:
+        doc["bits"][0]["width"] = True
+    with pytest.raises(ReportError):
+        parse_report(json.dumps(doc))
+
+
+def test_largest_pattern_of_the_width_parses():
+    doc = json.loads(emit_report(_mst_report()[0]))
+    doc["witness"][0][0] = 2 ** doc["bits"][0]["width"] - 1
+    assert parse_report(json.dumps(doc)).witness[0][0] == doc["witness"][0][0]
 
 
 def test_report_layout_is_one_key_and_one_label_per_line():
-    text = emit_report(_mst_report())
+    text = emit_report(_mst_report()[0])
     lines, doc = text.splitlines(), json.loads(text)
     assert [line.split(":")[0].strip() for line in lines
             if line.startswith('  "')] == [json.dumps(key) for key in doc]
@@ -65,23 +116,45 @@ def test_report_layout_is_one_key_and_one_label_per_line():
     ("decisions", "ttt"),
 ])
 def test_non_boolean_verdicts_are_rejected(field, value):
-    doc = json.loads(emit_report(_mst_report()))
+    doc = json.loads(emit_report(_mst_report()[0]))
     doc[field] = value
     with pytest.raises(ReportError, match=field.rstrip("s")):
         parse_report(json.dumps(doc))
 
 
-@pytest.mark.parametrize("path", [(0,), (1, "f", 0), (2, "f", 1)])
+@pytest.mark.parametrize("path", [(0, 0), (0, 1), (0, 2)])
 def test_boolean_label_values_are_rejected(path):
-    # A top-level field of the first witness label, then fields of its
-    # nested NSTCert and TreeCert records.
-    doc = json.loads(emit_report(_mst_report()))
-    fields = doc["witness"][0][0]["f"]
-    for key in path[:-1]:
-        fields = fields[key]
-    fields[path[-1]] = True
-    with pytest.raises(ReportError, match="JSON boolean"):
+    # `true` is a Python int, but no bit pattern.
+    doc = json.loads(emit_report(_mst_report()[0]))
+    layer, node = path
+    doc["witness"][layer][node] = True
+    with pytest.raises(ReportError, match="label True is not"):
         parse_report(json.dumps(doc))
+
+
+def test_parse_report_resolves_no_protocol(monkeypatch):
+    report, _ = _mst_report()
+    text = emit_report(report)
+
+    def refuse(name):
+        raise AssertionError(f"parse_report resolved {name}")
+
+    monkeypatch.setattr(locdec.protocols, "resolve", refuse)
+    monkeypatch.setattr(locdec.cli, "resolve", refuse)
+    assert parse_report(text) == report
+
+
+def test_check_reports_the_certificate_size(tmp_path, capsys):
+    instance = tmp_path / "grid.json"
+    assert main(["gen", "grid", "3", "3", "-o", str(instance)]) == 0
+    capsys.readouterr()
+    assert main(["check", "size", str(instance)]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    domain = resolve("size").levels[0].domain_of(9, doc["N"])
+    assert doc["N"] == 81
+    assert doc["bits"] == [{"width": domain.width, "budget": domain.budget}]
+    assert domain.width <= domain.budget
+    assert len(doc["witness"]) == 1 and len(doc["witness"][0]) == 9
 
 
 def test_export_refuses_a_report_with_missing_decisions(tmp_path, capsys):
@@ -89,7 +162,10 @@ def test_export_refuses_a_report_with_missing_decisions(tmp_path, capsys):
     assert main(["gen", "path", "3", "-o", str(instance)]) == 0
     assert main(["check", "spanning-tree", str(instance)]) in (0, 1)
     doc = json.loads(capsys.readouterr().out)
+    # A report that is whole for one node, so that parsing passes and
+    # export's own node count check refuses it.
     doc["decisions"] = doc["decisions"][:1]
+    doc["witness"] = [row[:1] for row in doc["witness"]]
     report.write_text(json.dumps(doc))
     assert main(["export", str(instance), "--report", str(report)]) == 2
     assert "1 decisions for 3 nodes" in capsys.readouterr().err
@@ -132,30 +208,6 @@ def test_reports_never_use_the_pure_python_encoder(monkeypatch):
     assert len(instance_digest(inst)) == 16
     report = build_report(protocol, inst, outcome)
     assert parse_report(emit_report(report)) == report
-
-
-def _records_in(value, found: set) -> None:
-    if isinstance(value, tuple) and hasattr(value, "_fields"):
-        found.add(type(value))
-        for part in value:
-            _records_in(part, found)
-
-
-def test_record_registry_is_what_protocol_domains_decode():
-    # Walk the all-zero label of every level of every protocol, through
-    # nested record fields; the report registry must name exactly those.
-    plain = Instance(Graph(3, frozenset({(0, 1), (1, 2)})),
-                     IdAssignment((1, 2, 3), 9), InputAssignment((None,) * 3))
-    formula = encode_qbf(parse_formula("Ey1 Ay2: (y1 | y2) & (y1 | ~y2)"))
-    found: set = set()
-    for name in (*names(), "lift:3col",
-                 "unanimous:spanning-tree+non-spanning-tree", "collapse:qbf"):
-        instance = formula if name.endswith("qbf") else plain
-        for level in resolve(name).levels:
-            domain = level.domain_of(instance.n, instance.N)
-            _records_in(domain.decode(0), found)
-    assert _RECORDS == {cls.__name__: cls for cls in found}
-    assert len(LABEL_RECORDS) == len(_RECORDS) == 16
 
 
 @pytest.mark.parametrize("formula, status", [

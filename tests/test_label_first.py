@@ -4,7 +4,9 @@
 enumerating anything: canonical labellings are built from it at every
 size.  A level's domain is a function of the node count n and the
 identity bound N, so each level builds it once per (n, N) and every game
-of that size shares it.
+of that size shares it.  Every bit pattern of a domain decodes to INVALID
+or to a value whose encoding decodes back to it, nested INVALID included:
+run reports carry labels as those patterns.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from locdec.formulas import parse_formula
 from locdec.gen import path_graph
 from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance, Marks,
                            Ptr)
-from locdec.labels import LabelDomain
+from locdec.labels import INVALID, LabelDomain
 from locdec.protocol import canonical_labelling
 from locdec.protocols import names, resolve
 from locdec.protocols.qbf import encode_qbf
@@ -52,6 +54,22 @@ def test_first_is_what_values_yields_first(size):
         if sum(f.count for f in domain.fields) <= EAGER_LIMIT:
             assert domain.first() == next(iter(domain.values())), where
         assert domain.contains(domain.first()), where
+
+
+# At n = 5 a tree certificate's 4-bit distance field takes it past its
+# 3 * ceil(log2 N) budget unless N = 9.
+pattern_sizes = st.one_of(st.tuples(st.integers(1, 4), st.integers(5, 9)),
+                          st.just((5, 9)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(pattern_sizes, st.data())
+def test_every_pattern_decodes_to_a_value_that_round_trips(size, data):
+    for where, domain in level_domains(*size):
+        bits = data.draw(st.integers(0, (1 << domain.width) - 1), label=where)
+        value = domain.decode(bits)
+        if value is not INVALID:
+            assert domain.decode(domain.encode(value)) == value, (where, bits)
 
 
 def test_canonical_labelling_never_enumerates_values(monkeypatch):
