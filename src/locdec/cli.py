@@ -121,11 +121,23 @@ def _boolean(value, field: str) -> bool:
     return value
 
 
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ReportError(f"{field} {value!r} is not a JSON string")
+    return value
+
+
 def _natural(value, field: str) -> int:
     # `type` rather than `isinstance`: JSON booleans parse to bool, an int.
     if type(value) is not int or value < 0:
         raise ReportError(f"{field} {value!r} is not a non-negative JSON integer")
     return value
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ReportError(f"{field} {value!r} is not a JSON object")
+    return dict(value)
 
 
 def _row(row, width: int, n: int, level: int) -> tuple[Optional[int], ...]:
@@ -156,16 +168,16 @@ def parse_report(text: str) -> RunReport:
         if not isinstance(witness, list) or len(witness) != len(bits):
             raise ReportError(f"witness is not a list of {len(bits)} layers")
         return RunReport(
-            protocol=doc["protocol"],
-            digest=doc["instance"],
+            protocol=_string(doc["protocol"], "protocol"),
+            digest=_string(doc["instance"], "instance"),
             N=_natural(doc["N"], "N"),
             verdict=_boolean(doc["verdict"], "verdict"),
             decisions=tuple(_boolean(d, "decision") for d in decisions),
             bits=bits,
             witness=tuple(_row(row, b.width, len(decisions), level)
                           for level, (b, row) in enumerate(zip(bits, witness), 1)),
-            stats=dict(doc["stats"]),
-            version=doc["version"],
+            stats=_object(doc["stats"], "stats"),
+            version=_string(doc["version"], "version"),
         )
     except (KeyError, TypeError) as exc:
         raise ReportError(f"report misses field: {exc}") from exc

@@ -27,12 +27,12 @@ from .labels import (INVALID, DomainError, LabelDomain, Labelling,
                      sub_field, tree_cert_domain)
 from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
                        ProtocolError, all_invalid_labelling,
-                       canonical_labelling, node_axis, other_side,
+                       canonical_labelling, other_side,
                        pattern_tag)
 from .runtime import (Decision, LocalVerifier, ViewStore, evaluate,
                       evaluate_verdict)
-from .schemes import (READ_TREE_CERT, build_bfs_spanning_tree, build_size_cert,
-                      honest_tree, size_ok, tree_ok, tree_reader, uniform)
+from .schemes import (READ_TREE_CERT, build_size_cert, honest_tree,
+                      size_ok, tree_ok, tree_reader, uniform)
 
 DEFAULT_EVAL_CAP = 1 << 24
 EVAL_CAP_ENV = "LOCDEC_MAX_EVALS"
@@ -312,8 +312,8 @@ class CollapsedLabel(NamedTuple):
 def _honest_size_fragment(instance: Instance):
     """Per-node (sroot, sparent, ssize, nhat): the size certificate on the
     BFS tree from the smallest identity, plus the node count."""
-    cert = build_size_cert(instance, *build_bfs_spanning_tree(instance))
-    return [(c.root, c.parent, c.size, instance.n) for c in cert]
+    return [(c.root, c.parent, c.size, instance.n)
+            for c in build_size_cert(instance)]
 
 
 _READ_SIZE_PROOF = tree_reader(CollapsedLabel, "sroot", "sparent", "ssize")
@@ -356,7 +356,7 @@ def collapse_last_universal(p: Protocol, size_level: int = 1) -> Protocol:
     @cache
     def final_axis(nhat: int, N: int) -> tuple:
         # The removed level's labels for any nhat-node instance.
-        return tuple(node_axis(final_level.domain_of(nhat, N)))
+        return tuple(final_level.domain_of(nhat, N).axis())
 
     def decide(ball: BallView) -> bool:
         own = ball.own_label(sl)

@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class InstanceError(ValueError):
@@ -457,10 +457,10 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
 
     A breadth-first search over the graph's adjacency lists finds the
     members, so the cost is the sum of their degrees, not the graph's
-    size.  Each call builds a new view.  Two callers reuse the geometry of
-    the views they build: `runtime.ViewStore` across a game's leaves, and
-    `protocols.opt` across the substitute inputs of one (graph,
-    identities) pair, whose views differ only in their inputs.
+    size.  Each call builds a new view.  `runtime.ViewStore` reuses the
+    geometry of the views it builds across a game's leaves, and
+    `node_view` the label-free views of one (graph, identities) pair
+    across instances that differ only in their inputs.
     """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")
@@ -480,6 +480,57 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
         frontier = nxt
     return make_view(v, t, dist, adj, instance.ids.ids, instance.inputs.values,
                      labellings, g.weights, instance.N)
+
+
+# ---------------------------------------------------------------------------
+# What one (graph, identities) pair fixes.  Inputs never change it, so every
+# instance that differs from the pair only in its inputs shares it: the
+# substitute inputs of one `opt` cover, the mapped instances of one `nta`
+# game, the instance re-read by every level of one game.
+
+
+class Geometry(NamedTuple):
+    """The input-free data of one (graph, identity assignment) pair, built
+    on demand: each node's label-free radius-1 view (None until asked for)
+    and the rooted spanning trees `schemes.kept_tree` builds, by root."""
+
+    graph: Graph
+    ids: IdAssignment
+    views: list[Optional[BallView]]
+    trees: dict[int, object]
+
+
+_geometry: Optional[Geometry] = None
+
+
+def geometry(instance: Instance) -> Geometry:
+    """The geometry of `instance`'s (graph, identities) pair.
+
+    One pair is kept at a time: a request for another graph or identity
+    assignment replaces it, so at most n views and n trees stay alive.
+    """
+    global _geometry
+    kept = _geometry
+    if kept is None or (kept.graph, kept.ids) != (instance.graph, instance.ids):
+        kept = _geometry = Geometry(instance.graph, instance.ids,
+                                    [None] * instance.n, {})
+    return kept
+
+
+def node_view(instance: Instance, v: int) -> BallView:
+    """The radius-1 view of `v`, equal to `ball(instance, (), v, 1)`.
+
+    The first request for a node in its geometry gets the kept view
+    itself, so what it reads first is computed there and shared by the
+    `with_inputs` copies every later request gets.
+    """
+    views = geometry(instance).views
+    view = views[v]
+    if view is None:
+        view = views[v] = ball(instance, (), v, 1)
+        return view
+    inputs = instance.inputs.values
+    return view.with_inputs({u: inputs[u] for u in view.members})
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +625,8 @@ def parse_instance(text: str) -> Instance:
     edges: set[Edge] = set()
     weights: dict[Edge, int] = {}
     weighted = None
+    if not isinstance(doc["edges"], list):
+        raise InstanceError(f"`edges` must be a list, not {doc['edges']!r}")
     for rec in doc["edges"]:
         if not isinstance(rec, dict) or "u" not in rec or "v" not in rec:
             raise InstanceError(f"malformed edge record {rec!r}")

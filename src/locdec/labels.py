@@ -276,13 +276,8 @@ def sub_field(name: str, domain: "LabelDomain") -> FieldSpec:
                 f"field {name}: domain {domain.name} has no pattern for INVALID")
         return domain.spare
 
-    def vals() -> Iterator[object]:
-        yield from domain.values()
-        if domain.has_invalid:
-            yield INVALID
-
     return FieldSpec(name, domain.width, domain.size + int(domain.has_invalid),
-                     enc, domain.decode, vals, domain.first())
+                     enc, domain.decode, domain.axis, domain.first())
 
 
 @dataclass(frozen=True)
@@ -374,6 +369,13 @@ class LabelDomain:
         """
         for combo in product(*(tuple(f.values()) for f in self.fields)):
             yield self.make(*combo)
+
+    def axis(self) -> Iterator[object]:
+        """One node's labels: every structured value in ``values`` order,
+        then INVALID when the encoding has spare patterns."""
+        yield from self.values()
+        if self.has_invalid:
+            yield INVALID
 
     def first(self) -> object:
         """The value ``values()`` yields first, in O(number of fields)."""

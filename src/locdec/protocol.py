@@ -159,23 +159,15 @@ def all_invalid_labelling(n: int) -> Labelling:
     return Labelling((INVALID,) * n)
 
 
-def node_axis(domain: LabelDomain) -> Iterator[object]:
-    """One node's labels: the domain in enumeration order, then INVALID
-    when the encoding has spare patterns."""
-    yield from domain.values()
-    if domain.has_invalid:
-        yield INVALID
-
-
 def product_cover(instance: Instance, domain: LabelDomain) -> Iterator[Labelling]:
     """Every labelling over the domain, lexicographic in identity order.
 
     The node with the smallest identity is the most significant position,
-    and each node runs through ``node_axis``, read at most one label per
+    and each node runs through ``domain.axis()``, read at most one label per
     move drawn, so the move cap also bounds the memory of a huge product.
     """
     order = sorted(range(instance.n), key=instance.id_of)
-    labels = node_axis(domain)
+    labels = domain.axis()
     axis: list[object] = []
     slot: list[object] = [None] * instance.n
 

@@ -15,8 +15,7 @@ from ..labels import Labelling, nst_cert_domain, size_cert_domain, tree_cert_dom
 from ..oracles import oracle_spanning_tree
 from ..protocol import PROVER, LanguageSpec, Protocol, certificate_protocol
 from ..runtime import LocalVerifier
-from ..schemes import (SchemeError, build_bfs_spanning_tree,
-                       build_non_spanning_tree_cert, build_size_cert,
+from ..schemes import (SchemeError, build_non_spanning_tree_cert, build_size_cert,
                        build_spanning_tree_cert, pointer_structure,
                        verify_non_spanning_tree_cert, verify_size_cert,
                        verify_spanning_tree_cert)
@@ -94,11 +93,7 @@ def inputs_equal_size(instance: Instance) -> bool:
 
 
 def protocol_size() -> Protocol:
-    def honest(instance: Instance) -> Labelling:
-        tree, root = build_bfs_spanning_tree(instance)
-        return build_size_cert(instance, tree, root)
-
-    return certificate_protocol("size", size_cert_domain, honest,
+    return certificate_protocol("size", size_cert_domain, build_size_cert,
                                 verify_size_cert, inputs_equal_size,
                                 "existential-1")
 

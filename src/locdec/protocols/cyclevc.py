@@ -28,8 +28,7 @@ from ..oracles import cycle_vc_witness, oracle_cycle_vc, simple_cycles
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
                         canonical_labelling, pattern_tag)
 from ..runtime import LocalVerifier
-from ..schemes import (build_bfs_spanning_tree, build_gathering_cert,
-                       verify_gathering_cert)
+from ..schemes import build_gathering_cert, verify_gathering_cert
 
 
 class XClaim(NamedTuple):
@@ -162,9 +161,8 @@ def _decide(b: BallView) -> bool:
 
 
 def _honest_claim(instance: Instance, members: frozenset[int]) -> Labelling:
-    tree, root = build_bfs_spanning_tree(instance)
     flags = [1 if v in members else 0 for v in range(instance.n)]
-    gather = build_gathering_cert(instance, tree, root, flags)
+    gather = build_gathering_cert(instance, flags)
     return Labelling(XClaim(flags[v], gather[v]) for v in range(instance.n))
 
 
@@ -182,16 +180,12 @@ def _response(instance: Instance, earlier,
               cycle: tuple[int, ...]) -> Labelling:
     challenged = _challenge_set(earlier)
     pos = {v: i for i, v in enumerate(cycle)}
-    tree, root = build_bfs_spanning_tree(instance)
-
-    def gather(values) -> Labelling:
-        return build_gathering_cert(instance, tree, root, values)
-
     n = instance.n
-    s_total = gather([1 if v in challenged else 0 for v in range(n)])
-    s_cycle = gather([1 if v in challenged and v in pos else 0
-                      for v in range(n)])
-    size = gather([1 if v in pos else 0 for v in range(n)])
+    s_total = build_gathering_cert(
+        instance, [1 if v in challenged else 0 for v in range(n)])
+    s_cycle = build_gathering_cert(
+        instance, [1 if v in challenged and v in pos else 0 for v in range(n)])
+    size = build_gathering_cert(instance, [1 if v in pos else 0 for v in range(n)])
     return Labelling(
         CycleResponse(1 if v in pos else 0, pos.get(v), len(cycle),
                       s_total[v], s_cycle[v], size[v])

@@ -11,10 +11,10 @@ halves an incident sum, keeping every aggregate integral.
 
 Cover, strategy and language oracle score up to 2^n substitute inputs of
 one instance.  A substitute changes only the inputs, so the candidates
-share one geometry: ``_node_view`` builds each node's radius-1 view once
-per (graph, identities) pair and hands every candidate a copy carrying its
-own inputs, and the gathering tree is built once per call and only the
-candidate's values are folded up it.
+share one ``graphs.geometry``: ``graphs.node_view`` builds each node's
+radius-1 view once per (graph, identities) pair and hands every candidate
+a copy carrying its own inputs, and every gathering certificate folds the
+candidate's values up the one kept tree from the smallest identity.
 """
 
 from __future__ import annotations
@@ -24,17 +24,17 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ..engine import embed, project
 from ..graphs import (MAX_MARKS, BallView, Instance, InstanceError, InputValue,
-                      Marks, Ptr, ball)
-from ..labels import (BFSTree, GatherCert, LabelDomain, Labelling, TreeCert,
-                      build_bfs_tree, flag_field, gather_cert_domain,
-                      ham_cert_domain, input_value_field, non_ham_cert_domain,
-                      sub_field, tree_cert_domain)
+                      Marks, Ptr, node_view)
+from ..labels import (GatherCert, LabelDomain, Labelling, build_bfs_tree,
+                      flag_field, gather_cert_domain, ham_cert_domain,
+                      input_value_field, non_ham_cert_domain, sub_field,
+                      tree_cert_domain)
 from ..oracles import hamiltonian_cycles, is_matching, spanning_trees
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
                         canonical_labelling, certificate_protocol, pattern_tag)
 from ..runtime import LocalVerifier
-from ..schemes import (READ_TREE_CERT, SchemeError, build_hamiltonian_cert,
-                       build_non_hamiltonian_cert, fold_gathering_cert,
+from ..schemes import (READ_TREE_CERT, SchemeError, build_gathering_cert,
+                       build_hamiltonian_cert, build_non_hamiltonian_cert,
                        honest_tree, mutual_pair, tree_certs, tree_ok, uniform,
                        verify_gathering_cert, verify_hamiltonian_cert,
                        verify_non_hamiltonian_cert)
@@ -68,40 +68,8 @@ def unit_domain(n: int, N: int) -> LabelDomain:
     return LabelDomain("unit", 1, n, N, (flag_field("tag", 1),), UnitVal)
 
 
-# The radius-1 views of the last (graph, identities) pair _node_view saw,
-# by node; None for a node not asked for yet.
-_view_memo: tuple[object, object, list[Optional[BallView]]] = (None, None, [])
-
-
-def _node_view(instance: Instance, v: int) -> BallView:
-    """The radius-1 view of ``v``, equal to ``ball(instance, (), v, 1)``.
-
-    A view's geometry reads only the graph and the identities, never the
-    inputs, so the views of the last (graph, identities) pair are kept by
-    node and every instance that differs from it only in inputs, such as
-    the substitute candidates of one cover, gets a ``with_inputs`` copy.
-    The first request for a node gets the kept view itself, so what it
-    reads first is computed in the kept view and shared by later copies.
-    One pair is kept at a time, as ``schemes.honest_tree`` keeps its
-    trees: another graph or identity assignment replaces it, so at most n
-    views stay alive.
-    """
-    global _view_memo
-    key = (instance.graph, instance.ids)
-    graph, ids, views = _view_memo
-    if (graph, ids) != key:
-        views = [None] * instance.n
-        _view_memo = (*key, views)
-    view = views[v]
-    if view is None:
-        view = views[v] = ball(instance, (), v, 1)
-        return view
-    inputs = instance.inputs.values
-    return view.with_inputs({u: inputs[u] for u in view.members})
-
-
 def _all_nodes(instance: Instance, rule: Callable[[BallView], bool]) -> bool:
-    return all(rule(_node_view(instance, v)) for v in range(instance.n))
+    return all(rule(node_view(instance, v)) for v in range(instance.n))
 
 
 def _local_rule_protocol(name: str,
@@ -129,7 +97,7 @@ def _defect_protocol(name: str,
 
     def honest(instance: Instance) -> Optional[Labelling]:
         for v in sorted(range(instance.n), key=instance.id_of):
-            if not rule(_node_view(instance, v)):
+            if not rule(node_view(instance, v)):
                 return honest_tree(instance, v)
         return None
 
@@ -340,15 +308,8 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
                                      local_value, lambda total: True)
 
     def _values(instance: Instance) -> list[int]:
-        return [local_value(_node_view(instance, v))
+        return [local_value(node_view(instance, v))
                 for v in range(instance.n)]
-
-    def _gather_tree(instance: Instance) -> tuple[BFSTree, list[TreeCert]]:
-        # The breadth-first spanning tree from the smallest identity, which
-        # every gathering certificate of the instance's candidates shares.
-        tree = build_bfs_tree(instance, min(range(instance.n),
-                                            key=instance.id_of))
-        return tree, tree_certs(instance, tree)
 
     def _first_move(p: Protocol, instance: Instance) -> Optional[Labelling]:
         for mv in p.levels[0].cover(instance, ()):
@@ -376,10 +337,8 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         yx = _first_move(adm_yes, instance)
         if yx is None:
             return
-        tree, certs = _gather_tree(instance)
         try:
-            agg_x = fold_gathering_cert(instance, tree, certs,
-                                        _values(instance))
+            agg_x = build_gathering_cert(instance, _values(instance))
         except _VALUE_ERRORS:
             return
         for xp in propose(instance):
@@ -388,8 +347,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
             if yxp is None:
                 continue
             try:
-                agg_xp = fold_gathering_cert(inst2, tree, certs,
-                                             _values(inst2))
+                agg_xp = build_gathering_cert(inst2, _values(inst2))
             except _VALUE_ERRORS:
                 continue
             yield _packed(instance, 1, fill_no, yx, xp, yxp, agg_x, agg_xp)
@@ -415,10 +373,9 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
                 else _first_move(adm_yes, inst)
             return mv if mv is not None else fill_yes
 
-        tree, certs = _gather_tree(instance)
         try:
             vals_x = _values(instance)
-            agg_x = fold_gathering_cert(instance, tree, certs, vals_x)
+            agg_x = build_gathering_cert(instance, vals_x)
         except _VALUE_ERRORS:
             return _packed(instance, 1, fill_no, fill_yes, no_xp, fill_yes,
                            fill_g, fill_g)
@@ -443,7 +400,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
                            honest_yes(instance), agg_x, agg_x)
         xp = best[0]
         inst2 = instance.with_inputs(xp)
-        agg_xp = fold_gathering_cert(inst2, tree, certs, _values(inst2))
+        agg_xp = build_gathering_cert(inst2, _values(inst2))
         return _packed(instance, 1, fill_no, honest_yes(instance), xp,
                        honest_yes(inst2), agg_x, agg_xp)
 

@@ -5,10 +5,13 @@ Almost every certificate sits on a rooted spanning tree whose nodes carry
 and checks such a tree:
 
 * ``labels.build_bfs_tree`` finds the tree, over the whole graph or inside
-  a given edge set; ``tree_certs`` names its nodes by identity, and
-  ``honest_tree`` does both for one root;
-* ``subtree_sums`` folds per-node values up a tree (size and gathering
-  certificates);
+  a given edge set, and ``tree_certs`` names its nodes by identity;
+* ``kept_tree`` does both for one root of the whole graph, once per
+  (graph, identities) pair: the tree is kept in ``graphs.geometry``, and
+  ``honest_tree`` is its certificate.  The size and gathering builders
+  fold over the kept tree from the smallest identity, so one BFS tree
+  serves every certificate on it;
+* ``subtree_sums`` folds per-node values up a tree;
 * ``tree_ok`` is the one local check of a tree certificate, and
   ``size_ok`` the one check of a subtree-size certificate.  Both read the
   fields through a ``tree_reader`` built once per label class, lazily, so
@@ -27,7 +30,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
-from .graphs import BallView, Edge, Instance, Marks, Ptr
+from .graphs import BallView, Edge, Instance, Marks, Ptr, geometry
 from .labels import (BFSTree, GatherCert, HamCert, Labelling, NonHamCert,
                      NSTCert, SizeCert, TreeCert, build_bfs_tree)
 from .oracles import oracle_spanning_tree
@@ -52,31 +55,31 @@ def tree_certs(instance: Instance, tree: BFSTree) -> list[TreeCert]:
             for p, d in zip(tree.parent, tree.dist)]
 
 
-# The trees of the last (graph, identities) pair honest_tree saw, by root.
-_tree_memo: tuple[object, tuple[int, ...], dict[int, Labelling]] = (None, (), {})
+def kept_tree(instance: Instance, root: int) -> tuple[BFSTree, Labelling]:
+    """The breadth-first tree rooted at ``root`` and its tree certificate.
+
+    A tree reads only the graph and the identities, never the inputs, so
+    it is kept by root in the instance's ``graphs.geometry`` and shared by
+    every instance that differs only in inputs, such as the mapped
+    instances of all image moves in one ``nta`` game.  The returned
+    ``Labelling`` is immutable.
+    """
+    trees = geometry(instance).trees
+    kept = trees.get(root)
+    if kept is None:
+        tree = build_bfs_tree(instance, root)
+        kept = trees[root] = (tree, Labelling(tree_certs(instance, tree)))
+    return kept
 
 
 def honest_tree(instance: Instance, root: int) -> Labelling:
-    """The breadth-first tree certificate rooted at ``root``.
+    """The breadth-first tree certificate rooted at ``root``."""
+    return kept_tree(instance, root)[1]
 
-    A tree reads only the graph and the identities, never the inputs, so
-    the trees of the last (graph, identities) pair are kept by root and
-    shared by every instance that differs from it only in inputs, such as
-    the mapped instances of all image moves in one ``nta`` game.  One pair
-    is kept at a time: another graph or identity tuple replaces it, so at
-    most n trees stay alive.  The returned ``Labelling`` is immutable.
-    """
-    global _tree_memo
-    key = (instance.graph, instance.ids.ids)
-    graph, ids, trees = _tree_memo
-    if (graph, ids) != key:
-        trees = {}
-        _tree_memo = (*key, trees)
-    tree = trees.get(root)
-    if tree is None:
-        tree = trees[root] = Labelling(
-            tree_certs(instance, build_bfs_tree(instance, root)))
-    return tree
+
+def _lowest_tree(instance: Instance) -> tuple[BFSTree, Labelling]:
+    """The kept tree rooted at the smallest identity."""
+    return kept_tree(instance, min(range(instance.n), key=instance.id_of))
 
 
 def subtree_sums(tree: BFSTree, values: Sequence[int]) -> list[int]:
@@ -87,15 +90,6 @@ def subtree_sums(tree: BFSTree, values: Sequence[int]) -> list[int]:
         if p is not None:
             sums[p] += sums[v]
     return sums
-
-
-def build_bfs_spanning_tree(instance: Instance) -> tuple[frozenset[Edge], int]:
-    """BFS spanning tree from the smallest-identity node, with its root."""
-    root = min(range(instance.n), key=instance.id_of)
-    t = build_bfs_tree(instance, root)
-    edges = frozenset((min(v, p), max(v, p))
-                      for v, p in enumerate(t.parent) if p is not None)
-    return edges, root
 
 
 def tree_reader(kind: type, root: str = "root", parent: str = "parent",
@@ -182,13 +176,11 @@ def verify_spanning_tree_cert(ball: BallView) -> bool:
 # size certificates
 
 
-def build_size_cert(instance: Instance, tree: frozenset[Edge], root: int) -> Labelling:
-    if not oracle_spanning_tree(instance.graph, tree):
-        raise SchemeError("edge set is not a spanning tree")
-    t = build_bfs_tree(instance, root, tree)
-    size = subtree_sums(t, [1] * instance.n)
-    return Labelling(SizeCert(c.root, c.parent, s)
-                     for c, s in zip(tree_certs(instance, t), size))
+def build_size_cert(instance: Instance) -> Labelling:
+    """Subtree sizes over the kept tree from the smallest identity."""
+    tree, certs = _lowest_tree(instance)
+    size = subtree_sums(tree, [1] * instance.n)
+    return Labelling(SizeCert(c.root, c.parent, s) for c, s in zip(certs, size))
 
 
 def size_ok(ball: BallView, layer: int, read: TreeReader, total: int) -> bool:
@@ -234,21 +226,9 @@ def verify_size_cert(ball: BallView) -> bool:
 # gathering certificates
 
 
-def build_gathering_cert(instance: Instance, tree: frozenset[Edge], root: int,
-                         values: Sequence[int]) -> Labelling:
-    """Sums of ``values`` over the subtrees of ``tree``, rooted at ``root``."""
-    if not oracle_spanning_tree(instance.graph, tree):
-        raise SchemeError("edge set is not a spanning tree")
-    t = build_bfs_tree(instance, root, tree)
-    return fold_gathering_cert(instance, t, tree_certs(instance, t), values)
-
-
-def fold_gathering_cert(instance: Instance, tree: BFSTree,
-                        certs: Sequence[TreeCert],
-                        values: Sequence[int]) -> Labelling:
-    """Sums of ``values`` over the subtrees of a tree already built, whose
-    ``tree_certs`` are ``certs``: many value vectors on one tree build it
-    once.  Each value and the total must lie in [0, 2·N·n]."""
+def build_gathering_cert(instance: Instance, values: Sequence[int]) -> Labelling:
+    """Sums of ``values`` over the subtrees of the kept tree from the
+    smallest identity.  Each value and the total must lie in [0, 2·N·n]."""
     values = tuple(values)
     if len(values) != instance.n:
         raise SchemeError("one value per node required")
@@ -258,6 +238,7 @@ def fold_gathering_cert(instance: Instance, tree: BFSTree,
             raise SchemeError(f"value {val!r} at node {v} outside [0, {cap}]")
     if sum(values) > cap:
         raise SchemeError(f"aggregate {sum(values)} exceeds the certifiable cap {cap}")
+    tree, certs = _lowest_tree(instance)
     agg = subtree_sums(tree, values)
     return Labelling(GatherCert(*c, a) for c, a in zip(certs, agg))
 

@@ -73,8 +73,18 @@ def test_report_stats_round_trip_keeps_views_reused():
     assert parse_report(emit_report(report)).stats == report.stats
 
 
+MALFORMED_FIELDS = {
+    "protocol-number": ("protocol", 5),
+    "version-null": ("version", None),
+    "instance-list": ("instance", [1]),
+    "stats-pairs": ("stats", [[1, 2]]),
+    "stats-string": ("stats", "xy"),
+}
+
+
 @pytest.mark.parametrize("change", ["too-wide", "negative", "short-row",
-                                    "extra-layer", "no-bits", "bits-boolean"])
+                                    "extra-layer", "no-bits", "bits-boolean",
+                                    *MALFORMED_FIELDS])
 def test_malformed_rows_are_rejected(change):
     doc = json.loads(emit_report(_mst_report()[0]))
     width = doc["bits"][0]["width"]
@@ -88,6 +98,9 @@ def test_malformed_rows_are_rejected(change):
         doc["witness"].append(doc["witness"][0])
     elif change == "no-bits":
         del doc["bits"]
+    elif change in MALFORMED_FIELDS:
+        key, value = MALFORMED_FIELDS[change]
+        doc[key] = value
     else:
         doc["bits"][0]["width"] = True
     with pytest.raises(ReportError):
@@ -169,6 +182,16 @@ def test_export_refuses_a_report_with_missing_decisions(tmp_path, capsys):
     report.write_text(json.dumps(doc))
     assert main(["export", str(instance), "--report", str(report)]) == 2
     assert "1 decisions for 3 nodes" in capsys.readouterr().err
+
+
+def test_check_refuses_edges_that_are_not_a_list(tmp_path, capsys):
+    instance = tmp_path / "p3.json"
+    assert main(["gen", "path", "3", "-o", str(instance)]) == 0
+    doc = json.loads(instance.read_text())
+    doc["edges"] = 5
+    instance.write_text(json.dumps(doc))
+    assert main(["check", "3col", str(instance)]) == 2
+    assert "`edges` must be a list" in capsys.readouterr().err
 
 
 def test_check_refuses_a_bad_eval_cap(tmp_path, capsys, monkeypatch):

@@ -344,6 +344,8 @@ class Wide:
             self.reads += 1
             yield Bit(i)
 
+    axis = LabelDomain.axis
+
 
 def test_move_cap_bounds_the_product_axis_read():
     level = Level(Wide)

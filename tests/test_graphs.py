@@ -53,6 +53,8 @@ def test_parse_respects_file_order():
     (lambda d: d.update(N=2), "cannot host"),
     (lambda d: d["nodes"].__setitem__(0, {"id": "a", "input": None}), "not an integer"),
     (lambda d: d.update(nodes=[]), "non-empty"),
+    (lambda d: d.update(edges=5), "must be a list, not 5"),
+    (lambda d: d.update(edges=None), "must be a list, not None"),
 ])
 def test_parse_rejects(mangle, needle):
     doc = json.loads(P3_TEXT)

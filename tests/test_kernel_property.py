@@ -1,10 +1,10 @@
 """The rooted-tree certificate kernel on random connected graphs.
 
-Honest trees pass ``tree_ok`` at every node for every root, the trees
-``honest_tree`` keeps equal freshly built ones, ``subtree_sums`` matches a
-brute-force sum, and a tree certificate that every node accepts describes a
-real rooted tree.  The radius-1 views ``opt`` keeps for substitute inputs
-equal freshly built ones too.
+Honest trees pass ``tree_ok`` at every node for every root, the trees and
+radius-1 views kept in ``graphs.geometry`` equal freshly built ones (each
+kind alone, and the two interleaved on one memo),
+``subtree_sums`` matches a brute-force sum, and a tree certificate that
+every node accepts describes a real rooted tree.
 """
 from __future__ import annotations
 
@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
-                           Instance, ball)
+                           Instance, ball, node_view)
 from locdec.labels import Labelling, TreeCert, build_bfs_tree
-from locdec.protocols.opt import _node_view
-from locdec.schemes import (READ_TREE_CERT, honest_tree, subtree_sums,
-                            tree_certs, tree_ok)
+from locdec.schemes import (READ_TREE_CERT, honest_tree, kept_tree,
+                            subtree_sums, tree_certs, tree_ok)
 
 
 def _graph(draw, n: int) -> Graph:
@@ -111,7 +110,49 @@ def view_requests(draw):
 @given(view_requests())
 def test_opt_node_views_equal_fresh_balls(requests):
     for inst, v in requests:
-        view, fresh = _node_view(inst, v), ball(inst, (), v, 1)
+        view, fresh = node_view(inst, v), ball(inst, (), v, 1)
+        assert view == fresh
+        for name in BallView.DERIVED:
+            assert getattr(view, name) == getattr(fresh, name), name
+
+
+@st.composite
+def geometry_requests(draw):
+    """Instances on n nodes and a sequence of (instance, kind, node)
+    requests for a kept tree or a kept view, interleaved.
+
+    The instances share one graph (weighted or not) under two identity
+    assignments and the first one's identities under a larger N, or use a
+    second graph; each request draws fresh inputs."""
+    n = draw(st.integers(1, 7))
+    ids, other_ids = _ids(draw, n), _ids(draw, n)
+    graph, other_graph = _graph(draw, n), _graph(draw, n)
+    if draw(st.booleans()):
+        graph = _weighted(draw, graph, ids.N)
+    pairs = [(graph, ids), (graph, other_ids),
+             (graph, IdAssignment(ids.ids, ids.N + 1)), (other_graph, ids)]
+    requests = []
+    for _ in range(draw(st.integers(1, 12))):
+        g, a = draw(st.sampled_from(pairs))
+        inputs = draw(st.lists(st.none() | st.integers(0, a.N),
+                               min_size=n, max_size=n))
+        inst = Instance(g, a, InputAssignment(tuple(inputs)))
+        requests.append((inst, draw(st.sampled_from(("tree", "view"))),
+                         draw(st.integers(0, n - 1))))
+    return requests
+
+
+@settings(deadline=None)
+@given(geometry_requests())
+def test_kept_geometry_equals_fresh_builds(requests):
+    for inst, kind, v in requests:
+        if kind == "tree":
+            fresh = build_bfs_tree(inst, v)
+            certs = Labelling(tree_certs(inst, fresh))
+            assert kept_tree(inst, v) == (fresh, certs)
+            assert honest_tree(inst, v) == certs
+            continue
+        view, fresh = node_view(inst, v), ball(inst, (), v, 1)
         assert view == fresh
         for name in BallView.DERIVED:
             assert getattr(view, name) == getattr(fresh, name), name

@@ -105,32 +105,32 @@ def test_tree_cert_pointer_cycle_always_rejected():
 
 def test_build_size_cert_chain():
     inst = plain_instance(path_graph(3))
-    cert = build_size_cert(inst, frozenset({(0, 1), (1, 2)}), 0)
+    cert = build_size_cert(inst)
     assert [c.size for c in cert] == [3, 2, 1]
 
 
 def test_build_size_cert_star():
     inst = plain_instance(star_graph(4))
-    cert = build_size_cert(inst, frozenset({(0, 1), (0, 2), (0, 3)}), 0)
+    cert = build_size_cert(inst)
     assert [c.size for c in cert] == [4, 1, 1, 1]
 
 
 def test_build_size_cert_binary_tree():
     g = Graph(5, frozenset({(0, 1), (0, 2), (1, 3), (1, 4)}))
     inst = plain_instance(g)
-    cert = build_size_cert(inst, g.edges, 0)
+    cert = build_size_cert(inst)
     assert [c.size for c in cert] == [5, 3, 1, 1, 1]
 
 
 def test_size_cert_honest_accepts():
     inst = plain_instance(path_graph(3)).with_inputs((3, 3, 3))
-    cert = build_size_cert(inst, frozenset({(0, 1), (1, 2)}), 0)
+    cert = build_size_cert(inst)
     assert evaluate(SIZE, inst, (cert,)).verdict is True
 
 
 def test_size_cert_wrong_count_rejects_at_root():
     inst = plain_instance(path_graph(3)).with_inputs((4, 4, 4))
-    cert = build_size_cert(inst, frozenset({(0, 1), (1, 2)}), 0)
+    cert = build_size_cert(inst)
     d = evaluate(SIZE, inst, (cert,))
     assert d.rejecting_nodes == (0,)
 
@@ -159,34 +159,34 @@ def test_size_cert_ghost_parent_rejected():
 
 def test_build_gather_star_sum():
     inst = plain_instance(star_graph(4))
-    cert = build_gathering_cert(inst, star_graph(4).edges, 0, (1, 1, 1, 1))
+    cert = build_gathering_cert(inst, (1, 1, 1, 1))
     assert cert[0].agg == 4
     assert [c.agg for c in cert][1:] == [1, 1, 1]
 
 
 def test_build_gather_chain_sum():
     inst = plain_instance(path_graph(3))
-    cert = build_gathering_cert(inst, frozenset({(0, 1), (1, 2)}), 0, (5, 1, 7))
+    cert = build_gathering_cert(inst, (5, 1, 7))
     assert [c.agg for c in cert] == [13, 8, 7]
     assert [c.dist for c in cert] == [0, 1, 2]
 
 
 def test_build_gather_zeroes():
     inst = plain_instance(path_graph(4))
-    cert = build_gathering_cert(inst, path_graph(4).edges, 0, (0, 0, 0, 0))
+    cert = build_gathering_cert(inst, (0, 0, 0, 0))
     assert [c.agg for c in cert] == [0, 0, 0, 0]
 
 
 def test_gather_sum_honest_accepts():
     inst = plain_instance(star_graph(4)).with_inputs((1, 1, 1, 1))
-    cert = build_gathering_cert(inst, star_graph(4).edges, 0, (1, 1, 1, 1))
+    cert = build_gathering_cert(inst, (1, 1, 1, 1))
     v = gather_verifier(lambda b: b.own_input, lambda agg: agg == 4)
     assert evaluate(v, inst, (cert,)).verdict is True
 
 
 def test_gather_tampered_child_rejects_parent():
     inst = plain_instance(star_graph(4)).with_inputs((1, 1, 1, 1))
-    cert = build_gathering_cert(inst, star_graph(4).edges, 0, (1, 1, 1, 1))
+    cert = build_gathering_cert(inst, (1, 1, 1, 1))
     bad = cert.replace(2, GatherCert(cert[2].root, cert[2].parent, cert[2].dist, 2))
     v = gather_verifier(lambda b: b.own_input, lambda agg: agg == 4)
     d = evaluate(v, inst, (bad,))
@@ -200,11 +200,7 @@ def test_gather_sum_matches_direct_sum_on_random_trees():
         g = random_connected_graph(n, seed)
         values = tuple(rng.randint(0, n * n) for _ in range(n))
         inst = plain_instance(g).with_inputs(values)
-        from locdec.labels import build_bfs_tree
-        t = build_bfs_tree(inst, 0)
-        tree = frozenset(tuple(sorted((v, t.parent[v]))) for v in range(n)
-                         if t.parent[v] is not None)
-        cert = build_gathering_cert(inst, tree, 0, values)
+        cert = build_gathering_cert(inst, values)
         assert cert[0].agg == sum(values)
         v = gather_verifier(lambda b: b.own_input,
                             lambda agg: agg == sum(values))
@@ -214,7 +210,7 @@ def test_gather_sum_matches_direct_sum_on_random_trees():
 def test_gather_value_overflow():
     inst = plain_instance(path_graph(2))
     with pytest.raises(SchemeError, match="outside"):
-        build_gathering_cert(inst, path_graph(2).edges, 0, (1, 99))
+        build_gathering_cert(inst, (1, 99))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +503,7 @@ def test_built_certs_fit_domains():
         bits = dom.encode(value)
         assert dom.decode(bits) == value
     sdom = size_cert_domain(inst.n, inst.N)
-    for value in build_size_cert(inst, tree, 0):
+    for value in build_size_cert(inst):
         assert sdom.decode(sdom.encode(value)) == value
 
 

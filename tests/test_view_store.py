@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdec import runtime, schemes
+from locdec import graphs, runtime, schemes
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
 from locdec.formulas import parse_formula
 from locdec.gen import clique_graph, cycle_graph, grid_graph, path_graph
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
                            Instance, Marks, Ptr, ball)
-from locdec.protocols import names, opt, resolve
+from locdec.protocols import names, resolve
 from locdec.protocols.qbf import encode_qbf
 from locdec.runtime import LocalVerifier, VerifierError, ViewStore, evaluate_verdict
 
@@ -270,6 +270,36 @@ def test_nta_exhaustive_builds_graph_only_work_once(monkeypatch):
     assert calls["instance"] <= 720 + 8
 
 
+def _evict_geometry(inst: Instance) -> None:
+    # A request for another (graph, identities) pair replaces the kept one,
+    # so the next game on `inst` starts from an empty geometry.
+    graphs.geometry(plain_instance(path_graph(inst.n + 1)))
+
+
+@pytest.mark.parametrize("name,inst,mode", [
+    ("cycle-vc", Instance(clique_graph(4), IdAssignment((3, 1, 4, 2), 16),
+                          InputAssignment((2,) * 4)), EXHAUSTIVE),
+    ("size", Instance(grid_graph(3, 3), IdAssignment.default(9),
+                      InputAssignment((9,) * 9)), CONSTRUCTIVE),
+])
+def test_certificates_share_one_bfs_tree(monkeypatch, name, inst, mode):
+    # Every counting and size certificate of a game sits on the one BFS
+    # tree from the smallest identity, kept in the instance's geometry.
+    calls = []
+    build_tree = schemes.build_bfs_tree
+
+    def counted_build(*args):
+        calls.append(args)
+        return build_tree(*args)
+
+    _evict_geometry(inst)
+    monkeypatch.setattr(schemes, "build_bfs_tree", counted_build)
+    protocol = resolve(name)
+    assert game_evaluate(protocol, inst, mode).verdict \
+        is protocol.language.oracle(inst)
+    assert len(calls) == 1
+
+
 def test_opt_candidates_share_one_view_per_node(monkeypatch):
     # The 16 substitute inputs of a 4-node maxcut instance differ from it
     # only in inputs, so the cover, the language oracle and every
@@ -277,14 +307,14 @@ def test_opt_candidates_share_one_view_per_node(monkeypatch):
     inst = Instance(cycle_graph(4), IdAssignment((3, 1, 4, 2), 16),
                     InputAssignment((1, 1, 0, 0)))
     built = []
-    build = opt.ball
+    build = graphs.ball
 
     def counted_ball(*args):
         built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(opt, "ball", counted_ball)
-    monkeypatch.setattr(opt, "_view_memo", (None, None, []))
+    _evict_geometry(inst)
+    monkeypatch.setattr(graphs, "ball", counted_ball)
     protocol = resolve("maxcut")
     verdict = game_evaluate(protocol, inst, EXHAUSTIVE).verdict
     assert verdict is protocol.language.oracle(inst) is True
