@@ -71,7 +71,8 @@ def build_report(protocol: Protocol, instance: Instance,
                  ) -> RunReport:
     stats = {"leaf_evaluations": outcome.stats.leaf_evaluations,
              "node_evaluations": outcome.stats.node_evaluations,
-             "views_reused": outcome.stats.views_reused}
+             "views_reused": outcome.stats.views_reused,
+             "first_refutations": outcome.stats.first_refutations}
     if extra:
         stats.update(extra)
     domains = [level.domain_of(instance.n, instance.N)

@@ -30,7 +30,7 @@ from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
                        canonical_labelling, other_side,
                        pattern_tag)
 from .runtime import (Decision, LocalVerifier, ViewStore, evaluate,
-                      evaluate_verdict)
+                      first_rejection)
 from .schemes import (READ_TREE_CERT, build_size_cert, honest_tree,
                       size_ok, tree_ok, tree_reader, uniform)
 
@@ -94,13 +94,17 @@ def _resolve_eval_cap(mode: EvalMode) -> int:
 
 @dataclass(frozen=True)
 class GameStats:
-    """Work done by one game.  ``node_evaluations`` counts node decisions
-    at the leaves; ``views_reused`` counts those whose view the game's
-    store served from kept geometry instead of building it."""
+    """Work done by one game.  ``node_evaluations`` counts the node
+    decisions actually made at the leaves, which stop at the first
+    rejection found; ``views_reused`` counts those whose view the game's
+    store served from kept geometry instead of building it.
+    ``first_refutations`` counts the leaves rejected by their hinted node
+    (see ``game_evaluate``) at its first decision."""
 
     leaf_evaluations: int
     node_evaluations: int
     views_reused: int
+    first_refutations: int
 
 
 @dataclass(frozen=True)
@@ -121,11 +125,22 @@ class GameOutcome:
 
 def game_evaluate(protocol: Protocol, instance: Instance,
                   mode: EvalMode = EXHAUSTIVE) -> GameOutcome:
+    """Play the game to optimal completion and replay its principal line.
+
+    Leaves are decided refuter first.  A leaf's final-level move has a
+    cover position: its index among ``moves(k - 1, ...)``, or 0 for a
+    strategy move or a forced canonical move.  Each leaf first decides the
+    node that last rejected a leaf at the same position, if any, then every
+    other node in node order (see ``runtime.first_rejection``).  Leaves at
+    one position under different earlier moves often fail at the same node,
+    so one decision settles them.  The verdict is a conjunction of pure
+    decisions, so the order changes only the number of decisions made.
+    """
     if instance.n > mode.node_cap:
         raise CapExceeded(
             f"instance has {instance.n} nodes, cap is {mode.node_cap}")
     eval_cap = _resolve_eval_cap(mode)
-    counters = {"leaf": 0, "node": 0}
+    counters = {"leaf": 0, "node": 0, "first": 0}
 
     def charge() -> None:
         counters["node"] += 1
@@ -134,14 +149,24 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     domains = tuple(lv.domain_of(instance.n, instance.N)
                     for lv in protocol.levels)
     views = ViewStore(instance, protocol.verifier.radius)
+    # Final-level cover position -> the node that last rejected a leaf
+    # ending there.
+    hints: dict[int, int] = {}
 
-    def leaf_value(chosen: tuple[Labelling, ...]) -> bool:
+    def leaf_value(chosen: tuple[Labelling, ...], position: int) -> bool:
         counters["leaf"] += 1
         if counters["leaf"] > eval_cap:
             raise CapExceeded(
                 f"{protocol.name}: leaf evaluations exceed the cap {eval_cap}")
-        return evaluate_verdict(protocol.verifier, instance, chosen,
-                                charge=charge, views=views)
+        hint = hints.get(position)
+        rejecter = first_rejection(protocol.verifier, instance, chosen,
+                                   charge=charge, views=views, first=hint)
+        if rejecter is None:
+            return True
+        if rejecter == hint:
+            counters["first"] += 1
+        hints[position] = rejecter
+        return False
 
     def moves(idx: int, earlier: tuple[Labelling, ...]):
         forfeit = None
@@ -161,9 +186,11 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         if forfeit is not None and not seen_forfeit:
             yield forfeit
 
-    def play(idx: int, earlier: tuple[Labelling, ...]):
+    def play(idx: int, earlier: tuple[Labelling, ...], position: int = 0):
+        # ``position`` is the last move's index in its level's cover; the
+        # leaf reads it as the final level's.
         if idx == k:
-            return leaf_value(earlier), ()
+            return leaf_value(earlier, position), ()
         level = protocol.levels[idx]
         side = protocol.owner(idx + 1)
         domain = domains[idx]
@@ -184,8 +211,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             return value, (move,) + rest
         wants = side == PROVER
         fallback = None
-        for move in moves(idx, earlier):
-            value, rest = play(idx + 1, earlier + (move,))
+        for position, move in enumerate(moves(idx, earlier)):
+            value, rest = play(idx + 1, earlier + (move,), position)
             if value == wants:
                 return value, (move,) + rest
             if fallback is None:
@@ -207,7 +234,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             f" {leaf.verdict} but the game gave {verdict}; the verifier is"
             f" not a pure function of the ball")
     return GameOutcome(verdict, line, leaf, GameStats(
-        counters["leaf"], counters["node"], views.reused))
+        counters["leaf"], counters["node"], views.reused, counters["first"]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +284,17 @@ def complement_lift(p: Protocol) -> Protocol:
     The old levels change owners but keep their domains and covers; a new
     final prover level carries a rooted tree certificate whose root names
     one node, and the root node re-runs the old verifier on the swapped
-    layers and accepts exactly when it rejects.
+    layers and accepts exactly when it rejects.  A protocol whose added
+    level would fall to the disprover (prover-first with an even level
+    count, disprover-first with an odd one) is refused here.
     """
     k = p.level_count
+    first = PROVER if k == 0 else other_side(p.first)
+    owner = first if k % 2 == 0 else other_side(first)
+    if owner != PROVER:
+        raise ProtocolError(
+            f"lift needs the added level {k + 1} to be the prover's, but on"
+            f" {p.name} ({pattern_tag(p.first, k)}) it would be the {owner}'s")
     base_radius = p.verifier.radius
     radius = max(base_radius, 1)
 
@@ -283,7 +318,6 @@ def complement_lift(p: Protocol) -> Protocol:
             return True
         return not p.verifier.decide(embed(ball, ball.layers[:k], base_radius))
 
-    first = PROVER if k == 0 else other_side(p.first)
     language = None
     if p.language is not None:
         lang = p.language

@@ -14,6 +14,16 @@ literal.  Universal rounds are kept meaningful by reading, not by
 rejection: a damaged or one-sided value at an even level counts as
 true, so straying from a real assignment only helps the prover, and
 the round covers range over exactly the real assignments.
+
+On a plain graph, one whose nodes carry no literal or clause, the covers
+yield no move and the strategies play the canonical labelling, so every
+level is forced.  The verifier rejects at any node that is neither a
+literal nor a clause, so the game ends False, as the oracle does.  A
+graph that carries literals or clauses but encodes no formula is refused
+with ``FormulaError``: a radius-1 verifier cannot check global
+conditions of the encoding, such as contiguous quantifier levels, so
+playing it could accept what the oracle rejects.  A formula deeper than
+k alternations is refused with ``ProtocolError``.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from ..graphs import (BallView, Cls, Graph, IdAssignment, InputAssignment,
 from ..labels import LabelDomain, Labelling, optional_range_field
 from ..oracles import oracle_qbf
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
-                        pattern_tag)
+                        canonical_labelling, pattern_tag)
 from ..runtime import LocalVerifier
 
 
@@ -254,8 +264,16 @@ def protocol_qbf_k(k: int) -> Protocol:
     if k < 1:
         raise ProtocolError("the truth game needs at least one level")
 
-    def checked_view(instance: Instance) -> _FormulaView:
-        view = _formula_view(instance)
+    def checked_view(instance: Instance) -> Optional[_FormulaView]:
+        """The encoded formula, or None on a graph whose nodes carry no
+        literal or clause.  A malformed encoding raises ``FormulaError``."""
+        try:
+            view = _formula_view(instance)
+        except FormulaError:
+            if any(isinstance(instance.input_of(v), (Lit, Cls))
+                   for v in range(instance.n)):
+                raise
+            return None
         if view.depth > k:
             raise ProtocolError(
                 f"formula alternation depth {view.depth} exceeds"
@@ -264,13 +282,17 @@ def protocol_qbf_k(k: int) -> Protocol:
 
     def cover_at(level: int):
         def cover(instance: Instance, earlier) -> Iterable[Labelling]:
-            yield from _assignments(checked_view(instance), level,
-                                    instance.n)
+            view = checked_view(instance)
+            if view is not None:
+                yield from _assignments(view, level, instance.n)
         return cover
 
     def strategy_at(level: int):
         def strategy(instance: Instance, earlier) -> Labelling:
             view = checked_view(instance)
+            if view is None:
+                return canonical_labelling(
+                    truth_domain(instance.n, instance.N))
             move = _winning_assignment(instance, view, level, earlier)
             if move is not None:
                 return move

@@ -1,5 +1,14 @@
 """Local verifier execution: per-node decisions over ball views, conjunct verdict.
 
+A labelling is accepted only if every node accepts, so one rejecting node
+refutes it.  ``first_rejection`` looks for one: it decides an optional
+hinted node first, then every other node in node order, each once, and
+stops at the first rejection.  A decision depends on its view alone, so
+the order cannot change whether a rejecting node exists, only how many
+decisions are made before one is found.  Without a hint it is the
+verdict-only search, ``first_rejection(...) is None`` exactly when every
+node accepts; ``evaluate`` decides every node.
+
 Every view comes from a ``ViewStore``, bound to one instance and one
 radius.  Across the leaves of one game only the label layers change, so a
 centre's members, edges, identities, inputs and frontier stay the same.
@@ -16,9 +25,10 @@ reads.  The store settles a view when it keeps it: it computes all three
 once, and every copy served from the kept view shares them instead of
 computing its own at each leaf.
 
-``game_evaluate`` shares one store across the leaves of a game.  Its
-final replay of the principal line calls ``evaluate``, which makes a
-fresh store: the replay rebuilds every view from the instance, so it
+``game_evaluate`` shares one store across the leaves of a game, and
+hints each leaf with the node that last rejected a leaf at the same
+final-level cover position.  Its final replay of the principal line
+calls ``evaluate``, which makes a fresh store: the replay rebuilds every view from the instance, so it
 stays an independent check, and a verifier that depends on anything but
 its view, or a view the game's store served wrongly, can show up as a
 verdict mismatch instead of being repeated.
@@ -129,13 +139,17 @@ def evaluate(verifier: LocalVerifier, instance: Instance,
     return Decision(accepts)
 
 
-def evaluate_verdict(verifier: LocalVerifier, instance: Instance,
-                     labellings: Sequence[Sequence[object]] = (),
-                     charge: Optional[Callable[[], None]] = None,
-                     views: Optional[ViewStore] = None) -> bool:
-    """Verdict-only evaluation, stopping at the first rejecting node.
+def first_rejection(verifier: LocalVerifier, instance: Instance,
+                    labellings: Sequence[Sequence[object]] = (),
+                    charge: Optional[Callable[[], None]] = None,
+                    views: Optional[ViewStore] = None,
+                    first: Optional[int] = None) -> Optional[int]:
+    """The first node found to reject, or None when every node accepts.
 
-    ``charge`` is invoked once per node evaluation; callers use it to meter
+    Node ``first``, when given, is decided first; then every other node in
+    node order, each once.  Decisions are pure, so the order changes only
+    how many are made before a rejection is found, never whether one is.
+    ``charge`` is invoked once per node decision; callers use it to meter
     work or abort long runs.  ``views`` is the store to draw views from,
     bound to this instance and the verifier's radius; without one the
     call uses a fresh store.
@@ -146,9 +160,19 @@ def evaluate_verdict(verifier: LocalVerifier, instance: Instance,
         views = ViewStore(instance, verifier.radius)
     elif views.instance is not instance or views.radius != verifier.radius:
         raise VerifierError("view store belongs to another instance or radius")
+    if first is not None:
+        if not 0 <= first < instance.n:
+            raise VerifierError(
+                f"first node {first} is not a node of the instance")
+        if charge is not None:
+            charge()
+        if not verifier.decide(views.view(labellings, first)):
+            return first
     for v in range(instance.n):
+        if v == first:
+            continue
         if charge is not None:
             charge()
         if not verifier.decide(views.view(labellings, v)):
-            return False
-    return True
+            return v
+    return None

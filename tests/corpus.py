@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import random
 
+from locdec.formulas import parse_formula
 from locdec.gen import clique_graph, cycle_graph, path_graph
-from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance
+from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance,
+                           Marks, Ptr)
+from locdec.protocols.qbf import encode_qbf
 
 
 def plain_instance(graph: Graph, ids: IdAssignment | None = None) -> Instance:
@@ -40,3 +43,33 @@ def c4() -> Graph:
 
 def k4() -> Graph:
     return clique_graph(4)
+
+
+# Transformed protocols that the sweeps over ``protocols.names()`` add.
+TRANSFORMS = ("lift:3col", "unanimous:spanning-tree+non-spanning-tree",
+              "collapse:qbf")
+
+
+def small_instances(name: str) -> list[Instance]:
+    """Three-node instances, inside and outside the language where the
+    inputs allow both, whose inputs the protocol reads as intended."""
+    if name.endswith("qbf"):
+        return [encode_qbf(parse_formula(f"Ey1 Ay2: (y1 | y2) & ({c} | y2)"))
+                for c in ("y1", "~y1")]
+    graphs = [path_graph(3), clique_graph(3)]
+    tree, two_roots = (Ptr(None), Ptr(1), Ptr(2)), (Ptr(None), Ptr(1), Ptr(None))
+    if name in ("mst", "tsp"):
+        weights = {(0, 1): 1, (0, 2): 2, (1, 2): 3}
+        graphs = [Graph(3, frozenset(weights), weights)]
+    inputs = {
+        "3col": [(1, 2, 1), (1, 1, 2)], "lift:3col": [(1, 2, 1), (1, 1, 2)],
+        "size": [(3, 3, 3), (4, 3, 3)], "cycle-vc": [(2, 2, 2), (1, 1, 1)],
+        "matching": [(Ptr(2), Ptr(1), Ptr(None)), (Ptr(None),) * 3],
+        "mst": [(Ptr(None), Ptr(1), Ptr(1)), tree],
+        "tsp": [(Marks({2, 3}), Marks({1, 3}), Marks({1, 2})),
+                (Marks({2}), Marks({1}), Marks(()))],
+        "nta": [(None,) * 3],
+    }.get(name, [(1, 0, 1), (0, 1, 1)] if name in ("mis", "mds", "maxcut", "mincut")
+          else [tree, two_roots])
+    return [Instance(g, IdAssignment((1, 2, 3), 9), InputAssignment(x))
+            for g in graphs for x in inputs]

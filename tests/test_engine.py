@@ -21,6 +21,7 @@ from locdec.protocols.basic import (protocol_non_spanning_tree,
                                     protocol_proper_3colouring,
                                     protocol_size, protocol_spanning_tree,
                                     spanning_tree_inputs)
+from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, evaluate
 from locdec.schemes import build_non_spanning_tree_cert, build_spanning_tree_cert
 
@@ -522,6 +523,33 @@ def test_double_lift_is_identity():
     for inst in cases:
         assert (game_evaluate(double, inst).verdict
                 == game_evaluate(base, inst).verdict)
+
+
+def test_lift_refuses_a_protocol_whose_added_level_is_the_disprovers():
+    # qbf is existential-2: its third level would fall to the disprover,
+    # who would forfeit the tree certificate the lift adds.
+    with pytest.raises(ProtocolError, match="disprover's"):
+        resolve("lift:qbf")
+    with pytest.raises(ProtocolError, match="disprover's"):
+        complement_lift(Protocol("pi1", DISPROVER, (Level(bit_domain),),
+                                 LocalVerifier(1, 1, lambda b: True)))
+
+
+@pytest.mark.parametrize("name", names())
+def test_lift_builds_with_a_prover_owned_last_level_or_refuses(name):
+    try:
+        lifted = resolve("lift:" + name)
+    except ProtocolError as exc:
+        assert "disprover's" in str(exc)
+        return
+    assert lifted.owner(lifted.level_count) == PROVER
+
+
+@pytest.mark.parametrize("name", ["lift:3col", "lift:nta",
+                                  "lift:lift:spanning-tree"])
+def test_lift_builds_on_protocols_that_leave_the_prover_the_last_level(name):
+    lifted = resolve(name)
+    assert lifted.owner(lifted.level_count) == PROVER
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from locdec.protocol import canonical_labelling
 from locdec.protocols import names, resolve
 from locdec.protocols.qbf import encode_qbf
 
-TRANSFORMS = ("lift:3col", "unanimous:spanning-tree+non-spanning-tree",
-              "collapse:qbf")
+from corpus import TRANSFORMS
+
 PROTOCOLS = (*names(), *TRANSFORMS)
 
 # A domain's values() materialises every field's values, so the direct

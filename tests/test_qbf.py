@@ -1,6 +1,8 @@
 """Formula encodings and the alternating truth game."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locdec import gen
 from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, check_protocol,
@@ -203,3 +205,59 @@ class TestVerifier:
                              TruthLabel(None), TruthLabel(None)])
         d = evaluate(self.verifier, self.inst, (a_false, b_true))
         assert d.verdict
+
+
+# ---------------------------------------------------------------------------
+# graphs that encode no formula
+
+
+@st.composite
+def plain_graphs(draw):
+    """A random connected graph with None inputs and random identities."""
+    n = draw(st.integers(1, 5))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    # The truth label needs 2 bits, within budget from N = 3 on.
+    N = draw(st.integers(max(n, 3), 2 * n + 1))
+    ids = draw(st.permutations(range(1, N + 1)))[:n]
+    return Instance(Graph(n, frozenset(edges)), IdAssignment(tuple(ids), N),
+                    InputAssignment((None,) * n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=plain_graphs(), name=st.sampled_from(["qbf", "collapse:qbf"]),
+       mode=st.sampled_from([EXHAUSTIVE, CONSTRUCTIVE]))
+def test_plain_graphs_end_with_the_oracle_verdict(inst, name, mode):
+    # Covers yield no move and strategies play the canonical labelling,
+    # so the game is total and agrees with the oracle (False).
+    protocol = resolve(name)
+    assert game_evaluate(protocol, inst, mode).verdict \
+        is protocol.language.oracle(inst) is False
+
+
+def _malformed(inputs, edges):
+    n = len(inputs)
+    return Instance(Graph(n, frozenset(edges)),
+                    IdAssignment(tuple(range(1, n + 1)), max(n, 3)),
+                    InputAssignment(tuple(inputs)))
+
+
+@pytest.mark.parametrize("inst", [
+    _malformed([Lit(2, 1)], ()),
+    _malformed([Lit(2, 1), Cls()], {(0, 1)}),
+    _malformed([Lit(2, 1), Lit(2, -1)], {(0, 1)}),
+    _malformed([None, Cls()], {(0, 1)}),
+], ids=["lone-universal-literal", "unpartnered-literal-clause",
+        "level-2-pair-without-level-1", "plain-node-beside-a-clause"])
+@pytest.mark.parametrize("name", ["qbf", "collapse:qbf"])
+@pytest.mark.parametrize("mode", [EXHAUSTIVE, CONSTRUCTIVE],
+                         ids=["exhaustive", "constructive"])
+def test_malformed_encodings_are_refused(inst, name, mode):
+    # A radius-1 verifier cannot check partners or contiguous levels, so a
+    # graph that carries literals or clauses must encode a formula.
+    protocol = resolve(name)
+    assert protocol.language.oracle(inst) is False
+    with pytest.raises(FormulaError):
+        game_evaluate(protocol, inst, mode)

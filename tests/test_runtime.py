@@ -4,7 +4,7 @@ import pytest
 
 from locdec.graphs import Graph, IdAssignment
 from locdec.runtime import (Decision, LocalVerifier, VerifierError, evaluate,
-                            evaluate_verdict)
+                            first_rejection)
 
 from corpus import c4, p3, plain_instance
 
@@ -110,9 +110,9 @@ def test_verdict_early_exit_and_charging():
     inst = plain_instance(p3())
     calls = []
     reject_all = LocalVerifier(radius=0, layer_count=0, decide=lambda b: False)
-    assert evaluate_verdict(reject_all, inst, (), charge=lambda: calls.append(1)) is False
+    assert first_rejection(reject_all, inst, (), charge=lambda: calls.append(1)) == 0
     assert len(calls) == 1
     calls.clear()
     accept_all = LocalVerifier(radius=0, layer_count=0, decide=lambda b: True)
-    assert evaluate_verdict(accept_all, inst, (), charge=lambda: calls.append(1)) is True
+    assert first_rejection(accept_all, inst, (), charge=lambda: calls.append(1)) is None
     assert len(calls) == 3

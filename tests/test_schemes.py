@@ -11,7 +11,7 @@ from locdec.labels import (GatherCert, HamCert, Labelling, NSTCert, SizeCert,
                            TreeCert, gather_cert_domain, ham_cert_domain,
                            non_ham_cert_domain, nst_cert_domain,
                            size_cert_domain, tree_cert_domain)
-from locdec.runtime import LocalVerifier, evaluate, evaluate_verdict
+from locdec.runtime import LocalVerifier, evaluate, first_rejection
 from locdec.schemes import (SchemeError, build_gathering_cert,
                             build_hamiltonian_cert, build_non_hamiltonian_cert,
                             build_non_spanning_tree_cert, build_size_cert,
@@ -88,7 +88,7 @@ def test_tree_cert_two_roots_always_rejected():
     inst = plain_instance(g).with_inputs((Ptr(None), Ptr(1), Ptr(None)))
     for combo in product(product(range(1, 10), range(3)), repeat=3):
         lab = Labelling(TreeCert(r, None, d) for r, d in combo)
-        assert evaluate_verdict(ST, inst, (lab,)) is False
+        assert first_rejection(ST, inst, (lab,)) is not None
 
 
 def test_tree_cert_pointer_cycle_always_rejected():
@@ -96,7 +96,7 @@ def test_tree_cert_pointer_cycle_always_rejected():
     inst = plain_instance(g).with_inputs((Ptr(2), Ptr(1), Ptr(2)))
     for combo in product(product(range(1, 10), range(3)), repeat=3):
         lab = Labelling(TreeCert(r, None, d) for r, d in combo)
-        assert evaluate_verdict(ST, inst, (lab,)) is False
+        assert first_rejection(ST, inst, (lab,)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +143,14 @@ def test_size_cert_wrong_count_always_rejected():
     per_node = [SizeCert(r, p, s)
                 for r in range(1, 4) for p in parents for s in range(1, 4)]
     for combo in product(per_node, repeat=3):
-        assert evaluate_verdict(SIZE, inst, (Labelling(combo),)) is False
+        assert first_rejection(SIZE, inst, (Labelling(combo),)) is not None
 
 
 def test_size_cert_ghost_parent_rejected():
     # A parent id naming no neighbour must not slip past the sum check.
     inst = plain_instance(path_graph(3)).with_inputs((2, 2, 2))
     lab = Labelling((SizeCert(5, 7, 1), SizeCert(5, 7, 1), SizeCert(5, 7, 1)))
-    assert evaluate_verdict(SIZE, inst, (lab,)) is False
+    assert first_rejection(SIZE, inst, (lab,)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def test_ham_two_disjoint_triangles_always_rejected():
             for v, p in zip(others, ps):
                 pos[v] = p
             lab = Labelling(HamCert(*base[v], pos[v]) for v in range(6))
-            assert evaluate_verdict(HAM, inst, (lab,)) is False
+            assert first_rejection(HAM, inst, (lab,)) is not None
         # Nonzero root positions die at the root's own clause.
         lab = Labelling(HamCert(*base[v], 1 if v == root else 0) for v in range(6))
         assert evaluate(HAM, inst, (lab,)).at(root) is False
@@ -397,7 +397,7 @@ def test_nst_flag2_rejects_on_connected_pointers():
     cert = build_non_spanning_tree_cert(forest, frozenset({(0, 1), (2, 3)}))
     st = plain_instance(path_graph(4)).with_inputs(
         (Ptr(None), Ptr(1), Ptr(2), Ptr(3)))
-    assert evaluate_verdict(NST, st, (cert,)) is False
+    assert first_rejection(NST, st, (cert,)) is not None
 
 
 def triangle_pointer_cycle():
@@ -474,7 +474,7 @@ def test_non_ham_flag0_rejects_on_proper_marks():
     cert = build_non_hamiltonian_cert(defect)
     proper = plain_instance(c4()).with_inputs(
         (Marks((2, 4)), Marks((1, 3)), Marks((2, 4)), Marks((1, 3))))
-    assert evaluate_verdict(NONHAM, proper, (cert,)) is False
+    assert first_rejection(NONHAM, proper, (cert,)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,13 @@ from hypothesis import strategies as st
 
 from locdec import graphs, runtime, schemes
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
-from locdec.formulas import parse_formula
 from locdec.gen import clique_graph, cycle_graph, grid_graph, path_graph
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
-                           Instance, Marks, Ptr, ball)
+                           Instance, ball)
 from locdec.protocols import names, resolve
-from locdec.protocols.qbf import encode_qbf
-from locdec.runtime import LocalVerifier, VerifierError, ViewStore, evaluate_verdict
+from locdec.runtime import LocalVerifier, VerifierError, ViewStore, first_rejection
 
-from corpus import asymmetric6, plain_instance
+from corpus import TRANSFORMS, asymmetric6, plain_instance, small_instances
 
 
 def _graph(draw, n: int) -> Graph:
@@ -112,9 +110,9 @@ def test_shared_store_gives_fresh_store_verdicts(case):
         runs = []
         for views in (shared[which], None):
             charged = []
-            verdict = evaluate_verdict(verifier, instances[which], labellings[lab],
+            rejecter = first_rejection(verifier, instances[which], labellings[lab],
                                        charge=lambda: charged.append(1), views=views)
-            runs.append((verdict, len(charged)))
+            runs.append((rejecter, len(charged)))
         assert runs[0] == runs[1]
 
 
@@ -123,41 +121,13 @@ def test_store_refuses_another_instance_or_radius():
     other = plain_instance(path_graph(3))
     verifier = LocalVerifier(1, 0, lambda view: True)
     with pytest.raises(VerifierError, match="another instance"):
-        evaluate_verdict(verifier, inst, (), views=ViewStore(other, 1))
+        first_rejection(verifier, inst, (), views=ViewStore(other, 1))
     with pytest.raises(VerifierError, match="another instance"):
-        evaluate_verdict(verifier, inst, (), views=ViewStore(inst, 2))
+        first_rejection(verifier, inst, (), views=ViewStore(inst, 2))
 
 
 # ---------------------------------------------------------------------------
 # verifiers leave their views untouched
-
-TRANSFORMS = ("lift:3col", "unanimous:spanning-tree+non-spanning-tree",
-              "collapse:qbf")
-
-
-def _small_instances(name: str) -> list[Instance]:
-    """Three-node instances, inside and outside the language where the
-    inputs allow both, whose inputs the protocol reads as intended."""
-    if name.endswith("qbf"):
-        return [encode_qbf(parse_formula(f"Ey1 Ay2: (y1 | y2) & ({c} | y2)"))
-                for c in ("y1", "~y1")]
-    graphs = [path_graph(3), clique_graph(3)]
-    tree, two_roots = (Ptr(None), Ptr(1), Ptr(2)), (Ptr(None), Ptr(1), Ptr(None))
-    if name in ("mst", "tsp"):
-        weights = {(0, 1): 1, (0, 2): 2, (1, 2): 3}
-        graphs = [Graph(3, frozenset(weights), weights)]
-    inputs = {
-        "3col": [(1, 2, 1), (1, 1, 2)], "lift:3col": [(1, 2, 1), (1, 1, 2)],
-        "size": [(3, 3, 3), (4, 3, 3)], "cycle-vc": [(2, 2, 2), (1, 1, 1)],
-        "matching": [(Ptr(2), Ptr(1), Ptr(None)), (Ptr(None),) * 3],
-        "mst": [(Ptr(None), Ptr(1), Ptr(1)), tree],
-        "tsp": [(Marks({2, 3}), Marks({1, 3}), Marks({1, 2})),
-                (Marks({2}), Marks({1}), Marks(()))],
-        "nta": [(None,) * 3],
-    }.get(name, [(1, 0, 1), (0, 1, 1)] if name in ("mis", "mds", "maxcut", "mincut")
-          else [tree, two_roots])
-    return [Instance(g, IdAssignment((1, 2, 3), 9), InputAssignment(x))
-            for g in graphs for x in inputs]
 
 
 # Attributes a view computes on first read; they are not fields, so the
@@ -192,7 +162,7 @@ def test_verifiers_do_not_write_into_views(name):
 
     watched = replace(protocol, verifier=replace(protocol.verifier, decide=checked))
     nodes = 0
-    for inst in _small_instances(name):
+    for inst in small_instances(name):
         nodes += game_evaluate(watched, inst, EXHAUSTIVE).stats.node_evaluations
     assert calls["n"] >= nodes > 0
 
@@ -202,13 +172,20 @@ def test_verifiers_do_not_write_into_views(name):
 
 
 def test_nta_exhaustive_counts():
-    # Two builds per centre, every later view served from kept geometry.
+    # Every leaf loses: the six rebut trees come in the same cover order
+    # under each of the 720 image moves, and each is refuted by its root.
+    # The first image move meets each cover position for the first time,
+    # with no hint, and scans in node order up to each root (1 + 2 + ... +
+    # 6 = 21 decisions); every later leaf is refuted by its hinted node at
+    # one decision.  Two builds per centre, every later view served
+    # from kept geometry.
     inst = Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
                     InputAssignment((None,) * 6))
     stats = game_evaluate(resolve("nta"), inst, EXHAUSTIVE).stats
     assert stats.leaf_evaluations == 4_320
-    assert stats.node_evaluations == 15_120
-    assert stats.views_reused == 15_120 - 2 * inst.n
+    assert stats.node_evaluations == 4_335 == 21 + (4_320 - 6)
+    assert stats.first_refutations == 4_314
+    assert stats.views_reused == 4_335 - 2 * inst.n
 
 
 def test_nta_exhaustive_computes_derived_attributes_once_per_ball(monkeypatch):
@@ -237,7 +214,7 @@ def test_nta_exhaustive_computes_derived_attributes_once_per_ball(monkeypatch):
 
         monkeypatch.setattr(attr, "compute", counted)
     stats = game_evaluate(resolve("nta"), inst, EXHAUSTIVE).stats
-    assert stats.views_reused == 15_120 - 2 * inst.n
+    assert stats.views_reused == 4_335 - 2 * inst.n
     geometries = {id(view.adj_in) for view in built}
     assert {geometry for _, geometry in computed} <= geometries
     assert max(computed.values()) == 1
