@@ -127,9 +127,18 @@ def game_evaluate(protocol: Protocol, instance: Instance,
                   mode: EvalMode = EXHAUSTIVE) -> GameOutcome:
     """Play the game to optimal completion and replay its principal line.
 
+    One rule gives every level's moves (``moves``).  On a prover level in
+    constructive play the one move is the strategy's, checked against the
+    level's domain.  Otherwise the moves are the level's cover, drawn
+    lazily under ``move_cap``, followed on a disprover level whose domain
+    has spare bit patterns by the all-``INVALID`` forfeit unless the cover
+    held it; when that leaves no move at all, the canonical labelling is
+    forced.  The level's owner takes the first move that wins its
+    sub-game, and otherwise loses with the first move.
+
     Leaves are decided refuter first.  A leaf's final-level move has a
-    cover position: its index among ``moves(k - 1, ...)``, or 0 for a
-    strategy move or a forced canonical move.  Each leaf first decides the
+    position: its index among ``moves(k - 1, ...)``, so a strategy move or
+    a forced canonical move is position 0.  Each leaf first decides the
     node that last rejected a leaf at the same position, if any, then every
     other node in node order (see ``runtime.first_rejection``).  Leaves at
     one position under different earlier moves often fail at the same node,
@@ -149,7 +158,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     domains = tuple(lv.domain_of(instance.n, instance.N)
                     for lv in protocol.levels)
     views = ViewStore(instance, protocol.verifier.radius)
-    # Final-level cover position -> the node that last rejected a leaf
+    # Final-level move position -> the node that last rejected a leaf
     # ending there.
     hints: dict[int, int] = {}
 
@@ -169,12 +178,26 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         return False
 
     def moves(idx: int, earlier: tuple[Labelling, ...]):
+        level = protocol.levels[idx]
+        if mode.constructive and protocol.owner(idx + 1) == PROVER:
+            if level.strategy is None:
+                raise ProtocolError(
+                    f"{protocol.name}: level {idx + 1} has no strategy for"
+                    f" constructive play")
+            move = level.strategy(instance, earlier)
+            try:
+                domains[idx].check_labelling(move)
+            except DomainError as exc:
+                raise StrategyError(
+                    f"{protocol.name}: level {idx + 1} strategy: {exc}") from exc
+            yield move if isinstance(move, Labelling) else Labelling(tuple(move))
+            return
         forfeit = None
         if protocol.owner(idx + 1) == DISPROVER and domains[idx].has_invalid:
             forfeit = all_invalid_labelling(instance.n)
         seen_forfeit = False
-        cover = protocol.levels[idx].cover(instance, earlier)
-        for count, move in enumerate(cover, 1):
+        count = 0
+        for count, move in enumerate(level.cover(instance, earlier), 1):
             if count > mode.move_cap:
                 raise CapExceeded(
                     f"{protocol.name}: level {idx + 1} cover exceeds the move"
@@ -182,34 +205,19 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             if forfeit is not None and move == forfeit:
                 seen_forfeit = True
             yield move
-        # The disprover may always decline to play a structured labelling.
         if forfeit is not None and not seen_forfeit:
+            # The disprover may always decline to play a structured labelling.
             yield forfeit
+        elif count == 0:
+            # No moves at all: the level degenerates to a forced labelling.
+            yield canonical_labelling(domains[idx])
 
     def play(idx: int, earlier: tuple[Labelling, ...], position: int = 0):
-        # ``position`` is the last move's index in its level's cover; the
-        # leaf reads it as the final level's.
+        # ``position`` is the last move's index among its level's moves;
+        # the leaf reads it as the final level's.
         if idx == k:
             return leaf_value(earlier, position), ()
-        level = protocol.levels[idx]
-        side = protocol.owner(idx + 1)
-        domain = domains[idx]
-        if side == PROVER and mode.constructive:
-            if level.strategy is None:
-                raise ProtocolError(
-                    f"{protocol.name}: level {idx + 1} has no strategy for"
-                    f" constructive play")
-            move = level.strategy(instance, earlier)
-            try:
-                domain.check_labelling(move)
-            except DomainError as exc:
-                raise StrategyError(
-                    f"{protocol.name}: level {idx + 1} strategy: {exc}") from exc
-            if not isinstance(move, Labelling):
-                move = Labelling(tuple(move))
-            value, rest = play(idx + 1, earlier + (move,))
-            return value, (move,) + rest
-        wants = side == PROVER
+        wants = protocol.owner(idx + 1) == PROVER
         fallback = None
         for position, move in enumerate(moves(idx, earlier)):
             value, rest = play(idx + 1, earlier + (move,), position)
@@ -217,11 +225,6 @@ def game_evaluate(protocol: Protocol, instance: Instance,
                 return value, (move,) + rest
             if fallback is None:
                 fallback = (move, rest)
-        if fallback is None:
-            # No moves at all: the level degenerates to a forced labelling.
-            move = canonical_labelling(domain)
-            value, rest = play(idx + 1, earlier + (move,))
-            return value, (move,) + rest
         move, rest = fallback
         return not wants, (move,) + rest
 
@@ -548,7 +551,13 @@ def relabel_identities(instance: Instance,
 
 def identity_variants(instance: Instance, count: int = 3,
                       seed: int = 0) -> tuple[Instance, ...]:
-    """Deterministic list of re-identified copies, the original first."""
+    """Deterministic list of re-identified copies, the original first.
+
+    ``count`` must be at least 1; fewer copies come back only when the
+    identity space holds fewer distinct assignments."""
+    if count < 1:
+        raise ValueError(
+            f"identity rounds must be a positive integer, got {count}")
     available = 1
     for j in range(instance.n):
         available *= instance.N - j

@@ -7,6 +7,7 @@ size guards.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Sequence
 
@@ -16,7 +17,8 @@ from .graphs import Edge, Graph, Instance, Ptr, norm_edge
 
 # ---------------------------------------------------------------- trees
 
-def _spans(n: int, edges: Sequence[Edge]) -> bool:
+def _components(n: int, edges: Sequence[Edge]) -> int:
+    """Connected components of the graph on nodes 0..n-1 with these edges."""
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -25,14 +27,18 @@ def _spans(n: int, edges: Sequence[Edge]) -> bool:
             a = parent[a]
         return a
 
-    joined = 0
+    comps = n
     for (u, v) in edges:
         ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        joined += 1
-    return joined == n - 1
+        if ru != rv:
+            parent[ru] = rv
+            comps -= 1
+    return comps
+
+
+def _spans(n: int, edges: Sequence[Edge]) -> bool:
+    """Do the edges form a spanning tree: n - 1 edges and one component?"""
+    return len(edges) == n - 1 and _components(n, edges) == 1
 
 
 def _as_graph(g) -> Graph:
@@ -253,45 +259,19 @@ def oracle_qbf(formula: Formula) -> bool:
 
 # ------------------------------------------------------- graph enumeration
 
-def _connected_mask(n: int, edges: list[Edge]) -> bool:
-    if n == 1:
-        return True
-    return len(edges) >= n - 1 and _spans_relaxed(n, edges)
-
-def _spans_relaxed(n: int, edges: list[Edge]) -> bool:
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = n
-    for (u, v) in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
-
-
 def connected_graphs(n: int) -> Iterator[Graph]:
     """Every connected graph on nodes 0..n-1, one per labelled edge set."""
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(all_edges)):
         chosen = [e for i, e in enumerate(all_edges) if mask >> i & 1]
-        if _connected_mask(n, chosen):
+        if _components(n, chosen) == 1:
             yield Graph(n, frozenset(chosen))
 
 
-_REP_CACHE: dict[int, tuple[Graph, ...]] = {}
-
+@cache
 def iso_representatives(n: int) -> tuple[Graph, ...]:
     """One connected graph per isomorphism class, smallest labelling first."""
-    if n in _REP_CACHE:
-        return _REP_CACHE[n]
-    perms = [p for p in product(*[range(n)] * n) if len(set(p)) == n]
+    perms = list(permutations(range(n)))
     seen: set[frozenset[Edge]] = set()
     reps: list[Graph] = []
     for g in connected_graphs(n):
@@ -302,5 +282,4 @@ def iso_representatives(n: int) -> tuple[Graph, ...]:
             seen.add(canon)
             reps.append(Graph(n, canon))
     reps.sort(key=lambda g: (len(g.edges), sorted(g.edges)))
-    _REP_CACHE[n] = tuple(reps)
-    return _REP_CACHE[n]
+    return tuple(reps)

@@ -11,6 +11,12 @@ whole labellings the evaluator tries).  The cover defaults to the full
 product over the domain; a hand-written cover must contain a winning move
 for the level's owner whenever the product does, so substituting it never
 changes the verdict.
+
+A level's moves follow one rule, stated in ``engine.game_evaluate``: the
+checked strategy move on a prover level in constructive play, else the
+cover (plus the disprover's all-``INVALID`` forfeit), else the forced
+canonical labelling.  A strategy with no better move to make plays
+``first_move``, the cover's first move or else the canonical labelling.
 """
 
 from __future__ import annotations
@@ -125,8 +131,8 @@ def certificate_protocol(name: str, domain_of: DomainFactory,
     """Single prover level whose only move is one honest certificate.
 
     ``honest(instance)`` builds the certificate, or returns None when there
-    is no witness to encode: the cover is then empty, and constructive play
-    falls back to the domain's canonical labelling.  ``decide`` is the
+    is no witness to encode: the cover is then empty, and the strategy
+    plays ``first_move``, the canonical labelling.  ``decide`` is the
     radius-1 verifier.
     """
 
@@ -135,12 +141,8 @@ def certificate_protocol(name: str, domain_of: DomainFactory,
         if move is not None:
             yield move
 
-    def strategy(instance: Instance, earlier) -> Labelling:
-        move = honest(instance)
-        return move if move is not None else canonical_labelling(
-            level.domain_of(instance.n, instance.N))
-
-    level = Level(domain_of, cover, strategy)
+    level = Level(domain_of, cover,
+                  lambda instance, earlier: first_move(level, instance, earlier))
     return Protocol(name, PROVER, (level,),
                     LocalVerifier(1, 1, decide),
                     LanguageSpec(name, oracle, class_tag))
@@ -153,6 +155,14 @@ def certificate_protocol(name: str, domain_of: DomainFactory,
 def canonical_labelling(domain: LabelDomain) -> Labelling:
     """First structured value of the domain at every node."""
     return Labelling((domain.first(),) * domain.n)
+
+
+def first_move(level: Level, instance: Instance,
+               earlier: tuple[Labelling, ...] = ()) -> Labelling:
+    """The level's cover's first move, else its canonical labelling."""
+    for move in level.cover(instance, earlier):
+        return move
+    return canonical_labelling(level.domain_of(instance.n, instance.N))
 
 
 def all_invalid_labelling(n: int) -> Labelling:

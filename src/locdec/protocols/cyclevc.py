@@ -25,8 +25,8 @@ from ..labels import (GatherCert, LabelDomain, Labelling, flag_field,
                       gather_cert_domain, optional_range_field, range_field,
                       sub_field)
 from ..oracles import cycle_vc_witness, oracle_cycle_vc, simple_cycles
-from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
-                        canonical_labelling, pattern_tag)
+from ..protocol import (PROVER, LanguageSpec, Level, Protocol, first_move,
+                        pattern_tag)
 from ..runtime import LocalVerifier
 from ..schemes import build_gathering_cert, verify_gathering_cert
 
@@ -203,14 +203,10 @@ def protocol_cycle_vc() -> Protocol:
 
     def claim_strategy(instance: Instance, earlier) -> Labelling:
         k = uniform_threshold(instance)
-        if k is not None:
-            xset = cycle_vc_witness(instance.graph, k)
-            if xset is not None:
-                return _honest_claim(instance, xset)
-            for move in claim_cover(instance, ()):
-                return move
-        return canonical_labelling(
-            protocol.levels[0].domain_of(instance.n, instance.N))
+        xset = None if k is None else cycle_vc_witness(instance.graph, k)
+        if xset is not None:
+            return _honest_claim(instance, xset)
+        return first_move(claim, instance, earlier)
 
     def pick_cover(instance: Instance, earlier) -> Iterable[Labelling]:
         members = sorted(_flagged(earlier[0], XClaim, "member"))
@@ -231,21 +227,16 @@ def protocol_cycle_vc() -> Protocol:
             if challenged <= nodes and not avoid & nodes:
                 yield _response(instance, earlier, cycle)
 
-    def respond_strategy(instance: Instance, earlier) -> Labelling:
-        for move in respond_cover(instance, earlier):
-            return move
-        return canonical_labelling(
-            protocol.levels[2].domain_of(instance.n, instance.N))
-
     def in_language(instance: Instance) -> bool:
         k = uniform_threshold(instance)
         return k is not None and oracle_cycle_vc(instance.graph, k)
 
-    protocol = Protocol(
+    claim = Level(x_claim_domain, claim_cover, claim_strategy)
+    respond = Level(cycle_response_domain, respond_cover,
+                    lambda instance, earlier: first_move(respond, instance,
+                                                         earlier))
+    return Protocol(
         "cycle-vc", PROVER,
-        (Level(x_claim_domain, claim_cover, claim_strategy),
-         Level(s_pick_domain, pick_cover, None),
-         Level(cycle_response_domain, respond_cover, respond_strategy)),
+        (claim, Level(s_pick_domain, pick_cover, None), respond),
         LocalVerifier(1, 3, _decide),
         LanguageSpec("cycle-vc", in_language, pattern_tag(PROVER, 3)))
-    return protocol

@@ -31,7 +31,8 @@ from ..labels import (GatherCert, LabelDomain, Labelling, build_bfs_tree,
                       tree_cert_domain)
 from ..oracles import hamiltonian_cycles, is_matching, spanning_trees
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
-                        canonical_labelling, certificate_protocol, pattern_tag)
+                        canonical_labelling, certificate_protocol, first_move,
+                        pattern_tag)
 from ..runtime import LocalVerifier
 from ..schemes import (READ_TREE_CERT, SchemeError, build_gathering_cert,
                        build_hamiltonian_cert, build_non_hamiltonian_cert,
@@ -259,9 +260,9 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
     rn = adm_no.verifier.radius
     radius = max(ry, rn, 1)
     if sense == "min":
-        better = lambda a, b: a < b
+        better, best_of = (lambda a, b: a < b), min
     else:
-        better = lambda a, b: a > b
+        better, best_of = (lambda a, b: a > b), max
     pname = name or f"opt:{adm_yes.name}"
 
     def domain_of(n: int, N: int) -> LabelDomain:
@@ -311,10 +312,27 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         return [local_value(node_view(instance, v))
                 for v in range(instance.n)]
 
-    def _first_move(p: Protocol, instance: Instance) -> Optional[Labelling]:
-        for mv in p.levels[0].cover(instance, ()):
-            return mv
-        return None
+    def _sub_move(p: Protocol, instance: Instance) -> Labelling:
+        # The sub-protocol's strategy move, else its ``first_move``.
+        lv = p.levels[0]
+        if lv.strategy is not None:
+            return lv.strategy(instance, ())
+        return first_move(lv, instance)
+
+    def rivals(instance: Instance,
+               base: int) -> Iterable[tuple[tuple[InputValue, ...], int]]:
+        """Each admissible substitute input whose total beats ``base``,
+        with that total, in ``propose`` order."""
+        for xp in propose(instance):
+            inst2 = instance.with_inputs(xp)
+            if not adm_yes.language.oracle(inst2):
+                continue
+            try:
+                obj = sum(_values(inst2))
+            except _VALUE_ERRORS:
+                continue
+            if better(obj, base):
+                yield xp, obj
 
     def _fillers(instance: Instance):
         # The level domain's first value, part by part, at every node.
@@ -334,7 +352,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         for nm in adm_no.levels[0].cover(instance, ()):
             yield _packed(instance, 0, nm, fill_yes, no_xp, fill_yes,
                           fill_g, fill_g)
-        yx = _first_move(adm_yes, instance)
+        yx = next(iter(adm_yes.levels[0].cover(instance, ())), None)
         if yx is None:
             return
         try:
@@ -343,7 +361,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
             return
         for xp in propose(instance):
             inst2 = instance.with_inputs(xp)
-            yxp = _first_move(adm_yes, inst2)
+            yxp = next(iter(adm_yes.levels[0].cover(inst2, ())), None)
             if yxp is None:
                 continue
             try:
@@ -359,76 +377,41 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         fill_no, fill_yes, fill_g = _fillers(instance)
         no_xp = (None,) * instance.n
         if not adm_yes.language.oracle(instance):
-            nstrat = adm_no.levels[0].strategy
-            nm = nstrat(instance, ()) if nstrat is not None \
-                else _first_move(adm_no, instance)
-            if nm is None:
-                nm = fill_no
-            return _packed(instance, 0, nm, fill_yes, no_xp, fill_yes,
-                           fill_g, fill_g)
-        ystrat = adm_yes.levels[0].strategy
-
-        def honest_yes(inst: Instance) -> Labelling:
-            mv = ystrat(inst, ()) if ystrat is not None \
-                else _first_move(adm_yes, inst)
-            return mv if mv is not None else fill_yes
-
+            return _packed(instance, 0, _sub_move(adm_no, instance), fill_yes,
+                           no_xp, fill_yes, fill_g, fill_g)
         try:
             vals_x = _values(instance)
             agg_x = build_gathering_cert(instance, vals_x)
         except _VALUE_ERRORS:
             return _packed(instance, 1, fill_no, fill_yes, no_xp, fill_yes,
                            fill_g, fill_g)
-        base = sum(vals_x)
-        best: Optional[tuple[tuple[InputValue, ...], int]] = None
-        for xp in propose(instance):
-            inst2 = instance.with_inputs(xp)
-            if not adm_yes.language.oracle(inst2):
-                continue
-            try:
-                obj = sum(_values(inst2))
-            except _VALUE_ERRORS:
-                continue
-            if not better(obj, base):
-                continue
-            if best is None or better(obj, best[1]):
-                best = (xp, obj)
+        # ``propose`` stays outside the try: its ProtocolError is a
+        # ValueError, and it must reach the caller.
+        best = best_of(rivals(instance, sum(vals_x)), key=lambda r: r[1],
+                       default=None)
+        yes_x = _sub_move(adm_yes, instance)
         if best is None:
             # The input is optimal: play it against itself and lose honestly.
             xp = tuple(instance.input_of(v) for v in range(instance.n))
-            return _packed(instance, 1, fill_no, honest_yes(instance), xp,
-                           honest_yes(instance), agg_x, agg_x)
+            return _packed(instance, 1, fill_no, yes_x, xp, yes_x, agg_x, agg_x)
         xp = best[0]
         inst2 = instance.with_inputs(xp)
         agg_xp = build_gathering_cert(inst2, _values(inst2))
-        return _packed(instance, 1, fill_no, honest_yes(instance), xp,
-                       honest_yes(inst2), agg_x, agg_xp)
+        return _packed(instance, 1, fill_no, yes_x, xp,
+                       _sub_move(adm_yes, inst2), agg_x, agg_xp)
 
     language = None
     if adm_yes.language is not None and adm_no.language is not None:
-        y_oracle = adm_yes.language.oracle
-        n_oracle = adm_no.language.oracle
-
         def not_optimal(instance: Instance) -> bool:
-            if n_oracle(instance):
+            if adm_no.language.oracle(instance):
                 return True
-            if not y_oracle(instance):
+            if not adm_yes.language.oracle(instance):
                 return False
             try:
                 base = sum(_values(instance))
             except _VALUE_ERRORS:
                 return False
-            for xp in propose(instance):
-                inst2 = instance.with_inputs(xp)
-                if not y_oracle(inst2):
-                    continue
-                try:
-                    obj = sum(_values(inst2))
-                except _VALUE_ERRORS:
-                    continue
-                if better(obj, base):
-                    return True
-            return False
+            return any(rivals(instance, base))
 
         language = LanguageSpec(pname, not_optimal, "dual-1")
 

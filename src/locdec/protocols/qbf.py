@@ -16,14 +16,14 @@ true, so straying from a real assignment only helps the prover, and
 the round covers range over exactly the real assignments.
 
 On a plain graph, one whose nodes carry no literal or clause, the covers
-yield no move and the strategies play the canonical labelling, so every
-level is forced.  The verifier rejects at any node that is neither a
-literal nor a clause, so the game ends False, as the oracle does.  A
-graph that carries literals or clauses but encodes no formula is refused
-with ``FormulaError``: a radius-1 verifier cannot check global
-conditions of the encoding, such as contiguous quantifier levels, so
-playing it could accept what the oracle rejects.  A formula deeper than
-k alternations is refused with ``ProtocolError``.
+yield no move and the strategies play ``first_move``, the canonical
+labelling, so every level is forced.  The verifier rejects at any node
+that is neither a literal nor a clause, so the game ends False, as the
+oracle does.  A graph that carries literals or clauses but encodes no
+formula is refused with ``FormulaError``: a radius-1 verifier cannot
+check global conditions of the encoding, such as contiguous quantifier
+levels, so playing it could accept what the oracle rejects.  A formula
+deeper than k alternations is refused with ``ProtocolError``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..graphs import (BallView, Cls, Graph, IdAssignment, InputAssignment,
 from ..labels import LabelDomain, Labelling, optional_range_field
 from ..oracles import oracle_qbf
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
-                        canonical_labelling, pattern_tag)
+                        first_move, pattern_tag)
 from ..runtime import LocalVerifier
 
 
@@ -290,13 +290,11 @@ def protocol_qbf_k(k: int) -> Protocol:
     def strategy_at(level: int):
         def strategy(instance: Instance, earlier) -> Labelling:
             view = checked_view(instance)
-            if view is None:
-                return canonical_labelling(
-                    truth_domain(instance.n, instance.N))
-            move = _winning_assignment(instance, view, level, earlier)
-            if move is not None:
-                return move
-            return next(iter(_assignments(view, level, instance.n)))
+            if view is not None:
+                move = _winning_assignment(instance, view, level, earlier)
+                if move is not None:
+                    return move
+            return first_move(levels[level - 1], instance, earlier)
         return strategy
 
     def oracle(instance: Instance) -> bool:

@@ -27,11 +27,11 @@ computing its own at each leaf.
 
 ``game_evaluate`` shares one store across the leaves of a game, and
 hints each leaf with the node that last rejected a leaf at the same
-final-level cover position.  Its final replay of the principal line
-calls ``evaluate``, which makes a fresh store: the replay rebuilds every view from the instance, so it
-stays an independent check, and a verifier that depends on anything but
-its view, or a view the game's store served wrongly, can show up as a
-verdict mismatch instead of being repeated.
+final-level move position.  Its final replay of the principal line
+calls ``evaluate``, which makes a fresh store: the replay rebuilds every
+view from the instance, so it stays an independent check, and a verifier
+that depends on anything but its view, or a view the game's store served
+wrongly, can show up as a verdict mismatch instead of being repeated.
 """
 
 from __future__ import annotations

@@ -213,6 +213,17 @@ def test_run_refuses_a_non_positive_node_cap(tmp_path, capsys, command, cap):
     assert "instance has" not in err
 
 
+@pytest.mark.parametrize("rounds", ["0", "-2"])
+def test_game_refuses_fewer_than_one_identity_round(tmp_path, capsys, rounds):
+    instance = tmp_path / "p3.json"
+    assert main(["gen", "path", "3", "-o", str(instance)]) == 0
+    capsys.readouterr()
+    assert main(["game", "3col", str(instance), "--ids", rounds]) == 2
+    captured = capsys.readouterr()
+    assert "identity rounds must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
 def test_reports_never_use_the_pure_python_encoder(monkeypatch):
     # `json.dumps(..., indent=...)` encodes through `_make_iterencode`;
     # the C encoder never does.

@@ -695,6 +695,15 @@ def test_identity_variants_exhaust_small_spaces():
     assert identity_variants(lone, count=3) == (lone,)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_identity_variants_refuse_fewer_than_one_round(count):
+    inst = p3_pointer_instance()
+    with pytest.raises(ValueError, match="identity rounds"):
+        identity_variants(inst, count=count)
+    with pytest.raises(ValueError, match="identity rounds"):
+        check_protocol(protocol_spanning_tree(), [inst], id_rounds=count)
+
+
 def test_verdicts_identity_invariant():
     for inst, proto in ((plain_instance(cycle_graph(4)), TWOCOL),
                         (plain_instance(cycle_graph(5)), TWOCOL),

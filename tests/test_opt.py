@@ -366,13 +366,15 @@ class TestProtocolOptConstruction:
 
     def test_inexpressible_substitute_input(self):
         # Default substitute pools mirror the input's shape; formula-typed
-        # inputs have no finite shape to mirror.
+        # inputs have no finite shape to mirror.  The strategy must not
+        # swallow the refusal, although ProtocolError is a ValueError.
         proto = protocol_opt(_accept_everything(), _accept_nothing(),
                              lambda b: 0, "max")
         inst = Instance(path_graph(3), IdAssignment((1, 2, 3), 5),
                         InputAssignment((Cls(), Cls(), Cls())))
-        with pytest.raises(ProtocolError, match="not expressible"):
-            game_evaluate(proto, inst)
+        for mode in (EXHAUSTIVE, CONSTRUCTIVE):
+            with pytest.raises(ProtocolError, match="not expressible"):
+                game_evaluate(proto, inst, mode)
 
     def test_identity_relabelling_preserves_verdicts(self):
         inst = triangle_instance((Ptr(None), Ptr(1), Ptr(2)))
