@@ -69,10 +69,7 @@ class RunReport:
 def build_report(protocol: Protocol, instance: Instance,
                  outcome: GameOutcome, extra: Optional[dict] = None,
                  ) -> RunReport:
-    stats = {"leaf_evaluations": outcome.stats.leaf_evaluations,
-             "node_evaluations": outcome.stats.node_evaluations,
-             "views_reused": outcome.stats.views_reused,
-             "first_refutations": outcome.stats.first_refutations}
+    stats = dict(vars(outcome.stats))
     if extra:
         stats.update(extra)
     domains = [level.domain_of(instance.n, instance.N)

@@ -2,8 +2,9 @@
 
 ``resolve`` turns a name into a protocol.  Plain names come from the
 registry table; the prefixes ``lift:``, ``collapse:`` and
-``unanimous:A+B`` apply the corresponding transform to resolved names,
-recursively.
+``unanimous:A+B`` apply the corresponding transform of ``transforms`` to
+resolved names, recursively.  No protocol module imports the game in
+``engine``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from ..engine import collapse_last_universal, complement_lift, unanimous_combine
 from ..protocol import Protocol, ProtocolError
+from ..transforms import collapse_last_universal, complement_lift, unanimous_combine
 from . import basic, cyclevc, nta, opt, qbf
 
 _FACTORIES: dict[str, Callable[[], Protocol]] = {

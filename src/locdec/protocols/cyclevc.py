@@ -19,7 +19,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
-from ..engine import project
 from ..graphs import BallView, Instance
 from ..labels import (GatherCert, LabelDomain, Labelling, flag_field,
                       gather_cert_domain, optional_range_field, range_field,
@@ -29,6 +28,7 @@ from ..protocol import (PROVER, LanguageSpec, Level, Protocol, first_move,
                         pattern_tag)
 from ..runtime import LocalVerifier
 from ..schemes import build_gathering_cert, verify_gathering_cert
+from ..transforms import project
 
 
 class XClaim(NamedTuple):

@@ -25,7 +25,6 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, NamedTuple, Optional
 
-from ..engine import complement_lift, embed, project
 from ..graphs import BallView, Instance
 from ..labels import (LabelDomain, Labelling, flag_field, id_field, sub_field,
                       tree_cert_domain)
@@ -35,6 +34,7 @@ from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
 from ..runtime import LocalVerifier
 from ..schemes import (READ_TREE_CERT, TreeReader, honest_tree, tree_ok,
                        uniform)
+from ..transforms import complement_lift, embed, project
 
 IDENTITY_MAP = 0
 SHARED_IMAGE = 1

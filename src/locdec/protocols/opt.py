@@ -20,25 +20,24 @@ candidate's values up the one kept tree from the smallest identity.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from ..engine import embed, project
-from ..graphs import (MAX_MARKS, BallView, Instance, InstanceError, InputValue,
-                      Marks, Ptr, node_view)
+from ..graphs import (BallView, Instance, InstanceError, InputValue, Marks,
+                      Ptr, node_view)
 from ..labels import (GatherCert, LabelDomain, Labelling, build_bfs_tree,
                       flag_field, gather_cert_domain, ham_cert_domain,
                       input_value_field, non_ham_cert_domain, sub_field,
                       tree_cert_domain)
 from ..oracles import hamiltonian_cycles, is_matching, spanning_trees
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
-                        canonical_labelling, certificate_protocol, first_move,
-                        pattern_tag)
+                        canonical_labelling, certificate_protocol, first_move)
 from ..runtime import LocalVerifier
 from ..schemes import (READ_TREE_CERT, SchemeError, build_gathering_cert,
                        build_hamiltonian_cert, build_non_hamiltonian_cert,
                        honest_tree, mutual_pair, tree_certs, tree_ok, uniform,
                        verify_gathering_cert, verify_hamiltonian_cert,
                        verify_non_hamiltonian_cert)
+from ..transforms import embed, project, require_single_prover_level
 from .basic import protocol_non_spanning_tree, protocol_spanning_tree
 
 LocalValue = Callable[[BallView], int]
@@ -170,29 +169,6 @@ def protocol_non_hamiltonian() -> Protocol:
 # substitute-input enumeration
 
 
-def _default_pool(instance: Instance, v: int) -> Sequence[InputValue]:
-    x = instance.input_of(v)
-    nbr_ids = sorted(instance.id_of(w)
-                     for w in instance.graph.neighbours(v))
-    if isinstance(x, Ptr):
-        return [Ptr(None)] + [Ptr(i) for i in nbr_ids]
-    if isinstance(x, Marks):
-        pool: list[InputValue] = [Marks(())]
-        for r in range(1, MAX_MARKS + 1):
-            pool.extend(Marks(c) for c in combinations(nbr_ids, r))
-        return pool
-    if isinstance(x, int) and not isinstance(x, bool):
-        return [0, 1]
-    if x is None:
-        return [None]
-    raise ProtocolError("input x' not expressible in the input encoding")
-
-
-def _default_candidates(instance: Instance) -> Iterable[tuple[InputValue, ...]]:
-    pools = [_default_pool(instance, v) for v in range(instance.n)]
-    yield from product(*pools)
-
-
 def _tree_candidates(instance: Instance) -> Iterable[tuple[InputValue, ...]]:
     """One parent-pointer encoding per spanning tree, rooted at the
     smallest identity."""
@@ -237,25 +213,19 @@ def _matching_candidates(instance: Instance) -> Iterable[tuple[InputValue, ...]]
 
 def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
                  local_value: LocalValue, sense: str, *,
-                 candidates: Optional[Candidates] = None,
-                 name: Optional[str] = None) -> Protocol:
-    """Protocol for "the input is not an optimal admissible solution".
+                 candidates: Candidates, name: str) -> Protocol:
+    """Protocol ``name`` for "the input is not an optimal admissible
+    solution".
 
     ``adm_yes`` and ``adm_no`` must be single-level prover-first protocols
     certifying admissibility and its complement; ``local_value`` maps a
     radius-1 view to the node's objective contribution; ``sense`` says
     whether smaller or larger totals win.  ``candidates`` enumerates the
-    substitute input assignments the prover may propose (default: the
-    product of per-node values shaped like the current input).
+    substitute input assignments the prover may propose.
     """
     if sense not in ("min", "max"):
         raise ProtocolError(f"unknown objective sense {sense!r}")
-    for q in (adm_yes, adm_no):
-        if q.level_count != 1 or q.first != PROVER:
-            raise ProtocolError(
-                f"optimality needs single-level prover-first admissibility"
-                f" protocols, {q.name} is {pattern_tag(q.first, q.level_count)}")
-    propose = candidates if candidates is not None else _default_candidates
+    require_single_prover_level("optimality", adm_yes, adm_no)
     ry = adm_yes.verifier.radius
     rn = adm_no.verifier.radius
     radius = max(ry, rn, 1)
@@ -263,7 +233,6 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         better, best_of = (lambda a, b: a < b), min
     else:
         better, best_of = (lambda a, b: a > b), max
-    pname = name or f"opt:{adm_yes.name}"
 
     def domain_of(n: int, N: int) -> LabelDomain:
         ydom = adm_yes.levels[0].domain_of(n, N)
@@ -322,8 +291,8 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
     def rivals(instance: Instance,
                base: int) -> Iterable[tuple[tuple[InputValue, ...], int]]:
         """Each admissible substitute input whose total beats ``base``,
-        with that total, in ``propose`` order."""
-        for xp in propose(instance):
+        with that total, in ``candidates`` order."""
+        for xp in candidates(instance):
             inst2 = instance.with_inputs(xp)
             if not adm_yes.language.oracle(inst2):
                 continue
@@ -359,7 +328,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
             agg_x = build_gathering_cert(instance, _values(instance))
         except _VALUE_ERRORS:
             return
-        for xp in propose(instance):
+        for xp in candidates(instance):
             inst2 = instance.with_inputs(xp)
             yxp = next(iter(adm_yes.levels[0].cover(inst2, ())), None)
             if yxp is None:
@@ -373,7 +342,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
     def strategy(instance: Instance, earlier) -> Labelling:
         if adm_yes.language is None:
             raise ProtocolError(
-                f"{pname}: constructive play needs an admissibility oracle")
+                f"{name}: constructive play needs an admissibility oracle")
         fill_no, fill_yes, fill_g = _fillers(instance)
         no_xp = (None,) * instance.n
         if not adm_yes.language.oracle(instance):
@@ -385,8 +354,8 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         except _VALUE_ERRORS:
             return _packed(instance, 1, fill_no, fill_yes, no_xp, fill_yes,
                            fill_g, fill_g)
-        # ``propose`` stays outside the try: its ProtocolError is a
-        # ValueError, and it must reach the caller.
+        # ``candidates`` stays outside the try, so what it raises reaches
+        # the caller.
         best = best_of(rivals(instance, sum(vals_x)), key=lambda r: r[1],
                        default=None)
         yes_x = _sub_move(adm_yes, instance)
@@ -413,10 +382,10 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
                 return False
             return any(rivals(instance, base))
 
-        language = LanguageSpec(pname, not_optimal, "dual-1")
+        language = LanguageSpec(name, not_optimal, "dual-1")
 
     level = Level(domain_of, cover, strategy)
-    return Protocol(pname, PROVER, (level,),
+    return Protocol(name, PROVER, (level,),
                     LocalVerifier(radius, 1, decide), language)
 
 

@@ -1,0 +1,317 @@
+"""Transforms that build protocols from protocols, and the ball surgery
+they share.
+
+``complement_lift`` decides the complement language one level higher,
+``collapse_last_universal`` folds a final universal round into ball-local
+enumeration backed by a size proof, and ``unanimous_combine`` merges a
+protocol pair into one whose honest runs are unanimous.  Each transform
+refuses, when it is built, a protocol it cannot carry, so no game built
+from it fails for that reason.  ``project`` and ``embed`` hand one field
+of a composite label to a sub-verifier as the view it expects.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from itertools import product
+from typing import NamedTuple, Optional, Sequence
+
+from .graphs import BallView, Instance, make_view
+from .labels import (INVALID, LabelDomain, Labelling, flag_field, id_field,
+                     optional_id_field, range_field, sub_field,
+                     tree_cert_domain)
+from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
+                       ProtocolError, canonical_labelling, other_side,
+                       pattern_tag)
+from .runtime import LocalVerifier, evaluate
+from .schemes import (READ_TREE_CERT, build_size_cert, honest_tree, size_ok,
+                      tree_ok, tree_reader, uniform)
+
+
+def require_single_prover_level(purpose: str, *protocols: Protocol) -> None:
+    """Refuse any of ``protocols`` that is not one prover level."""
+    for q in protocols:
+        if q.level_count != 1 or q.first != PROVER:
+            raise ProtocolError(
+                f"{purpose} needs single-level prover-first protocols,"
+                f" {q.name} is {pattern_tag(q.first, q.level_count)}")
+
+
+# ---------------------------------------------------------------------------
+# ball surgery
+
+
+def shrink_ball(view: BallView, t: int) -> BallView:
+    """Restrict a ball view to the radius-t sub-ball around its centre."""
+    if t > view.radius:
+        raise ProtocolError(f"cannot grow a radius-{view.radius} ball to {t}")
+    dist = {v: d for v, d in view.centre_dist.items() if d <= t}
+    return make_view(view.centre, t, dist, view.adj_in, view.ids_in,
+                     view.inputs_in, view.layers, view.weights_in, view.N)
+
+
+def project(view: BallView, kind: type, part: str, layer: int = 0,
+            missing: object = INVALID) -> dict[int, object]:
+    """Field ``part`` of every member's ``kind`` label in ``layer``, as a
+    layer of its own; members holding anything else get ``missing``."""
+    labels = view.layers[layer]
+    out = {}
+    for v in view.members:
+        lbl = labels[v]
+        out[v] = getattr(lbl, part) if isinstance(lbl, kind) else missing
+    return out
+
+
+def embed(view: BallView, layers: Sequence[dict[int, object]], radius: int,
+          inputs: Optional[dict[int, object]] = None) -> BallView:
+    """The view a radius-``radius`` sub-verifier sees: ``layers`` (and
+    ``inputs``, when given) in place of the view's own, shrunk to its radius."""
+    sub = view.with_layers(layers)
+    if inputs is not None:
+        sub = sub.with_inputs(inputs)
+    if radius < view.radius:
+        sub = shrink_ball(sub, radius)
+    return sub
+
+
+# ---------------------------------------------------------------------------
+# complementation: one more level, roles swapped
+
+
+def complement_lift(p: Protocol) -> Protocol:
+    """Protocol for the complement language, one level deeper.
+
+    The old levels change owners but keep their domains, covers and
+    strategies; a protocol keeps strategies on its prover levels only, so
+    a lift of a lift plays its base protocol's strategies again.  A new
+    final prover level carries a rooted tree certificate whose root names
+    one node, and the root node re-runs the old verifier on the swapped
+    layers and accepts exactly when it rejects.  A protocol whose added
+    level would fall to the disprover (prover-first with an even level
+    count, disprover-first with an odd one) is refused.
+    """
+    k = p.level_count
+    first = PROVER if k == 0 else other_side(p.first)
+    owner = first if k % 2 == 0 else other_side(first)
+    if owner != PROVER:
+        raise ProtocolError(
+            f"lift needs the added level {k + 1} to be the prover's, but on"
+            f" {p.name} ({pattern_tag(p.first, k)}) it would be the {owner}'s")
+    base_radius = p.verifier.radius
+    radius = max(base_radius, 1)
+
+    def final_cover(instance: Instance, earlier: tuple[Labelling, ...]):
+        for root in sorted(range(instance.n), key=instance.id_of):
+            yield honest_tree(instance, root)
+
+    def final_strategy(instance: Instance,
+                       earlier: tuple[Labelling, ...]) -> Labelling:
+        decision = evaluate(p.verifier, instance, earlier[:k])
+        pool = decision.rejecting_nodes or tuple(range(instance.n))
+        return honest_tree(instance, min(pool, key=instance.id_of))
+
+    levels = p.levels + (Level(tree_cert_domain, final_cover, final_strategy),)
+
+    def decide(ball: BallView) -> bool:
+        if not tree_ok(ball, k, READ_TREE_CERT):
+            return False
+        if ball.own_label(k).parent is not None:
+            return True
+        return not p.verifier.decide(embed(ball, ball.layers[:k], base_radius))
+
+    language = None
+    if p.language is not None:
+        lang = p.language
+
+        def negated(instance: Instance, _oracle=lang.oracle) -> bool:
+            return not _oracle(instance)
+
+        language = LanguageSpec("not:" + lang.name, negated,
+                                pattern_tag(first, k + 1))
+    return Protocol("lift:" + p.name, first, levels,
+                    LocalVerifier(radius, k + 1, decide), language)
+
+
+# ---------------------------------------------------------------------------
+# collapsing a final universal level into ball-local enumeration
+
+
+class CollapsedLabel(NamedTuple):
+    base: object
+    sroot: int
+    sparent: Optional[int]
+    ssize: int
+    nhat: int
+
+
+def _honest_size_fragment(instance: Instance):
+    """Per-node (sroot, sparent, ssize, nhat): the size certificate on the
+    BFS tree from the smallest identity, plus the node count."""
+    return [(c.root, c.parent, c.size, instance.n)
+            for c in build_size_cert(instance)]
+
+
+_READ_SIZE_PROOF = tree_reader(CollapsedLabel, "sroot", "sparent", "ssize")
+
+
+def collapse_last_universal(p: Protocol) -> Protocol:
+    """Fold the final universal level into the verifier.
+
+    The first prover level is widened to also carry a subtree-size proof
+    of the node count; once every node knows n, it can enumerate the
+    removed level's labels over its own ball and demand acceptance under
+    all of them.  The final level must be universal, and a prover level
+    must come before it.
+    """
+    k = p.level_count
+    if k == 0 or p.owner(k) != DISPROVER:
+        raise ProtocolError(
+            f"collapse needs a final universal level, {p.name}"
+            f" is {pattern_tag(p.first, k)}")
+    sl = 0 if p.first == PROVER else 1
+    if sl >= k - 1:
+        raise ProtocolError(
+            f"the size proof must ride a prover level before the final one,"
+            f" {p.name} ({pattern_tag(p.first, k)}) has none")
+    base_level = p.levels[sl]
+    final_level = p.levels[k - 1]
+    base_radius = p.verifier.radius
+    radius = max(base_radius, 1)
+
+    def domain_of(n: int, N: int) -> LabelDomain:
+        base = base_level.domain_of(n, N)
+        return LabelDomain(
+            "sized:" + base.name, base.c + 5, n, N,
+            (sub_field("base", base),
+             id_field("sroot", N),
+             optional_id_field("sparent", N),
+             range_field("ssize", 1, n),
+             range_field("nhat", 1, n)),
+            CollapsedLabel)
+
+    @cache
+    def final_axis(nhat: int, N: int) -> tuple:
+        # The removed level's labels for any nhat-node instance.
+        return tuple(final_level.domain_of(nhat, N).axis())
+
+    def decide(ball: BallView) -> bool:
+        own = ball.own_label(sl)
+        # Once size_ok holds, every neighbour carries a CollapsedLabel.
+        if not (isinstance(own, CollapsedLabel)
+                and size_ok(ball, sl, _READ_SIZE_PROOF, own.nhat)
+                and all(ball.label(sl, w).nhat == own.nhat
+                        for w in ball.neighbours(ball.centre))):
+            return False
+        # n is now certified; play the removed level inside the ball.
+        axis = final_axis(own.nhat, ball.N)
+        base_layer = project(ball, CollapsedLabel, "base", sl)
+        virtual = [base_layer if j == sl else ball.layers[j]
+                   for j in range(k - 1)]
+        for combo in product(axis, repeat=len(ball.members)):
+            layers = tuple(virtual) + (dict(zip(ball.members, combo)),)
+            if not p.verifier.decide(embed(ball, layers, base_radius)):
+                return False
+        return True
+
+    def cover(instance: Instance, earlier: tuple[Labelling, ...]):
+        fragment = _honest_size_fragment(instance)
+        for bm in base_level.cover(instance, earlier):
+            yield Labelling(CollapsedLabel(bm[v], *fragment[v])
+                            for v in range(instance.n))
+
+    strategy = None
+    if base_level.strategy is not None:
+        def strategy(instance: Instance,
+                     earlier: tuple[Labelling, ...]) -> Labelling:
+            bm = base_level.strategy(instance, earlier)
+            fragment = _honest_size_fragment(instance)
+            return Labelling(CollapsedLabel(bm[v], *fragment[v])
+                             for v in range(instance.n))
+
+    new_levels = list(p.levels[:k - 1])
+    new_levels[sl] = Level(domain_of, cover, strategy)
+    language = None
+    if p.language is not None:
+        language = LanguageSpec(p.language.name, p.language.oracle,
+                                pattern_tag(p.first, k - 1))
+    return Protocol("collapse:" + p.name, p.first, tuple(new_levels),
+                    LocalVerifier(radius, k - 1, decide), language)
+
+
+# ---------------------------------------------------------------------------
+# two-sided combination with unanimous honest runs
+
+
+class CombinedLabel(NamedTuple):
+    branch: int
+    yes: object
+    no: object
+
+
+def unanimous_combine(p_yes: Protocol, p_no: Protocol) -> Protocol:
+    """Single protocol whose honest runs are unanimous on every instance.
+
+    Both inputs must be single-level prover-first protocols, with ``p_no``
+    accepting exactly the instances ``p_yes`` rejects.  Each node carries a
+    branch bit plus a label for both sub-protocols.  Inside a uniformly
+    flagged region a node answers as the flagged sub-protocol (negated on
+    the no branch); on a flag boundary it answers its own bit.
+    """
+    require_single_prover_level("unanimous combination", p_yes, p_no)
+    ry = p_yes.verifier.radius
+    rn = p_no.verifier.radius
+    radius = max(ry, rn, 1)
+
+    def domain_of(n: int, N: int) -> LabelDomain:
+        ydom = p_yes.levels[0].domain_of(n, N)
+        ndom = p_no.levels[0].domain_of(n, N)
+        return LabelDomain(
+            f"either:{ydom.name}|{ndom.name}", ydom.c + ndom.c + 1, n, N,
+            (flag_field("branch", 2),
+             sub_field("yes", ydom),
+             sub_field("no", ndom)),
+            CombinedLabel)
+
+    def decide(ball: BallView) -> bool:
+        own = ball.own_label(0)
+        if not isinstance(own, CombinedLabel):
+            return False
+        if uniform(ball, CombinedLabel, "branch") is None:
+            # Flag boundary: the node votes its own bit.
+            return bool(own.branch)
+        if own.branch == 1:
+            yes = project(ball, CombinedLabel, "yes")
+            return bool(p_yes.verifier.decide(embed(ball, (yes,), ry)))
+        no = project(ball, CombinedLabel, "no")
+        return not p_no.verifier.decide(embed(ball, (no,), rn))
+
+    def cover(instance: Instance, earlier: tuple[Labelling, ...]):
+        ydom = p_yes.levels[0].domain_of(instance.n, instance.N)
+        blank = canonical_labelling(ydom)
+        # All-no flags over unreadable no-labels win at every node.
+        yield Labelling(CombinedLabel(0, blank[v], INVALID)
+                        for v in range(instance.n))
+
+    strategy = None
+    if (p_yes.language is not None
+            and p_yes.levels[0].strategy is not None
+            and p_no.levels[0].strategy is not None):
+        def strategy(instance: Instance,
+                     earlier: tuple[Labelling, ...]) -> Labelling:
+            ydom = p_yes.levels[0].domain_of(instance.n, instance.N)
+            ndom = p_no.levels[0].domain_of(instance.n, instance.N)
+            if p_yes.language.oracle(instance):
+                branch = 1
+                ys = p_yes.levels[0].strategy(instance, ())
+                ns = canonical_labelling(ndom)
+            else:
+                branch = 0
+                ys = canonical_labelling(ydom)
+                ns = p_no.levels[0].strategy(instance, ())
+            return Labelling(CombinedLabel(branch, ys[v], ns[v])
+                             for v in range(instance.n))
+
+    name = f"unanimous:{p_yes.name}+{p_no.name}"
+    return Protocol(name, PROVER,
+                    (Level(domain_of, cover, strategy),),
+                    LocalVerifier(radius, 1, decide), None)

@@ -6,9 +6,9 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdec.engine import shrink_ball
 from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance, ball,
                            norm_edge)
+from locdec.transforms import shrink_ball
 
 RADII = range(4)
 # Computed on first read, never by `ball` itself.

@@ -5,11 +5,9 @@ from typing import NamedTuple
 import pytest
 
 from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, CapExceeded, CheckReport,
-                           CollapsedLabel, CombinedLabel, EvalMode,
-                           StrategyError, check_protocol,
-                           collapse_last_universal, complement_lift,
+                           EvalMode, StrategyError, check_protocol,
                            game_evaluate, identity_variants,
-                           relabel_identities, shrink_ball, unanimous_combine)
+                           relabel_identities)
 from locdec.gen import clique_graph, cycle_graph, path_graph, star_graph
 from locdec.graphs import (IdAssignment, InputAssignment, Instance, Ptr, ball)
 from locdec.labels import (INVALID, LabelDomain, Labelling, TreeCert,
@@ -24,6 +22,9 @@ from locdec.protocols.basic import (protocol_non_spanning_tree,
 from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, evaluate
 from locdec.schemes import build_non_spanning_tree_cert, build_spanning_tree_cert
+from locdec.transforms import (CollapsedLabel, CombinedLabel,
+                               collapse_last_universal, complement_lift,
+                               shrink_ball, unanimous_combine)
 
 from corpus import c4, plain_instance
 
@@ -131,6 +132,10 @@ PI3 = Protocol(
      Level(bit_domain)),
     LocalVerifier(1, 3, lambda b: _two_col_check(b, 1)),
     LanguageSpec("2col", _bipartite, "universal-3"))
+
+# One universal level and nothing before it.
+PI1 = Protocol("pi1", DISPROVER, (Level(bit_domain),),
+               LocalVerifier(1, 1, lambda b: True), None)
 
 
 def p3_pointer_instance() -> Instance:
@@ -561,8 +566,9 @@ def test_collapse_requires_final_universal():
         collapse_last_universal(protocol_proper_3colouring())
     with pytest.raises(ProtocolError, match="final universal level"):
         collapse_last_universal(TWOCOL)
+    # A lone universal level leaves no prover level for the size proof.
     with pytest.raises(ProtocolError, match="ride a prover level"):
-        collapse_last_universal(PI3, size_level=1)
+        collapse_last_universal(PI1)
 
 
 def test_collapse_agrees_with_ignored_universal():
@@ -594,7 +600,7 @@ def test_collapse_finds_killing_assignment_in_ball():
 
 
 def test_collapse_universal_first_side():
-    folded = collapse_last_universal(PI3, size_level=2)
+    folded = collapse_last_universal(PI3)
     assert folded.level_count == 2
     for graph in (path_graph(3), cycle_graph(3)):
         inst = plain_instance(graph)

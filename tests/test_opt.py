@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, check_protocol, game_evaluate
+from locdec.engine import CONSTRUCTIVE, check_protocol, game_evaluate
 from locdec.gen import cycle_graph, path_graph
 from locdec.graphs import (Cls, Graph, IdAssignment, InputAssignment, Instance,
                            Marks, Ptr)
@@ -14,17 +14,14 @@ from locdec.oracles import (cut_size, is_dominating, is_independent,
                             oracle_max_matching, oracle_min_cut,
                             oracle_min_dominating, oracle_mst_weight,
                             oracle_tsp_weight)
-from locdec.protocol import (PROVER, LanguageSpec, Level, Protocol,
-                             ProtocolError, canonical_labelling)
+from locdec.protocol import ProtocolError
 from locdec.protocols import names, resolve
 from locdec.protocols.basic import (non_spanning_tree_inputs,
                                     spanning_tree_inputs)
 from locdec.protocols.opt import (OptLabel, hamiltonian_inputs,
                                   protocol_hamiltonian_cycle,
                                   protocol_non_hamiltonian, protocol_opt,
-                                  protocol_set_problem, unit_domain,
-                                  _marked_cycle_edges)
-from locdec.runtime import LocalVerifier
+                                  protocol_set_problem, _marked_cycle_edges)
 from locdec.schemes import SchemeError
 
 
@@ -50,30 +47,6 @@ def k4_instance(inputs):
 def pointer_pools(graph, ids):
     return [[Ptr(None)] + [Ptr(ids[w]) for w in sorted(graph.neighbours(v))]
             for v in range(graph.n)]
-
-
-def _accept_everything():
-    def cover(instance, earlier):
-        yield canonical_labelling(unit_domain(instance.n, instance.N))
-
-    def strategy(instance, earlier):
-        return canonical_labelling(unit_domain(instance.n, instance.N))
-
-    return Protocol("any", PROVER, (Level(unit_domain, cover, strategy),),
-                    LocalVerifier(1, 1, lambda b: True),
-                    LanguageSpec("any", lambda inst: True, "existential-1"))
-
-
-def _accept_nothing():
-    def cover(instance, earlier):
-        return iter(())
-
-    def strategy(instance, earlier):
-        return canonical_labelling(unit_domain(instance.n, instance.N))
-
-    return Protocol("none", PROVER, (Level(unit_domain, cover, strategy),),
-                    LocalVerifier(1, 1, lambda b: False),
-                    LanguageSpec("none", lambda inst: False, "dual-1"))
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +330,14 @@ class TestProtocolOptConstruction:
     def test_sense_must_be_min_or_max(self):
         mis = protocol_set_problem("mis")
         with pytest.raises(ProtocolError, match="objective sense"):
-            protocol_opt(mis, mis, lambda b: 0, "least")
+            protocol_opt(mis, mis, lambda b: 0, "least",
+                         candidates=lambda inst: (), name="least")
 
     def test_admissibility_protocols_must_be_single_level(self):
         with pytest.raises(ProtocolError, match="single-level"):
             protocol_opt(resolve("lift:spanning-tree"),
-                         resolve("non-spanning-tree"), lambda b: 0, "min")
-
-    def test_inexpressible_substitute_input(self):
-        # Default substitute pools mirror the input's shape; formula-typed
-        # inputs have no finite shape to mirror.  The strategy must not
-        # swallow the refusal, although ProtocolError is a ValueError.
-        proto = protocol_opt(_accept_everything(), _accept_nothing(),
-                             lambda b: 0, "max")
-        inst = Instance(path_graph(3), IdAssignment((1, 2, 3), 5),
-                        InputAssignment((Cls(), Cls(), Cls())))
-        for mode in (EXHAUSTIVE, CONSTRUCTIVE):
-            with pytest.raises(ProtocolError, match="not expressible"):
-                game_evaluate(proto, inst, mode)
+                         resolve("non-spanning-tree"), lambda b: 0, "min",
+                         candidates=lambda inst: (), name="lifted")
 
     def test_identity_relabelling_preserves_verdicts(self):
         inst = triangle_instance((Ptr(None), Ptr(1), Ptr(2)))
