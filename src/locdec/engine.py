@@ -83,8 +83,9 @@ def _resolve_eval_cap(mode: EvalMode) -> int:
 class GameStats:
     """Work done by one game.  ``node_evaluations`` counts the node
     decisions actually made at the leaves, which stop at the first
-    rejection found; ``views_reused`` counts those whose view the game's
-    store served from kept geometry instead of building it.
+    rejection found: each draws one view, so it is the ``served`` count
+    of the game's view store.  ``views_reused`` counts those whose view
+    the store served from kept geometry instead of building it.
     ``first_refutations`` counts the leaves rejected by their hinted node
     (see ``game_evaluate``) at its first decision."""
 
@@ -136,10 +137,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         raise CapExceeded(
             f"instance has {instance.n} nodes, cap is {mode.node_cap}")
     eval_cap = _resolve_eval_cap(mode)
-    counters = {"leaf": 0, "node": 0, "first": 0}
-
-    def charge() -> None:
-        counters["node"] += 1
+    counters = {"leaf": 0, "first": 0}
 
     k = protocol.level_count
     domains = tuple(lv.domain_of(instance.n, instance.N)
@@ -156,7 +154,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
                 f"{protocol.name}: leaf evaluations exceed the cap {eval_cap}")
         hint = hints.get(position)
         rejecter = first_rejection(protocol.verifier, instance, chosen,
-                                   charge=charge, views=views, first=hint)
+                                   views=views, first=hint)
         if rejecter is None:
             return True
         if rejecter == hint:
@@ -224,7 +222,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             f" {leaf.verdict} but the game gave {verdict}; the verifier is"
             f" not a pure function of the ball")
     return GameOutcome(verdict, line, leaf, GameStats(
-        counters["leaf"], counters["node"], views.reused, counters["first"]))
+        counters["leaf"], views.served, views.reused, counters["first"]))
 
 
 # ---------------------------------------------------------------------------

@@ -89,11 +89,11 @@ class Level:
 
 @dataclass(frozen=True)
 class LanguageSpec:
-    """The graph language a protocol claims to decide."""
+    """The graph language a protocol claims to decide, given by its
+    oracle.  Its place in the hierarchy is not restated here: it is
+    ``pattern_tag(first, level_count)`` of the protocol that decides it."""
 
-    name: str
     oracle: Callable[[Instance], bool]
-    class_tag: str
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,7 @@ class Protocol:
 def certificate_protocol(name: str, domain_of: DomainFactory,
                          honest: Callable[[Instance], Optional[Labelling]],
                          decide: Callable[[BallView], bool],
-                         oracle: Callable[[Instance], bool],
-                         class_tag: str) -> Protocol:
+                         oracle: Callable[[Instance], bool]) -> Protocol:
     """Single prover level whose only move is one honest certificate.
 
     ``honest(instance)`` builds the certificate, or returns None when there
@@ -145,7 +144,7 @@ def certificate_protocol(name: str, domain_of: DomainFactory,
                   lambda instance, earlier: first_move(level, instance, earlier))
     return Protocol(name, PROVER, (level,),
                     LocalVerifier(1, 1, decide),
-                    LanguageSpec(name, oracle, class_tag))
+                    LanguageSpec(oracle))
 
 
 # ---------------------------------------------------------------------------

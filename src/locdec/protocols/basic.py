@@ -44,7 +44,7 @@ def protocol_proper_3colouring() -> Protocol:
     return Protocol(
         "3col", PROVER, (),
         LocalVerifier(1, 0, _colour_check),
-        LanguageSpec("3col", properly_three_coloured, "decision-0"))
+        LanguageSpec(properly_three_coloured))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def protocol_spanning_tree() -> Protocol:
 
     return certificate_protocol("spanning-tree", tree_cert_domain, honest,
                                 verify_spanning_tree_cert,
-                                spanning_tree_inputs, "existential-1")
+                                spanning_tree_inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +94,7 @@ def inputs_equal_size(instance: Instance) -> bool:
 
 def protocol_size() -> Protocol:
     return certificate_protocol("size", size_cert_domain, build_size_cert,
-                                verify_size_cert, inputs_equal_size,
-                                "existential-1")
+                                verify_size_cert, inputs_equal_size)
 
 
 # ---------------------------------------------------------------------------
@@ -120,4 +119,4 @@ def protocol_non_spanning_tree() -> Protocol:
 
     return certificate_protocol("non-spanning-tree", nst_cert_domain, honest,
                                 verify_non_spanning_tree_cert,
-                                non_spanning_tree_inputs, "dual-1")
+                                non_spanning_tree_inputs)

@@ -24,8 +24,7 @@ from ..labels import (GatherCert, LabelDomain, Labelling, flag_field,
                       gather_cert_domain, optional_range_field, range_field,
                       sub_field)
 from ..oracles import cycle_vc_witness, oracle_cycle_vc, simple_cycles
-from ..protocol import (PROVER, LanguageSpec, Level, Protocol, first_move,
-                        pattern_tag)
+from ..protocol import PROVER, LanguageSpec, Level, Protocol, first_move
 from ..runtime import LocalVerifier
 from ..schemes import build_gathering_cert, verify_gathering_cert
 from ..transforms import project
@@ -239,4 +238,4 @@ def protocol_cycle_vc() -> Protocol:
         "cycle-vc", PROVER,
         (claim, Level(s_pick_domain, pick_cover, None), respond),
         LocalVerifier(1, 3, _decide),
-        LanguageSpec("cycle-vc", in_language, pattern_tag(PROVER, 3)))
+        LanguageSpec(in_language))

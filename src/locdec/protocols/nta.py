@@ -30,7 +30,7 @@ from ..labels import (LabelDomain, Labelling, flag_field, id_field, sub_field,
                       tree_cert_domain)
 from ..oracles import has_nontrivial_automorphism, oracle_automorphisms
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
-                        certificate_protocol, pattern_tag)
+                        certificate_protocol)
 from ..runtime import LocalVerifier
 from ..schemes import (READ_TREE_CERT, TreeReader, honest_tree, tree_ok,
                        uniform)
@@ -175,8 +175,7 @@ def protocol_map_defect() -> Protocol:
         return Labelling(MapDefect(flag, *parts) for parts in zip(*trees))
 
     protocol = certificate_protocol("map-defect", map_defect_domain, honest,
-                                    verify_map_defect, map_defect_exists,
-                                    "existential-1")
+                                    verify_map_defect, map_defect_exists)
     return protocol
 
 
@@ -234,6 +233,4 @@ def protocol_nontrivial_automorphism() -> Protocol:
          Level(refute_lv.domain_of, refute_cover, None),
          Level(rebut_lv.domain_of, rebut_cover, rebut_strategy)),
         LocalVerifier(lifted.verifier.radius, 3, decide),
-        LanguageSpec("nta",
-                     lambda inst: has_nontrivial_automorphism(inst.graph),
-                     pattern_tag(PROVER, 3)))
+        LanguageSpec(lambda inst: has_nontrivial_automorphism(inst.graph)))

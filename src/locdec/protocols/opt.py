@@ -79,8 +79,7 @@ def _local_rule_protocol(name: str,
 
     return certificate_protocol(
         name, unit_domain, lambda inst: Labelling((UnitVal(0),) * inst.n),
-        lambda b: bool(rule(b)), lambda inst: _all_nodes(inst, rule),
-        "existential-1")
+        lambda b: bool(rule(b)), lambda inst: _all_nodes(inst, rule))
 
 
 def _defect_protocol(name: str,
@@ -102,8 +101,7 @@ def _defect_protocol(name: str,
         return None
 
     return certificate_protocol(name, tree_cert_domain, honest, decide,
-                                lambda inst: not _all_nodes(inst, rule),
-                                "dual-1")
+                                lambda inst: not _all_nodes(inst, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +142,7 @@ def protocol_hamiltonian_cycle() -> Protocol:
             return None
 
     return certificate_protocol("hamiltonian-cycle", ham_cert_domain, honest,
-                                verify_hamiltonian_cert, hamiltonian_inputs,
-                                "existential-1")
+                                verify_hamiltonian_cert, hamiltonian_inputs)
 
 
 def protocol_non_hamiltonian() -> Protocol:
@@ -160,8 +157,7 @@ def protocol_non_hamiltonian() -> Protocol:
 
     protocol = certificate_protocol("non-hamiltonian", non_ham_cert_domain,
                                     honest, verify_non_hamiltonian_cert,
-                                    lambda inst: not hamiltonian_inputs(inst),
-                                    "dual-1")
+                                    lambda inst: not hamiltonian_inputs(inst))
     return protocol
 
 
@@ -221,11 +217,18 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
     certifying admissibility and its complement; ``local_value`` maps a
     radius-1 view to the node's objective contribution; ``sense`` says
     whether smaller or larger totals win.  ``candidates`` enumerates the
-    substitute input assignments the prover may propose.
+    substitute input assignments the prover may propose.  The strategy
+    and the language oracle read the admissibility oracles, so a pair
+    member that declares no language is refused here, not mid-game.
     """
     if sense not in ("min", "max"):
         raise ProtocolError(f"unknown objective sense {sense!r}")
     require_single_prover_level("optimality", adm_yes, adm_no)
+    for q in (adm_yes, adm_no):
+        if q.language is None:
+            raise ProtocolError(
+                f"optimality needs admissibility protocols that declare a"
+                f" language, {q.name} declares none")
     ry = adm_yes.verifier.radius
     rn = adm_no.verifier.radius
     radius = max(ry, rn, 1)
@@ -340,9 +343,6 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
             yield _packed(instance, 1, fill_no, yx, xp, yxp, agg_x, agg_xp)
 
     def strategy(instance: Instance, earlier) -> Labelling:
-        if adm_yes.language is None:
-            raise ProtocolError(
-                f"{name}: constructive play needs an admissibility oracle")
         fill_no, fill_yes, fill_g = _fillers(instance)
         no_xp = (None,) * instance.n
         if not adm_yes.language.oracle(instance):
@@ -369,24 +369,20 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         return _packed(instance, 1, fill_no, yes_x, xp,
                        _sub_move(adm_yes, inst2), agg_x, agg_xp)
 
-    language = None
-    if adm_yes.language is not None and adm_no.language is not None:
-        def not_optimal(instance: Instance) -> bool:
-            if adm_no.language.oracle(instance):
-                return True
-            if not adm_yes.language.oracle(instance):
-                return False
-            try:
-                base = sum(_values(instance))
-            except _VALUE_ERRORS:
-                return False
-            return any(rivals(instance, base))
-
-        language = LanguageSpec(name, not_optimal, "dual-1")
+    def not_optimal(instance: Instance) -> bool:
+        if adm_no.language.oracle(instance):
+            return True
+        if not adm_yes.language.oracle(instance):
+            return False
+        try:
+            base = sum(_values(instance))
+        except _VALUE_ERRORS:
+            return False
+        return any(rivals(instance, base))
 
     level = Level(domain_of, cover, strategy)
     return Protocol(name, PROVER, (level,),
-                    LocalVerifier(radius, 1, decide), language)
+                    LocalVerifier(radius, 1, decide), LanguageSpec(not_optimal))
 
 
 # ---------------------------------------------------------------------------

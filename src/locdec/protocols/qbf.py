@@ -37,7 +37,7 @@ from ..graphs import (BallView, Cls, Graph, IdAssignment, InputAssignment,
 from ..labels import LabelDomain, Labelling, optional_range_field
 from ..oracles import oracle_qbf
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
-                        first_move, pattern_tag)
+                        first_move)
 from ..runtime import LocalVerifier
 
 
@@ -308,4 +308,4 @@ def protocol_qbf_k(k: int) -> Protocol:
         for i in range(1, k + 1))
     name = "qbf" if k == 2 else f"qbf-{k}"
     return Protocol(name, PROVER, levels, LocalVerifier(1, k, _decide),
-                    LanguageSpec(name, oracle, pattern_tag(PROVER, k)))
+                    LanguageSpec(oracle))

@@ -19,6 +19,10 @@ with no search and no geometry rebuilt.  Keeping only on the second
 request means a game whose centres are each asked once (a one-leaf
 game) keeps nothing, and costs no memory beyond a plain build.
 
+Each node decision draws exactly one view from the store, so the
+store's ``served`` count is the number of decisions made with it; a
+game reads its node-decision count there.
+
 A view computes its edge set, identity inverse and frontier on first
 read (see ``BallView``), so a fresh view costs only what its verifier
 reads.  The store settles a view when it keeps it: it computes all three
@@ -89,18 +93,21 @@ class ViewStore:
     from its second request on and settled when kept (see the module
     docstring).
 
-    ``kept`` maps each centre whose view is kept to that view, and
-    ``reused`` counts the views served from kept geometry.
+    ``kept`` maps each centre whose view is kept to that view.
+    ``served`` counts every view the store hands out, and ``reused`` those
+    served from kept geometry.
     """
 
     def __init__(self, instance: Instance, radius: int) -> None:
         self.instance = instance
         self.radius = radius
+        self.served = 0
         self.reused = 0
         self.kept: dict[int, BallView] = {}
         self._asked: set[int] = set()
 
     def view(self, labellings: Sequence[Sequence[object]], v: int) -> BallView:
+        self.served += 1
         kept = self.kept.get(v)
         if kept is not None:
             self.reused += 1
@@ -141,7 +148,6 @@ def evaluate(verifier: LocalVerifier, instance: Instance,
 
 def first_rejection(verifier: LocalVerifier, instance: Instance,
                     labellings: Sequence[Sequence[object]] = (),
-                    charge: Optional[Callable[[], None]] = None,
                     views: Optional[ViewStore] = None,
                     first: Optional[int] = None) -> Optional[int]:
     """The first node found to reject, or None when every node accepts.
@@ -149,10 +155,10 @@ def first_rejection(verifier: LocalVerifier, instance: Instance,
     Node ``first``, when given, is decided first; then every other node in
     node order, each once.  Decisions are pure, so the order changes only
     how many are made before a rejection is found, never whether one is.
-    ``charge`` is invoked once per node decision; callers use it to meter
-    work or abort long runs.  ``views`` is the store to draw views from,
-    bound to this instance and the verifier's radius; without one the
-    call uses a fresh store.
+    ``views`` is the store to draw views from, bound to this instance and
+    the verifier's radius; without one the call uses a fresh store.  Each
+    decision draws exactly one view, so the store's ``served`` count is
+    the number of decisions made with it.
     """
     labellings = tuple(labellings)
     _check_layers(verifier, instance, labellings)
@@ -164,15 +170,11 @@ def first_rejection(verifier: LocalVerifier, instance: Instance,
         if not 0 <= first < instance.n:
             raise VerifierError(
                 f"first node {first} is not a node of the instance")
-        if charge is not None:
-            charge()
         if not verifier.decide(views.view(labellings, first)):
             return first
     for v in range(instance.n):
         if v == first:
             continue
-        if charge is not None:
-            charge()
         if not verifier.decide(views.view(labellings, v)):
             return v
     return None

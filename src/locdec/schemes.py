@@ -15,9 +15,12 @@ and checks such a tree:
 * ``tree_ok`` is the one local check of a tree certificate, and
   ``size_ok`` the one check of a subtree-size certificate.  Both read the
   fields through a ``tree_reader`` built once per label class, lazily, so
-  no projected view is made for them;
+  no projected view is made for them.  The spanning-tree check is
+  ``tree_ok`` plus the parent agreeing with the pointer input;
 * ``uniform`` checks that a node and its neighbours carry labels of one
-  class that agree on a flag.
+  class that agree on a flag;
+* ``mutual_pair`` reads a node's two reciprocated marks, on a whole
+  instance for the builders and on a ball for the verifiers.
 
 Each scheme pairs a constructive builder (instance + witness object ->
 labelling) with a radius-1 verification fragment (ball -> bool).  Verifier
@@ -157,19 +160,10 @@ def build_spanning_tree_cert(instance: Instance, tree: frozenset[Edge],
 
 
 def verify_spanning_tree_cert(ball: BallView) -> bool:
-    own = uniform(ball, TreeCert, "root")
+    """A tree certificate (``tree_ok``) whose parent is the pointer input."""
     x = ball.own_input
-    if own is None or not isinstance(x, Ptr):
-        return False
-    if x.to is None:
-        return own.dist == 0 and ball.own_id == own.root
-    if own.dist == 0:
-        return False
-    target = ball.node_of(x.to)
-    if target is None:
-        return False
-    claimed = ball.label(0, target)
-    return isinstance(claimed, TreeCert) and claimed.dist == own.dist - 1
+    return (isinstance(x, Ptr) and tree_ok(ball, 0, READ_TREE_CERT)
+            and ball.own_label(0).parent == x.to)
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +298,6 @@ def build_hamiltonian_cert(instance: Instance, cycle: frozenset[Edge],
                      for v, c in enumerate(honest_tree(instance, root)))
 
 
-def _marked_nodes(ball: BallView, v: int) -> Optional[list[int]]:
-    """The two cycle-neighbours of v per its Marks input, if well formed."""
-    x = ball.input_of(v)
-    if not isinstance(x, Marks) or len(x.ids) != 2:
-        return None
-    out = []
-    for ident in sorted(x.ids):
-        w = ball.node_of(ident)
-        if w is None:
-            return None
-        out.append(w)
-    return out
-
-
 _READ_HAM = tree_reader(HamCert)
 
 
@@ -326,7 +306,7 @@ def verify_hamiltonian_cert(ball: BallView) -> bool:
         return False
     own = ball.own_label(0)
     # Cycle edges must be marked symmetrically.
-    marked = _mutual_marks(ball, ball.centre)
+    marked = mutual_pair(ball, ball.centre)
     if marked is None:
         return False
     if not all(isinstance(ball.label(0, w), HamCert) for w in marked):
@@ -554,18 +534,21 @@ def verify_non_spanning_tree_cert(ball: BallView) -> bool:
 # reciprocated pair, or marked edges split into several cycles.
 
 
-def mutual_pair(instance: Instance, v: int) -> Optional[tuple[int, int]]:
-    """The two nodes v marks, when both marks are reciprocated."""
-    x = instance.input_of(v)
+def mutual_pair(where: Instance | BallView,
+                v: int) -> Optional[tuple[int, int]]:
+    """The two nodes v marks, in identity order, when both marks are
+    reciprocated.  ``where`` is a whole instance or a ball that holds v
+    and its neighbours; both read marks the same way."""
+    x = where.input_of(v)
     if not isinstance(x, Marks) or len(x.ids) != 2:
         return None
-    vid = instance.id_of(v)
+    vid = where.id_of(v)
     out = []
     for ident in sorted(x.ids):
-        w = instance.node_of(ident)
+        w = where.node_of(ident)
         if w is None:
             return None
-        back = instance.input_of(w)
+        back = where.input_of(w)
         if not isinstance(back, Marks) or vid not in back.ids:
             return None
         out.append(w)
@@ -587,19 +570,6 @@ def build_non_hamiltonian_cert(instance: Instance) -> Labelling:
     return Labelling(NonHamCert(1, idx[v], *tree1[v], *tree2[v]) for v in range(n))
 
 
-def _mutual_marks(ball: BallView, v: int) -> Optional[list[int]]:
-    """Like _marked_nodes, but every mark must be reciprocated."""
-    marked = _marked_nodes(ball, v)
-    if marked is None:
-        return None
-    vid = ball.id_of(v)
-    for w in marked:
-        back = ball.input_of(w)
-        if not isinstance(back, Marks) or vid not in back.ids:
-            return None
-    return marked
-
-
 _READ_NONHAM1 = tree_reader(NonHamCert, "root1", "parent1", "dist1")
 _READ_NONHAM2 = tree_reader(NonHamCert, "root2", "parent2", "dist2")
 
@@ -612,10 +582,10 @@ def verify_non_hamiltonian_cert(ball: BallView) -> bool:
     if own.flag == 0:
         if own.parent1 is None:
             # Claimed defective: own marks must not be a reciprocated pair.
-            return _mutual_marks(ball, ball.centre) is None
+            return mutual_pair(ball, ball.centre) is None
         return True
 
-    marked = _mutual_marks(ball, ball.centre)
+    marked = mutual_pair(ball, ball.centre)
     if marked is None:
         return False
     return _split_ok(ball, own, _READ_NONHAM2, marked)

@@ -121,13 +121,8 @@ def complement_lift(p: Protocol) -> Protocol:
 
     language = None
     if p.language is not None:
-        lang = p.language
-
-        def negated(instance: Instance, _oracle=lang.oracle) -> bool:
-            return not _oracle(instance)
-
-        language = LanguageSpec("not:" + lang.name, negated,
-                                pattern_tag(first, k + 1))
+        oracle = p.language.oracle
+        language = LanguageSpec(lambda instance: not oracle(instance))
     return Protocol("lift:" + p.name, first, levels,
                     LocalVerifier(radius, k + 1, decide), language)
 
@@ -230,12 +225,8 @@ def collapse_last_universal(p: Protocol) -> Protocol:
 
     new_levels = list(p.levels[:k - 1])
     new_levels[sl] = Level(domain_of, cover, strategy)
-    language = None
-    if p.language is not None:
-        language = LanguageSpec(p.language.name, p.language.oracle,
-                                pattern_tag(p.first, k - 1))
     return Protocol("collapse:" + p.name, p.first, tuple(new_levels),
-                    LocalVerifier(radius, k - 1, decide), language)
+                    LocalVerifier(radius, k - 1, decide), p.language)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ import pytest
 import locdec.cli
 import locdec.protocols
 from locdec.cli import ReportError, build_report, emit_report, main, parse_report
-from locdec.engine import EvalMode, game_evaluate
+from locdec.engine import EvalMode, game_evaluate, identity_variants
 from locdec.gen import grid_graph, path_graph
-from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance, Ptr,
-                           instance_digest)
+from locdec.graphs import (Cls, Graph, IdAssignment, InputAssignment, Instance,
+                           Lit, Marks, Ptr, emit_instance, instance_digest)
 from locdec.labels import INVALID
 from locdec.protocols import resolve
 
@@ -254,3 +254,115 @@ def test_check_collapsed_qbf_exits_with_the_verdict(tmp_path, capsys, formula,
     assert main(["gen", "qbf", formula, "-o", str(path)]) == 0
     assert main(["check", "collapse:qbf", str(path)]) == status
     assert '"verdict"' in capsys.readouterr().out
+
+
+def _write(tmp_path, name, instance):
+    path = tmp_path / name
+    path.write_text(emit_instance(instance))
+    return path
+
+
+def _pointer_path():
+    # P3 whose pointers encode the spanning tree rooted at identity 1.
+    return Instance(path_graph(3), IdAssignment((1, 2, 3), 9),
+                    InputAssignment((Ptr(None), Ptr(1), Ptr(2))))
+
+
+@pytest.mark.parametrize("name, status", [("spanning-tree", 0), ("3col", 1)])
+def test_game_reports_rounds_and_total_leaves(tmp_path, capsys, name, status):
+    instance = _pointer_path()
+    path = _write(tmp_path, "p3.json", instance)
+    assert main(["game", name, str(path), "--ids", "3", "--seed", "5"]) == status
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    variants = identity_variants(instance, count=3, seed=5)
+    assert stats["id_rounds"] == len(variants) == 3
+    assert stats["total_leaf_evaluations"] == sum(
+        game_evaluate(resolve(name), v).stats.leaf_evaluations
+        for v in variants)
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["lift", "3col"], {"registered": "lift:3col", "levels": 1,
+                        "pattern": "existential-1"}),
+    (["collapse", "qbf"], {"registered": "collapse:qbf", "levels": 1,
+                           "pattern": "existential-1"}),
+    (["unanimous", "spanning-tree", "non-spanning-tree"],
+     {"registered": "unanimous:spanning-tree+non-spanning-tree", "levels": 1,
+      "pattern": "existential-1"}),
+])
+def test_transform_names_the_derived_protocol(capsys, argv, doc):
+    assert main(["transform", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == doc
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lift", "3col", "size"], "lift takes one protocol name"),
+    (["collapse", "qbf", "nta"], "collapse takes one protocol name"),
+    (["unanimous", "spanning-tree"], "unanimous takes two protocol names"),
+    (["collapse", "3col"], "final universal level"),
+])
+def test_transform_refusals_exit_2(capsys, argv, message):
+    assert main(["transform", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_export_writes_node_and_edge_lines(tmp_path, capsys):
+    path = _write(tmp_path, "p3.json", _pointer_path())
+    assert main(["export", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "graph locdec {",
+        '  v0 [label="id=1\\nptr=root"];',
+        '  v1 [label="id=2\\nptr=1"];',
+        '  v2 [label="id=3\\nptr=2"];',
+        "  v0 -- v1;",
+        "  v1 -- v2;",
+        "}"]
+
+
+def test_export_colours_decisions_and_labels_weights(tmp_path, capsys):
+    # Colours (1, 1, 2): the two ends of the first edge reject, node 2
+    # accepts.
+    graph = Graph(3, frozenset({(0, 1), (1, 2)}), {(0, 1): 2, (1, 2): 3})
+    instance = Instance(graph, IdAssignment((1, 2, 3), 9),
+                        InputAssignment((1, 1, 2)))
+    path = _write(tmp_path, "p3.json", instance)
+    report = tmp_path / "report.json"
+    assert main(["check", "3col", str(path)]) == 1
+    report.write_text(capsys.readouterr().out)
+    assert main(["export", str(path), "--report", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "graph locdec {",
+        '  v0 [label="id=1\\nx=1\\nreject", color=red];',
+        '  v1 [label="id=2\\nx=1\\nreject", color=red];',
+        '  v2 [label="id=3\\nx=2\\naccept", color=green];',
+        '  v0 -- v1 [label="2"];',
+        '  v1 -- v2 [label="3"];',
+        "}"]
+
+
+@pytest.mark.parametrize("inputs, texts", [
+    ((Marks({2}), Marks({1, 3}), None), ["marks={2}", "marks={1,3}", None]),
+    ((Marks(()), Ptr(None), 0), ["marks={}", "ptr=root", "x=0"]),
+    ((Lit(1, 1), Lit(1, -1), Cls()), ["lit=+1", "lit=-1", "clause"]),
+])
+def test_export_names_each_input_kind(tmp_path, capsys, inputs, texts):
+    instance = Instance(path_graph(3), IdAssignment((1, 2, 3), 9),
+                        InputAssignment(inputs))
+    assert main(["export", str(_write(tmp_path, "p3.json", instance))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for v, text in enumerate(texts):
+        tail = "" if text is None else "\\n" + text
+        assert lines[1 + v] == f'  v{v} [label="id={v + 1}{tail}"];'
+
+
+def test_export_refuses_a_report_for_another_instance(tmp_path, capsys):
+    path = _write(tmp_path, "p3.json", _pointer_path())
+    other = _write(tmp_path, "other.json", _pointer_path().with_ids(
+        IdAssignment((3, 2, 1), 9)).with_inputs((None,) * 3))
+    report = tmp_path / "report.json"
+    assert main(["check", "3col", str(other)]) == 1
+    report.write_text(capsys.readouterr().out)
+    assert main(["export", str(path), "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert "different instance" in captured.err and captured.out == ""

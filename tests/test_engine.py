@@ -26,7 +26,7 @@ from locdec.transforms import (CollapsedLabel, CombinedLabel,
                                collapse_last_universal, complement_lift,
                                shrink_ball, unanimous_combine)
 
-from corpus import c4, plain_instance
+from corpus import plain_instance
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +55,8 @@ def _degree_at_most_two(ball_view) -> bool:
 
 DEG2 = Protocol(
     "deg2", PROVER, (), LocalVerifier(1, 0, _degree_at_most_two),
-    LanguageSpec("deg2",
-                 lambda inst: all(len(inst.graph.neighbours(v)) <= 2
-                                  for v in range(inst.n)),
-                 "decision-0"))
+    LanguageSpec(lambda inst: all(len(inst.graph.neighbours(v)) <= 2
+                                  for v in range(inst.n))))
 
 
 def _two_col_check(ball_view, layer: int) -> bool:
@@ -93,14 +91,14 @@ def _two_col_strategy(instance: Instance, earlier) -> Labelling:
 TWOCOL = Protocol(
     "2col", PROVER, (Level(bit_domain, None, _two_col_strategy),),
     LocalVerifier(1, 1, lambda b: _two_col_check(b, 0)),
-    LanguageSpec("2col", _bipartite, "existential-1"))
+    LanguageSpec(_bipartite))
 
 # Verifier reads only the first layer; the universal round is dead weight.
 IGNORE2 = Protocol(
     "ignore2", PROVER,
     (Level(bit_domain, None, _two_col_strategy), Level(bit_domain)),
     LocalVerifier(1, 2, lambda b: _two_col_check(b, 0)),
-    LanguageSpec("2col", _bipartite, "existential-2"))
+    LanguageSpec(_bipartite))
 
 # Accepts wherever the own first-layer bit is one, whatever layer two says.
 PARITY2 = Protocol(
@@ -111,7 +109,7 @@ PARITY2 = Protocol(
     LocalVerifier(1, 2,
                   lambda b: isinstance(b.own_label(0), Bit)
                   and b.own_label(0).bit == 1),
-    LanguageSpec("all", lambda inst: True, "existential-2"))
+    LanguageSpec(lambda inst: True))
 
 # The universal player can always kill this one with a nonzero value.
 KILL2 = Protocol(
@@ -122,7 +120,7 @@ KILL2 = Protocol(
     LocalVerifier(1, 2,
                   lambda b: isinstance(b.own_label(1), Tri)
                   and b.own_label(1).val == 0),
-    LanguageSpec("none", lambda inst: False, "existential-2"))
+    LanguageSpec(lambda inst: False))
 
 # Universal-first wrapper around the two-colouring level.
 PI3 = Protocol(
@@ -131,7 +129,7 @@ PI3 = Protocol(
      Level(bit_domain, None, _two_col_strategy),
      Level(bit_domain)),
     LocalVerifier(1, 3, lambda b: _two_col_check(b, 1)),
-    LanguageSpec("2col", _bipartite, "universal-3"))
+    LanguageSpec(_bipartite))
 
 # One universal level and nothing before it.
 PI1 = Protocol("pi1", DISPROVER, (Level(bit_domain),),
@@ -486,7 +484,6 @@ def test_lift_accepts_where_base_rejects():
                                    TreeCert(1, 1, 1))),)
     assert out.stats.leaf_evaluations == 1
     assert lifted.name == "lift:3col"
-    assert lifted.language.name == "not:3col"
     assert lifted.language.oracle(mono) is True
 
 
@@ -575,7 +572,7 @@ def test_collapse_agrees_with_ignored_universal():
     folded = collapse_last_universal(IGNORE2)
     assert folded.name == "collapse:ignore2"
     assert folded.level_count == 1
-    assert folded.language.class_tag == "existential-1"
+    assert pattern_tag(folded.first, folded.level_count) == "existential-1"
     for graph in (path_graph(2), path_graph(3), path_graph(4),
                   cycle_graph(3), cycle_graph(4), clique_graph(4)):
         inst = plain_instance(graph)
@@ -762,7 +759,7 @@ def test_check_protocol_catches_forgetful_verifier():
     mutant = Protocol(
         "forgetful", PROVER, (Level(tree_cert_domain),),
         LocalVerifier(1, 1, _forgetful_tree_check),
-        LanguageSpec("spanning-tree", spanning_tree_inputs, "existential-1"))
+        LanguageSpec(spanning_tree_inputs))
     tight = Instance(clique_graph(3), IdAssignment((1, 2, 3), 5),
                      InputAssignment((Ptr(2), Ptr(3), Ptr(1))))
     report = check_protocol(mutant, [tight])

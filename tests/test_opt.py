@@ -8,7 +8,7 @@ from locdec.engine import CONSTRUCTIVE, check_protocol, game_evaluate
 from locdec.gen import cycle_graph, path_graph
 from locdec.graphs import (Cls, Graph, IdAssignment, InputAssignment, Instance,
                            Marks, Ptr)
-from locdec.labels import INVALID, GatherCert, LabelDomain, TreeCert, input_value_field
+from locdec.labels import INVALID, LabelDomain, TreeCert, input_value_field
 from locdec.oracles import (cut_size, is_dominating, is_independent,
                             oracle_max_cut, oracle_max_independent,
                             oracle_max_matching, oracle_min_cut,
@@ -18,11 +18,10 @@ from locdec.protocol import ProtocolError
 from locdec.protocols import names, resolve
 from locdec.protocols.basic import (non_spanning_tree_inputs,
                                     spanning_tree_inputs)
-from locdec.protocols.opt import (OptLabel, hamiltonian_inputs,
+from locdec.protocols.opt import (hamiltonian_inputs,
                                   protocol_hamiltonian_cycle,
                                   protocol_non_hamiltonian, protocol_opt,
                                   protocol_set_problem, _marked_cycle_edges)
-from locdec.schemes import SchemeError
 
 
 WEIGHTED_TRIANGLE = Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}),
@@ -57,8 +56,6 @@ class TestMinimumSpanningTree:
     def test_registered(self):
         p = resolve("mst")
         assert p.name == "mst"
-        assert p.language.name == "mst"
-        assert p.language.class_tag == "dual-1"
         assert p.level_count == 1
         assert p.verifier.radius == 1
 
@@ -338,6 +335,17 @@ class TestProtocolOptConstruction:
             protocol_opt(resolve("lift:spanning-tree"),
                          resolve("non-spanning-tree"), lambda b: 0, "min",
                          candidates=lambda inst: (), name="lifted")
+
+    def test_admissibility_protocols_must_declare_a_language(self):
+        # A unanimous combination declares no language; the strategy and
+        # the oracle both need one, so the build refuses it on either side.
+        combined = resolve("unanimous:spanning-tree+non-spanning-tree")
+        assert combined.language is None
+        for pair in ((combined, resolve("non-spanning-tree")),
+                     (resolve("spanning-tree"), combined)):
+            with pytest.raises(ProtocolError, match="declares none"):
+                protocol_opt(*pair, lambda b: 0, "min",
+                             candidates=lambda inst: (), name="bare")
 
     def test_identity_relabelling_preserves_verdicts(self):
         inst = triangle_instance((Ptr(None), Ptr(1), Ptr(2)))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from locdec import gen
 from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, check_protocol,
-                           game_evaluate)
+                           game_evaluate, identity_variants)
 from locdec.formulas import Formula, FormulaError, parse_formula
 from locdec.graphs import (Cls, Graph, IdAssignment, InputAssignment,
                            Instance, InstanceError, Lit)
@@ -134,6 +134,31 @@ class TestGames:
         report = check_protocol(resolve("collapse:qbf"), corpus, mode=WIDE)
         assert report.total_runs == 45
         assert report.ok, report.disagreements
+
+    def test_three_level_strategies_win_every_won_game(self):
+        # Constructive play takes the level-1 and level-3 strategy moves;
+        # the level-3 move reads the literal truths the earlier levels set.
+        p = protocol_qbf_k(3)
+        constructive = EvalMode(constructive=True, node_cap=32)
+        formulas = []
+        for seed in range(100):
+            f = gen.random_formula(seed, max_vars=4, max_clauses=4, k=3)
+            try:
+                formulas.append((f, encode_qbf(f)))
+            except InstanceError:
+                continue
+            if len(formulas) == 20:
+                break
+        assert len(formulas) == 20
+        verdicts = []
+        for f, inst in formulas:
+            want = oracle_qbf(f)
+            for variant in identity_variants(inst, 2):
+                assert game_evaluate(p, variant, WIDE).verdict == want, f.to_text()
+                assert game_evaluate(p, variant, constructive).verdict == want, \
+                    f.to_text()
+                verdicts.append(want)
+        assert len(verdicts) == 40 and True in verdicts and False in verdicts
 
     def test_six_variable_two_block_formula(self):
         f = parse_formula("∃a b c∀d e f:(a∨d)∧(b∨¬e)∧(c∨f)∧(¬a∨¬d)"

@@ -21,7 +21,7 @@ from locdec.gen import path_graph
 from locdec.labels import LabelDomain, Labelling, range_field
 from locdec.protocol import PROVER, Level, Protocol
 from locdec.protocols import names, resolve
-from locdec.runtime import LocalVerifier, VerifierError, first_rejection
+from locdec.runtime import LocalVerifier, VerifierError, ViewStore, first_rejection
 
 from corpus import TRANSFORMS, plain_instance, small_instances
 
@@ -60,11 +60,10 @@ def test_an_accepting_hint_leaves_the_rest_to_node_order():
 def test_a_rejecting_hint_settles_the_leaf_at_one_decision():
     verifier, decided = _recording(frozenset({0, 3}))
     inst = plain_instance(path_graph(4))
-    charged = []
-    assert first_rejection(verifier, inst, first=3,
-                           charge=lambda: charged.append(1)) == 3
+    views = ViewStore(inst, verifier.radius)
+    assert first_rejection(verifier, inst, views=views, first=3) == 3
     assert decided == [3]
-    assert len(charged) == 1
+    assert views.served == 1
 
 
 @pytest.mark.parametrize("first", [-1, 4])

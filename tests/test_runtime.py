@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from locdec.graphs import Graph, IdAssignment
-from locdec.runtime import (Decision, LocalVerifier, VerifierError, evaluate,
-                            first_rejection)
+from locdec.runtime import (Decision, LocalVerifier, VerifierError, ViewStore,
+                            evaluate, first_rejection)
 
 from corpus import c4, p3, plain_instance
 
@@ -106,13 +106,13 @@ def test_evaluate_is_deterministic():
     assert evaluate(colour_verifier(), inst) == evaluate(colour_verifier(), inst)
 
 
-def test_verdict_early_exit_and_charging():
+def test_verdict_early_exit_and_served_count():
     inst = plain_instance(p3())
-    calls = []
+    views = ViewStore(inst, 0)
     reject_all = LocalVerifier(radius=0, layer_count=0, decide=lambda b: False)
-    assert first_rejection(reject_all, inst, (), charge=lambda: calls.append(1)) == 0
-    assert len(calls) == 1
-    calls.clear()
+    assert first_rejection(reject_all, inst, (), views=views) == 0
+    assert views.served == 1
+    views = ViewStore(inst, 0)
     accept_all = LocalVerifier(radius=0, layer_count=0, decide=lambda b: True)
-    assert first_rejection(accept_all, inst, (), charge=lambda: calls.append(1)) is None
-    assert len(calls) == 3
+    assert first_rejection(accept_all, inst, (), views=views) is None
+    assert views.served == 3

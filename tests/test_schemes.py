@@ -82,6 +82,16 @@ def test_tree_cert_distance_jump_rejects():
     assert d.at(2) is False and d.verdict is False
 
 
+def test_tree_cert_parent_must_be_the_pointer_target():
+    # On C4 node 2 points to node 1; node 3 sits at the same distance, so
+    # a parent field naming node 3 passes every distance check.
+    inst = plain_instance(c4()).with_inputs((Ptr(None), Ptr(1), Ptr(2), Ptr(1)))
+    cert = build_spanning_tree_cert(inst, frozenset({(0, 1), (1, 2), (0, 3)}), 0)
+    assert evaluate(ST, inst, (cert,)).verdict is True
+    bad = cert.replace(2, TreeCert(1, 4, 2))
+    assert evaluate(ST, inst, (bad,)).rejecting_nodes == (2,)
+
+
 def test_tree_cert_two_roots_always_rejected():
     # Input with two pointer roots on P3; no root/distance labelling survives.
     g = path_graph(3)
