@@ -13,8 +13,7 @@ witness label as its bit pattern under ``level.domain_of(n, N)``, or
 on its own line, as compact JSON kept in ``json``'s C encoder (``indent``
 would switch to the pure-Python one); the layout is not pinned, so parse
 it as JSON.  Exit status is 0 for an in-language verdict, 1 for
-out-of-language, 2 for any error.  The ``LOCDEC_MAX_EVALS`` environment
-variable caps leaf enumeration.
+out-of-language, 2 for any error.
 """
 
 from __future__ import annotations

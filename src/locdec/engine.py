@@ -10,7 +10,6 @@ live in ``transforms``.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -20,10 +19,6 @@ from .labels import DomainError, Labelling
 from .protocol import (DISPROVER, PROVER, Protocol, ProtocolError,
                        all_invalid_labelling, canonical_labelling)
 from .runtime import Decision, ViewStore, evaluate, first_rejection
-
-DEFAULT_EVAL_CAP = 1 << 24
-EVAL_CAP_ENV = "LOCDEC_MAX_EVALS"
-
 
 class CapExceeded(RuntimeError):
     """Raised when an evaluation outgrows the configured resource caps."""
@@ -43,13 +38,14 @@ class EvalMode:
     drawn from one level's cover at one position: covers, the default
     full product among them, are drawn lazily and refused once they yield
     more.  ``eval_cap`` bounds leaf evaluations (complete label
-    assignments tested); None reads LOCDEC_MAX_EVALS, default 2**24.
+    assignments tested); its default is 2**24, and nothing outside the
+    mode changes it.
     """
 
     constructive: bool = False
     node_cap: int = 12
     move_cap: int = 1 << 20
-    eval_cap: Optional[int] = None
+    eval_cap: int = 1 << 24
 
     def __post_init__(self) -> None:
         if type(self.constructive) is not bool:
@@ -57,26 +53,12 @@ class EvalMode:
                 f"constructive must be a bool, got {self.constructive!r}")
         for name in ("node_cap", "move_cap", "eval_cap"):
             cap = getattr(self, name)
-            if name == "eval_cap" and cap is None:
-                continue
             if type(cap) is not int or cap < 1:
                 raise ValueError(f"{name} must be a positive integer, got {cap!r}")
 
 
 EXHAUSTIVE = EvalMode()
 CONSTRUCTIVE = EvalMode(constructive=True)
-
-
-def _resolve_eval_cap(mode: EvalMode) -> int:
-    if mode.eval_cap is not None:
-        return mode.eval_cap
-    raw = os.environ.get(EVAL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_EVAL_CAP
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(
-            f"{EVAL_CAP_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -136,7 +118,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     if instance.n > mode.node_cap:
         raise CapExceeded(
             f"instance has {instance.n} nodes, cap is {mode.node_cap}")
-    eval_cap = _resolve_eval_cap(mode)
+    eval_cap = mode.eval_cap
     counters = {"leaf": 0, "first": 0}
 
     k = protocol.level_count

@@ -270,9 +270,6 @@ class Instance:
     def input_of(self, v: int) -> InputValue:
         return self.inputs.value(v)
 
-    def with_ids(self, ids: IdAssignment) -> "Instance":
-        return Instance(self.graph, ids, self.inputs)
-
     def with_inputs(self, values: Sequence[InputValue]) -> "Instance":
         return Instance(self.graph, self.ids, InputAssignment(tuple(values)))
 
@@ -308,11 +305,11 @@ class BallView:
     Views are plain values built by `make_view`, whose cost is the sum of
     the member degrees.  Every field is built with the view: `adj_in` maps
     each member to its neighbours inside the ball, and `weights_in` is None
-    unless the instance is weighted.  `edges`, `node_by_id` (the inverse of
-    `ids_in`) and `frontier_set` are not fields.  Each is computed from the
-    fields on its first read and cached in the view; these caches are the
-    only writes a view takes after it is built.  Equality is over the
-    fields, and the three are functions of them.  A view holds no
+    unless the instance is weighted.  `edges` and `node_by_id` (the inverse
+    of `ids_in`) are not fields.  Each is computed from the fields on its
+    first read and cached in the view; these caches are the only writes a
+    view takes after it is built.  Equality is over the fields, and the two
+    are functions of them.  A view holds no
     reference to graph-wide data (adjacency, identities, weights), so only
     what can be derived from in-ball data can be left to a first read.
 
@@ -341,12 +338,7 @@ class BallView:
     def node_by_id(self) -> dict[int, int]:
         return {i: u for u, i in self.ids_in.items()}
 
-    @_first_read
-    def frontier_set(self) -> frozenset[int]:
-        radius = self.radius
-        return frozenset([u for u, d in self.centre_dist.items() if d == radius])
-
-    DERIVED = ("edges", "node_by_id", "frontier_set")
+    DERIVED = ("edges", "node_by_id")
 
     def settle(self) -> "BallView":
         """Compute every first-read attribute now, so that `with_layers`
@@ -375,7 +367,7 @@ class BallView:
         return self.layers[layer][v]
 
     def is_frontier(self, v: int) -> bool:
-        return v in self.frontier_set
+        return self.centre_dist.get(v) == self.radius
 
     def dist_from_centre(self, v: int) -> int:
         return self.centre_dist[v]

@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .formulas import Formula
-from .graphs import Edge, Graph, Instance, Ptr, norm_edge
+from .graphs import Edge, Graph, norm_edge
 
 
 # ---------------------------------------------------------------- trees
@@ -41,12 +41,7 @@ def _spans(n: int, edges: Sequence[Edge]) -> bool:
     return len(edges) == n - 1 and _components(n, edges) == 1
 
 
-def _as_graph(g) -> Graph:
-    return g.graph if isinstance(g, Instance) else g
-
-
-def oracle_spanning_tree(g, fset: frozenset[Edge]) -> bool:
-    graph = _as_graph(g)
+def oracle_spanning_tree(graph: Graph, fset: frozenset[Edge]) -> bool:
     for (u, v) in fset:
         if not graph.has_edge(u, v):
             raise ValueError(f"edge {(u, v)} not in the graph")
@@ -64,32 +59,10 @@ def spanning_trees(graph: Graph) -> Iterator[frozenset[Edge]]:
             yield frozenset(combo)
 
 
-def oracle_mst_weight(g) -> int:
-    graph = _as_graph(g)
+def oracle_mst_weight(graph: Graph) -> int:
     if graph.weights is None:
         raise ValueError("mst needs edge weights")
     return min(sum(graph.weight(u, v) for (u, v) in t) for t in spanning_trees(graph))
-
-
-def oracle_pointer_tree(instance: Instance) -> bool:
-    """Do the node inputs spell out a spanning tree by parent pointer?
-
-    Requires every input to be a pointer, exactly one of them null,
-    and the pointer edges to form a tree on the whole graph.
-    """
-    roots = []
-    edges = []
-    for v in range(instance.n):
-        x = instance.inputs.value(v)
-        if not isinstance(x, Ptr):
-            return False
-        if x.to is None:
-            roots.append(v)
-        else:
-            edges.append(norm_edge(v, instance.node_of(x.to)))
-    if len(roots) != 1:
-        return False
-    return _spans(instance.n, edges)
 
 
 # ---------------------------------------------------------------- cycles
@@ -119,8 +92,7 @@ def hamiltonian_cycles(graph: Graph) -> list[tuple[int, ...]]:
     return [c for c in simple_cycles(graph) if len(c) == graph.n]
 
 
-def oracle_tsp_weight(g) -> Optional[int]:
-    graph = _as_graph(g)
+def oracle_tsp_weight(graph: Graph) -> Optional[int]:
     if graph.weights is None:
         raise ValueError("tsp needs edge weights")
     best: Optional[int] = None
@@ -207,13 +179,6 @@ def oracle_max_cut(graph: Graph) -> int:
 
 def oracle_min_cut(graph: Graph) -> int:
     return min(cut_size(graph, s) for s in subsets(graph.n))
-
-
-def oracle_three_colourable(graph: Graph) -> bool:
-    for colouring in product(range(3), repeat=graph.n):
-        if all(colouring[u] != colouring[v] for (u, v) in graph.edges):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------- symmetry

@@ -1,14 +1,16 @@
 """Named protocol registry with transform prefixes.
 
 ``resolve`` turns a name into a protocol.  Plain names come from the
-registry table; the prefixes ``lift:``, ``collapse:`` and
-``unanimous:A+B`` apply the corresponding transform of ``transforms`` to
-resolved names, recursively.  No protocol module imports the game in
+registry table, and ``qbf-<k>`` for k >= 1 is the k-level truth game
+(``qbf`` is k = 2, the name it gives itself); the prefixes ``lift:``,
+``collapse:`` and ``unanimous:A+B`` apply the corresponding transform of
+``transforms`` to resolved names, recursively.  No protocol module imports the game in
 ``engine``.
 """
 
 from __future__ import annotations
 
+import re
 from functools import partial
 from typing import Callable
 
@@ -50,6 +52,9 @@ def resolve(name: str) -> Protocol:
             raise ProtocolError(
                 f"unanimous needs two protocol names joined by '+', got {rest!r}")
         return unanimous_combine(resolve(left), resolve(right))
+    depth = re.fullmatch(r"qbf-([1-9][0-9]*)", name)
+    if depth:
+        return qbf.protocol_qbf_k(int(depth[1]))
     try:
         return _FACTORIES[name]()
     except KeyError:

@@ -30,7 +30,7 @@ from ..labels import (GatherCert, LabelDomain, Labelling, build_bfs_tree,
                       tree_cert_domain)
 from ..oracles import hamiltonian_cycles, is_matching, spanning_trees
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
-                        canonical_labelling, certificate_protocol, first_move)
+                        canonical_labelling, certificate_protocol)
 from ..runtime import LocalVerifier
 from ..schemes import (READ_TREE_CERT, SchemeError, build_gathering_cert,
                        build_hamiltonian_cert, build_non_hamiltonian_cert,
@@ -231,6 +231,8 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
                 f" language, {q.name} declares none")
     ry = adm_yes.verifier.radius
     rn = adm_no.verifier.radius
+    yes_move = adm_yes.levels[0].strategy
+    no_move = adm_no.levels[0].strategy
     radius = max(ry, rn, 1)
     if sense == "min":
         better, best_of = (lambda a, b: a < b), min
@@ -283,13 +285,6 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
     def _values(instance: Instance) -> list[int]:
         return [local_value(node_view(instance, v))
                 for v in range(instance.n)]
-
-    def _sub_move(p: Protocol, instance: Instance) -> Labelling:
-        # The sub-protocol's strategy move, else its ``first_move``.
-        lv = p.levels[0]
-        if lv.strategy is not None:
-            return lv.strategy(instance, ())
-        return first_move(lv, instance)
 
     def rivals(instance: Instance,
                base: int) -> Iterable[tuple[tuple[InputValue, ...], int]]:
@@ -346,7 +341,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         fill_no, fill_yes, fill_g = _fillers(instance)
         no_xp = (None,) * instance.n
         if not adm_yes.language.oracle(instance):
-            return _packed(instance, 0, _sub_move(adm_no, instance), fill_yes,
+            return _packed(instance, 0, no_move(instance, ()), fill_yes,
                            no_xp, fill_yes, fill_g, fill_g)
         try:
             vals_x = _values(instance)
@@ -358,7 +353,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         # the caller.
         best = best_of(rivals(instance, sum(vals_x)), key=lambda r: r[1],
                        default=None)
-        yes_x = _sub_move(adm_yes, instance)
+        yes_x = yes_move(instance, ())
         if best is None:
             # The input is optimal: play it against itself and lose honestly.
             xp = tuple(instance.input_of(v) for v in range(instance.n))
@@ -367,7 +362,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         inst2 = instance.with_inputs(xp)
         agg_xp = build_gathering_cert(inst2, _values(inst2))
         return _packed(instance, 1, fill_no, yes_x, xp,
-                       _sub_move(adm_yes, inst2), agg_x, agg_xp)
+                       yes_move(inst2, ()), agg_x, agg_xp)
 
     def not_optimal(instance: Instance) -> bool:
         if adm_no.language.oracle(instance):
@@ -380,7 +375,9 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
             return False
         return any(rivals(instance, base))
 
-    level = Level(domain_of, cover, strategy)
+    # As in ``unanimous_combine``, a strategy only when both parts have one.
+    level = Level(domain_of, cover,
+                  strategy if yes_move and no_move else None)
     return Protocol(name, PROVER, (level,),
                     LocalVerifier(radius, 1, decide), LanguageSpec(not_optimal))
 

@@ -223,41 +223,22 @@ def _lit_truth(view: _FormulaView, layers) -> dict[int, bool]:
 
 def _winning_assignment(instance: Instance, view: _FormulaView,
                         level: int, earlier) -> Optional[Labelling]:
-    """A level assignment that wins the remaining semantic game, if any."""
-    truth = _lit_truth(view, earlier) if earlier else {}
+    """The first move of the level's cover that wins the rest of the
+    game, if any.  Later levels are played out over their covers, and the
+    clauses are read with ``_lit_truth``, so damage reads true."""
     adj = instance.graph.neighbours
 
-    def satisfied(assign: dict) -> bool:
-        return all(any(assign.get(w, truth.get(w, False)) for w in adj(c))
-                   for c in view.clause_nodes)
-
-    def wins(lv: int, assign: dict) -> bool:
+    def wins(lv: int, layers) -> bool:
         if lv > view.depth:
-            return satisfied(assign)
-        here = [pair for pair in view.pairs if pair[2] == lv]
+            truth = _lit_truth(view, layers)
+            return all(any(truth[w] for w in adj(c)) for c in view.clause_nodes)
         prover = lv % 2 == 1
-        for bits in product((1, 0), repeat=len(here)):
-            trial = dict(assign)
-            for (p, q, _), bit in zip(here, bits):
-                trial[p], trial[q] = bit == 1, bit == 0
-            if wins(lv + 1, trial) == prover:
-                return prover
-        return not prover
+        return prover == any(
+            wins(lv + 1, layers + (move,)) == prover
+            for move in _assignments(view, lv, instance.n))
 
-    here = [pair for pair in view.pairs if pair[2] == level]
-    fixed = {w: truth[w] for p, q, lv in view.pairs if lv < level
-             for w in (p, q)}
-    for bits in product((1, 0), repeat=len(here)):
-        assign = dict(fixed)
-        for (p, q, _), bit in zip(here, bits):
-            assign[p], assign[q] = bit == 1, bit == 0
-        if wins(level + 1, assign):
-            values = [TruthLabel(None)] * instance.n
-            for (p, q, _), bit in zip(here, bits):
-                values[p] = TruthLabel(bit)
-                values[q] = TruthLabel(1 - bit)
-            return Labelling(values)
-    return None
+    return next((move for move in _assignments(view, level, instance.n)
+                 if wins(level + 1, earlier + (move,))), None)
 
 
 def protocol_qbf_k(k: int) -> Protocol:

@@ -23,11 +23,11 @@ Each node decision draws exactly one view from the store, so the
 store's ``served`` count is the number of decisions made with it; a
 game reads its node-decision count there.
 
-A view computes its edge set, identity inverse and frontier on first
-read (see ``BallView``), so a fresh view costs only what its verifier
-reads.  The store settles a view when it keeps it: it computes all three
-once, and every copy served from the kept view shares them instead of
-computing its own at each leaf.
+A view computes its edge set and identity inverse on first read (see
+``BallView``), so a fresh view costs only what its verifier reads.  The
+store settles a view when it keeps it: it computes both once, and every
+copy served from the kept view shares them instead of computing its own
+at each leaf.
 
 ``game_evaluate`` shares one store across the leaves of a game, and
 hints each leaf with the node that last rejected a leaf at the same

@@ -6,13 +6,11 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance, ball,
-                           norm_edge)
+from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
+                           Instance, ball, norm_edge)
 from locdec.transforms import shrink_ball
 
 RADII = range(4)
-# Computed on first read, never by `ball` itself.
-DERIVED = ("edges", "node_by_id", "frontier_set")
 
 
 @st.composite
@@ -41,7 +39,6 @@ def _reference(inst: Instance, v: int, t: int) -> dict:
         "members": tuple(sorted(dist)),
         "edges": edges,
         "weights_in": None if g.weights is None else {e: g.weights[e] for e in edges},
-        "frontier_set": frozenset(u for u, d in dist.items() if d == t),
         "centre_dist": dist,
         "ids_in": {u: inst.id_of(u) for u in dist},
         "inputs_in": {u: inst.input_of(u) for u in dist},
@@ -69,19 +66,22 @@ def test_ball_matches_brute_force(case):
                 assert view.neighbours(outside[0]) == frozenset()
                 assert view.node_of(inst.id_of(outside[0])) is None
             assert view.node_of(inst.N + 1) is None
+            for u in range(inst.n):
+                assert view.is_frontier(u) == (ref["centre_dist"].get(u) == t), u
 
 
 @settings(deadline=None)
 @given(instances())
 def test_fresh_views_build_no_derived_attribute(case):
+    # `BallView.DERIVED` is computed on first read, never by `ball` itself.
     inst, labellings = case
     for v in range(inst.n):
         for t in RADII:
             view = ball(inst, labellings, v, t)
-            assert not set(DERIVED) & set(vars(view))
+            assert not set(BallView.DERIVED) & set(vars(view))
             view.has_edge(v, v)
             view.neighbours(v)
-            assert not set(DERIVED) & set(vars(view))
+            assert not set(BallView.DERIVED) & set(vars(view))
 
 
 @settings(deadline=None)

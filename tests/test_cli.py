@@ -9,11 +9,16 @@ import locdec.cli
 import locdec.protocols
 from locdec.cli import ReportError, build_report, emit_report, main, parse_report
 from locdec.engine import EvalMode, game_evaluate, identity_variants
+from locdec.formulas import parse_formula
 from locdec.gen import grid_graph, path_graph
 from locdec.graphs import (Cls, Graph, IdAssignment, InputAssignment, Instance,
-                           Lit, Marks, Ptr, emit_instance, instance_digest)
+                           Lit, Marks, Ptr, emit_instance, instance_digest,
+                           parse_instance)
 from locdec.labels import INVALID
+from locdec.oracles import oracle_qbf
+from locdec.protocol import PROVER, Protocol
 from locdec.protocols import resolve
+from locdec.runtime import LocalVerifier
 
 
 def _decoded(report):
@@ -194,14 +199,6 @@ def test_check_refuses_edges_that_are_not_a_list(tmp_path, capsys):
     assert "`edges` must be a list" in capsys.readouterr().err
 
 
-def test_check_refuses_a_bad_eval_cap(tmp_path, capsys, monkeypatch):
-    instance = tmp_path / "p3.json"
-    assert main(["gen", "path", "3", "-o", str(instance)]) == 0
-    monkeypatch.setenv("LOCDEC_MAX_EVALS", "abc")
-    assert main(["check", "3col", str(instance)]) == 2
-    assert "LOCDEC_MAX_EVALS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("cap", ["0", "-1"])
 @pytest.mark.parametrize("command", ["check", "game"])
 def test_run_refuses_a_non_positive_node_cap(tmp_path, capsys, command, cap):
@@ -254,6 +251,68 @@ def test_check_collapsed_qbf_exits_with_the_verdict(tmp_path, capsys, formula,
     assert main(["gen", "qbf", formula, "-o", str(path)]) == 0
     assert main(["check", "collapse:qbf", str(path)]) == status
     assert '"verdict"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("formula", [
+    "Ea Ab Ec: (a | b) & (~b | c)",
+    "Ea Ab Ec: (b | c) & (~c | a) & (~a | ~c)",
+])
+def test_check_three_level_qbf_exits_with_the_oracle_verdict(tmp_path, capsys,
+                                                             formula):
+    path = tmp_path / "formula.json"
+    assert main(["gen", "qbf", formula, "-o", str(path)]) == 0
+    status = 0 if oracle_qbf(parse_formula(formula)) else 1
+    assert main(["check", "qbf-3", str(path)]) == status
+    assert json.loads(capsys.readouterr().out)["protocol"] == "qbf-3"
+
+
+def test_gen_writes_to_stdout_without_an_output_file(tmp_path, capsys):
+    path = tmp_path / "c4.json"
+    assert main(["gen", "cycle", "4", "-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["gen", "cycle", "4"]) == 0
+    assert capsys.readouterr().out == path.read_text()
+
+
+def _gen(capsys, *argv) -> Instance:
+    assert main(["gen", *argv]) == 0
+    return parse_instance(capsys.readouterr().out)
+
+
+def test_gen_random_is_seeded_connected_and_identified_below_n_squared(capsys):
+    inst = _gen(capsys, "random", "7", "--seed", "3")
+    assert inst == _gen(capsys, "random", "7", "--seed", "3")
+    assert inst != _gen(capsys, "random", "7", "--seed", "4")
+    assert inst.N == 49 and len(set(inst.ids.ids)) == 7
+    assert all(1 <= i <= 49 for i in inst.ids.ids)
+    assert len(inst.graph.distances_from(0)) == 7
+
+
+def test_gen_path_seed_draws_the_identities(capsys):
+    plain = _gen(capsys, "path", "5")
+    seeded = _gen(capsys, "path", "5", "--seed", "2")
+    assert seeded == _gen(capsys, "path", "5", "--seed", "2")
+    assert seeded.graph == plain.graph == path_graph(5)
+    assert plain.ids.ids == (1, 2, 3, 4, 5)
+    assert seeded.ids.ids != plain.ids.ids
+    assert seeded.ids != _gen(capsys, "path", "5", "--seed", "3").ids
+    assert all(1 <= i <= 25 for i in seeded.ids.ids)
+
+
+def test_game_refuses_a_verdict_that_depends_on_identities(tmp_path, capsys,
+                                                            monkeypatch):
+    # Each node accepts iff its identity is its index plus one, which holds
+    # under the file's identities and under no sampled variant.
+    reads_ids = Protocol("reads-ids", PROVER, (),
+                         LocalVerifier(0, 0, lambda b: b.own_id == b.centre + 1))
+    monkeypatch.setattr(locdec.cli, "resolve", lambda name: reads_ids)
+    path = tmp_path / "p3.json"
+    assert main(["gen", "path", "3", "-o", str(path)]) == 0
+    assert main(["game", "reads-ids", str(path), "--ids", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "depends on the identity assignment" in captured.err
+    assert "-> True" in captured.err and "-> False" in captured.err
+    assert captured.out == ""
 
 
 def _write(tmp_path, name, instance):
@@ -358,8 +417,8 @@ def test_export_names_each_input_kind(tmp_path, capsys, inputs, texts):
 
 def test_export_refuses_a_report_for_another_instance(tmp_path, capsys):
     path = _write(tmp_path, "p3.json", _pointer_path())
-    other = _write(tmp_path, "other.json", _pointer_path().with_ids(
-        IdAssignment((3, 2, 1), 9)).with_inputs((None,) * 3))
+    other = _write(tmp_path, "other.json", Instance(
+        path_graph(3), IdAssignment((3, 2, 1), 9), InputAssignment((None,) * 3)))
     report = tmp_path / "report.json"
     assert main(["check", "3col", str(other)]) == 1
     report.write_text(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 import pytest
@@ -380,23 +381,8 @@ def test_eval_cap_counts_leaves():
                       EvalMode(eval_cap=10))
 
 
-def test_eval_cap_env_fallback(monkeypatch):
-    monkeypatch.setenv("LOCDEC_MAX_EVALS", "2")
-    inst = plain_instance(cycle_graph(5))
-    with pytest.raises(CapExceeded, match="leaf evaluations exceed the cap 2"):
-        game_evaluate(TWOCOL, inst)
-    assert game_evaluate(TWOCOL, inst, EvalMode(eval_cap=1000)).verdict is False
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
-def test_eval_cap_env_must_be_a_positive_integer(monkeypatch, raw):
-    monkeypatch.setenv("LOCDEC_MAX_EVALS", raw)
-    with pytest.raises(ValueError, match="LOCDEC_MAX_EVALS"):
-        game_evaluate(TWOCOL, plain_instance(cycle_graph(5)))
-
-
 @pytest.mark.parametrize("cap", ["node_cap", "move_cap", "eval_cap"])
-@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "3"])
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "3", None])
 def test_caps_must_be_positive_integers(cap, bad):
     with pytest.raises(ValueError, match=f"{cap} must be a positive integer"):
         EvalMode(**{cap: bad})
@@ -408,8 +394,7 @@ def test_constructive_must_be_a_bool(bad):
         EvalMode(constructive=bad)
 
 
-def test_caps_accept_one_and_eval_cap_none():
-    assert EvalMode(eval_cap=None).eval_cap is None
+def test_caps_accept_one():
     assert EvalMode(node_cap=1, move_cap=1, eval_cap=1).eval_cap == 1
 
 
@@ -465,7 +450,7 @@ def test_shrink_ball():
     assert wide.members == (0, 1, 2)
     small = shrink_ball(wide, 1)
     assert small.members == (0, 1)
-    assert small.frontier_set == frozenset({1})
+    assert small.is_frontier(1) and not small.is_frontier(0)
     assert small.label(0, 1) == Bit(1)
     with pytest.raises(ProtocolError, match="cannot grow"):
         shrink_ball(small, 2)
@@ -512,6 +497,31 @@ def test_lift_negates_verdict_on_corpus():
         inst = plain_instance(graph)
         assert (game_evaluate(lifted, inst).verdict
                 != game_evaluate(base, inst).verdict)
+
+
+def _alone_with_input_one(view) -> bool:
+    return view.own_input == 1 and view.members == (view.centre,)
+
+
+LONER = Protocol("loner", PROVER, (), LocalVerifier(0, 0, _alone_with_input_one),
+                 LanguageSpec(lambda inst: all(inst.input_of(v) == 1
+                                               for v in range(inst.n))))
+
+
+@pytest.mark.parametrize("mode", [EXHAUSTIVE, CONSTRUCTIVE],
+                         ids=["exhaustive", "constructive"])
+def test_lift_shrinks_the_root_view_to_the_base_radius(mode):
+    # The lift's verifier has radius 1, so its root hands the radius-0 base
+    # verifier a shrunk view; an unshrunk one holds the root's neighbours
+    # and the base would reject every node of a graph with an edge.
+    lifted = complement_lift(LONER)
+    assert lifted.verifier.radius == 1
+    for graph in (path_graph(2), path_graph(3), path_graph(4), cycle_graph(3),
+                  cycle_graph(4), star_graph(3), star_graph(4)):
+        for bits in product((0, 1), repeat=graph.n):
+            inst = coloured(graph, bits)
+            assert game_evaluate(lifted, inst, mode).verdict \
+                is (not LONER.language.oracle(inst)), (graph, bits)
 
 
 def test_double_lift_is_identity():

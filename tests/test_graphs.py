@@ -285,7 +285,7 @@ def test_empty_weight_map_on_an_edgeless_graph_round_trips():
 
 def test_digest_depends_on_identities():
     inst = plain_instance(p3())
-    other = inst.with_ids(IdAssignment((3, 2, 1), 9))
+    other = Instance(inst.graph, IdAssignment((3, 2, 1), 9), inst.inputs)
     assert instance_digest(inst) != instance_digest(other)
 
 

@@ -14,10 +14,10 @@ from locdec.oracles import (
     is_dominating, is_independent, is_matching, iso_representatives,
     oracle_automorphisms, oracle_cycle_vc, oracle_max_cut,
     oracle_max_independent, oracle_max_matching, oracle_min_cut,
-    oracle_min_dominating, oracle_mst_weight, oracle_pointer_tree, oracle_qbf,
-    oracle_spanning_tree, oracle_three_colourable, oracle_tsp_weight,
-    simple_cycles, spanning_trees, subsets,
+    oracle_min_dominating, oracle_mst_weight, oracle_qbf, oracle_spanning_tree,
+    oracle_tsp_weight, simple_cycles, spanning_trees, subsets,
 )
+from locdec.protocols.basic import spanning_tree_inputs
 
 
 TRIANGLE = cycle_graph(3)
@@ -193,23 +193,17 @@ def test_set_problem_predicates():
     assert len(list(subsets(3))) == 8
 
 
-def test_three_colourable_frozen():
-    assert oracle_three_colourable(TRIANGLE)
-    assert oracle_three_colourable(c4())
-    assert oracle_three_colourable(cycle_graph(5))
-    assert not oracle_three_colourable(k4())
-
-
-def test_pointer_tree_oracle():
+def test_spanning_tree_inputs():
     inst = plain_instance(p3())
-    assert oracle_pointer_tree(inst.with_inputs([Ptr(2), Ptr(None), Ptr(2)]))
-    assert not oracle_pointer_tree(inst.with_inputs([Ptr(None), Ptr(1), Ptr(None)]))
-    assert not oracle_pointer_tree(inst.with_inputs([None, Ptr(None), Ptr(2)]))
+    assert spanning_tree_inputs(inst.with_inputs([Ptr(2), Ptr(None), Ptr(2)]))
+    assert not spanning_tree_inputs(
+        inst.with_inputs([Ptr(None), Ptr(1), Ptr(None)]))
+    assert not spanning_tree_inputs(inst.with_inputs([None, Ptr(None), Ptr(2)]))
     tri = plain_instance(TRIANGLE)
-    assert not oracle_pointer_tree(tri.with_inputs([Ptr(2), Ptr(3), Ptr(1)]))
+    assert not spanning_tree_inputs(tri.with_inputs([Ptr(2), Ptr(3), Ptr(1)]))
     one = Instance(Graph(1, frozenset()), IdAssignment((1,), 1),
                    InputAssignment((Ptr(None),)))
-    assert oracle_pointer_tree(one)
+    assert spanning_tree_inputs(one)
 
 
 def test_graph_enumeration_counts():

@@ -160,6 +160,30 @@ class TestGames:
                 verdicts.append(want)
         assert len(verdicts) == 40 and True in verdicts and False in verdicts
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_strategy_plays_the_exhaustive_line(self, k):
+        # The strategy plays the first winning move of its level's cover,
+        # as the search does, so constructive and exhaustive play give the
+        # same principal line, not only the same verdict.
+        p = protocol_qbf_k(k)
+        games = 0
+        for seed in range(60):
+            try:
+                inst = encode_qbf(gen.random_formula(seed, k=k))
+            except InstanceError:
+                continue
+            for variant in identity_variants(inst, 2):
+                built = game_evaluate(p, variant, CONSTRUCTIVE)
+                searched = game_evaluate(p, variant, EXHAUSTIVE)
+                assert (built.verdict, built.line) \
+                    == (searched.verdict, searched.line), (seed, variant.ids)
+                games += 1
+        assert games >= 40
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_depth_resolves_by_its_own_name(self, k):
+        assert resolve(protocol_qbf_k(k).name).level_count == k
+
     def test_six_variable_two_block_formula(self):
         f = parse_formula("∃a b c∀d e f:(a∨d)∧(b∨¬e)∧(c∨f)∧(¬a∨¬d)"
                           "∧(a∨b∨¬c)∧(d∨e∨¬f)")

@@ -62,10 +62,10 @@ def cases(draw):
 def _scrambling_verifier(t: int, width: int) -> LocalVerifier:
     """Accepts or rejects on a mix of everything in the view."""
     def decide(view) -> bool:
-        acc = view.centre + 3 * len(view.edges) + len(view.frontier_set)
+        acc = view.centre + 3 * len(view.edges)
         for u in view.members:
             acc += view.id_of(u) * (1 + sum(layer[u] for layer in view.layers))
-            acc += view.dist_from_centre(u)
+            acc += view.dist_from_centre(u) + 7 * view.is_frontier(u)
         return acc % 5 != 0
     return LocalVerifier(t, width, decide)
 
@@ -130,14 +130,11 @@ def test_store_refuses_another_instance_or_radius():
 # verifiers leave their views untouched
 
 
-# Attributes a view computes on first read; they are not fields, so the
-# snapshot names them.  Reading them builds them, which is harmless here.
-DERIVED = ("edges", "node_by_id", "frontier_set")
-
-
 def _snapshot(view) -> list:
     out = []
-    for name in (*(f.name for f in fields(view)), *DERIVED):
+    # `BallView.DERIVED` are not fields, so the snapshot names them.
+    # Reading them builds them, which is harmless here.
+    for name in (*(f.name for f in fields(view)), *BallView.DERIVED):
         value = getattr(view, name)
         if isinstance(value, dict):
             value = dict(value)
@@ -205,7 +202,7 @@ def test_nta_exhaustive_computes_derived_attributes_once_per_ball(monkeypatch):
         return view
 
     monkeypatch.setattr(runtime, "ball", counted_ball)
-    for name in ("edges", "node_by_id"):
+    for name in BallView.DERIVED:
         attr = BallView.__dict__[name]
 
         def counted(view, compute=attr.compute, name=name):
