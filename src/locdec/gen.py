@@ -39,7 +39,10 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, frozenset(edges))
 
 
-def random_connected_graph(n: int, seed: int, extra_edge_prob: float = 0.3) -> Graph:
+EXTRA_EDGE_PROB = 0.3  # chance of each non-tree edge in a random graph
+
+
+def random_connected_graph(n: int, seed: int) -> Graph:
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
@@ -49,7 +52,7 @@ def random_connected_graph(n: int, seed: int, extra_edge_prob: float = 0.3) -> G
         edges.add((a, b) if a < b else (b, a))
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < extra_edge_prob:
+            if (u, v) not in edges and rng.random() < EXTRA_EDGE_PROB:
                 edges.add((u, v))
     return Graph(n, frozenset(edges))
 

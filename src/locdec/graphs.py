@@ -70,7 +70,9 @@ class Cls:
 
 InputValue = Union[None, int, Ptr, Marks, Lit, Cls]
 
-# Inputs must fit in C_IN identity-sized units.
+# Every input fits in C_IN identity-sized units by construction: at most
+# MAX_MARKS marks, integers up to N^2 and one identity per pointer.
+# ``labels.input_value_field`` sizes its payload by this budget.
 C_IN = 4
 
 MAX_MARKS = 2  # marks beyond two per node never change admissibility
@@ -79,23 +81,6 @@ MAX_MARKS = 2  # marks beyond two per node never change admissibility
 def id_width(N: int) -> int:
     """Bits per identity under the identity bound N (at least one)."""
     return max(1, (N - 1).bit_length())
-
-
-def input_bits(value: InputValue, id_bits: int) -> int:
-    """Encoded size of an input value, given bits per identity."""
-    if value is None:
-        return 1
-    if isinstance(value, int):
-        return 2 * id_bits  # bounded by N^2
-    if isinstance(value, Ptr):
-        return id_bits + 1
-    if isinstance(value, Marks):
-        return len(value.ids) * id_bits + 2
-    if isinstance(value, Lit):
-        return id_bits + 2
-    if isinstance(value, Cls):
-        return 2
-    raise InstanceError(f"unknown input value {value!r}")
 
 
 @dataclass(frozen=True)
@@ -220,9 +205,10 @@ class Instance:
         n = self.graph.n
         if len(self.ids.ids) != n or len(self.inputs.values) != n:
             raise InstanceError("graph, identities and inputs disagree on node count")
-        id_bits = self.id_bits
         ids = self.ids.ids
         for v, x in enumerate(self.inputs.values):
+            if x is not None and not isinstance(x, (int, Ptr, Marks, Lit, Cls)):
+                raise InstanceError(f"unknown input value {x!r} at node {v}")
             if isinstance(x, (Ptr, Marks)):
                 # Only these inputs name neighbours.
                 nbr_ids = {ids[u] for u in self.graph.neighbours(v)}
@@ -239,8 +225,6 @@ class Instance:
                 raise InstanceError(f"literal level {x.level!r} at node {v} is not an integer")
             if isinstance(x, int) and not (_is_int(x) and 0 <= x <= self.N * self.N):
                 raise InstanceError(f"integer input {x!r} at node {v} out of range")
-            if input_bits(x, id_bits) > C_IN * id_bits:
-                raise InstanceError(f"input at node {v} exceeds the bit budget")
         if self.graph.weights is not None:
             # Keeps objective sums within the label bit budget.
             for e, w in self.graph.weights.items():
@@ -256,10 +240,6 @@ class Instance:
     @property
     def N(self) -> int:
         return self.ids.N
-
-    @property
-    def id_bits(self) -> int:
-        return id_width(self.N)
 
     def id_of(self, v: int) -> int:
         return self.ids.id_of(v)

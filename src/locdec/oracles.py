@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, permutations, product
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional
 
 from .formulas import Formula
 from .graphs import Edge, Graph, norm_edge
@@ -17,8 +17,9 @@ from .graphs import Edge, Graph, norm_edge
 
 # ---------------------------------------------------------------- trees
 
-def _components(n: int, edges: Sequence[Edge]) -> int:
-    """Connected components of the graph on nodes 0..n-1 with these edges."""
+def components(n: int, edges: Iterable[Edge]) -> list[list[int]]:
+    """Connected components of the graph on nodes 0..n-1 with these
+    edges, each in node order, ordered by their smallest node."""
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -27,27 +28,26 @@ def _components(n: int, edges: Sequence[Edge]) -> int:
             a = parent[a]
         return a
 
-    comps = n
     for (u, v) in edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            comps -= 1
-    return comps
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
 
 
-def _spans(n: int, edges: Sequence[Edge]) -> bool:
+def _spans(n: int, edges: Collection[Edge]) -> bool:
     """Do the edges form a spanning tree: n - 1 edges and one component?"""
-    return len(edges) == n - 1 and _components(n, edges) == 1
+    return len(edges) == n - 1 and len(components(n, edges)) == 1
 
 
 def oracle_spanning_tree(graph: Graph, fset: frozenset[Edge]) -> bool:
     for (u, v) in fset:
         if not graph.has_edge(u, v):
             raise ValueError(f"edge {(u, v)} not in the graph")
-    if len(fset) != graph.n - 1:
-        return False
-    return _spans(graph.n, sorted(fset))
+    return _spans(graph.n, fset)
 
 
 def spanning_trees(graph: Graph) -> Iterator[frozenset[Edge]]:
@@ -229,7 +229,7 @@ def connected_graphs(n: int) -> Iterator[Graph]:
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(all_edges)):
         chosen = [e for i, e in enumerate(all_edges) if mask >> i & 1]
-        if _components(n, chosen) == 1:
+        if len(components(n, chosen)) == 1:
             yield Graph(n, frozenset(chosen))
 
 

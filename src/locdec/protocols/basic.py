@@ -112,8 +112,7 @@ def non_spanning_tree_inputs(instance: Instance) -> bool:
 def protocol_non_spanning_tree() -> Protocol:
     def honest(instance: Instance) -> Optional[Labelling]:
         try:
-            _targets, edges = pointer_structure(instance)
-            return build_non_spanning_tree_cert(instance, edges)
+            return build_non_spanning_tree_cert(instance)
         except SchemeError:
             return None
 

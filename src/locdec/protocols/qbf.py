@@ -13,7 +13,10 @@ opposite value, and a clause node checks it touches at least one true
 literal.  Universal rounds are kept meaningful by reading, not by
 rejection: a damaged or one-sided value at an even level counts as
 true, so straying from a real assignment only helps the prover, and
-the round covers range over exactly the real assignments.
+the round covers range over exactly the real assignments.  The prover's
+strategy plays the first cover move that wins the rest of the game, and
+a finished line is judged by the protocol's verifier, the same judge the
+game uses.
 
 On a plain graph, one whose nodes carry no literal or clause, the covers
 yield no move and the strategies play ``first_move``, the canonical
@@ -38,7 +41,7 @@ from ..labels import LabelDomain, Labelling, optional_range_field
 from ..oracles import oracle_qbf
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
                         first_move)
-from ..runtime import LocalVerifier
+from ..runtime import LocalVerifier, first_rejection
 
 
 class TruthLabel(NamedTuple):
@@ -204,34 +207,17 @@ def _assignments(view: _FormulaView, level: int,
         yield Labelling(values)
 
 
-def _lit_truth(view: _FormulaView, layers) -> dict[int, bool]:
-    """Literal readings under played layers; damage reads true."""
-    truth = {}
-    for p, q, level in view.pairs:
-        if level > len(layers):
-            continue
-        lbl = layers[level - 1][p]
-        other = layers[level - 1][q]
-        if isinstance(lbl, TruthLabel) and lbl.bit in (0, 1) \
-                and isinstance(other, TruthLabel) \
-                and other.bit == 1 - lbl.bit:
-            truth[p], truth[q] = lbl.bit == 1, lbl.bit == 0
-        else:
-            truth[p] = truth[q] = True
-    return truth
-
-
 def _winning_assignment(instance: Instance, view: _FormulaView,
-                        level: int, earlier) -> Optional[Labelling]:
+                        verifier: LocalVerifier, level: int,
+                        earlier) -> Optional[Labelling]:
     """The first move of the level's cover that wins the rest of the
-    game, if any.  Later levels are played out over their covers, and the
-    clauses are read with ``_lit_truth``, so damage reads true."""
-    adj = instance.graph.neighbours
+    game, if any.  Later levels are played out over their covers, and a
+    finished line is judged by the protocol's verifier: it wins iff no
+    node rejects."""
 
     def wins(lv: int, layers) -> bool:
-        if lv > view.depth:
-            truth = _lit_truth(view, layers)
-            return all(any(truth[w] for w in adj(c)) for c in view.clause_nodes)
+        if lv > verifier.layer_count:
+            return first_rejection(verifier, instance, layers) is None
         prover = lv % 2 == 1
         return prover == any(
             wins(lv + 1, layers + (move,)) == prover
@@ -244,6 +230,7 @@ def _winning_assignment(instance: Instance, view: _FormulaView,
 def protocol_qbf_k(k: int) -> Protocol:
     if k < 1:
         raise ProtocolError("the truth game needs at least one level")
+    verifier = LocalVerifier(1, k, _decide)
 
     def checked_view(instance: Instance) -> Optional[_FormulaView]:
         """The encoded formula, or None on a graph whose nodes carry no
@@ -272,7 +259,8 @@ def protocol_qbf_k(k: int) -> Protocol:
         def strategy(instance: Instance, earlier) -> Labelling:
             view = checked_view(instance)
             if view is not None:
-                move = _winning_assignment(instance, view, level, earlier)
+                move = _winning_assignment(instance, view, verifier, level,
+                                           earlier)
                 if move is not None:
                     return move
             return first_move(levels[level - 1], instance, earlier)
@@ -288,5 +276,4 @@ def protocol_qbf_k(k: int) -> Protocol:
         Level(truth_domain, cover_at(i), strategy_at(i) if i % 2 == 1 else None)
         for i in range(1, k + 1))
     name = "qbf" if k == 2 else f"qbf-{k}"
-    return Protocol(name, PROVER, levels, LocalVerifier(1, k, _decide),
-                    LanguageSpec(oracle))
+    return Protocol(name, PROVER, levels, verifier, LanguageSpec(oracle))

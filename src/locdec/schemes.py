@@ -22,6 +22,10 @@ and checks such a tree:
 * ``mutual_pair`` reads a node's two reciprocated marks, on a whole
   instance for the builders and on a ball for the verifiers.
 
+The defect builders split a graph with ``oracles.components``, the one
+component finder, and the non-spanning-tree builder reads its pointer
+edges from the instance through ``pointer_structure``.
+
 Each scheme pairs a constructive builder (instance + witness object ->
 labelling) with a radius-1 verification fragment (ball -> bool).  Verifier
 fragments never raise on malformed content: anything that fails to parse is
@@ -31,12 +35,12 @@ rejected at the node that sees it.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import BallView, Edge, Instance, Marks, Ptr, geometry
 from .labels import (BFSTree, GatherCert, HamCert, Labelling, NonHamCert,
                      NSTCert, SizeCert, TreeCert, build_bfs_tree)
-from .oracles import oracle_spanning_tree
+from .oracles import components, oracle_spanning_tree
 
 
 class SchemeError(ValueError):
@@ -375,32 +379,12 @@ def _pointer_cycle(instance: Instance,
     return cycle
 
 
-def _components(n: int, adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    comp: list[list[int]] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        group = []
-        queue = [start]
-        seen[start] = True
-        while queue:
-            v = queue.pop()
-            group.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comp.append(sorted(group))
-    return comp
-
-
-def _split_certs(instance: Instance, adj: Sequence[Sequence[int]],
+def _split_certs(instance: Instance, edges: Iterable[Edge],
                  whole: str) -> tuple[list[int], Labelling, Labelling]:
-    """Split a defect into components: 1-based component index per node,
-    ordered by smallest identity, plus trees rooted in the first two.
-    Raises SchemeError(whole) when there is only one component."""
-    comps = _components(instance.n, adj)
+    """Split a defect into the components of ``edges``: 1-based component
+    index per node, ordered by smallest identity, plus trees rooted in the
+    first two.  Raises SchemeError(whole) when there is only one component."""
+    comps = components(instance.n, edges)
     if len(comps) < 2:
         raise SchemeError(whole)
     comps.sort(key=lambda group: min(instance.id_of(v) for v in group))
@@ -427,19 +411,11 @@ def _split_ok(ball: BallView, own: NSTCert | NonHamCert, read2: TreeReader,
     return all(ball.label(0, w).idx == own.idx for w in linked)
 
 
-def build_non_spanning_tree_cert(instance: Instance,
-                                 fset: frozenset[Edge]) -> Labelling:
+def build_non_spanning_tree_cert(instance: Instance) -> Labelling:
     n = instance.n
     targets, pointer_edges = pointer_structure(instance)
-    if frozenset(fset) != pointer_edges:
-        raise SchemeError("edge set disagrees with the pointer inputs")
-
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pointer_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    unspanned = [v for v in range(n) if not adj[v]]
+    spanned = {v for edge in pointer_edges for v in edge}
+    unspanned = [v for v in range(n) if v not in spanned]
     if unspanned and n > 1:
         tree = honest_tree(instance, min(unspanned, key=instance.id_of))
         return Labelling(NSTCert(0, 1, *tree[v], None, None, *tree[v])
@@ -455,7 +431,7 @@ def build_non_spanning_tree_cert(instance: Instance,
                          for v in range(n))
 
     idx, tree1, tree2 = _split_certs(
-        instance, adj, "pointer inputs encode a spanning tree; no defect to certify")
+        instance, pointer_edges, "pointer inputs encode a spanning tree; no defect to certify")
     return Labelling(NSTCert(2, idx[v], *tree1[v], None, None, *tree2[v])
                      for v in range(n))
 
@@ -565,7 +541,7 @@ def build_non_hamiltonian_cert(instance: Instance) -> Labelling:
 
     # Reciprocated pairs everywhere: the marked edges split V into cycles.
     idx, tree1, tree2 = _split_certs(
-        instance, [list(pairs[v]) for v in range(n)],
+        instance, [(v, w) for v in range(n) for w in pairs[v]],
         "marks encode a Hamiltonian cycle; no defect to certify")
     return Labelling(NonHamCert(1, idx[v], *tree1[v], *tree2[v]) for v in range(n))
 

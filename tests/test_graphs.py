@@ -7,9 +7,8 @@ import pytest
 
 from corpus import c4, id_variants, p3, plain_instance
 from locdec.graphs import (
-    C_IN, Cls, Graph, IdAssignment, InputAssignment, Instance, InstanceError,
-    Lit, Marks, Ptr, ball, emit_instance, input_bits, instance_digest,
-    parse_instance,
+    Cls, Graph, IdAssignment, InputAssignment, Instance, InstanceError, Lit,
+    Marks, Ptr, ball, emit_instance, instance_digest, parse_instance,
 )
 from locdec.oracles import iso_representatives
 
@@ -96,14 +95,18 @@ def test_marks_validation():
     assert ok.input_of(0).ids == frozenset({2, 4})
 
 
-def test_int_input_range_and_budget():
+def test_int_input_range():
     inst = parse_instance(P3_TEXT)
     assert inst.with_inputs([81, None, None]).input_of(0) == 81
     with pytest.raises(InstanceError, match="out of range"):
         inst.with_inputs([82, None, None])
-    bits = inst.id_bits
-    assert input_bits(None, bits) == 1
-    assert input_bits(81, bits) == 2 * bits <= C_IN * bits
+
+
+@pytest.mark.parametrize("bad", ["1", 1.0])
+def test_unknown_input_kind_is_refused(bad):
+    inst = parse_instance(P3_TEXT)
+    with pytest.raises(InstanceError, match="unknown input value"):
+        inst.with_inputs([None, bad, None])
 
 
 def test_weights_capped_by_N():

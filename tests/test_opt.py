@@ -7,7 +7,7 @@ import pytest
 from locdec.engine import CONSTRUCTIVE, check_protocol, game_evaluate
 from locdec.gen import cycle_graph, path_graph
 from locdec.graphs import (Cls, Graph, IdAssignment, InputAssignment, Instance,
-                           Marks, Ptr)
+                           Marks, Ptr, id_width)
 from locdec.labels import INVALID, LabelDomain, TreeCert, input_value_field
 from locdec.oracles import (cut_size, is_dominating, is_independent,
                             oracle_max_cut, oracle_max_independent,
@@ -357,7 +357,7 @@ class TestProtocolOptConstruction:
         inst = triangle_instance((Ptr(None), Ptr(1), Ptr(2)))
         proto = resolve("mst")
         domain = proto.levels[0].domain_of(inst.n, inst.N)
-        assert domain.width <= domain.c * inst.id_bits
+        assert domain.width <= domain.c * id_width(inst.N)
         move = game_evaluate(proto, inst).line[0]
         for lbl in move:
             assert domain.decode(domain.encode(lbl)) == lbl

@@ -3,15 +3,19 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import asymmetric6, c4, k4, p3, plain_instance
 from locdec.formulas import parse_formula
 from locdec.gen import cycle_graph, path_graph, with_random_weights
 from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, Ptr
 from locdec.oracles import (
-    connected_graphs, cut_size, hamiltonian_cycles, has_nontrivial_automorphism,
-    is_dominating, is_independent, is_matching, iso_representatives,
+    components, connected_graphs, cut_size, hamiltonian_cycles,
+    has_nontrivial_automorphism, is_dominating, is_independent, is_matching,
+    iso_representatives,
     oracle_automorphisms, oracle_cycle_vc, oracle_max_cut,
     oracle_max_independent, oracle_max_matching, oracle_min_cut,
     oracle_min_dominating, oracle_mst_weight, oracle_qbf, oracle_spanning_tree,
@@ -53,6 +57,28 @@ def _reaches_all(n, edges):
                 seen |= {u, v}
                 changed = True
     return len(seen) == n
+
+
+@st.composite
+def edge_subsets(draw):
+    """n in 1..8 and any subset of the complete graph's edges on n nodes."""
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return n, [e for i, e in enumerate(pairs) if mask >> i & 1]
+
+
+@settings(deadline=None)
+@given(edge_subsets())
+def test_components_match_networkx(case):
+    n, edges = case
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(edges)
+    groups = components(n, edges)
+    assert all(group == sorted(group) for group in groups)
+    assert {frozenset(group) for group in groups} \
+        == {frozenset(c) for c in nx.connected_components(reference)}
 
 
 def test_spanning_tree_counts():

@@ -1,6 +1,7 @@
 """No locdec module imports a private name from another locdec module, and
 the layers import one way: protocols never import the game in ``engine``,
-and the game never imports the certificate kernel in ``schemes``."""
+the game never imports the certificate kernel in ``schemes``, and the
+reference answers in ``oracles`` import none of the machinery they judge."""
 from __future__ import annotations
 
 import ast
@@ -53,6 +54,9 @@ def test_layers_import_one_way():
     rules = [(path, "locdec.engine")
              for path in sorted((locdec / "protocols").glob("*.py"))]
     rules.append((locdec / "engine.py", "locdec.schemes"))
+    rules += [(locdec / "oracles.py", f"locdec.{name}")
+              for name in ("labels", "runtime", "protocol", "schemes",
+                           "transforms", "engine", "protocols")]
     hits = [f"{path.relative_to(SRC)} imports {banned}"
             for path, banned in rules
             if any(m == banned or m.startswith(banned + ".")

@@ -317,7 +317,7 @@ def test_ham_rejects_tiny_cycles():
 
 def test_build_nst_empty_f_on_p2():
     inst = plain_instance(path_graph(2)).with_inputs((Ptr(None), Ptr(None)))
-    cert = build_non_spanning_tree_cert(inst, frozenset())
+    cert = build_non_spanning_tree_cert(inst)
     assert [c.flag for c in cert] == [0, 0]
     assert cert[0].parent1 is None and cert[0].root1 == 1
     assert evaluate(NST, inst, (cert,)).verdict is True
@@ -326,7 +326,7 @@ def test_build_nst_empty_f_on_p2():
 def test_build_nst_triangle_cycle():
     g = Graph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
     inst = plain_instance(g).with_inputs((Ptr(2), Ptr(3), Ptr(1)))
-    cert = build_non_spanning_tree_cert(inst, g.edges)
+    cert = build_non_spanning_tree_cert(inst)
     assert [c.flag for c in cert] == [1, 1, 1]
     assert [c.cpos for c in cert] == [0, 1, 2]
     assert [c.clen for c in cert] == [3, 3, 3]
@@ -337,7 +337,7 @@ def test_build_nst_mutual_pair_cycle():
     # Both endpoints of P2 pointing at each other is a length-2 pointer cycle
     # even though the undirected pointer edge set spans the path.
     inst = plain_instance(path_graph(2)).with_inputs((Ptr(2), Ptr(1)))
-    cert = build_non_spanning_tree_cert(inst, frozenset({(0, 1)}))
+    cert = build_non_spanning_tree_cert(inst)
     assert [c.flag for c in cert] == [1, 1]
     assert [c.cpos for c in cert] == [0, 1]
     assert [c.clen for c in cert] == [2, 2]
@@ -347,7 +347,7 @@ def test_build_nst_mutual_pair_cycle():
 def test_build_nst_partial_cycle_tail():
     # Node c points into a mutual a<->b cycle; c itself is off the cycle.
     inst = plain_instance(path_graph(3)).with_inputs((Ptr(2), Ptr(1), Ptr(2)))
-    cert = build_non_spanning_tree_cert(inst, frozenset({(0, 1), (1, 2)}))
+    cert = build_non_spanning_tree_cert(inst)
     assert [c.flag for c in cert] == [1, 1, 1]
     assert [c.cpos for c in cert] == [0, 1, None]
     assert [c.clen for c in cert] == [2, 2, 2]
@@ -357,7 +357,7 @@ def test_build_nst_partial_cycle_tail():
 def test_build_nst_two_component_forest():
     inst = plain_instance(path_graph(4)).with_inputs(
         (Ptr(None), Ptr(1), Ptr(None), Ptr(3)))
-    cert = build_non_spanning_tree_cert(inst, frozenset({(0, 1), (2, 3)}))
+    cert = build_non_spanning_tree_cert(inst)
     assert [c.flag for c in cert] == [2, 2, 2, 2]
     assert [c.idx for c in cert] == [1, 1, 2, 2]
     assert cert[0].parent1 is None and cert[2].parent2 is None
@@ -367,24 +367,18 @@ def test_build_nst_two_component_forest():
 def test_build_nst_rejects_spanning_tree():
     inst = plain_instance(path_graph(3)).with_inputs((Ptr(None), Ptr(1), Ptr(2)))
     with pytest.raises(SchemeError, match="encode a spanning tree"):
-        build_non_spanning_tree_cert(inst, frozenset({(0, 1), (1, 2)}))
+        build_non_spanning_tree_cert(inst)
 
 
 def test_build_nst_rejects_non_pointer_inputs():
     inst = plain_instance(path_graph(3))
     with pytest.raises(SchemeError, match="non-pointer input"):
-        build_non_spanning_tree_cert(inst, frozenset())
-
-
-def test_build_nst_rejects_mismatched_edge_set():
-    inst = plain_instance(path_graph(2)).with_inputs((Ptr(2), Ptr(1)))
-    with pytest.raises(SchemeError, match="disagrees with the pointer inputs"):
-        build_non_spanning_tree_cert(inst, frozenset())
+        build_non_spanning_tree_cert(inst)
 
 
 def test_nst_mixed_flags_reject():
     inst = plain_instance(path_graph(2)).with_inputs((Ptr(None), Ptr(None)))
-    cert = build_non_spanning_tree_cert(inst, frozenset())
+    cert = build_non_spanning_tree_cert(inst)
     mixed = cert.replace(1, NSTCert(1, *tuple(cert[1])[1:]))
     d = evaluate(NST, inst, (mixed,))
     assert d.at(0) is False
@@ -394,8 +388,7 @@ def test_nst_flag0_rejects_when_spanned():
     # Honest-shaped flag-0 cert on a spanning-tree input: the root is spanned.
     inst = plain_instance(path_graph(2)).with_inputs((Ptr(None), Ptr(1)))
     unspanned_shape = build_non_spanning_tree_cert(
-        plain_instance(path_graph(2)).with_inputs((Ptr(None), Ptr(None))),
-        frozenset())
+        plain_instance(path_graph(2)).with_inputs((Ptr(None), Ptr(None))))
     d = evaluate(NST, inst, (unspanned_shape,))
     assert d.at(0) is False
 
@@ -404,7 +397,7 @@ def test_nst_flag2_rejects_on_connected_pointers():
     # Flag-2 shape borrowed from a forest input, replayed on a spanning tree.
     forest = plain_instance(path_graph(4)).with_inputs(
         (Ptr(None), Ptr(1), Ptr(None), Ptr(3)))
-    cert = build_non_spanning_tree_cert(forest, frozenset({(0, 1), (2, 3)}))
+    cert = build_non_spanning_tree_cert(forest)
     st = plain_instance(path_graph(4)).with_inputs(
         (Ptr(None), Ptr(1), Ptr(2), Ptr(3)))
     assert first_rejection(NST, st, (cert,)) is not None
@@ -413,7 +406,7 @@ def test_nst_flag2_rejects_on_connected_pointers():
 def triangle_pointer_cycle():
     g = Graph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
     inst = plain_instance(g).with_inputs((Ptr(2), Ptr(3), Ptr(1)))
-    return inst, build_non_spanning_tree_cert(inst, g.edges)
+    return inst, build_non_spanning_tree_cert(inst)
 
 
 def test_nst_clen_disagreement_rejects():
