@@ -11,14 +11,15 @@ live in ``transforms``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import IdAssignment, InputAssignment, Instance, Marks, Ptr
 from .labels import DomainError, Labelling
 from .protocol import (DISPROVER, PROVER, Protocol, ProtocolError,
                        all_invalid_labelling, canonical_labelling)
-from .runtime import Decision, ViewStore, evaluate, first_rejection
+from .runtime import (Decision, LocalVerifier, ViewStore, evaluate,
+                      first_rejection)
 
 class CapExceeded(RuntimeError):
     """Raised when an evaluation outgrows the configured resource caps."""
@@ -69,7 +70,12 @@ class GameStats:
     of the game's view store.  ``views_reused`` counts those whose view
     the store served from kept geometry instead of building it.
     ``first_refutations`` counts the leaves rejected by their hinted node
-    (see ``game_evaluate``) at its first decision."""
+    (see ``game_evaluate``) at its first decision.
+
+    A forced line (see ``game_evaluate``) has one leaf, no store and no
+    hint: it counts the decisions up to and including the first rejecting
+    node, or all n when every node accepts, as a hint-free search of its
+    one leaf would, and reuses and refutes nothing."""
 
     leaf_evaluations: int
     node_evaluations: int
@@ -83,7 +89,8 @@ class GameOutcome:
 
     ``line`` holds one labelling per level; replaying it through the
     verifier reproduces the verdict, and ``leaf`` is that replay's full
-    per-node decision.  On a win the winner's moves are the first winning
+    per-node decision.  For a forced line the one decision of its one
+    leaf is that replay.  On a win the winner's moves are the first winning
     choices in cover order, so exhaustive outcomes are deterministic.
     """
 
@@ -114,35 +121,21 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     one position under different earlier moves often fail at the same node,
     so one decision settles them.  The verdict is a conjunction of pure
     decisions, so the order changes only the number of decisions made.
+    The principal line is then replayed in a fresh store.
+
+    A game that searches no level plays a forced line: a protocol with no
+    levels, or constructive play of one prover level, has one line and one
+    leaf.  That line is decided once, every node in full, and the decision
+    is both the leaf and the replay, so each ball is built once.  Every
+    view is decided twice instead, and two answers that differ refuse the
+    verifier as impure, as a replay that disagrees with the search does.
     """
     if instance.n > mode.node_cap:
         raise CapExceeded(
             f"instance has {instance.n} nodes, cap is {mode.node_cap}")
-    eval_cap = mode.eval_cap
-    counters = {"leaf": 0, "first": 0}
-
     k = protocol.level_count
     domains = tuple(lv.domain_of(instance.n, instance.N)
                     for lv in protocol.levels)
-    views = ViewStore(instance, protocol.verifier.radius)
-    # Final-level move position -> the node that last rejected a leaf
-    # ending there.
-    hints: dict[int, int] = {}
-
-    def leaf_value(chosen: tuple[Labelling, ...], position: int) -> bool:
-        counters["leaf"] += 1
-        if counters["leaf"] > eval_cap:
-            raise CapExceeded(
-                f"{protocol.name}: leaf evaluations exceed the cap {eval_cap}")
-        hint = hints.get(position)
-        rejecter = first_rejection(protocol.verifier, instance, chosen,
-                                   views=views, first=hint)
-        if rejecter is None:
-            return True
-        if rejecter == hint:
-            counters["first"] += 1
-        hints[position] = rejecter
-        return False
 
     def moves(idx: int, earlier: tuple[Labelling, ...]):
         level = protocol.levels[idx]
@@ -179,6 +172,37 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             # No moves at all: the level degenerates to a forced labelling.
             yield canonical_labelling(domains[idx])
 
+    if k == 0 or (mode.constructive and k == 1 and protocol.first == PROVER):
+        # A forced line: no level is searched, so the game has one leaf and
+        # deciding it is the replay.
+        line = (next(moves(0, ())),) if k else ()
+        leaf = evaluate(_decided_twice(protocol), instance, line)
+        rejecting = leaf.rejecting_nodes
+        return GameOutcome(leaf.verdict, line, leaf, GameStats(
+            1, rejecting[0] + 1 if rejecting else instance.n, 0, 0))
+
+    eval_cap = mode.eval_cap
+    counters = {"leaf": 0, "first": 0}
+    views = ViewStore(instance, protocol.verifier.radius)
+    # Final-level move position -> the node that last rejected a leaf
+    # ending there.
+    hints: dict[int, int] = {}
+
+    def leaf_value(chosen: tuple[Labelling, ...], position: int) -> bool:
+        counters["leaf"] += 1
+        if counters["leaf"] > eval_cap:
+            raise CapExceeded(
+                f"{protocol.name}: leaf evaluations exceed the cap {eval_cap}")
+        hint = hints.get(position)
+        rejecter = first_rejection(protocol.verifier, instance, chosen,
+                                   views=views, first=hint)
+        if rejecter is None:
+            return True
+        if rejecter == hint:
+            counters["first"] += 1
+        hints[position] = rejecter
+        return False
+
     def play(idx: int, earlier: tuple[Labelling, ...], position: int = 0):
         # ``position`` is the last move's index among its level's moves;
         # the leaf reads it as the final level's.
@@ -205,6 +229,23 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             f" not a pure function of the ball")
     return GameOutcome(verdict, line, leaf, GameStats(
         counters["leaf"], views.served, views.reused, counters["first"]))
+
+
+def _decided_twice(protocol: Protocol) -> LocalVerifier:
+    """The protocol's verifier, deciding each view twice and refusing a
+    verifier whose two answers differ."""
+    verifier = protocol.verifier
+
+    def decide(view) -> bool:
+        accepts = bool(verifier.decide(view))
+        if bool(verifier.decide(view)) != accepts:
+            raise ProtocolError(
+                f"{protocol.name}: node {view.centre} decides the same view"
+                f" {accepts} and then {not accepts}; the verifier is not a"
+                f" pure function of the ball")
+        return accepts
+
+    return replace(verifier, decide=decide)
 
 
 # ---------------------------------------------------------------------------

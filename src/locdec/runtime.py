@@ -29,13 +29,16 @@ store settles a view when it keeps it: it computes both once, and every
 copy served from the kept view shares them instead of computing its own
 at each leaf.
 
-``game_evaluate`` shares one store across the leaves of a game, and
-hints each leaf with the node that last rejected a leaf at the same
+``game_evaluate`` shares one store across the leaves of a searched game,
+and hints each leaf with the node that last rejected a leaf at the same
 final-level move position.  Its final replay of the principal line
 calls ``evaluate``, which makes a fresh store: the replay rebuilds every
 view from the instance, so it stays an independent check, and a verifier
 that depends on anything but its view, or a view the game's store served
 wrongly, can show up as a verdict mismatch instead of being repeated.
+A game that searches no level has one leaf, so it makes no store and no
+hint: it calls ``evaluate`` once on its one line, deciding each fresh
+view twice, and that decision is both its leaf and its replay.
 """
 
 from __future__ import annotations

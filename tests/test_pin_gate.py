@@ -2,7 +2,9 @@
 
 ``perfbench/run.py`` digests every game's principal line and compares
 the job tokens with ``perfbench/pins/``; a job whose lines changed reads
-as a ``digest`` failure.  The run goes in a child process, because
+as a ``digest`` failure.  The leaf and node-decision counts of one pass
+are pinned here too: they do not depend on the machine, so a search that
+visits one leaf more, or decides one node more, fails the gate.  The run goes in a child process, because
 ``run.load_locdec`` drops every ``locdec`` module from ``sys.modules``
 and would leave this process mixing classes from two imports.
 """
@@ -25,6 +27,13 @@ EXPECTED_FAILURES = {
     "corpus-sweep": {"strategy": 3},
 }
 
+# (leaf_evals, node_evals) of one pass at seed 0.
+EXPECTED_COUNTS = {
+    "exhaustive-search": (4_624, 6_754),
+    "constructive-grid": (25, 9_616),
+    "corpus-sweep": (1_714, 3_527),
+}
+
 
 @pytest.mark.parametrize("workload", sorted(EXPECTED_FAILURES))
 def test_workload_replays_its_pinned_lines(workload):
@@ -37,3 +46,6 @@ def test_workload_replays_its_pinned_lines(workload):
     assert context["pins"] == "pinned"
     assert context["failures_per_pass"] == EXPECTED_FAILURES[workload]
     assert result["correct"]
+    metrics = result["metrics"]
+    assert (metrics["leaf_evals"]["value"], metrics["node_evals"]["value"]) \
+        == EXPECTED_COUNTS[workload]
