@@ -18,8 +18,7 @@ from .graphs import IdAssignment, InputAssignment, Instance, Marks, Ptr
 from .labels import DomainError, Labelling
 from .protocol import (DISPROVER, PROVER, Protocol, ProtocolError,
                        all_invalid_labelling, canonical_labelling)
-from .runtime import (Decision, LocalVerifier, ViewStore, evaluate,
-                      first_rejection)
+from .runtime import Decision, LocalVerifier, ViewStore, evaluate, layer_row
 
 class CapExceeded(RuntimeError):
     """Raised when an evaluation outgrows the configured resource caps."""
@@ -111,13 +110,21 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     has spare bit patterns by the all-``INVALID`` forfeit unless the cover
     held it; when that leaves no move at all, the canonical labelling is
     forced.  The level's owner takes the first move that wins its
-    sub-game, and otherwise loses with the first move.
+    sub-game, and otherwise loses with the first move.  Each level's
+    owner and forfeit are fixed once per game.
+
+    Every move is checked once, when ``moves`` draws it: a cover move
+    that does not label every node is refused there with
+    ``VerifierError``, and the move's row (``runtime.layer_row``) rides
+    down the line with it.  Each leaf hands its rows, one per level and so
+    one per verifier layer, to the game store's leaf loop, which checks
+    nothing again.
 
     Leaves are decided refuter first.  A leaf's final-level move has a
     position: its index among ``moves(k - 1, ...)``, so a strategy move or
     a forced canonical move is position 0.  Each leaf first decides the
     node that last rejected a leaf at the same position, if any, then every
-    other node in node order (see ``runtime.first_rejection``).  Leaves at
+    other node in node order (see ``ViewStore.first_rejection``).  Leaves at
     one position under different earlier moves often fail at the same node,
     so one decision settles them.  The verdict is a conjunction of pure
     decisions, so the order changes only the number of decisions made.
@@ -134,12 +141,22 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         raise CapExceeded(
             f"instance has {instance.n} nodes, cap is {mode.node_cap}")
     k = protocol.level_count
-    domains = tuple(lv.domain_of(instance.n, instance.N)
-                    for lv in protocol.levels)
+    n = instance.n
+    domains = tuple(lv.domain_of(n, instance.N) for lv in protocol.levels)
+    # Level facts, fixed once per game: who owns each level, whether its
+    # move is the strategy's, and the disprover's forfeit, if any.
+    provers = tuple(protocol.owner(i + 1) == PROVER for i in range(k))
+    strategic = tuple(mode.constructive and prover for prover in provers)
+    forfeits = tuple(
+        all_invalid_labelling(n)
+        if not prover and domain.has_invalid else None
+        for prover, domain in zip(provers, domains))
 
     def moves(idx: int, earlier: tuple[Labelling, ...]):
+        # Yields (move, row): the move as the line holds it, and its row
+        # of labels, checked to label every node once here, when drawn.
         level = protocol.levels[idx]
-        if mode.constructive and protocol.owner(idx + 1) == PROVER:
+        if strategic[idx]:
             if level.strategy is None:
                 raise ProtocolError(
                     f"{protocol.name}: level {idx + 1} has no strategy for"
@@ -150,11 +167,11 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             except DomainError as exc:
                 raise StrategyError(
                     f"{protocol.name}: level {idx + 1} strategy: {exc}") from exc
-            yield move if isinstance(move, Labelling) else Labelling(tuple(move))
+            if not isinstance(move, Labelling):
+                move = Labelling(tuple(move))
+            yield move, layer_row(move, n, idx)
             return
-        forfeit = None
-        if protocol.owner(idx + 1) == DISPROVER and domains[idx].has_invalid:
-            forfeit = all_invalid_labelling(instance.n)
+        forfeit = forfeits[idx]
         seen_forfeit = False
         count = 0
         for count, move in enumerate(level.cover(instance, earlier), 1):
@@ -164,38 +181,39 @@ def game_evaluate(protocol: Protocol, instance: Instance,
                     f" cap {mode.move_cap}")
             if forfeit is not None and move == forfeit:
                 seen_forfeit = True
-            yield move
+            yield move, layer_row(move, n, idx)
         if forfeit is not None and not seen_forfeit:
             # The disprover may always decline to play a structured labelling.
-            yield forfeit
+            yield forfeit, forfeit.values
         elif count == 0:
             # No moves at all: the level degenerates to a forced labelling.
-            yield canonical_labelling(domains[idx])
+            move = canonical_labelling(domains[idx])
+            yield move, move.values
 
-    if k == 0 or (mode.constructive and k == 1 and protocol.first == PROVER):
+    if k == 0 or (mode.constructive and k == 1 and provers[0]):
         # A forced line: no level is searched, so the game has one leaf and
         # deciding it is the replay.
-        line = (next(moves(0, ())),) if k else ()
+        line = (next(moves(0, ()))[0],) if k else ()
         leaf = evaluate(_decided_twice(protocol), instance, line)
         rejecting = leaf.rejecting_nodes
         return GameOutcome(leaf.verdict, line, leaf, GameStats(
-            1, rejecting[0] + 1 if rejecting else instance.n, 0, 0))
+            1, rejecting[0] + 1 if rejecting else n, 0, 0))
 
     eval_cap = mode.eval_cap
+    decide = protocol.verifier.decide
     counters = {"leaf": 0, "first": 0}
     views = ViewStore(instance, protocol.verifier.radius)
     # Final-level move position -> the node that last rejected a leaf
     # ending there.
     hints: dict[int, int] = {}
 
-    def leaf_value(chosen: tuple[Labelling, ...], position: int) -> bool:
+    def leaf_value(rows: tuple[Sequence[object], ...], position: int) -> bool:
         counters["leaf"] += 1
         if counters["leaf"] > eval_cap:
             raise CapExceeded(
                 f"{protocol.name}: leaf evaluations exceed the cap {eval_cap}")
         hint = hints.get(position)
-        rejecter = first_rejection(protocol.verifier, instance, chosen,
-                                   views=views, first=hint)
+        rejecter = views.first_rejection(decide, rows, hint)
         if rejecter is None:
             return True
         if rejecter == hint:
@@ -203,15 +221,18 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         hints[position] = rejecter
         return False
 
-    def play(idx: int, earlier: tuple[Labelling, ...], position: int = 0):
+    def play(idx: int, earlier: tuple[Labelling, ...],
+             rows: tuple[Sequence[object], ...], position: int = 0):
         # ``position`` is the last move's index among its level's moves;
-        # the leaf reads it as the final level's.
+        # the leaf reads it as the final level's.  ``rows`` holds the
+        # checked rows of ``earlier``.
         if idx == k:
-            return leaf_value(earlier, position), ()
-        wants = protocol.owner(idx + 1) == PROVER
+            return leaf_value(rows, position), ()
+        wants = provers[idx]
         fallback = None
-        for position, move in enumerate(moves(idx, earlier)):
-            value, rest = play(idx + 1, earlier + (move,), position)
+        for position, (move, row) in enumerate(moves(idx, earlier)):
+            value, rest = play(idx + 1, earlier + (move,), rows + (row,),
+                               position)
             if value == wants:
                 return value, (move,) + rest
             if fallback is None:
@@ -219,7 +240,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         move, rest = fallback
         return not wants, (move,) + rest
 
-    verdict, line = play(0, ())
+    verdict, line = play(0, (), ())
     # The replay builds its views afresh, apart from the game's store.
     leaf = evaluate(protocol.verifier, instance, line)
     if leaf.verdict != verdict:

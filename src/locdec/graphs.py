@@ -368,13 +368,19 @@ class BallView:
     def own_label(self, layer: int) -> object:
         return self.layers[layer][self.centre]
 
-    def with_layers(self, layers: Sequence[dict[int, object]]) -> "BallView":
-        """Same view with the labelling layers replaced, sharing every other
-        field and every attribute computed so far.  Runs once per reused
-        view at every leaf, so it copies the field dict instead of going
-        through the frozen constructor."""
+    def with_layers(self, layers: Sequence[dict[int, object]],
+                    inputs_in: Optional[dict[int, InputValue]] = None
+                    ) -> "BallView":
+        """Same view with the labelling layers replaced, and the inputs too
+        when ``inputs_in`` is given, sharing every other field and every
+        attribute computed so far.  Runs once per reused view at every
+        leaf, so it copies the field dict instead of going through the
+        frozen constructor."""
         view = object.__new__(BallView)
-        view.__dict__.update(self.__dict__, layers=tuple(layers))
+        fields = view.__dict__
+        fields.update(self.__dict__, layers=tuple(layers))
+        if inputs_in is not None:
+            fields["inputs_in"] = inputs_in
         return view
 
     def with_inputs(self, inputs_in: dict[int, InputValue]) -> "BallView":

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .graphs import BallView, Instance
 from .labels import INVALID, LabelDomain, Labelling
@@ -32,6 +32,8 @@ from .runtime import LocalVerifier
 
 PROVER = "prover"
 DISPROVER = "disprover"
+
+T = TypeVar("T")
 
 
 class ProtocolError(ValueError):
@@ -162,6 +164,24 @@ def first_move(level: Level, instance: Instance,
     for move in level.cover(instance, earlier):
         return move
     return canonical_labelling(level.domain_of(instance.n, instance.N))
+
+
+def keep_last(fn: Callable[..., T]) -> Callable[..., T]:
+    """``fn`` with its last result kept, keyed on the identity of its
+    arguments.  The levels of one game pass every cover and strategy the
+    same instance object, so a fact a protocol derives from it (a decoded
+    encoding, a mapped instance) is derived once per game.  The entry
+    holds the arguments, so none can be freed and its id reused while it
+    is kept.  A call that raises keeps nothing."""
+    last: Optional[tuple] = None  # (arguments, result)
+
+    def call(*args):
+        nonlocal last
+        if last is None or any(a is not b for a, b in zip(args, last[0])):
+            last = (args, fn(*args))
+        return last[1]
+
+    return call
 
 
 def all_invalid_labelling(n: int) -> Labelling:

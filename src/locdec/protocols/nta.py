@@ -26,14 +26,13 @@ from itertools import permutations
 from typing import Iterable, NamedTuple, Optional
 
 from ..graphs import BallView, Instance
-from ..labels import (LabelDomain, Labelling, flag_field, id_field, sub_field,
-                      tree_cert_domain)
+from ..labels import (LabelDomain, Labelling, TreeCert, flag_field, id_field,
+                      sub_field, tree_cert_domain)
 from ..oracles import has_nontrivial_automorphism, oracle_automorphisms
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
-                        certificate_protocol)
+                        certificate_protocol, keep_last)
 from ..runtime import LocalVerifier
-from ..schemes import (READ_TREE_CERT, TreeReader, honest_tree, tree_ok,
-                       uniform)
+from ..schemes import TreeReader, honest_tree, tree_ok, uniform
 from ..transforms import complement_lift, embed, project
 
 IDENTITY_MAP = 0
@@ -69,9 +68,16 @@ def map_defect_domain(n: int, N: int) -> LabelDomain:
 
 
 def _part_reader(part: str) -> TreeReader:
+    """Reads a ``MapDefect``'s tree part in place, as ``READ_TREE_CERT``
+    reads a tree certificate; None for any other value or part."""
+    index = MapDefect._fields.index(part)
+
     def read(lbl: object):
-        return READ_TREE_CERT(getattr(lbl, part)) \
-            if isinstance(lbl, MapDefect) else None
+        if isinstance(lbl, MapDefect):
+            tree = lbl[index]
+            if isinstance(tree, TreeCert):
+                return tree
+        return None
     return read
 
 
@@ -184,18 +190,12 @@ def protocol_nontrivial_automorphism() -> Protocol:
     refute_lv, rebut_lv = lifted.levels
 
     # The refute and rebut levels of one image move read the same mapped
-    # instance, so the last one is kept, keyed on the identity of
-    # (instance, move).  The entry holds both, so neither can be freed and
-    # its id reused while it is kept.
-    last: tuple = (None, None, None)
-
+    # instance, so the last one is kept.
+    @keep_last
     def map_inputs(instance: Instance, move: Labelling) -> Instance:
-        nonlocal last
-        if last[0] is not instance or last[1] is not move:
-            last = (instance, move, instance.with_inputs(tuple(
-                lbl.image if isinstance(lbl, NodeImage) else None
-                for lbl in move)))
-        return last[2]
+        return instance.with_inputs(tuple(
+            lbl.image if isinstance(lbl, NodeImage) else None
+            for lbl in move))
 
     def image_cover(instance: Instance, earlier) -> Iterable[Labelling]:
         idents = sorted(instance.id_of(v) for v in range(instance.n))

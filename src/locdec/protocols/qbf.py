@@ -40,7 +40,7 @@ from ..graphs import (BallView, Cls, Graph, IdAssignment, InputAssignment,
 from ..labels import LabelDomain, Labelling, optional_range_field
 from ..oracles import oracle_qbf
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
-                        first_move)
+                        first_move, keep_last)
 from ..runtime import LocalVerifier, first_rejection
 
 
@@ -232,9 +232,12 @@ def protocol_qbf_k(k: int) -> Protocol:
         raise ProtocolError("the truth game needs at least one level")
     verifier = LocalVerifier(1, k, _decide)
 
+    @keep_last
     def checked_view(instance: Instance) -> Optional[_FormulaView]:
         """The encoded formula, or None on a graph whose nodes carry no
-        literal or clause.  A malformed encoding raises ``FormulaError``."""
+        literal or clause.  A malformed encoding raises ``FormulaError``.
+        Every cover and strategy call of one game reads the same instance,
+        so it is decoded once per game."""
         try:
             view = _formula_view(instance)
         except FormulaError:

@@ -23,6 +23,14 @@ Each node decision draws exactly one view from the store, so the
 store's ``served`` count is the number of decisions made with it; a
 game reads its node-decision count there.
 
+The leaf loop is the store's (``ViewStore.first_rejection``), and it
+trusts what it is handed: one row of labels per layer, each labelling
+every node (``layer_row`` makes a ``Labelling``'s row its ``values``
+tuple), and a hint that is a node.  ``first_rejection`` checks its
+arguments and runs that loop; a searched game checks each move once,
+when it is drawn (see ``engine.game_evaluate``), and runs the loop at
+every leaf below it.
+
 A view computes its edge set and identity inverse on first read (see
 ``BallView``), so a fresh view costs only what its verifier reads.  The
 store settles a view when it keeps it: it computes both once, and every
@@ -47,6 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .graphs import BallView, Instance, ball
+from .labels import Labelling
 
 
 class VerifierError(ValueError):
@@ -109,31 +118,59 @@ class ViewStore:
         self.kept: dict[int, BallView] = {}
         self._asked: set[int] = set()
 
-    def view(self, labellings: Sequence[Sequence[object]], v: int) -> BallView:
+    def view(self, rows: Sequence[Sequence[object]], v: int) -> BallView:
+        """Node ``v``'s view with ``rows`` (one label sequence per layer,
+        indexed by node) projected onto its members."""
         self.served += 1
         kept = self.kept.get(v)
         if kept is not None:
             self.reused += 1
             members = kept.members
-            return kept.with_layers([{u: lab[u] for u in members}
-                                     for lab in labellings])
-        view = ball(self.instance, labellings, v, self.radius)
+            return kept.with_layers([{u: row[u] for u in members}
+                                     for row in rows])
+        view = ball(self.instance, rows, v, self.radius)
         if v in self._asked:
             self.kept[v] = view.settle()
         else:
             self._asked.add(v)
         return view
 
+    def first_rejection(self, decide: Callable[[BallView], bool],
+                        rows: Sequence[Sequence[object]],
+                        first: Optional[int] = None) -> Optional[int]:
+        """The leaf loop of ``first_rejection``: node ``first``, when given,
+        then every other node in node order, each decided once on a view
+        from this store, until one rejects.  Nothing handed to it is
+        checked (see the module docstring)."""
+        if first is not None and not decide(self.view(rows, first)):
+            return first
+        for v in range(self.instance.n):
+            if v != first and not decide(self.view(rows, v)):
+                return v
+        return None
 
-def _check_layers(verifier: LocalVerifier, instance: Instance,
-                  labellings: Sequence[Sequence[object]]) -> None:
+
+def layer_row(labelling: Sequence[object], n: int,
+              layer: int) -> Sequence[object]:
+    """The row of labels of the labelling read as layer ``layer``: a
+    ``Labelling``'s ``values`` tuple, any other sequence as it is.  A row
+    that does not label exactly ``n`` nodes is refused."""
+    row = labelling.values if isinstance(labelling, Labelling) else labelling
+    if len(row) != n:
+        raise VerifierError(
+            f"labelling {layer} covers {len(row)} nodes, instance has {n}")
+    return row
+
+
+def _checked_rows(verifier: LocalVerifier, instance: Instance,
+                  labellings: Sequence[Sequence[object]]
+                  ) -> tuple[Sequence[object], ...]:
+    labellings = tuple(labellings)
     if len(labellings) != verifier.layer_count:
         raise VerifierError(
             f"verifier reads {verifier.layer_count} labelling layers, got {len(labellings)}")
-    for i, lab in enumerate(labellings):
-        if len(lab) != instance.n:
-            raise VerifierError(
-                f"labelling {i} covers {len(lab)} nodes, instance has {instance.n}")
+    return tuple(layer_row(lab, instance.n, i)
+                 for i, lab in enumerate(labellings))
 
 
 def evaluate(verifier: LocalVerifier, instance: Instance,
@@ -141,10 +178,9 @@ def evaluate(verifier: LocalVerifier, instance: Instance,
     """Run the verifier at every node and collect the full decision map.
 
     Views come from a fresh store, never from a game's."""
-    labellings = tuple(labellings)
-    _check_layers(verifier, instance, labellings)
+    rows = _checked_rows(verifier, instance, labellings)
     views = ViewStore(instance, verifier.radius)
-    accepts = tuple(bool(verifier.decide(views.view(labellings, v)))
+    accepts = tuple(bool(verifier.decide(views.view(rows, v)))
                     for v in range(instance.n))
     return Decision(accepts)
 
@@ -161,23 +197,15 @@ def first_rejection(verifier: LocalVerifier, instance: Instance,
     ``views`` is the store to draw views from, bound to this instance and
     the verifier's radius; without one the call uses a fresh store.  Each
     decision draws exactly one view, so the store's ``served`` count is
-    the number of decisions made with it.
+    the number of decisions made with it.  The arguments are checked here;
+    the loop itself is the store's ``first_rejection``.
     """
-    labellings = tuple(labellings)
-    _check_layers(verifier, instance, labellings)
+    rows = _checked_rows(verifier, instance, labellings)
     if views is None:
         views = ViewStore(instance, verifier.radius)
     elif views.instance is not instance or views.radius != verifier.radius:
         raise VerifierError("view store belongs to another instance or radius")
-    if first is not None:
-        if not 0 <= first < instance.n:
-            raise VerifierError(
-                f"first node {first} is not a node of the instance")
-        if not verifier.decide(views.view(labellings, first)):
-            return first
-    for v in range(instance.n):
-        if v == first:
-            continue
-        if not verifier.decide(views.view(labellings, v)):
-            return v
-    return None
+    if first is not None and not 0 <= first < instance.n:
+        raise VerifierError(
+            f"first node {first} is not a node of the instance")
+    return views.first_rejection(verifier.decide, rows, first)

@@ -15,8 +15,9 @@ and checks such a tree:
 * ``tree_ok`` is the one local check of a tree certificate, and
   ``size_ok`` the one check of a subtree-size certificate.  Both read the
   fields through a ``tree_reader`` built once per label class, lazily, so
-  no projected view is made for them.  The spanning-tree check is
-  ``tree_ok`` plus the parent agreeing with the pointer input;
+  no projected view is made for them; a label whose class leads with the
+  tree fields is read in place, as its own reading.  The spanning-tree
+  check is ``tree_ok`` plus the parent agreeing with the pointer input;
 * ``uniform`` checks that a node and its neighbours carry labels of one
   class that agree on a flag;
 * ``mutual_pair`` reads a node's two reciprocated marks, on a whole
@@ -50,7 +51,8 @@ class SchemeError(ValueError):
 # ---------------------------------------------------------------------------
 # the tree kernel
 
-TreeFields = tuple[int, Optional[int], int]
+# A tree reading: items 0, 1 and 2 are (root, parent, dist).
+TreeFields = Sequence
 TreeReader = Callable[[object], Optional[TreeFields]]
 
 
@@ -101,11 +103,21 @@ def subtree_sums(tree: BFSTree, values: Sequence[int]) -> list[int]:
 
 def tree_reader(kind: type, root: str = "root", parent: str = "parent",
                 dist: str = "dist") -> TreeReader:
-    """Reads the named tree fields of a ``kind`` label; None for any other value."""
-    fields = attrgetter(root, parent, dist)
+    """Reads the named tree fields of a ``kind`` label; None for any other value.
 
-    def read(value: object) -> Optional[TreeFields]:
-        return fields(value) if isinstance(value, kind) else None
+    A reading is indexed, never unpacked: its items 0, 1 and 2 are the
+    label's ``root``, ``parent`` and ``dist`` fields.  A kind whose first
+    three fields are those, in that order, is read as the label itself;
+    any other kind as a tuple of the three.
+    """
+    if kind._fields[:3] == (root, parent, dist):
+        def read(value: object) -> Optional[TreeFields]:
+            return value if isinstance(value, kind) else None
+    else:
+        fields = attrgetter(root, parent, dist)
+
+        def read(value: object) -> Optional[TreeFields]:
+            return fields(value) if isinstance(value, kind) else None
 
     return read
 
@@ -121,17 +133,17 @@ def tree_ok(ball: BallView, layer: int, read: TreeReader) -> bool:
     own = read(labels[ball.centre])
     if own is None:
         return False
-    r, p, d = own
+    r = own[0]
     for w in ball.neighbours(ball.centre):
         other = read(labels[w])
         if other is None or other[0] != r:
             return False
-    if p is None:
-        return d == 0 and ball.own_id == r
-    target = ball.node_of(p)
+    if own[1] is None:
+        return own[2] == 0 and ball.own_id == r
+    target = ball.node_of(own[1])
     if target is None or not ball.has_edge(ball.centre, target):
         return False
-    return read(labels[target])[2] == d - 1
+    return read(labels[target])[2] == own[2] - 1
 
 
 READ_TREE_CERT = tree_reader(TreeCert)
@@ -193,7 +205,7 @@ def size_ok(ball: BallView, layer: int, read: TreeReader, total: int) -> bool:
     own = read(labels[ball.centre])
     if own is None:
         return False
-    r, p, size = own
+    r, size = own[0], own[2]
     children = 0
     for w in ball.neighbours(ball.centre):
         other = read(labels[w])
@@ -201,9 +213,9 @@ def size_ok(ball: BallView, layer: int, read: TreeReader, total: int) -> bool:
             return False
         if other[1] == ball.own_id:
             children += other[2]
-    if p is None:
+    if own[1] is None:
         return ball.own_id == r and size == total == 1 + children
-    target = ball.node_of(p)
+    target = ball.node_of(own[1])
     return (target is not None and ball.has_edge(ball.centre, target)
             and size == 1 + children)
 

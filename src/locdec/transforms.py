@@ -65,10 +65,9 @@ def project(view: BallView, kind: type, part: str, layer: int = 0,
 def embed(view: BallView, layers: Sequence[dict[int, object]], radius: int,
           inputs: Optional[dict[int, object]] = None) -> BallView:
     """The view a radius-``radius`` sub-verifier sees: ``layers`` (and
-    ``inputs``, when given) in place of the view's own, shrunk to its radius."""
-    sub = view.with_layers(layers)
-    if inputs is not None:
-        sub = sub.with_inputs(inputs)
+    ``inputs``, when given) in place of the view's own, shrunk to its
+    radius.  Swapping both makes one copy."""
+    sub = view.with_layers(layers, inputs)
     if radius < view.radius:
         sub = shrink_ball(sub, radius)
     return sub

@@ -21,7 +21,7 @@ from locdec.protocols.basic import (protocol_non_spanning_tree,
                                     protocol_size, protocol_spanning_tree,
                                     spanning_tree_inputs)
 from locdec.protocols import names, resolve
-from locdec.runtime import LocalVerifier, evaluate
+from locdec.runtime import LocalVerifier, VerifierError, evaluate
 from locdec.schemes import build_non_spanning_tree_cert, build_spanning_tree_cert
 from locdec.transforms import (CollapsedLabel, CombinedLabel,
                                collapse_last_universal, complement_lift,
@@ -372,6 +372,33 @@ def test_move_cap_counts_custom_cover():
     with pytest.raises(CapExceeded, match="exceeds the move cap"):
         game_evaluate(wide, plain_instance(path_graph(2)),
                       EvalMode(move_cap=3))
+
+
+@pytest.mark.parametrize("first", [PROVER, DISPROVER])
+def test_a_short_cover_move_is_refused_when_drawn(first):
+    # Level 1 belongs to ``first``; its one move labels n - 1 nodes.  The
+    # move is length-checked when drawn, so neither the next level's cover
+    # nor any node decision is reached.
+    asked = []
+
+    def short(inst, earlier):
+        yield Labelling((Bit(0),) * (inst.n - 1))
+
+    def full(inst, earlier):
+        asked.append(earlier)
+        yield Labelling((Bit(0),) * inst.n)
+
+    def decide(ball_view) -> bool:
+        asked.append(ball_view.centre)
+        return True
+
+    protocol = Protocol("short-" + first, first,
+                        (Level(bit_domain, short), Level(bit_domain, full)),
+                        LocalVerifier(0, 2, decide))
+    with pytest.raises(VerifierError,
+                       match="labelling 0 covers 2 nodes, instance has 3"):
+        game_evaluate(protocol, plain_instance(path_graph(3)), EXHAUSTIVE)
+    assert asked == []
 
 
 def test_eval_cap_counts_leaves():

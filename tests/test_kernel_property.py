@@ -3,19 +3,32 @@
 Honest trees pass ``tree_ok`` at every node for every root, the trees and
 radius-1 views kept in ``graphs.geometry`` equal freshly built ones (each
 kind alone, and the two interleaved on one memo),
-``subtree_sums`` matches a brute-force sum, and a tree certificate that
-every node accepts describes a real rooted tree.
+``subtree_sums`` matches a brute-force sum, a tree certificate that
+every node accepts describes a real rooted tree, and every tree reader
+reads what an ``attrgetter`` reads, so ``tree_ok`` and ``size_ok`` give
+the verdicts of checks that unpack the three fields.
 """
 from __future__ import annotations
+
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locdec import schemes, transforms
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
                            Instance, ball, node_view)
-from locdec.labels import Labelling, TreeCert, build_bfs_tree
-from locdec.schemes import (READ_TREE_CERT, honest_tree, kept_tree,
-                            subtree_sums, tree_certs, tree_ok)
+from locdec.labels import (INVALID, GatherCert, HamCert, Labelling,
+                           NonHamCert, NSTCert, SizeCert, TreeCert,
+                           build_bfs_tree, gather_cert_domain,
+                           ham_cert_domain, non_ham_cert_domain,
+                           nst_cert_domain, size_cert_domain,
+                           tree_cert_domain)
+from locdec.protocols import nta, resolve
+from locdec.schemes import (READ_TREE_CERT, build_size_cert, honest_tree,
+                            kept_tree, size_ok, subtree_sums, tree_certs,
+                            tree_ok)
 
 
 def _graph(draw, n: int) -> Graph:
@@ -203,3 +216,155 @@ def test_accepted_certificate_parent_chains_reach_the_root(case):
             w = inst.node_of(lab[w].parent)
         assert inst.id_of(w) == lab[v].root
         assert lab[w].parent is None
+
+
+# ---------------------------------------------------------------------------
+# tree readers against attrgetter readings
+
+TREE = ("root", "parent", "dist")
+SIZE = ("root", "parent", "size")
+
+
+class ReaderCase(NamedTuple):
+    """One tree carried by one label class: the reader the verifiers use,
+    the fields it reads, where they sit and the domain that decodes the
+    labels.  ``part`` names the ``MapDefect`` part holding the tree, and a
+    ``sized`` tree is checked by ``size_ok``."""
+
+    name: str
+    read: Callable
+    kind: type
+    fields: tuple[str, str, str]
+    domain_of: Callable
+    part: Optional[str] = None
+    sized: bool = False
+
+    def by_attrgetter(self, value):
+        if self.part is not None:
+            if not isinstance(value, nta.MapDefect):
+                return None
+            value = getattr(value, self.part)
+        get = attrgetter(*self.fields)
+        return get(value) if isinstance(value, self.kind) else None
+
+    def carrying(self, domain, triple):
+        """The domain's first value with the tree fields set to ``triple``."""
+        first = domain.first()
+        if self.part is not None:
+            return first._replace(**{self.part: TreeCert(*triple)})
+        return first._replace(**dict(zip(self.fields, triple)))
+
+
+def _collapsed_domain(n, N):
+    return resolve("collapse:qbf").levels[0].domain_of(n, N)
+
+
+READER_CASES = (
+    ReaderCase("tree-cert", READ_TREE_CERT, TreeCert, TREE, tree_cert_domain),
+    ReaderCase("size-cert", schemes._READ_SIZE, SizeCert, SIZE,
+               size_cert_domain, sized=True),
+    ReaderCase("gather-cert", schemes._READ_GATHER, GatherCert, TREE,
+               gather_cert_domain),
+    ReaderCase("ham-cert", schemes._READ_HAM, HamCert, TREE, ham_cert_domain),
+    ReaderCase("nst-cert-1", schemes._READ_NST1, NSTCert,
+               ("root1", "parent1", "dist1"), nst_cert_domain),
+    ReaderCase("nst-cert-2", schemes._READ_NST2, NSTCert,
+               ("root2", "parent2", "dist2"), nst_cert_domain),
+    ReaderCase("non-ham-cert-1", schemes._READ_NONHAM1, NonHamCert,
+               ("root1", "parent1", "dist1"), non_ham_cert_domain),
+    ReaderCase("non-ham-cert-2", schemes._READ_NONHAM2, NonHamCert,
+               ("root2", "parent2", "dist2"), non_ham_cert_domain),
+    ReaderCase("collapsed-size-proof", transforms._READ_SIZE_PROOF,
+               transforms.CollapsedLabel, ("sroot", "sparent", "ssize"),
+               _collapsed_domain, sized=True),
+    *(ReaderCase(f"map-defect-{part}", nta._READ_PART[part], TreeCert, TREE,
+                 nta.map_defect_domain, part=part)
+      for part in ("ta", "tb", "tc", "td")),
+)
+
+# Every reader's domain takes n <= 6 nodes at this identity range.
+READER_N = 16
+
+
+def _tree_ok_unpacked(b: BallView, read) -> bool:
+    labels = b.layers[0]
+    own = read(labels[b.centre])
+    if own is None:
+        return False
+    r, p, d = own
+    for w in b.neighbours(b.centre):
+        other = read(labels[w])
+        if other is None or other[0] != r:
+            return False
+    if p is None:
+        return d == 0 and b.own_id == r
+    target = b.node_of(p)
+    if target is None or not b.has_edge(b.centre, target):
+        return False
+    return read(labels[target])[2] == d - 1
+
+
+def _size_ok_unpacked(b: BallView, read, total: int) -> bool:
+    labels = b.layers[0]
+    own = read(labels[b.centre])
+    if own is None:
+        return False
+    r, p, size = own
+    children = 0
+    for w in b.neighbours(b.centre):
+        other = read(labels[w])
+        if other is None or other[0] != r:
+            return False
+        if other[1] == b.own_id:
+            children += other[2]
+    if p is None:
+        return b.own_id == r and size == total == 1 + children
+    target = b.node_of(p)
+    return (target is not None and b.has_edge(b.centre, target)
+            and size == 1 + children)
+
+
+@st.composite
+def reader_labellings(draw):
+    """A case, an instance and a labelling of it: an honest tree (or size
+    certificate) carried in the case's labels, with some nodes' labels
+    replaced by a decoded value of the case's domain, a decoded value of
+    another case's domain, or ``INVALID``."""
+    case = draw(st.sampled_from(READER_CASES))
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(1, READER_N), min_size=n, max_size=n,
+                        unique=True))
+    inst = Instance(_graph(draw, n), IdAssignment(tuple(ids), READER_N),
+                    InputAssignment((None,) * n))
+    domain = case.domain_of(n, READER_N)
+    honest = (build_size_cert(inst) if case.sized
+              else honest_tree(inst, draw(st.integers(0, n - 1))))
+    labels = [case.carrying(domain, tuple(cert)) for cert in honest]
+    for v in range(n):
+        source = draw(st.sampled_from(("honest", "own", "other", "invalid")))
+        if source == "invalid":
+            labels[v] = INVALID
+        elif source != "honest":
+            other = case if source == "own" else draw(st.sampled_from(
+                [c for c in READER_CASES if c.domain_of is not case.domain_of]))
+            dom = other.domain_of(n, READER_N)
+            labels[v] = dom.decode(draw(st.integers(0, (1 << dom.width) - 1)))
+    return case, inst, Labelling(labels), draw(st.integers(1, n + 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(reader_labellings())
+def test_tree_readers_read_what_attrgetter_reads(drawn):
+    case, inst, lab, total = drawn
+    for value in lab:
+        got = case.read(value)
+        want = case.by_attrgetter(value)
+        assert (None if got is None else tuple(got[:3])) == want, case.name
+    for v in range(inst.n):
+        b = ball(inst, (lab,), v, 1)
+        if case.sized:
+            assert size_ok(b, 0, case.read, total) \
+                == _size_ok_unpacked(b, case.by_attrgetter, total), case.name
+        else:
+            assert tree_ok(b, 0, case.read) \
+                == _tree_ok_unpacked(b, case.by_attrgetter), case.name

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locdec import engine, runtime
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate, relabel_identities
 from locdec.gen import path_graph
 from locdec.labels import LabelDomain, Labelling, range_field
@@ -77,13 +76,18 @@ def test_a_hint_outside_the_instance_is_refused(first):
 # the game's hints
 
 
-def _hint_free(*args, first=None, **kwargs):
-    return runtime.first_rejection(*args, **kwargs)
+_LEAF_LOOP = ViewStore.first_rejection
+
+
+def _hint_free(store, decide, rows, first=None):
+    return _LEAF_LOOP(store, decide, rows)
 
 
 def _play_hint_free(protocol, inst, mode):
+    """The game with every leaf's hint dropped: the leaf loop the game's
+    store runs is patched to ignore ``first``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "first_rejection", _hint_free)
+        mp.setattr(ViewStore, "first_rejection", _hint_free)
         return game_evaluate(protocol, inst, mode)
 
 
