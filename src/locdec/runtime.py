@@ -66,9 +66,12 @@ class VerifierError(ValueError):
 class LocalVerifier:
     """A radius-``t`` decision rule applied independently at every node.
 
-    ``decide`` must be pure: equal ball views yield equal decisions, and it
-    may only inspect what the view exposes.  It must not write into the
-    view: a kept view shares its geometry with every later leaf.
+    ``decide`` must be pure: equal ball views yield equal decisions, made
+    by the same reads in the same order, and it may only inspect what the
+    view exposes.  It must not write into the view: a kept view shares its
+    geometry with every later leaf.  A collapsed final level picks each
+    label as it is read (see ``transforms.collapse_last_universal``), so
+    a read order that changes between equal views is refused there.
     """
 
     radius: int

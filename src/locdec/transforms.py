@@ -2,19 +2,20 @@
 they share.
 
 ``complement_lift`` decides the complement language one level higher,
-``collapse_last_universal`` folds a final universal round into ball-local
-enumeration backed by a size proof, and ``unanimous_combine`` merges a
-protocol pair into one whose honest runs are unanimous.  Each transform
-refuses, when it is built, a protocol it cannot carry, so no game built
-from it fails for that reason.  ``project`` and ``embed`` hand one field
-of a composite label to a sub-verifier as the view it expects.
+``collapse_last_universal`` folds a final universal round into an
+enumeration, at each node, of the labels its verifier reads, backed by a
+size proof, and ``unanimous_combine`` merges a protocol pair into one
+whose honest runs are unanimous.  Each transform refuses, when it is
+built, a protocol it cannot carry, so no game built from it fails for
+that reason.  ``project`` and ``embed`` hand one field of a composite
+label to a sub-verifier as the view it expects.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cache
-from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import BallView, Instance, make_view
 from .labels import (INVALID, LabelDomain, Labelling, flag_field, id_field,
@@ -127,7 +128,7 @@ def complement_lift(p: Protocol) -> Protocol:
 
 
 # ---------------------------------------------------------------------------
-# collapsing a final universal level into ball-local enumeration
+# collapsing a final universal level into the verifier
 
 
 class CollapsedLabel(NamedTuple):
@@ -148,14 +149,79 @@ def _honest_size_fragment(instance: Instance):
 _READ_SIZE_PROOF = tree_reader(CollapsedLabel, "sroot", "sparent", "ssize")
 
 
+class _ReadLayer(Mapping):
+    """The removed level's layer over a ball's members, as one run of the
+    base verifier reads it.
+
+    A member's label is chosen from ``axis`` when the run first reads it.
+    ``path`` holds the choices as ``[member, axis index]`` entries in read
+    order, shared by the runs of one decision: a run replays the entries
+    it reaches and appends one at each read past their end.  Membership,
+    length and iteration choose nothing; ``get``, ``items`` and ``==``
+    read through ``__getitem__``.
+    """
+
+    __slots__ = ("ball", "axis", "path", "name", "chosen")
+
+    def __init__(self, ball: BallView, axis: tuple, path: list[list],
+                 name: str) -> None:
+        self.ball = ball
+        self.axis = axis
+        self.path = path
+        self.name = name
+        self.chosen: dict[int, object] = {}
+
+    def __getitem__(self, v: int) -> object:
+        chosen = self.chosen
+        if v in chosen:
+            return chosen[v]
+        if v not in self.ball.centre_dist:
+            raise KeyError(v)
+        path = self.path
+        depth = len(chosen)
+        if depth == len(path):
+            path.append([v, 0])
+        elif path[depth][0] != v:
+            raise self.impure()
+        label = chosen[v] = self.axis[path[depth][1]]
+        return label
+
+    def impure(self) -> ProtocolError:
+        """The refusal of a replay that read another member than the run
+        before it at the same depth, or stopped before the path's end."""
+        return ProtocolError(
+            f"{self.name}: node {self.ball.centre}'s base verifier read the"
+            f" removed level in another order on a replay; it is not a pure"
+            f" function of the ball")
+
+    def __contains__(self, v: object) -> bool:
+        return v in self.ball.centre_dist
+
+    def __len__(self) -> int:
+        return len(self.ball.members)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ball.members)
+
+
 def collapse_last_universal(p: Protocol) -> Protocol:
     """Fold the final universal level into the verifier.
 
     The first prover level is widened to also carry a subtree-size proof
     of the node count; once every node knows n, it can enumerate the
-    removed level's labels over its own ball and demand acceptance under
+    removed level's labels its verifier reads and demand acceptance under
     all of them.  The final level must be universal, and a prover level
     must come before it.
+
+    The enumeration replays choice points: each run of the base verifier
+    sees a `_ReadLayer` that picks a member's label when the run first
+    reads it, and the next run advances the last choice that has untried
+    labels.  This is exact because the base verifier is pure: two
+    labellings of the ball that agree on every label a run read give the
+    same reads and the same answer, so each run stands for every full
+    labelling that extends its reads.  The node rejects at the first
+    rejecting run and accepts when the choices are exhausted; a verifier
+    that reads every member still plays the whole product, in read order.
     """
     k = p.level_count
     if k == 0 or p.owner(k) != DISPROVER:
@@ -171,6 +237,7 @@ def collapse_last_universal(p: Protocol) -> Protocol:
     final_level = p.levels[k - 1]
     base_radius = p.verifier.radius
     radius = max(base_radius, 1)
+    name = "collapse:" + p.name
 
     def domain_of(n: int, N: int) -> LabelDomain:
         base = base_level.domain_of(n, N)
@@ -196,16 +263,26 @@ def collapse_last_universal(p: Protocol) -> Protocol:
                 and all(ball.label(sl, w).nhat == own.nhat
                         for w in ball.neighbours(ball.centre))):
             return False
-        # n is now certified; play the removed level inside the ball.
+        # n is now certified; play the removed level inside the ball,
+        # branching only on the labels the base verifier reads.
         axis = final_axis(own.nhat, ball.N)
         base_layer = project(ball, CollapsedLabel, "base", sl)
-        virtual = [base_layer if j == sl else ball.layers[j]
-                   for j in range(k - 1)]
-        for combo in product(axis, repeat=len(ball.members)):
-            layers = tuple(virtual) + (dict(zip(ball.members, combo)),)
-            if not p.verifier.decide(embed(ball, layers, base_radius)):
+        virtual = tuple(base_layer if j == sl else ball.layers[j]
+                        for j in range(k - 1))
+        path: list[list] = []
+        while True:
+            final = _ReadLayer(ball, axis, path, name)
+            if not p.verifier.decide(embed(ball, virtual + (final,),
+                                           base_radius)):
                 return False
-        return True
+            if len(final.chosen) < len(path):
+                raise final.impure()
+            # Advance the last choice with untried values; drop the rest.
+            while path and path[-1][1] == len(axis) - 1:
+                path.pop()
+            if not path:
+                return True
+            path[-1][1] += 1
 
     def cover(instance: Instance, earlier: tuple[Labelling, ...]):
         fragment = _honest_size_fragment(instance)
@@ -224,7 +301,7 @@ def collapse_last_universal(p: Protocol) -> Protocol:
 
     new_levels = list(p.levels[:k - 1])
     new_levels[sl] = Level(domain_of, cover, strategy)
-    return Protocol("collapse:" + p.name, p.first, tuple(new_levels),
+    return Protocol(name, p.first, tuple(new_levels),
                     LocalVerifier(radius, k - 1, decide), p.language)
 
 

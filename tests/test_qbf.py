@@ -135,6 +135,25 @@ class TestGames:
         assert report.total_runs == 45
         assert report.ok, report.disagreements
 
+    @pytest.mark.parametrize("name, k", [("collapse:qbf", 2),
+                                         ("collapse:qbf-4", 4)])
+    def test_collapsed_game_matches_oracle_on_wider_formulas(self, name, k):
+        # Up to 17 nodes.  A clause ball holds up to 4 members, and the
+        # collapsed verifier branches only on the labels the clause reads.
+        corpus, seed = [], 0
+        while len(corpus) < 40:
+            f = gen.random_formula(seed, max_vars=6, max_clauses=5, k=k)
+            seed += 1
+            try:
+                corpus.append((encode_qbf(f), oracle_qbf(f)))
+            except InstanceError:
+                continue
+        assert {want for _, want in corpus} == {True, False}
+        report = check_protocol(resolve(name), [i for i, _ in corpus],
+                                mode=WIDE, id_rounds=2)
+        assert report.total_runs == 80
+        assert report.ok, report.disagreements
+
     def test_three_level_strategies_win_every_won_game(self):
         # Constructive play takes the level-1 and level-3 strategy moves;
         # the level-3 move reads the literal truths the earlier levels set.
