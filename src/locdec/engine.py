@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import IdAssignment, InputAssignment, Instance, Marks, Ptr
 from .labels import DomainError, Labelling
-from .protocol import (DISPROVER, PROVER, Protocol, ProtocolError,
+from .protocol import (DISPROVER, PROVER, SEARCH, Protocol, ProtocolError,
                        all_invalid_labelling, canonical_labelling)
 from .runtime import Decision, LocalVerifier, ViewStore, evaluate, layer_row
 
@@ -33,7 +33,8 @@ class EvalMode:
     """Resource caps and the constructive/exhaustive switch.
 
     ``constructive`` False searches every prover level over its cover;
-    True takes the strategy move on every prover level.  Disprover levels
+    True takes the strategy move on every prover level but one whose
+    strategy is ``protocol.SEARCH``, which it searches.  Disprover levels
     are always searched over their covers.  ``move_cap`` bounds the moves
     drawn from one level's cover at one position: covers, the default
     full product among them, are drawn lazily and refused once they yield
@@ -104,14 +105,15 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     """Play the game to optimal completion and replay its principal line.
 
     One rule gives every level's moves (``moves``).  On a prover level in
-    constructive play the one move is the strategy's, checked against the
-    level's domain.  Otherwise the moves are the level's cover, drawn
-    lazily under ``move_cap``, followed on a disprover level whose domain
-    has spare bit patterns by the all-``INVALID`` forfeit unless the cover
-    held it; when that leaves no move at all, the canonical labelling is
-    forced.  The level's owner takes the first move that wins its
-    sub-game, and otherwise loses with the first move.  Each level's
-    owner and forfeit are fixed once per game.
+    constructive play whose strategy is not ``SEARCH`` the one move is the
+    strategy's, checked against the level's domain.  Otherwise the moves
+    are the level's cover, drawn lazily under ``move_cap``, followed on a
+    disprover level whose domain has spare bit patterns by the
+    all-``INVALID`` forfeit unless the cover held it; when that leaves no
+    move at all, the canonical labelling is forced.  The level's owner
+    takes the first move that wins its sub-game, and otherwise loses with
+    the first move.  Each level's owner and forfeit are fixed once per
+    game.
 
     Every move is checked once, when ``moves`` draws it: a cover move
     that does not label every node is refused there with
@@ -131,10 +133,11 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     The principal line is then replayed in a fresh store.
 
     A game that searches no level plays a forced line: a protocol with no
-    levels, or constructive play of one prover level, has one line and one
-    leaf.  That line is decided once, every node in full, and the decision
-    is both the leaf and the replay, so each ball is built once.  Every
-    view is decided twice instead, and two answers that differ refuse the
+    levels, or constructive play of one prover level whose strategy is not
+    ``SEARCH``, has one line and one leaf.  That line is decided once,
+    every node in full, and the decision is both the leaf and the replay,
+    so each ball is built once.  Each view up to the first rejecting one
+    is decided twice instead, and two answers that differ refuse the
     verifier as impure, as a replay that disagrees with the search does.
     """
     if instance.n > mode.node_cap:
@@ -146,7 +149,9 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     # Level facts, fixed once per game: who owns each level, whether its
     # move is the strategy's, and the disprover's forfeit, if any.
     provers = tuple(protocol.owner(i + 1) == PROVER for i in range(k))
-    strategic = tuple(mode.constructive and prover for prover in provers)
+    strategic = tuple(mode.constructive and prover
+                      and level.strategy is not SEARCH
+                      for prover, level in zip(provers, protocol.levels))
     forfeits = tuple(
         all_invalid_labelling(n)
         if not prover and domain.has_invalid else None
@@ -190,7 +195,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             move = canonical_labelling(domains[idx])
             yield move, move.values
 
-    if k == 0 or (mode.constructive and k == 1 and provers[0]):
+    if all(strategic):
         # A forced line: no level is searched, so the game has one leaf and
         # deciding it is the replay.
         line = (next(moves(0, ()))[0],) if k else ()
@@ -253,17 +258,23 @@ def game_evaluate(protocol: Protocol, instance: Instance,
 
 
 def _decided_twice(protocol: Protocol) -> LocalVerifier:
-    """The protocol's verifier, deciding each view twice and refusing a
-    verifier whose two answers differ."""
+    """The protocol's verifier for one line, deciding each view twice up
+    to the first that rejects, and once after it, and refusing a verifier
+    whose two answers differ."""
     verifier = protocol.verifier
+    rejected = False
 
     def decide(view) -> bool:
+        nonlocal rejected
         accepts = bool(verifier.decide(view))
+        if rejected:
+            return accepts
         if bool(verifier.decide(view)) != accepts:
             raise ProtocolError(
                 f"{protocol.name}: node {view.centre} decides the same view"
                 f" {accepts} and then {not accepts}; the verifier is not a"
                 f" pure function of the ball")
+        rejected = not accepts
         return accepts
 
     return replace(verifier, decide=decide)

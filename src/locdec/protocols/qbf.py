@@ -13,20 +13,20 @@ opposite value, and a clause node checks it touches at least one true
 literal.  Universal rounds are kept meaningful by reading, not by
 rejection: a damaged or one-sided value at an even level counts as
 true, so straying from a real assignment only helps the prover, and
-the round covers range over exactly the real assignments.  The prover's
-strategy plays the first cover move that wins the rest of the game, and
-a finished line is judged by the protocol's verifier, the same judge the
-game uses.
+the round covers range over exactly the real assignments.  The prover
+in the paper is unbounded, so its levels take ``SEARCH``: its honest
+move is the first cover move that wins the rest of the game, which the
+engine's search finds in constructive play as in exhaustive play.
 
 On a plain graph, one whose nodes carry no literal or clause, the covers
-yield no move and the strategies play ``first_move``, the canonical
-labelling, so every level is forced.  The verifier rejects at any node
-that is neither a literal nor a clause, so the game ends False, as the
-oracle does.  A graph that carries literals or clauses but encodes no
-formula is refused with ``FormulaError``: a radius-1 verifier cannot
-check global conditions of the encoding, such as contiguous quantifier
-levels, so playing it could accept what the oracle rejects.  A formula
-deeper than k alternations is refused with ``ProtocolError``.
+yield no move, so every level is forced to the canonical labelling.  The
+verifier rejects at any node that is neither a literal nor a clause, so
+the game ends False, as the oracle does.  A graph that carries literals
+or clauses but encodes no formula is refused with ``FormulaError``: a
+radius-1 verifier cannot check global conditions of the encoding, such
+as contiguous quantifier levels, so playing it could accept what the
+oracle rejects.  A formula deeper than k alternations is refused with
+``ProtocolError``.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from ..graphs import (BallView, Cls, Graph, IdAssignment, InputAssignment,
                       Instance, Lit)
 from ..labels import LabelDomain, Labelling, optional_range_field
 from ..oracles import oracle_qbf
-from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
-                        first_move, keep_last)
-from ..runtime import LocalVerifier, first_rejection
+from ..protocol import (PROVER, SEARCH, LanguageSpec, Level, Protocol,
+                        ProtocolError, keep_last)
+from ..runtime import LocalVerifier
 
 
 class TruthLabel(NamedTuple):
@@ -207,37 +207,16 @@ def _assignments(view: _FormulaView, level: int,
         yield Labelling(values)
 
 
-def _winning_assignment(instance: Instance, view: _FormulaView,
-                        verifier: LocalVerifier, level: int,
-                        earlier) -> Optional[Labelling]:
-    """The first move of the level's cover that wins the rest of the
-    game, if any.  Later levels are played out over their covers, and a
-    finished line is judged by the protocol's verifier: it wins iff no
-    node rejects."""
-
-    def wins(lv: int, layers) -> bool:
-        if lv > verifier.layer_count:
-            return first_rejection(verifier, instance, layers) is None
-        prover = lv % 2 == 1
-        return prover == any(
-            wins(lv + 1, layers + (move,)) == prover
-            for move in _assignments(view, lv, instance.n))
-
-    return next((move for move in _assignments(view, level, instance.n)
-                 if wins(level + 1, earlier + (move,))), None)
-
-
 def protocol_qbf_k(k: int) -> Protocol:
     if k < 1:
         raise ProtocolError("the truth game needs at least one level")
-    verifier = LocalVerifier(1, k, _decide)
 
     @keep_last
     def checked_view(instance: Instance) -> Optional[_FormulaView]:
         """The encoded formula, or None on a graph whose nodes carry no
         literal or clause.  A malformed encoding raises ``FormulaError``.
-        Every cover and strategy call of one game reads the same instance,
-        so it is decoded once per game."""
+        Every cover call of one game reads the same instance, so it is
+        decoded once per game."""
         try:
             view = _formula_view(instance)
         except FormulaError:
@@ -258,17 +237,6 @@ def protocol_qbf_k(k: int) -> Protocol:
                 yield from _assignments(view, level, instance.n)
         return cover
 
-    def strategy_at(level: int):
-        def strategy(instance: Instance, earlier) -> Labelling:
-            view = checked_view(instance)
-            if view is not None:
-                move = _winning_assignment(instance, view, verifier, level,
-                                           earlier)
-                if move is not None:
-                    return move
-            return first_move(levels[level - 1], instance, earlier)
-        return strategy
-
     def oracle(instance: Instance) -> bool:
         try:
             return oracle_qbf(decode_qbf(instance))
@@ -276,7 +244,8 @@ def protocol_qbf_k(k: int) -> Protocol:
             return False
 
     levels = tuple(
-        Level(truth_domain, cover_at(i), strategy_at(i) if i % 2 == 1 else None)
+        Level(truth_domain, cover_at(i), SEARCH if i % 2 == 1 else None)
         for i in range(1, k + 1))
     name = "qbf" if k == 2 else f"qbf-{k}"
-    return Protocol(name, PROVER, levels, verifier, LanguageSpec(oracle))
+    return Protocol(name, PROVER, levels, LocalVerifier(1, k, _decide),
+                    LanguageSpec(oracle))

@@ -45,8 +45,8 @@ view from the instance, so it stays an independent check, and a verifier
 that depends on anything but its view, or a view the game's store served
 wrongly, can show up as a verdict mismatch instead of being repeated.
 A game that searches no level has one leaf, so it makes no store and no
-hint: it calls ``evaluate`` once on its one line, deciding each fresh
-view twice, and that decision is both its leaf and its replay.
+hint: it calls ``evaluate`` once on its one line, deciding each view
+twice until one rejects, and that is both its leaf and its replay.
 """
 
 from __future__ import annotations

@@ -1,0 +1,274 @@
+"""A catalogue of mutants: small deliberate faults in the source, each with
+the tests that must fail on it (mutation analysis: DeMillo, Lipton &
+Sayward 1978; the survey of Jia & Harman 2011).
+
+Each mutant names a file, an anchor text that occurs there exactly once,
+the text that replaces it, and the test ids that must fail, each a whole
+test function (``path::[Class::]test_name``, no parameter id).  Run
+
+    python tests/mutants.py [NAME ...]
+
+to play the named mutants, or all of them.  The runner copies ``src/``,
+``tests/``, ``perfbench/`` and ``pyproject.toml`` into a temporary
+directory and first runs every chosen mutant's tests there unmutated,
+which must pass, so that a failure is the mutant's doing.  It then
+applies one mutant at a time to the copy and runs that mutant's tests in
+a child process: the mutant is killed when a test fails, and survives
+when all pass.  It prints one line per mutant with the time taken, exits
+non-zero unless every mutant is killed, and writes nothing into the
+checkout.  ``tests/test_mutants.py`` checks, without running a mutant,
+that every anchor occurs exactly once and every test id names a test.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+# Seconds one pytest run may take; a mutant that hangs its tests is
+# reported as timed out, not killed.
+TIMEOUT = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str             # relative to the repository root
+    anchor: str           # occurs exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]
+    fault: str            # what the mutant breaks, in one line
+
+
+MUTANTS = (
+    Mutant(
+        "forced-line-decides-twice-after-rejection", "src/locdec/engine.py",
+        "        if rejected:\n            return accepts\n", "",
+        ("tests/test_forced_line.py::"
+         "test_a_rejected_forced_line_decides_twice_only_up_to_its_rejection",),
+        "a rejected forced line decides the nodes after its first rejection"
+        " twice"),
+    Mutant(
+        "forced-line-decides-once", "src/locdec/engine.py",
+        "    rejected = False\n", "    rejected = True\n",
+        ("tests/test_forced_line.py::"
+         "test_a_forced_line_refuses_a_verifier_that_answers_twice_apart",
+         "tests/test_forced_line.py::"
+         "test_a_rejected_forced_line_refuses_an_impure_node_up_to_its_rejection"),
+        "a forced line decides each node once, so an impure verifier passes"),
+    Mutant(
+        "constructive-play-calls-search", "src/locdec/engine.py",
+        "                      and level.strategy is not SEARCH\n", "",
+        ("tests/test_qbf.py::TestGames::"
+         "test_searched_levels_play_the_exhaustive_game_on_wider_formulas",),
+        "constructive play calls a SEARCH level's strategy"),
+    Mutant(
+        "searched-level-plays-a-forced-line", "src/locdec/engine.py",
+        "    if all(strategic):\n",
+        "    if k == 0 or (mode.constructive and k == 1 and provers[0]):\n",
+        ("tests/test_forced_line.py::"
+         "test_a_searched_level_plays_what_exhaustive_play_plays",
+         "tests/test_qbf.py::TestGames::"
+         "test_collapsed_searched_level_plays_the_exhaustive_game"),
+        "constructive play of one SEARCH level takes its first cover move"
+        " unsearched"),
+    Mutant(
+        "collapse-wraps-search", "src/locdec/transforms.py",
+        "    if strategy is not None and strategy is not SEARCH:\n",
+        "    if strategy is not None:\n",
+        ("tests/test_engine.py::test_collapse_keeps_a_searched_level_searched",
+         "tests/test_forced_line.py::"
+         "test_a_searched_level_plays_what_exhaustive_play_plays"),
+        "collapse_last_universal wraps SEARCH in a strategy that calls it"),
+    Mutant(
+        "unanimous-accepts-a-searched-part", "src/locdec/transforms.py",
+        "        if q.levels[0].strategy is SEARCH:\n",
+        "        if False:\n",
+        ("tests/test_engine.py::test_unanimous_refuses_a_searched_part",
+         "tests/test_opt.py::TestProtocolOptConstruction::"
+         "test_admissibility_protocols_must_have_strategies_to_call"),
+        "unanimous and opt build on a SEARCH part, whose strategy they call"
+        " mid-game"),
+    Mutant(
+        "no-forfeit", "src/locdec/engine.py",
+        "        if not prover and domain.has_invalid else None\n",
+        "        if False else None\n",
+        ("tests/test_reference_minimax.py::"
+         "test_exhaustive_play_is_the_reference_minimax",),
+        "the disprover may not decline with the all-INVALID labelling"),
+    Mutant(
+        "last-winning-move", "src/locdec/engine.py",
+        "            if value == wants:\n"
+        "                return value, (move,) + rest\n"
+        "            if fallback is None:\n"
+        "                fallback = (move, rest)\n"
+        "        move, rest = fallback\n"
+        "        return not wants, (move,) + rest\n",
+        "            if value == wants:\n"
+        "                fallback = (move, rest, True)\n"
+        "            elif fallback is None:\n"
+        "                fallback = (move, rest, False)\n"
+        "        move, rest, won = fallback\n"
+        "        return wants == won, (move,) + rest\n",
+        ("tests/test_reference_minimax.py::"
+         "test_exhaustive_play_is_the_reference_minimax",),
+        "a level's owner takes its last winning move, not its first"),
+    Mutant(
+        "forced-line-plays-canonical", "src/locdec/engine.py",
+        "        line = (next(moves(0, ()))[0],) if k else ()\n",
+        "        line = (canonical_labelling(domains[0]),) if k else ()\n",
+        ("tests/test_reference_minimax.py::"
+         "test_a_forced_line_plays_the_strategy_move",),
+        "a forced line decides the canonical labelling, not the strategy's"
+        " move"),
+    Mutant(
+        "extra-leaf-per-game", "src/locdec/engine.py",
+        "    verdict, line = play(0, (), ())\n",
+        "    verdict, line = play(0, (), ())\n"
+        "    leaf_value(tuple(layer_row(m, n, i) for i, m in enumerate(line)),"
+        " 0)\n",
+        ("tests/test_pin_gate.py::test_workload_replays_its_pinned_lines",),
+        "each searched game decides one leaf more than it needs"),
+    Mutant(
+        "cover-move-unchecked", "src/locdec/engine.py",
+        "            yield move, layer_row(move, n, idx)\n"
+        "        if forfeit is not None and not seen_forfeit:\n",
+        "            yield move, move.values\n"
+        "        if forfeit is not None and not seen_forfeit:\n",
+        ("tests/test_engine.py::test_a_short_cover_move_is_refused_when_drawn",),
+        "a cover move is yielded without its draw-time length check"),
+    Mutant(
+        "hinted-rejection-ignored", "src/locdec/runtime.py",
+        "        if first is not None and not decide(self.view(rows, first)):\n"
+        "            return first\n",
+        "        if first is not None:\n"
+        "            decide(self.view(rows, first))\n",
+        ("tests/test_refuter_first.py::"
+         "test_a_rejecting_hint_settles_the_leaf_at_one_decision",
+         "tests/test_reference_minimax.py::"
+         "test_exhaustive_play_is_the_reference_minimax"),
+        "the leaf loop decides the hinted node but ignores its rejection"),
+    Mutant(
+        "accepting-hint-ends-the-leaf", "src/locdec/runtime.py",
+        "            return first\n        for v in range(self.instance.n):\n",
+        "            return first\n        if first is not None:\n"
+        "            return None\n        for v in range(self.instance.n):\n",
+        ("tests/test_refuter_first.py::"
+         "test_an_accepting_hint_leaves_the_rest_to_node_order",),
+        "a leaf whose hinted node accepts is accepted at once"),
+    Mutant(
+        "qbf-decodes-per-call", "src/locdec/protocols/qbf.py",
+        "    @keep_last\n    def checked_view", "    def checked_view",
+        ("tests/test_keep_last.py::test_qbf_decodes_its_formula_once_per_game",),
+        "qbf decodes its formula at every cover call, not once per game"),
+    Mutant(
+        "collapse-branches-on-first-read", "src/locdec/transforms.py",
+        "            # Advance the last choice with untried values; drop the"
+        " rest.\n",
+        "            del path[1:]\n",
+        ("tests/test_collapse_reads.py::"
+         "test_collapsed_toys_decide_like_the_full_product",
+         "tests/test_collapse_reads.py::"
+         "test_collapsed_qbf_decides_like_the_full_product"),
+        "a collapsed level branches only on the first label its verifier"
+        " reads"),
+    Mutant(
+        "collapse-stops-at-first-accept", "src/locdec/transforms.py",
+        "            if len(final.chosen) < len(path):\n",
+        "            return True\n"
+        "            if len(final.chosen) < len(path):\n",
+        ("tests/test_collapse_reads.py::"
+         "test_collapsed_toys_decide_like_the_full_product",
+         "tests/test_collapse_reads.py::"
+         "test_a_replay_that_stops_short_is_refused"),
+        "a collapsed level accepts after its first accepting run"),
+    Mutant(
+        "components-skip-last-edge", "src/locdec/oracles.py",
+        "    for (u, v) in edges:\n        ru, rv = find(u), find(v)\n",
+        "    for (u, v) in list(edges)[:-1]:\n        ru, rv = find(u), find(v)\n",
+        ("tests/test_oracles.py::test_components_match_networkx",),
+        "components ignores the last edge"),
+)
+
+
+def _copy(into: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis",
+                                  ".pytest_cache", ".perfbench_out")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, into / name, ignore=skip)
+        else:
+            shutil.copy2(source, into / name)
+
+
+def _pytest(into: Path, tests: tuple[str, ...], stop_early: bool) -> str:
+    """pytest's exit code on ``tests`` in the copy, or "timed out"."""
+    env = dict(os.environ, PYTHONPATH=str(into / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               *(["-x"] if stop_early else []), *tests]
+    try:
+        return str(subprocess.run(
+            command, cwd=into, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode)
+    except subprocess.TimeoutExpired:
+        return "timed out"
+
+
+def run(mutants: tuple[Mutant, ...]) -> bool:
+    """Play ``mutants`` on a temporary copy; True when each is killed."""
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        into = Path(tmp)
+        _copy(into)
+        tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+        start = time.perf_counter()
+        code = _pytest(into, tests, stop_early=False)
+        print(f"unmutated: exit {code}, {time.perf_counter() - start:.1f} s",
+              flush=True)
+        if code != "0":
+            print("the unmutated tests must pass first")
+            return False
+        killed = 0
+        for m in mutants:
+            target = into / m.path
+            original = target.read_text(encoding="utf-8")
+            if original.count(m.anchor) != 1:
+                raise SystemExit(f"{m.name}: anchor does not occur once")
+            target.write_text(original.replace(m.anchor, m.replacement),
+                              encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                code = _pytest(into, m.tests, stop_early=True)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            # pytest exits 1 when a test failed; other codes are errors.
+            verdict = {"0": "survived", "1": "killed"}.get(code,
+                                                          f"error: {code}")
+            killed += verdict == "killed"
+            print(f"{m.name}: {verdict}, {time.perf_counter() - start:.1f} s",
+                  flush=True)
+        print(f"{killed} of {len(mutants)} killed")
+        return killed == len(mutants)
+
+
+def main(argv: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}; known:"
+              f" {', '.join(by_name)}", file=sys.stderr)
+        return 2
+    chosen = tuple(by_name[name] for name in argv) if argv else MUTANTS
+    return 0 if run(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -372,7 +372,10 @@ def test_collapsed_qbf_runs_its_base_only_on_what_it_reads():
                                                  max_clauses=4, k=2))
         except InstanceError:
             continue
-        line = (folded.levels[0].strategy(inst, ()),)
+        # The prover's level is searched (SEARCH), so its honest move is
+        # the constructive game's line.
+        line = game_evaluate(folded, inst, EvalMode(constructive=True,
+                                                    node_cap=inst.n)).line
         for v in range(inst.n):
             runs[0] = 0
             folded.verifier.decide(ball(inst, line, v, 1))

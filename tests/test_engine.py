@@ -13,8 +13,8 @@ from locdec.gen import clique_graph, cycle_graph, path_graph, star_graph
 from locdec.graphs import (IdAssignment, InputAssignment, Instance, Ptr, ball)
 from locdec.labels import (INVALID, LabelDomain, Labelling, TreeCert,
                            build_bfs_tree, flag_field, tree_cert_domain)
-from locdec.protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
-                             ProtocolError, all_invalid_labelling,
+from locdec.protocol import (DISPROVER, PROVER, SEARCH, LanguageSpec, Level,
+                             Protocol, ProtocolError, all_invalid_labelling,
                              canonical_labelling, pattern_tag, product_cover)
 from locdec.protocols.basic import (protocol_non_spanning_tree,
                                     protocol_proper_3colouring,
@@ -666,6 +666,26 @@ def combined_spanning_tree() -> Protocol:
 def test_unanimous_needs_single_level():
     with pytest.raises(ProtocolError, match="single-level prover-first"):
         unanimous_combine(IGNORE2, protocol_non_spanning_tree())
+
+
+@pytest.mark.parametrize("name", ["unanimous:qbf-1+size",
+                                  "unanimous:size+qbf-1"])
+def test_unanimous_refuses_a_searched_part(name):
+    # The combined strategy calls each part's strategy, and a SEARCH level
+    # has none to call, so the build refuses it rather than a game.
+    with pytest.raises(ProtocolError, match="qbf-1's level is searched"):
+        resolve(name)
+
+
+def test_collapse_keeps_a_searched_level_searched():
+    assert resolve("qbf").levels[0].strategy is SEARCH
+    assert resolve("collapse:qbf").levels[0].strategy is SEARCH
+    assert resolve("collapse:qbf-4").levels[0].strategy is SEARCH
+
+
+def test_search_plays_no_move():
+    with pytest.raises(ProtocolError, match="SEARCH plays no move"):
+        SEARCH(p3_pointer_instance(), ())
 
 
 def test_unanimous_honest_yes_is_all_accept():

@@ -1,5 +1,7 @@
 """Formula encodings and the alternating truth game."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,28 @@ from locdec.protocols.qbf import (TruthLabel, decode_qbf, encode_qbf,
 from locdec.runtime import evaluate
 
 WIDE = EvalMode(node_cap=32)
+WIDEST = EvalMode(node_cap=64)
+WIDE_CONSTRUCTIVE = EvalMode(constructive=True, node_cap=64)
+
+
+@cache
+def wide_formula_games(k: int, square_ids: bool = False) -> tuple:
+    """Connected formulas ``gen.random_formula(seed, max_vars=6,
+    max_clauses=5, k=k)`` for seeds 0-149, each under two identity
+    assignments; with ``square_ids`` the identity bound is n**2, not n."""
+    games = []
+    for seed in range(150):
+        try:
+            inst = encode_qbf(gen.random_formula(seed, max_vars=6,
+                                                 max_clauses=5, k=k))
+        except InstanceError:
+            continue
+        if square_ids:
+            inst = Instance(inst.graph, IdAssignment(inst.ids.ids,
+                                                     inst.n ** 2),
+                            inst.inputs)
+        games.extend(identity_variants(inst, 2))
+    return tuple(games)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +179,10 @@ class TestGames:
         assert report.ok, report.disagreements
 
     def test_three_level_strategies_win_every_won_game(self):
-        # Constructive play takes the level-1 and level-3 strategy moves;
-        # the level-3 move reads the literal truths the earlier levels set.
+        # qbf's prover levels are SEARCH levels, so constructive play
+        # searches levels 1 and 3 over their covers, as exhaustive play
+        # does; the level-3 search reads the literal truths the earlier
+        # levels set.
         p = protocol_qbf_k(3)
         constructive = EvalMode(constructive=True, node_cap=32)
         formulas = []
@@ -181,10 +207,10 @@ class TestGames:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_strategy_plays_the_exhaustive_line(self, k):
-        # The strategy plays the first winning move of its level's cover,
-        # as the search does, so constructive and exhaustive play give the
-        # same principal line, not only the same verdict.  Four levels need
-        # more seeds to reach 40 games, as fewer formulas encode.
+        # The prover's strategy is the engine's search (SEARCH), so
+        # constructive and exhaustive play give the same outcome: verdict,
+        # principal line, leaf and stats.  Four levels need more seeds to
+        # reach 40 games, as fewer formulas encode.
         p = protocol_qbf_k(k)
         games = 0
         for seed in range(120 if k == 4 else 60):
@@ -195,10 +221,48 @@ class TestGames:
             for variant in identity_variants(inst, 2):
                 built = game_evaluate(p, variant, CONSTRUCTIVE)
                 searched = game_evaluate(p, variant, EXHAUSTIVE)
-                assert (built.verdict, built.line) \
-                    == (searched.verdict, searched.line), (seed, variant.ids)
+                assert built == searched, (seed, variant.ids)
                 games += 1
         assert games >= 40
+
+    def test_searched_levels_play_the_exhaustive_game_on_wider_formulas(self):
+        # 488 games of up to 17 nodes: every depth k = 1-4, each connected
+        # formula under two identity assignments.
+        games = 0
+        for k in (1, 2, 3, 4):
+            p = protocol_qbf_k(k)
+            for inst in wide_formula_games(k):
+                assert game_evaluate(p, inst, WIDE_CONSTRUCTIVE) \
+                    == game_evaluate(p, inst, WIDEST), inst.ids
+                games += 1
+        assert games == 488
+
+    def test_collapsed_searched_level_plays_the_exhaustive_game(self):
+        # collapse_last_universal keeps the widened level's SEARCH.
+        p = resolve("collapse:qbf")
+        for inst in wide_formula_games(2):
+            assert game_evaluate(p, inst, WIDE_CONSTRUCTIVE) \
+                == game_evaluate(p, inst, WIDEST), inst.ids
+
+    def test_double_lift_searches_the_base_prover_levels(self):
+        # lift:lift:qbf-3 gives qbf-3's levels back to the prover with their
+        # SEARCH.  Its added final level plays complement_lift's strategy,
+        # one move where the search tries roots in identity order, so the
+        # stats differ; the outcome does not, and the strategy tries no
+        # more leaves.  The tree certificate needs the wider identity range.
+        p = resolve("lift:lift:qbf-3")
+        verdicts = set()
+        for k in (1, 2, 3):
+            for inst in wide_formula_games(k, square_ids=True):
+                built = game_evaluate(p, inst, WIDE_CONSTRUCTIVE)
+                searched = game_evaluate(p, inst, WIDEST)
+                assert (built.verdict, built.line, built.leaf) \
+                    == (searched.verdict, searched.line, searched.leaf), \
+                    inst.ids
+                assert built.stats.leaf_evaluations \
+                    <= searched.stats.leaf_evaluations
+                verdicts.add(built.verdict)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_depth_resolves_by_its_own_name(self, k):
