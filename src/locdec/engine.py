@@ -130,7 +130,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     one position under different earlier moves often fail at the same node,
     so one decision settles them.  The verdict is a conjunction of pure
     decisions, so the order changes only the number of decisions made.
-    The principal line is then replayed in a fresh store.
+    The principal line is then replayed by ``evaluate`` on fresh views,
+    apart from the game's store.
 
     A game that searches no level plays a forced line: a protocol with no
     levels, or constructive play of one prover level whose strategy is not
@@ -246,7 +247,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         return not wants, (move,) + rest
 
     verdict, line = play(0, (), ())
-    # The replay builds its views afresh, apart from the game's store.
+    # The replay builds every view afresh with `ball`, apart from the
+    # game's store.
     leaf = evaluate(protocol.verifier, instance, line)
     if leaf.verdict != verdict:
         raise ProtocolError(

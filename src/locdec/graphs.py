@@ -296,6 +296,12 @@ class BallView:
     A game's `runtime.ViewStore` settles a view when it keeps it and serves
     later leaves `with_layers` copies that share its geometry dicts and its
     cached attributes, so nothing else may write into a view.
+
+    Hot verifier kernels read a member's fields directly, as
+    `adj_in[centre]`, `ids_in[u]`, `inputs_in[u]` and `layers[i][u]`,
+    which skips an accessor call per read.  Only members are keys there:
+    the accessors (`neighbours`, `has_edge`, `node_of`) are the only safe
+    reads for a node that may lie outside the ball.
     """
 
     centre: int
@@ -402,12 +408,13 @@ def make_view(centre: int, radius: int, dist: dict[int, int],
     `adj`, `ids`, `inputs` and each layer are indexed by node, `weights`
     by edge; a whole instance or a wider view around the same centre can
     supply them.  A member closer than `radius` has all its neighbours in
-    the ball, so only frontier members filter their adjacency, and the
-    cost is the sum of the member degrees.
+    the ball, so it keeps its adjacency as it is; a frontier member's is
+    one set intersection with the members, which costs at most its
+    degree.  The whole view costs the sum of the member degrees.
     """
     members = tuple(sorted(dist))
-    inside = dist.__contains__
-    adj_in = {u: adj[u] if dist[u] < radius else frozenset(filter(inside, adj[u]))
+    inside = frozenset(members)
+    adj_in = {u: adj[u] if dist[u] < radius else adj[u] & inside
               for u in members}
     # Filled like `with_layers` fills its copies: the frozen constructor
     # sets each field through `object.__setattr__`, a noticeable share of

@@ -33,11 +33,15 @@ def properly_three_coloured(instance: Instance) -> bool:
 
 
 def _colour_check(ball) -> bool:
-    own = ball.own_input
+    inputs = ball.inputs_in
+    centre = ball.centre
+    own = inputs[centre]
     if not isinstance(own, int) or not 1 <= own <= 3:
         return False
-    return all(ball.input_of(w) != own
-               for w in ball.neighbours(ball.centre))
+    for w in ball.adj_in[centre]:
+        if inputs[w] == own:
+            return False
+    return True
 
 
 def protocol_proper_3colouring() -> Protocol:

@@ -9,15 +9,15 @@ decisions are made before one is found.  Without a hint it is the
 verdict-only search, ``first_rejection(...) is None`` exactly when every
 node accepts; ``evaluate`` decides every node.
 
-Every view comes from a ``ViewStore``, bound to one instance and one
-radius.  Across the leaves of one game only the label layers change, so a
-centre's members, edges, identities, inputs and frontier stay the same.
-A store builds a centre's view with ``ball`` on its first request and
-builds it again on its second, keeping that one; from then on it serves
-the kept view with the requested labellings projected onto its members,
-with no search and no geometry rebuilt.  Keeping only on the second
-request means a game whose centres are each asked once (a one-leaf
-game) keeps nothing, and costs no memory beyond a plain build.
+A searched game draws its views from a ``ViewStore``, bound to one
+instance and one radius.  Across the leaves of one game only the label
+layers change, so a centre's members, edges, identities, inputs and
+frontier stay the same.  A store builds a centre's view with ``ball`` on
+its first request and builds it again on its second, keeping that one;
+from then on it serves the kept view with the requested labellings
+projected onto its members, with no search and no geometry rebuilt.
+``evaluate`` asks each centre once, so it makes no store: each node
+decides on a fresh view from ``ball``, the one builder of fresh views.
 
 Each node decision draws exactly one view from the store, so the
 store's ``served`` count is the number of decisions made with it; a
@@ -40,13 +40,13 @@ at each leaf.
 ``game_evaluate`` shares one store across the leaves of a searched game,
 and hints each leaf with the node that last rejected a leaf at the same
 final-level move position.  Its final replay of the principal line
-calls ``evaluate``, which makes a fresh store: the replay rebuilds every
-view from the instance, so it stays an independent check, and a verifier
-that depends on anything but its view, or a view the game's store served
-wrongly, can show up as a verdict mismatch instead of being repeated.
-A game that searches no level has one leaf, so it makes no store and no
-hint: it calls ``evaluate`` once on its one line, deciding each view
-twice until one rejects, and that is both its leaf and its replay.
+calls ``evaluate``, which builds every view afresh from the instance, so
+the replay stays an independent check: a verifier that depends on
+anything but its view, or a view the game's store served wrongly, can
+show up as a verdict mismatch instead of being repeated.  A game that
+searches no level has one leaf, so it makes no store and no hint: it
+calls ``evaluate`` once on its one line, deciding each view twice until
+one rejects, and that is both its leaf and its replay.
 """
 
 from __future__ import annotations
@@ -180,12 +180,12 @@ def evaluate(verifier: LocalVerifier, instance: Instance,
              labellings: Sequence[Sequence[object]] = ()) -> Decision:
     """Run the verifier at every node and collect the full decision map.
 
-    Views come from a fresh store, never from a game's."""
+    Each node decides on a fresh view from ``ball``, with no store: every
+    centre is asked once, so a store would keep nothing."""
     rows = _checked_rows(verifier, instance, labellings)
-    views = ViewStore(instance, verifier.radius)
-    accepts = tuple(bool(verifier.decide(views.view(rows, v)))
-                    for v in range(instance.n))
-    return Decision(accepts)
+    decide, radius, build = verifier.decide, verifier.radius, ball
+    return Decision(tuple(bool(decide(build(instance, rows, v, radius)))
+                          for v in range(instance.n)))
 
 
 def first_rejection(verifier: LocalVerifier, instance: Instance,

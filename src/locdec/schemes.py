@@ -130,20 +130,24 @@ def tree_ok(ball: BallView, layer: int, read: TreeReader) -> bool:
     must be a neighbour one step closer to the root.
     """
     labels = ball.layers[layer]
-    own = read(labels[ball.centre])
+    centre = ball.centre
+    own = read(labels[centre])
     if own is None:
         return False
     r = own[0]
-    for w in ball.neighbours(ball.centre):
+    nbrs = ball.adj_in[centre]
+    for w in nbrs:
         other = read(labels[w])
         if other is None or other[0] != r:
             return False
-    if own[1] is None:
-        return own[2] == 0 and ball.own_id == r
-    target = ball.node_of(own[1])
-    if target is None or not ball.has_edge(ball.centre, target):
-        return False
-    return read(labels[target])[2] == own[2] - 1
+    parent = own[1]
+    ids = ball.ids_in
+    if parent is None:
+        return own[2] == 0 and ids[centre] == r
+    for w in nbrs:
+        if ids[w] == parent:
+            return read(labels[w])[2] == own[2] - 1
+    return False
 
 
 READ_TREE_CERT = tree_reader(TreeCert)
@@ -153,11 +157,12 @@ def uniform(ball: BallView, kind: type, field: str) -> Optional[object]:
     """The centre's layer-0 label if it and every neighbour's label are
     ``kind`` labels agreeing on ``field``; None otherwise."""
     labels = ball.layers[0]
-    own = labels[ball.centre]
+    centre = ball.centre
+    own = labels[centre]
     if not isinstance(own, kind):
         return None
     want = getattr(own, field)
-    for w in ball.neighbours(ball.centre):
+    for w in ball.adj_in[centre]:
         other = labels[w]
         if not isinstance(other, kind) or getattr(other, field) != want:
             return None
@@ -202,33 +207,42 @@ def size_ok(ball: BallView, layer: int, read: TreeReader, total: int) -> bool:
     neighbour.  Every node's size is one more than its children's sizes.
     """
     labels = ball.layers[layer]
-    own = read(labels[ball.centre])
+    centre = ball.centre
+    own = read(labels[centre])
     if own is None:
         return False
     r, size = own[0], own[2]
+    ids = ball.ids_in
+    me = ids[centre]
+    nbrs = ball.adj_in[centre]
     children = 0
-    for w in ball.neighbours(ball.centre):
+    for w in nbrs:
         other = read(labels[w])
         if other is None or other[0] != r:
             return False
-        if other[1] == ball.own_id:
+        if other[1] == me:
             children += other[2]
-    if own[1] is None:
-        return ball.own_id == r and size == total == 1 + children
-    target = ball.node_of(own[1])
-    return (target is not None and ball.has_edge(ball.centre, target)
-            and size == 1 + children)
+    parent = own[1]
+    if parent is None:
+        return me == r and size == total == 1 + children
+    for w in nbrs:
+        if ids[w] == parent:
+            return size == 1 + children
+    return False
 
 
 _READ_SIZE = tree_reader(SizeCert, "root", "parent", "size")
 
 
 def verify_size_cert(ball: BallView) -> bool:
-    x = ball.own_input
+    inputs = ball.inputs_in
+    centre = ball.centre
+    x = inputs[centre]
     if not isinstance(x, int):
         return False
-    if any(ball.input_of(w) != x for w in ball.neighbours(ball.centre)):
-        return False
+    for w in ball.adj_in[centre]:
+        if inputs[w] != x:
+            return False
     return size_ok(ball, 0, _READ_SIZE, x)
 
 

@@ -190,6 +190,53 @@ MUTANTS = (
          "test_a_replay_that_stops_short_is_refused"),
         "a collapsed level accepts after its first accepting run"),
     Mutant(
+        "frontier-keeps-full-adjacency", "src/locdec/graphs.py",
+        "    adj_in = {u: adj[u] if dist[u] < radius else adj[u] & inside\n",
+        "    adj_in = {u: adj[u]\n",
+        ("tests/test_ball_property.py::test_ball_matches_brute_force",),
+        "a frontier member keeps neighbours outside the ball"),
+    Mutant(
+        "tree-ok-skips-parent-adjacency", "src/locdec/schemes.py",
+        "    for w in nbrs:\n        if ids[w] == parent:\n"
+        "            return read(labels[w])[2] == own[2] - 1\n",
+        "    for w in ids:\n        if ids[w] == parent:\n"
+        "            return read(labels[w])[2] == own[2] - 1\n",
+        ("tests/test_kernel_property.py::"
+         "test_tree_ok_refuses_a_parent_two_steps_away",),
+        "tree_ok accepts a parent anywhere in the ball, not only a"
+        " neighbour"),
+    Mutant(
+        "tree-ok-walks-neighbours-sorted", "src/locdec/schemes.py",
+        "    nbrs = ball.adj_in[centre]\n    for w in nbrs:\n"
+        "        other = read(labels[w])\n"
+        "        if other is None or other[0] != r:\n",
+        "    nbrs = ball.adj_in[centre]\n    for w in sorted(nbrs):\n"
+        "        other = read(labels[w])\n"
+        "        if other is None or other[0] != r:\n",
+        ("tests/test_kernel_property.py::"
+         "test_kernels_read_and_answer_as_their_references",),
+        "tree_ok reads its neighbours' labels in another order than the"
+        " view's"),
+    Mutant(
+        "tree-ok-reads-parent-first", "src/locdec/schemes.py",
+        "    r = own[0]\n    nbrs = ball.adj_in[centre]\n",
+        "    r = own[0]\n    nbrs = ball.adj_in[centre]\n"
+        "    for w in nbrs:\n"
+        "        if ball.ids_in[w] == own[1]:\n"
+        "            read(labels[w])\n",
+        ("tests/test_kernel_property.py::"
+         "test_kernels_read_and_answer_as_their_references",),
+        "tree_ok reads the parent's label before its neighbours' labels"),
+    Mutant(
+        "evaluate-makes-a-store", "src/locdec/runtime.py",
+        "    return Decision(tuple(bool(decide(build(instance, rows, v, radius)))\n",
+        "    views = ViewStore(instance, radius)\n"
+        "    return Decision(tuple(bool(decide(views.view(rows, v)))\n",
+        ("tests/test_runtime.py::"
+         "test_evaluate_builds_one_view_per_node_and_no_store",
+         "tests/test_runtime.py::test_a_searched_game_makes_one_store"),
+        "a one-shot evaluation runs a view store that can keep nothing"),
+    Mutant(
         "components-skip-last-edge", "src/locdec/oracles.py",
         "    for (u, v) in edges:\n        ru, rv = find(u), find(v)\n",
         "    for (u, v) in list(edges)[:-1]:\n        ru, rv = find(u), find(v)\n",

@@ -6,10 +6,16 @@ kind alone, and the two interleaved on one memo),
 ``subtree_sums`` matches a brute-force sum, a tree certificate that
 every node accepts describes a real rooted tree, and every tree reader
 reads what an ``attrgetter`` reads, so ``tree_ok`` and ``size_ok`` give
-the verdicts of checks that unpack the three fields.
+the verdicts of checks that unpack the three fields.  The kernels that
+read a view's fields directly (``tree_ok``, ``size_ok``,
+``verify_size_cert``, ``uniform`` and 3col's colour check) give the
+answers of their accessor-based references, by the same label and input
+reads in the same order, and ``tree_ok`` takes only a neighbour as a
+parent.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -17,18 +23,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locdec import schemes, transforms
+from locdec.gen import path_graph
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
-                           Instance, ball, node_view)
+                           Instance, Ptr, ball, node_view)
 from locdec.labels import (INVALID, GatherCert, HamCert, Labelling,
                            NonHamCert, NSTCert, SizeCert, TreeCert,
                            build_bfs_tree, gather_cert_domain,
                            ham_cert_domain, non_ham_cert_domain,
                            nst_cert_domain, size_cert_domain,
                            tree_cert_domain)
-from locdec.protocols import nta, resolve
+from locdec.protocols import basic, nta, resolve
 from locdec.schemes import (READ_TREE_CERT, build_size_cert, honest_tree,
                             kept_tree, size_ok, subtree_sums, tree_certs,
                             tree_ok)
+
+from corpus import plain_instance
 
 
 def _graph(draw, n: int) -> Graph:
@@ -368,3 +377,240 @@ def test_tree_readers_read_what_attrgetter_reads(drawn):
         else:
             assert tree_ok(b, 0, case.read) \
                 == _tree_ok_unpacked(b, case.by_attrgetter), case.name
+
+
+# ---------------------------------------------------------------------------
+# field-reading kernels against their accessor-based references
+#
+# The hot kernels read a view's fields through locals.  The references
+# below are their accessor-based bodies as they stood before; each kernel
+# must give the reference's answer and read the same labels and inputs in
+# the same order, since `transforms._ReadLayer` refuses a read order that
+# changes between equal views.
+
+
+def _tree_ok_reference(ball: BallView, layer: int, read) -> bool:
+    labels = ball.layers[layer]
+    own = read(labels[ball.centre])
+    if own is None:
+        return False
+    r = own[0]
+    for w in ball.neighbours(ball.centre):
+        other = read(labels[w])
+        if other is None or other[0] != r:
+            return False
+    if own[1] is None:
+        return own[2] == 0 and ball.own_id == r
+    target = ball.node_of(own[1])
+    if target is None or not ball.has_edge(ball.centre, target):
+        return False
+    return read(labels[target])[2] == own[2] - 1
+
+
+def _size_ok_reference(ball: BallView, layer: int, read, total: int) -> bool:
+    labels = ball.layers[layer]
+    own = read(labels[ball.centre])
+    if own is None:
+        return False
+    r, size = own[0], own[2]
+    children = 0
+    for w in ball.neighbours(ball.centre):
+        other = read(labels[w])
+        if other is None or other[0] != r:
+            return False
+        if other[1] == ball.own_id:
+            children += other[2]
+    if own[1] is None:
+        return ball.own_id == r and size == total == 1 + children
+    target = ball.node_of(own[1])
+    return (target is not None and ball.has_edge(ball.centre, target)
+            and size == 1 + children)
+
+
+def _verify_size_cert_reference(ball: BallView) -> bool:
+    x = ball.own_input
+    if not isinstance(x, int):
+        return False
+    if any(ball.input_of(w) != x for w in ball.neighbours(ball.centre)):
+        return False
+    return _size_ok_reference(ball, 0, schemes._READ_SIZE, x)
+
+
+def _uniform_reference(ball: BallView, kind: type, field: str):
+    labels = ball.layers[0]
+    own = labels[ball.centre]
+    if not isinstance(own, kind):
+        return None
+    want = getattr(own, field)
+    for w in ball.neighbours(ball.centre):
+        other = labels[w]
+        if not isinstance(other, kind) or getattr(other, field) != want:
+            return None
+    return own
+
+
+def _colour_check_reference(ball: BallView) -> bool:
+    own = ball.own_input
+    if not isinstance(own, int) or not 1 <= own <= 3:
+        return False
+    return all(ball.input_of(w) != own
+               for w in ball.neighbours(ball.centre))
+
+
+# (kernel, reference, extra arguments after the view); `total` stands for
+# the drawn size total.
+KERNELS = (
+    ("tree_ok/tree-cert", tree_ok, _tree_ok_reference, (0, READ_TREE_CERT)),
+    ("tree_ok/size-cert", tree_ok, _tree_ok_reference,
+     (0, schemes._READ_SIZE)),
+    ("size_ok/size-cert", size_ok, _size_ok_reference,
+     (0, schemes._READ_SIZE, "total")),
+    ("size_ok/tree-cert", size_ok, _size_ok_reference,
+     (0, READ_TREE_CERT, "total")),
+    ("verify_size_cert", schemes.verify_size_cert,
+     _verify_size_cert_reference, ()),
+    ("uniform/tree-cert", schemes.uniform, _uniform_reference,
+     (TreeCert, "root")),
+    ("uniform/size-cert", schemes.uniform, _uniform_reference,
+     (SizeCert, "parent")),
+    ("colour-check", basic._colour_check, _colour_check_reference, ()),
+)
+
+
+class _Recorded(Mapping):
+    """A layer or input map that logs each key read through it."""
+
+    def __init__(self, inner: Mapping, log: list, what: str) -> None:
+        self.inner, self.log, self.what = inner, log, what
+
+    def __getitem__(self, v):
+        self.log.append((self.what, v))
+        return self.inner[v]
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+    def __iter__(self):
+        return iter(self.inner)
+
+
+def _run_recorded(kernel, view: BallView, args: tuple):
+    """The kernel's answer (or the class of what it raised) and the labels
+    and inputs it read, in order."""
+    log: list = []
+    recorded = view.with_layers(
+        [_Recorded(layer, log, "label") for layer in view.layers],
+        _Recorded(view.inputs_in, log, "input"))
+    try:
+        answer = ("returned", kernel(recorded, *args))
+    except Exception as exc:  # the reference must raise the same
+        answer = ("raised", type(exc))
+    return answer, log
+
+
+def _input(draw, inst_ids: tuple[int, ...], graph: Graph, v: int, common: int):
+    kind = draw(st.sampled_from(("common", "common", "int", "none", "ptr")))
+    if kind == "common":
+        return common
+    if kind == "int":
+        return draw(st.integers(0, 4))
+    if kind == "none":
+        return None
+    targets = [inst_ids[w] for w in sorted(graph.neighbours(v))]
+    return Ptr(draw(st.sampled_from([None, *targets])))
+
+
+@st.composite
+def kernel_views(draw):
+    """A view of radius 0-2 from `ball`, `shrink_ball` or `embed`, whose
+    layer holds honest tree or size certificate labels, drawn labels of the
+    same kind, labels of the other kind, `INVALID` or ints, and whose
+    inputs are ints, None or pointers; and a size total.
+
+    Half the graphs have 9 or 10 nodes and a centre next to node 8.
+    CPython keeps a frozenset of up to four ints in 8 slots, by value
+    modulo 8, and iterates it in slot order: a neighbour set of nodes
+    below 8 comes out sorted, and only one that holds node 8 or above can
+    tell a kernel that sorts its neighbours from one that walks them as
+    the view holds them."""
+    far = draw(st.booleans())
+    n = draw(st.integers(9, 10) if far else st.integers(1, 8))
+    graph, ids = _graph(draw, n), _ids(draw, n)
+    common = draw(st.sampled_from((n, 1, 2, 3)))
+    inputs = tuple(_input(draw, ids.ids, graph, v, common) for v in range(n))
+    inst = Instance(graph, ids, InputAssignment(inputs))
+    kind, other = draw(st.sampled_from(((TreeCert, SizeCert),
+                                        (SizeCert, TreeCert))))
+    honest = (build_size_cert(inst) if kind is SizeCert
+              else honest_tree(inst, draw(st.integers(0, n - 1))))
+    centre = draw(st.sampled_from(sorted(graph.neighbours(8))) if far
+                  else st.integers(0, n - 1))
+    labels = []
+    for v in range(n):
+        # The centre's own label is redrawn most often: the kernels read
+        # their deepest branches off it.
+        source = draw(st.sampled_from(
+            ("drawn", "drawn", "drawn", "honest", "other", "invalid", "int")
+            if v == centre else
+            ("honest",) * 5 + ("drawn", "other", "invalid", "int")))
+        if source == "honest":
+            labels.append(honest[v])
+        elif source == "drawn":
+            # The honest label with one field redrawn, so that most checks
+            # pass up to the redrawn field.
+            nbr_ids = tuple(ids.id_of(w) for w in sorted(graph.neighbours(v)))
+            fields = list(honest[v])
+            i = draw(st.integers(0, 2))
+            fields[i] = draw((st.sampled_from(ids.ids),
+                              st.none() | st.sampled_from(nbr_ids + ids.ids),
+                              st.integers(0, n + 1))[i])
+            labels.append(kind(*fields))
+        elif source == "other":
+            labels.append(other(*honest[v]))
+        elif source == "invalid":
+            labels.append(INVALID)
+        else:
+            labels.append(draw(st.integers(0, 9)))
+    t = draw(st.sampled_from((0, 1, 1, 2, 2)))
+    how = draw(st.sampled_from(("ball", "shrink_ball", "embed")))
+    if how == "ball":
+        view = ball(inst, (labels,), centre, t)
+    elif how == "shrink_ball":
+        wide = ball(inst, (labels,), centre, draw(st.integers(t, 2)))
+        view = transforms.shrink_ball(wide, t)
+    else:
+        # A wider view of other labels and no inputs, with this case's
+        # labels and inputs swapped in, as a transform hands its base.
+        blank = Instance(graph, ids, InputAssignment((None,) * n))
+        wide = ball(blank, ((INVALID,) * n,), centre, draw(st.integers(t, 2)))
+        view = transforms.embed(
+            wide, ({u: labels[u] for u in wide.members},), t,
+            {u: inputs[u] for u in wide.members})
+    return view, draw(st.integers(1, n + 1))
+
+
+@settings(deadline=None, max_examples=400)
+@given(kernel_views())
+def test_kernels_read_and_answer_as_their_references(drawn):
+    view, total = drawn
+    for name, kernel, reference, args in KERNELS:
+        args = tuple(total if a == "total" else a for a in args)
+        got = _run_recorded(kernel, view, args)
+        want = _run_recorded(reference, view, args)
+        assert got == want, name
+
+
+def test_tree_ok_refuses_a_parent_two_steps_away():
+    # Path 0-1-2-3 rooted at 3, seen at radius 2 around node 0.  Node 0
+    # skips node 1 and names node 2, a member at distance 2, as its
+    # parent, with the root and a distance one more than node 2's.  Only
+    # a neighbour may be a parent.
+    inst = plain_instance(path_graph(4))
+    honest = honest_tree(inst, 3)
+    shortcut = (TreeCert(honest[0].root, inst.id_of(2), honest[2].dist + 1),
+                *honest[1:])
+    view = ball(inst, (shortcut,), 0, 2)
+    assert view.dist_from_centre(2) == 2
+    assert not tree_ok(view, 0, READ_TREE_CERT)
+    assert not _tree_ok_reference(view, 0, READ_TREE_CERT)
+    assert tree_ok(ball(inst, (honest,), 0, 2), 0, READ_TREE_CERT)

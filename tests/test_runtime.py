@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from locdec import runtime
+from locdec.engine import CONSTRUCTIVE, EvalMode, game_evaluate
+from locdec.gen import grid_graph
 from locdec.graphs import Graph, IdAssignment
+from locdec.protocols import resolve
 from locdec.runtime import (Decision, LocalVerifier, VerifierError, ViewStore,
                             evaluate, first_rejection)
 
@@ -116,3 +120,73 @@ def test_verdict_early_exit_and_served_count():
     accept_all = LocalVerifier(radius=0, layer_count=0, decide=lambda b: True)
     assert first_rejection(accept_all, inst, (), views=views) is None
     assert views.served == 3
+
+
+# ---------------------------------------------------------------------------
+# one-shot evaluations build plain fresh views, through `runtime.ball`
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The centres `runtime.ball` builds views of, and the number of
+    `ViewStore`s constructed, under any name."""
+    built: list[int] = []
+    stores = [0]
+    build, init = runtime.ball, ViewStore.__init__
+
+    def counted_ball(instance, labellings, v, t):
+        built.append(v)
+        return build(instance, labellings, v, t)
+
+    def counted_init(self, *args):
+        stores[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(runtime, "ball", counted_ball)
+    monkeypatch.setattr(ViewStore, "__init__", counted_init)
+    return built, stores
+
+
+def _grid_size_instance():
+    return plain_instance(grid_graph(3, 3)).with_inputs((9,) * 9)
+
+
+def test_evaluate_builds_one_view_per_node_and_no_store(counted):
+    built, stores = counted
+    d = evaluate(colour_verifier(), triangle_with_colours((1, 1, 2)))
+    assert d.accepts == (False, False, True)
+    assert built == [0, 1, 2]
+    assert stores == [0]
+
+
+def test_a_forced_line_makes_no_store(counted):
+    built, stores = counted
+    outcome = game_evaluate(resolve("size"), _grid_size_instance(),
+                            EvalMode(constructive=True, node_cap=9))
+    assert outcome.verdict
+    assert sorted(built) == list(range(9))
+    assert stores == [0]
+
+
+def test_the_lift_final_strategy_makes_no_store(counted):
+    built, stores = counted
+    inst = triangle_with_colours((1, 1, 2))
+    lift = resolve("lift:3col")
+    move = lift.levels[0].strategy(inst, ())
+    # The tree is rooted at the lowest-identity rejecting node, node 0.
+    assert move[0].parent is None
+    assert built == [0, 1, 2]
+    assert stores == [0]
+    assert game_evaluate(lift, inst, CONSTRUCTIVE).verdict
+    assert stores == [0]
+
+
+def test_a_searched_game_makes_one_store(counted):
+    built, stores = counted
+    outcome = game_evaluate(resolve("size"), _grid_size_instance(),
+                            EvalMode(node_cap=9))
+    assert outcome.verdict and outcome.stats.node_evaluations == 9
+    assert stores == [1]
+    # One view per node for the searched leaf, through the store, and one
+    # for the replay.
+    assert sorted(built) == sorted(list(range(9)) * 2)
