@@ -68,7 +68,8 @@ class GameStats:
     decisions actually made at the leaves, which stop at the first
     rejection found: each draws one view, so it is the ``served`` count
     of the game's view store.  ``views_reused`` counts those whose view
-    the store served from kept geometry instead of building it.
+    the store served from a view it kept instead of taking a new one from
+    ``graphs.ball``.
     ``first_refutations`` counts the leaves rejected by their hinted node
     (see ``game_evaluate``) at its first decision.
 
@@ -130,8 +131,10 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     one position under different earlier moves often fail at the same node,
     so one decision settles them.  The verdict is a conjunction of pure
     decisions, so the order changes only the number of decisions made.
-    The principal line is then replayed by ``evaluate`` on fresh views,
-    apart from the game's store.
+    The principal line is then replayed by ``evaluate`` on fresh view
+    objects, apart from the game's store: each projects the line's labels
+    and the instance's inputs afresh over the geometry ``graphs.ball``
+    keeps for the instance's graph and identities.
 
     A game that searches no level plays a forced line: a protocol with no
     levels, or constructive play of one prover level whose strategy is not
@@ -247,8 +250,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         return not wants, (move,) + rest
 
     verdict, line = play(0, (), ())
-    # The replay builds every view afresh with `ball`, apart from the
-    # game's store.
+    # The replay builds every view object afresh with `ball`, apart from
+    # the game's store.
     leaf = evaluate(protocol.verifier, instance, line)
     if leaf.verdict != verdict:
         raise ProtocolError(
@@ -318,8 +321,12 @@ def identity_variants(instance: Instance, count: int = 3,
     if count < 1:
         raise ValueError(
             f"identity rounds must be a positive integer, got {count}")
+    # N!/(N-n)! assignments exist; the product stops once it reaches
+    # ``count``, since only whether it does matters.
     available = 1
     for j in range(instance.n):
+        if available >= count:
+            break
         available *= instance.N - j
     target = min(count, available)
     variants = [instance]

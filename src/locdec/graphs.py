@@ -283,7 +283,9 @@ class BallView:
     incident to them.
 
     Views are plain values built by `make_view`, whose cost is the sum of
-    the member degrees.  Every field is built with the view: `adj_in` maps
+    the member degrees, or by `ball` over a kept `Shape` (see `geometry`),
+    whose cost is the projection of the inputs and labels onto the
+    members.  Every field is set with the view: `adj_in` maps
     each member to its neighbours inside the ball, and `weights_in` is None
     unless the instance is weighted.  `edges` and `node_by_id` (the inverse
     of `ids_in`) are not fields.  Each is computed from the fields on its
@@ -293,9 +295,13 @@ class BallView:
     reference to graph-wide data (adjacency, identities, weights), so only
     what can be derived from in-ball data can be left to a first read.
 
-    A game's `runtime.ViewStore` settles a view when it keeps it and serves
-    later leaves `with_layers` copies that share its geometry dicts and its
-    cached attributes, so nothing else may write into a view.
+    Views share their geometry dicts: every view `ball` builds for one
+    centre and radius of a (graph, identities) pair shares that pair's
+    kept `Shape`, across games, and a game's `runtime.ViewStore` settles a
+    view when it keeps it and serves later leaves `with_layers` copies that
+    share its cached attributes too.  So nothing else may write into a
+    view: a write would reach every later view of that centre, in this
+    game and in the games after it.
 
     Hot verifier kernels read a member's fields directly, as
     `adj_in[centre]`, `ids_in[u]`, `inputs_in[u]` and `layers[i][u]`,
@@ -416,21 +422,36 @@ def make_view(centre: int, radius: int, dist: dict[int, int],
     inside = frozenset(members)
     adj_in = {u: adj[u] if dist[u] < radius else adj[u] & inside
               for u in members}
-    # Filled like `with_layers` fills its copies: the frozen constructor
-    # sets each field through `object.__setattr__`, a noticeable share of
-    # the cost of the small views a game builds by the thousand.
+    return _view(
+        centre, radius, members, adj_in, {u: ids[u] for u in members}, dist,
+        None if weights is None else {
+            (u, w): weights[u, w] for u in members for w in adj_in[u] if u < w},
+        inputs, layers, N)
+
+
+def _view(centre: int, radius: int, members: tuple[int, ...],
+          adj_in: dict[int, frozenset[int]], ids_in: dict[int, int],
+          centre_dist: dict[int, int], weights_in: Optional[dict[Edge, int]],
+          inputs: Sequence[InputValue] | Mapping[int, InputValue],
+          layers: Sequence[Sequence[object] | Mapping[int, object]],
+          N: int) -> BallView:
+    """A new view over the given geometry fields, with `inputs` and each
+    layer projected onto its members.
+
+    Filled like `with_layers` fills its copies: the frozen constructor
+    sets each field through `object.__setattr__`, a noticeable share of
+    the cost of the small views a game builds by the thousand."""
     view = object.__new__(BallView)
     view.__dict__.update(
         centre=centre,
         radius=radius,
         members=members,
         adj_in=adj_in,
-        ids_in={u: ids[u] for u in members},
+        ids_in=ids_in,
         inputs_in={u: inputs[u] for u in members},
-        layers=tuple({u: layer[u] for u in members} for layer in layers),
-        centre_dist=dist,
-        weights_in=None if weights is None else {
-            (u, w): weights[u, w] for u in members for w in adj_in[u] if u < w},
+        layers=tuple([{u: layer[u] for u in members} for layer in layers]),
+        centre_dist=centre_dist,
+        weights_in=weights_in,
         N=N,
     )
     return view
@@ -440,17 +461,28 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
          v: int, t: int) -> BallView:
     """Radius-t view of node v, with `labellings` restricted to it.
 
-    A breadth-first search over the graph's adjacency lists finds the
-    members, so the cost is the sum of their degrees, not the graph's
-    size.  Each call builds a new view.  `runtime.ViewStore` reuses the
-    geometry of the views it builds across a game's leaves, and
-    `node_view` the label-free views of one (graph, identities) pair
-    across instances that differ only in their inputs.
+    Each call builds a new view, but only the first call for a centre and
+    radius in the instance's (graph, identities) pair builds its geometry.
+    That call finds the members by a breadth-first search over the graph's
+    adjacency lists, at the cost of the sum of their degrees, builds the
+    view with `make_view` and keeps its label-free, input-free fields
+    (`Shape`) in the pair's `geometry`.  Every later call for that centre
+    and radius, from any instance of the pair, builds a new view over the
+    kept fields and projects only the instance's inputs and `labellings`
+    onto the members.  `runtime.ViewStore` also reuses a whole settled
+    view across a game's leaves, and `node_view` a label-free one across
+    the instances of one pair.
     """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")
     if t < 0:
         raise InstanceError("radius must be non-negative")
+    shapes = geometry(instance).shapes
+    key = (v, t)
+    shape = shapes.get(key)
+    if shape is not None:
+        return _view(v, t, *shape, instance.inputs.values, labellings,
+                     instance.N)
     g = instance.graph
     adj = g._adj
     dist = {v: 0}
@@ -463,26 +495,41 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
-    return make_view(v, t, dist, adj, instance.ids.ids, instance.inputs.values,
+    view = make_view(v, t, dist, adj, instance.ids.ids, instance.inputs.values,
                      labellings, g.weights, instance.N)
+    shapes[key] = (view.members, view.adj_in, view.ids_in, view.centre_dist,
+                   view.weights_in)
+    return view
 
 
 # ---------------------------------------------------------------------------
 # What one (graph, identities) pair fixes.  Inputs never change it, so every
 # instance that differs from the pair only in its inputs shares it: the
 # substitute inputs of one `opt` cover, the mapped instances of one `nta`
-# game, the instance re-read by every level of one game.
+# game, the instance re-read by every level of one game, and every later
+# game and replay on the pair until another pair replaces it.
+
+
+# A view's label-free, input-free fields, in `BallView` order: `members`,
+# `adj_in`, `ids_in`, `centre_dist` and `weights_in`.
+Shape = tuple[tuple[int, ...], dict[int, frozenset[int]], dict[int, int],
+              dict[int, int], Optional[dict[Edge, int]]]
 
 
 class Geometry(NamedTuple):
     """The input-free data of one (graph, identity assignment) pair, built
-    on demand: each node's label-free radius-1 view (None until asked for)
-    and the rooted spanning trees `schemes.kept_tree` builds, by root."""
+    on demand: each node's label-free radius-1 view (None until asked for),
+    the rooted spanning trees `schemes.kept_tree` builds, by root, and the
+    `Shape` of every (centre, radius) `ball` was asked for.
+
+    What is kept is shared by every view built over it, across games, so
+    nothing may write into it (see `BallView`)."""
 
     graph: Graph
     ids: IdAssignment
     views: list[Optional[BallView]]
     trees: dict[int, object]
+    shapes: dict[tuple[int, int], Shape]
 
 
 _geometry: Optional[Geometry] = None
@@ -492,22 +539,24 @@ def geometry(instance: Instance) -> Geometry:
     """The geometry of `instance`'s (graph, identities) pair.
 
     One pair is kept at a time: a request for another graph or identity
-    assignment replaces it, so at most n views and n trees stay alive.
+    assignment replaces it, so at most n views, n trees and one shape per
+    centre and radius asked of that pair stay alive.
     """
     global _geometry
     kept = _geometry
     if kept is None or (kept.graph, kept.ids) != (instance.graph, instance.ids):
         kept = _geometry = Geometry(instance.graph, instance.ids,
-                                    [None] * instance.n, {})
+                                    [None] * instance.n, {}, {})
     return kept
 
 
 def node_view(instance: Instance, v: int) -> BallView:
     """The radius-1 view of `v`, equal to `ball(instance, (), v, 1)`.
 
-    The first request for a node in its geometry gets the kept view
-    itself, so what it reads first is computed there and shared by the
-    `with_inputs` copies every later request gets.
+    The first request for a node in its geometry keeps the view `ball`
+    builds over the pair's kept shape and gets that view itself, so what
+    it reads first is computed there and shared by the `with_inputs`
+    copies every later request gets.
     """
     views = geometry(instance).views
     view = views[v]

@@ -9,15 +9,23 @@ decisions are made before one is found.  Without a hint it is the
 verdict-only search, ``first_rejection(...) is None`` exactly when every
 node accepts; ``evaluate`` decides every node.
 
+``ball`` is the one builder of fresh views.  It builds a centre's
+geometry (members, edges, identities, distances, weights) once per
+(graph, identities) pair and radius, and keeps it in the pair's
+``graphs.geometry``: every later view of that centre, in this game or a
+later one on the pair, is a new view object over the kept geometry with
+the instance's inputs and the requested labels freshly projected onto
+its members.
+
 A searched game draws its views from a ``ViewStore``, bound to one
 instance and one radius.  Across the leaves of one game only the label
 layers change, so a centre's members, edges, identities, inputs and
-frontier stay the same.  A store builds a centre's view with ``ball`` on
-its first request and builds it again on its second, keeping that one;
-from then on it serves the kept view with the requested labellings
-projected onto its members, with no search and no geometry rebuilt.
+frontier stay the same.  A store takes a centre's view from ``ball`` on
+its first request and again on its second, keeping that one; from then
+on it serves the kept view with the requested labellings projected onto
+its members, with no inputs projected and no attribute computed again.
 ``evaluate`` asks each centre once, so it makes no store: each node
-decides on a fresh view from ``ball``, the one builder of fresh views.
+decides on a fresh view from ``ball``.
 
 Each node decision draws exactly one view from the store, so the
 store's ``served`` count is the number of decisions made with it; a
@@ -40,10 +48,13 @@ at each leaf.
 ``game_evaluate`` shares one store across the leaves of a searched game,
 and hints each leaf with the node that last rejected a leaf at the same
 final-level move position.  Its final replay of the principal line
-calls ``evaluate``, which builds every view afresh from the instance, so
-the replay stays an independent check: a verifier that depends on
-anything but its view, or a view the game's store served wrongly, can
-show up as a verdict mismatch instead of being repeated.  A game that
+calls ``evaluate``, which builds fresh view objects, with freshly
+projected labels and inputs, over the pair's kept geometry, apart from
+the game's store.  So the replay stays an independent check of what the
+store serves: a verifier that depends on anything but its view, or a
+view the game's store served wrongly, can show up as a verdict mismatch
+instead of being repeated.  The kept geometry itself is shared with the
+game, which is why no verifier may write into a view.  A game that
 searches no level has one leaf, so it makes no store and no hint: it
 calls ``evaluate`` once on its one line, deciding each view twice until
 one rejects, and that is both its leaf and its replay.
@@ -68,10 +79,12 @@ class LocalVerifier:
 
     ``decide`` must be pure: equal ball views yield equal decisions, made
     by the same reads in the same order, and it may only inspect what the
-    view exposes.  It must not write into the view: a kept view shares its
-    geometry with every later leaf.  A collapsed final level picks each
-    label as it is read (see ``transforms.collapse_last_universal``), so
-    a read order that changes between equal views is refused there.
+    view exposes.  It must not write into the view: a view shares its
+    geometry with every later view of its centre, in this game and in the
+    games after it on the same graph and identities.  A collapsed final
+    level picks each label as it is read (see
+    ``transforms.collapse_last_universal``), so a read order that changes
+    between equal views is refused there.
     """
 
     radius: int
@@ -104,13 +117,14 @@ class Decision:
 
 
 class ViewStore:
-    """Radius-``radius`` views of ``instance``, geometry kept per centre
-    from its second request on and settled when kept (see the module
-    docstring).
+    """Radius-``radius`` views of ``instance``, one whole view kept per
+    centre from its second request on and settled when kept (see the
+    module docstring).
 
     ``kept`` maps each centre whose view is kept to that view.
     ``served`` counts every view the store hands out, and ``reused`` those
-    served from kept geometry.
+    served from a kept view.  Neither counts what ``ball`` reuses from the
+    geometry it keeps, so both depend on this game alone.
     """
 
     def __init__(self, instance: Instance, radius: int) -> None:
@@ -181,7 +195,9 @@ def evaluate(verifier: LocalVerifier, instance: Instance,
     """Run the verifier at every node and collect the full decision map.
 
     Each node decides on a fresh view from ``ball``, with no store: every
-    centre is asked once, so a store would keep nothing."""
+    centre is asked once, so a store would keep nothing.  The views share
+    only the geometry ``ball`` keeps for the instance's graph and
+    identities; their inputs and labels are projected afresh."""
     rows = _checked_rows(verifier, instance, labellings)
     decide, radius, build = verifier.decide, verifier.radius, ball
     return Decision(tuple(bool(decide(build(instance, rows, v, radius)))

@@ -196,6 +196,20 @@ MUTANTS = (
         ("tests/test_ball_property.py::test_ball_matches_brute_force",),
         "a frontier member keeps neighbours outside the ball"),
     Mutant(
+        "geometry-compares-graph-only", "src/locdec/graphs.py",
+        "    if kept is None or (kept.graph, kept.ids) != (instance.graph,"
+        " instance.ids):\n",
+        "    if kept is None or kept.graph != instance.graph:\n",
+        ("tests/test_ball_property.py::"
+         "test_kept_geometry_serves_each_pair_its_own_views",),
+        "a kept geometry serves a graph under another identity assignment"),
+    Mutant(
+        "shape-keyed-on-centre", "src/locdec/graphs.py",
+        "    key = (v, t)\n", "    key = v\n",
+        ("tests/test_ball_property.py::"
+         "test_kept_geometry_serves_each_pair_its_own_views",),
+        "a kept shape serves its centre at every radius"),
+    Mutant(
         "tree-ok-skips-parent-adjacency", "src/locdec/schemes.py",
         "    for w in nbrs:\n        if ids[w] == parent:\n"
         "            return read(labels[w])[2] == own[2] - 1\n",

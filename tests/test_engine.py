@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from typing import NamedTuple
 
 import pytest
@@ -9,7 +9,8 @@ from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, CapExceeded, CheckReport,
                            EvalMode, StrategyError, check_protocol,
                            game_evaluate, identity_variants,
                            relabel_identities)
-from locdec.gen import clique_graph, cycle_graph, path_graph, star_graph
+from locdec.gen import (clique_graph, cycle_graph, grid_graph, path_graph,
+                        star_graph)
 from locdec.graphs import (IdAssignment, InputAssignment, Instance, Ptr, ball)
 from locdec.labels import (INVALID, LabelDomain, Labelling, TreeCert,
                            build_bfs_tree, flag_field, tree_cert_domain)
@@ -752,6 +753,20 @@ def test_identity_variants_exhaust_small_spaces():
     lone = Instance(path_graph(1), IdAssignment((1,), 1),
                     InputAssignment((None,)))
     assert identity_variants(lone, count=3) == (lone,)
+
+
+def test_identity_variants_stop_counting_at_the_count():
+    # N!/(N-n)! is a 1,600-factor product on this grid; one round needs
+    # none of it.
+    n = 40 * 40
+    grid = Instance(grid_graph(40, 40), IdAssignment.default(n),
+                    InputAssignment((None,) * n))
+    assert identity_variants(grid, count=1) == (grid,)
+    # Three nodes under N = 3 have 3! = 6 assignments, fewer than asked.
+    inst = plain_instance(path_graph(3), IdAssignment((1, 2, 3), 3))
+    variants = identity_variants(inst, count=10)
+    assert variants[0] is inst
+    assert sorted(v.ids.ids for v in variants) == sorted(permutations((1, 2, 3)))
 
 
 @pytest.mark.parametrize("count", [0, -2])

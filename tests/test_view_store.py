@@ -19,7 +19,7 @@ from locdec import graphs, runtime, schemes
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
 from locdec.gen import clique_graph, cycle_graph, grid_graph, path_graph
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
-                           Instance, ball)
+                           Instance, ball, make_view)
 from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, VerifierError, ViewStore, first_rejection
 
@@ -164,6 +164,32 @@ def test_verifiers_do_not_write_into_views(name):
     assert calls["n"] >= nodes > 0
 
 
+def _kept_shapes_match_fresh_views() -> int:
+    """Check every shape kept for the current (graph, identities) pair
+    against a view `make_view` builds afresh; return how many there are."""
+    kept = graphs._geometry
+    g, n = kept.graph, kept.graph.n
+    for (v, t), shape in kept.shapes.items():
+        dist = {u: d for u, d in g.distances_from(v).items() if d <= t}
+        fresh = make_view(v, t, dist, g._adj, kept.ids.ids, (None,) * n, (),
+                          g.weights, kept.ids.N)
+        assert shape == (fresh.members, fresh.adj_in, fresh.ids_in,
+                         fresh.centre_dist, fresh.weights_in), (v, t)
+    return len(kept.shapes)
+
+
+@pytest.mark.parametrize("name", (*names(), *TRANSFORMS))
+def test_games_leave_kept_geometry_as_built(name):
+    # Kept shapes are shared by every later view of their centre, across
+    # games, so a verifier, cover or strategy that wrote into one would
+    # corrupt the games after it.
+    protocol = resolve(name)
+    for mode in (EXHAUSTIVE, CONSTRUCTIVE):
+        for inst in small_instances(name):
+            game_evaluate(protocol, inst, mode)
+            assert _kept_shapes_match_fresh_views() > 0
+
+
 # ---------------------------------------------------------------------------
 # work counts
 
@@ -303,3 +329,27 @@ def test_one_leaf_game_reuses_no_view():
     assert stats.leaf_evaluations == 1
     assert stats.node_evaluations == n
     assert stats.views_reused == 0
+
+
+@pytest.mark.parametrize("name,inst,mode", [
+    ("nta", Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
+                     InputAssignment((None,) * 6)), EXHAUSTIVE),
+    ("qbf", small_instances("qbf")[0], EXHAUSTIVE),
+    ("size", Instance(grid_graph(3, 3), IdAssignment.default(9),
+                      InputAssignment((9,) * 9)), CONSTRUCTIVE),
+    ("maxcut", Instance(cycle_graph(4), IdAssignment((3, 1, 4, 2), 16),
+                        InputAssignment((1, 1, 0, 0))), EXHAUSTIVE),
+])
+def test_outcomes_do_not_depend_on_kept_geometry(name, inst, mode):
+    # Cold: a game on another pair has just replaced the kept geometry.
+    # Warm: the same game has just filled it.  Stats included, the two
+    # outcomes are one.
+    protocol = resolve(name)
+    m = inst.n + 1
+    elsewhere = Instance(path_graph(m), IdAssignment.default(m),
+                         InputAssignment(tuple(1 + v % 2 for v in range(m))))
+    game_evaluate(resolve("3col"), elsewhere, CONSTRUCTIVE)
+    assert graphs._geometry.graph != inst.graph
+    cold = game_evaluate(protocol, inst, mode)
+    warm = game_evaluate(protocol, inst, mode)
+    assert cold == warm
