@@ -217,6 +217,8 @@ def _cmd_game(args) -> int:
             f"{protocol.name}: verdict depends on the identity assignment")
     extra = {"id_rounds": len(variants),
              "total_leaf_evaluations": sum(o.stats.leaf_evaluations
+                                           for o in outcomes),
+             "total_node_evaluations": sum(o.stats.node_evaluations
                                            for o in outcomes)}
     sys.stdout.write(emit_report(
         build_report(protocol, instance, outcomes[0], extra)))

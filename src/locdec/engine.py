@@ -118,9 +118,9 @@ def game_evaluate(protocol: Protocol, instance: Instance,
 
     Every move is checked once, when ``moves`` draws it: a cover move
     that does not label every node is refused there with
-    ``VerifierError``, and the move's row (``runtime.layer_row``) rides
-    down the line with it.  Each leaf hands its rows, one per level and so
-    one per verifier layer, to the game store's leaf loop, which checks
+    ``VerifierError`` (``runtime.layer_row``).  A move is its own row of
+    labels, so each leaf hands its line, one move per level and so one
+    row per verifier layer, to the game store's leaf loop, which checks
     nothing again.
 
     Leaves are decided refuter first.  A leaf's final-level move has a
@@ -162,8 +162,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         for prover, domain in zip(provers, domains))
 
     def moves(idx: int, earlier: tuple[Labelling, ...]):
-        # Yields (move, row): the move as the line holds it, and its row
-        # of labels, checked to label every node once here, when drawn.
+        # Yields the level's moves, each checked to label every node once
+        # here, when drawn.
         level = protocol.levels[idx]
         if strategic[idx]:
             if level.strategy is None:
@@ -176,9 +176,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             except DomainError as exc:
                 raise StrategyError(
                     f"{protocol.name}: level {idx + 1} strategy: {exc}") from exc
-            if not isinstance(move, Labelling):
-                move = Labelling(tuple(move))
-            yield move, layer_row(move, n, idx)
+            yield move if isinstance(move, Labelling) else Labelling(move)
             return
         forfeit = forfeits[idx]
         seen_forfeit = False
@@ -190,19 +188,18 @@ def game_evaluate(protocol: Protocol, instance: Instance,
                     f" cap {mode.move_cap}")
             if forfeit is not None and move == forfeit:
                 seen_forfeit = True
-            yield move, layer_row(move, n, idx)
+            yield layer_row(move, n, idx)
         if forfeit is not None and not seen_forfeit:
             # The disprover may always decline to play a structured labelling.
-            yield forfeit, forfeit.values
+            yield forfeit
         elif count == 0:
             # No moves at all: the level degenerates to a forced labelling.
-            move = canonical_labelling(domains[idx])
-            yield move, move.values
+            yield canonical_labelling(domains[idx])
 
     if all(strategic):
         # A forced line: no level is searched, so the game has one leaf and
         # deciding it is the replay.
-        line = (next(moves(0, ()))[0],) if k else ()
+        line = (next(moves(0, ())),) if k else ()
         leaf = evaluate(_decided_twice(protocol), instance, line)
         rejecting = leaf.rejecting_nodes
         return GameOutcome(leaf.verdict, line, leaf, GameStats(
@@ -216,7 +213,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     # ending there.
     hints: dict[int, int] = {}
 
-    def leaf_value(rows: tuple[Sequence[object], ...], position: int) -> bool:
+    def leaf_value(rows: tuple[Labelling, ...], position: int) -> bool:
         counters["leaf"] += 1
         if counters["leaf"] > eval_cap:
             raise CapExceeded(
@@ -230,18 +227,16 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         hints[position] = rejecter
         return False
 
-    def play(idx: int, earlier: tuple[Labelling, ...],
-             rows: tuple[Sequence[object], ...], position: int = 0):
+    def play(idx: int, earlier: tuple[Labelling, ...], position: int = 0):
         # ``position`` is the last move's index among its level's moves;
-        # the leaf reads it as the final level's.  ``rows`` holds the
-        # checked rows of ``earlier``.
+        # the leaf reads it as the final level's.  ``earlier`` holds the
+        # checked moves, so at a leaf it is the leaf's rows.
         if idx == k:
-            return leaf_value(rows, position), ()
+            return leaf_value(earlier, position), ()
         wants = provers[idx]
         fallback = None
-        for position, (move, row) in enumerate(moves(idx, earlier)):
-            value, rest = play(idx + 1, earlier + (move,), rows + (row,),
-                               position)
+        for position, move in enumerate(moves(idx, earlier)):
+            value, rest = play(idx + 1, earlier + (move,), position)
             if value == wants:
                 return value, (move,) + rest
             if fallback is None:
@@ -249,7 +244,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         move, rest = fallback
         return not wants, (move,) + rest
 
-    verdict, line = play(0, (), ())
+    verdict, line = play(0, ())
     # The replay builds every view object afresh with `ball`, apart from
     # the game's store.
     leaf = evaluate(protocol.verifier, instance, line)

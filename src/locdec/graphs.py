@@ -334,8 +334,7 @@ class BallView:
 
     def settle(self) -> "BallView":
         """Compute every first-read attribute now, so that `with_layers`
-        and `with_inputs` copies share them instead of each building its
-        own."""
+        copies share them instead of each building its own."""
         for name in self.DERIVED:
             getattr(self, name)
         return self
@@ -393,12 +392,6 @@ class BallView:
         fields.update(self.__dict__, layers=tuple(layers))
         if inputs_in is not None:
             fields["inputs_in"] = inputs_in
-        return view
-
-    def with_inputs(self, inputs_in: dict[int, InputValue]) -> "BallView":
-        """Same view with the inputs replaced, copied like `with_layers`."""
-        view = object.__new__(BallView)
-        view.__dict__.update(self.__dict__, inputs_in=inputs_in)
         return view
 
 
@@ -555,8 +548,8 @@ def node_view(instance: Instance, v: int) -> BallView:
 
     The first request for a node in its geometry keeps the view `ball`
     builds over the pair's kept shape and gets that view itself, so what
-    it reads first is computed there and shared by the `with_inputs`
-    copies every later request gets.
+    it reads first is computed there and shared by the `with_layers`
+    copies, with the instance's inputs, that every later request gets.
     """
     views = geometry(instance).views
     view = views[v]
@@ -564,7 +557,8 @@ def node_view(instance: Instance, v: int) -> BallView:
         view = views[v] = ball(instance, (), v, 1)
         return view
     inputs = instance.inputs.values
-    return view.with_inputs({u: inputs[u] for u in view.members})
+    return view.with_layers(view.layers,
+                            {u: inputs[u] for u in view.members})
 
 
 # ---------------------------------------------------------------------------

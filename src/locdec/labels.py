@@ -39,26 +39,20 @@ INVALID = _InvalidToken()
 _BAD = object()
 
 
-@dataclass(frozen=True)
-class Labelling:
-    """Total map node -> label value, stored positionally."""
+class Labelling(tuple):
+    """Total map node -> label value: the tuple of the nodes' labels, in
+    node order.  It equals, and hashes as, that plain tuple, and it is the
+    row a verifier layer reads."""
 
-    values: tuple[object, ...]
+    __slots__ = ()
 
-    def __init__(self, values) -> None:
-        object.__setattr__(self, "values", tuple(values))
-
-    def __getitem__(self, v: int) -> object:
-        return self.values[v]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
+    @property
+    def values(self) -> "Labelling":
+        """The labelling itself, which is its own tuple of labels."""
+        return self
 
     def replace(self, v: int, value: object) -> "Labelling":
-        vals = list(self.values)
+        vals = list(self)
         vals[v] = value
         return Labelling(vals)
 

@@ -27,7 +27,7 @@ from ..oracles import cycle_vc_witness, oracle_cycle_vc, simple_cycles
 from ..protocol import PROVER, LanguageSpec, Level, Protocol, first_move
 from ..runtime import LocalVerifier
 from ..schemes import build_gathering_cert, verify_gathering_cert
-from ..transforms import project
+from ..transforms import embed, project
 
 
 class XClaim(NamedTuple):
@@ -102,7 +102,7 @@ def _decide(b: BallView) -> bool:
         if b.input_of(w) != k or not isinstance(b.label(0, w), XClaim):
             return False
 
-    count_ball = b.with_layers((project(b, XClaim, "count"),))
+    count_ball = embed(b, (project(b, XClaim, "count"),), b.radius)
     if not verify_gathering_cert(count_ball, lambda _: own1.member,
                                  lambda agg: agg >= k):
         return False
@@ -133,7 +133,7 @@ def _decide(b: BallView) -> bool:
          and (own3.clen == 0 or own3.clen >= 3)),
     )
     for part, value, at_root in checks:
-        gball = b.with_layers((project(b, CycleResponse, part, 2),))
+        gball = embed(b, (project(b, CycleResponse, part, 2),), b.radius)
         if not verify_gathering_cert(gball, lambda _, value=value: value,
                                      at_root):
             return False

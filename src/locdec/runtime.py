@@ -33,8 +33,8 @@ game reads its node-decision count there.
 
 The leaf loop is the store's (``ViewStore.first_rejection``), and it
 trusts what it is handed: one row of labels per layer, each labelling
-every node (``layer_row`` makes a ``Labelling``'s row its ``values``
-tuple), and a hint that is a node.  ``first_rejection`` checks its
+every node (a ``Labelling`` is its own row, the tuple of its labels),
+and a hint that is a node.  ``first_rejection`` checks its
 arguments and runs that loop; a searched game checks each move once,
 when it is drawn (see ``engine.game_evaluate``), and runs the loop at
 every leaf below it.
@@ -66,7 +66,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .graphs import BallView, Instance, ball
-from .labels import Labelling
 
 
 class VerifierError(ValueError):
@@ -169,14 +168,13 @@ class ViewStore:
 
 def layer_row(labelling: Sequence[object], n: int,
               layer: int) -> Sequence[object]:
-    """The row of labels of the labelling read as layer ``layer``: a
-    ``Labelling``'s ``values`` tuple, any other sequence as it is.  A row
+    """The labelling read as layer ``layer``, which is its own row of
+    labels: a ``Labelling`` or any other sequence indexed by node.  A row
     that does not label exactly ``n`` nodes is refused."""
-    row = labelling.values if isinstance(labelling, Labelling) else labelling
-    if len(row) != n:
+    if len(labelling) != n:
         raise VerifierError(
-            f"labelling {layer} covers {len(row)} nodes, instance has {n}")
-    return row
+            f"labelling {layer} covers {len(labelling)} nodes, instance has {n}")
+    return labelling
 
 
 def _checked_rows(verifier: LocalVerifier, instance: Instance,

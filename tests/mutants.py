@@ -122,7 +122,7 @@ MUTANTS = (
         "a level's owner takes its last winning move, not its first"),
     Mutant(
         "forced-line-plays-canonical", "src/locdec/engine.py",
-        "        line = (next(moves(0, ()))[0],) if k else ()\n",
+        "        line = (next(moves(0, ())),) if k else ()\n",
         "        line = (canonical_labelling(domains[0]),) if k else ()\n",
         ("tests/test_reference_minimax.py::"
          "test_a_forced_line_plays_the_strategy_move",),
@@ -130,17 +130,15 @@ MUTANTS = (
         " move"),
     Mutant(
         "extra-leaf-per-game", "src/locdec/engine.py",
-        "    verdict, line = play(0, (), ())\n",
-        "    verdict, line = play(0, (), ())\n"
-        "    leaf_value(tuple(layer_row(m, n, i) for i, m in enumerate(line)),"
-        " 0)\n",
+        "    verdict, line = play(0, ())\n",
+        "    verdict, line = play(0, ())\n    leaf_value(line, 0)\n",
         ("tests/test_pin_gate.py::test_workload_replays_its_pinned_lines",),
         "each searched game decides one leaf more than it needs"),
     Mutant(
         "cover-move-unchecked", "src/locdec/engine.py",
-        "            yield move, layer_row(move, n, idx)\n"
+        "            yield layer_row(move, n, idx)\n"
         "        if forfeit is not None and not seen_forfeit:\n",
-        "            yield move, move.values\n"
+        "            yield move\n"
         "        if forfeit is not None and not seen_forfeit:\n",
         ("tests/test_engine.py::test_a_short_cover_move_is_refused_when_drawn",),
         "a cover move is yielded without its draw-time length check"),

@@ -335,9 +335,11 @@ def test_game_reports_rounds_and_total_leaves(tmp_path, capsys, name, status):
     stats = json.loads(capsys.readouterr().out)["stats"]
     variants = identity_variants(instance, count=3, seed=5)
     assert stats["id_rounds"] == len(variants) == 3
+    each = [game_evaluate(resolve(name), v).stats for v in variants]
     assert stats["total_leaf_evaluations"] == sum(
-        game_evaluate(resolve(name), v).stats.leaf_evaluations
-        for v in variants)
+        s.leaf_evaluations for s in each)
+    assert stats["total_node_evaluations"] == sum(
+        s.node_evaluations for s in each)
 
 
 @pytest.mark.parametrize("argv, doc", [

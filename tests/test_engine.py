@@ -288,6 +288,43 @@ def test_canonical_and_invalid_labellings():
     assert all_invalid_labelling(2) == Labelling((INVALID, INVALID))
 
 
+def test_a_labelling_is_the_tuple_of_its_labels():
+    labels = (Bit(0), INVALID, Bit(1))
+    lab = Labelling(label for label in labels)
+    assert isinstance(lab, tuple)
+    assert lab == labels and hash(lab) == hash(labels)
+    assert lab.values is lab
+    swapped = lab.replace(1, Bit(0))
+    assert type(swapped) is Labelling
+    assert swapped == (Bit(0), Bit(0), Bit(1)) and lab == labels
+    assert not hasattr(lab, "__dict__")
+
+
+@pytest.mark.parametrize("accepts", [
+    # The prover wins: every disprover move is tried, the forfeit too.
+    lambda b: isinstance(b.own_label(0), Bit) and b.own_label(0).bit == 1,
+    # The disprover wins with a nonzero value.
+    lambda b: isinstance(b.own_label(1), Tri) and b.own_label(1).val == 0,
+], ids=["prover-wins", "disprover-wins"])
+def test_a_cover_of_plain_tuples_plays_the_labelling_game(accepts):
+    def cover(domain_of, wrap):
+        return lambda inst, earlier: (
+            wrap(move) for move in product_cover(inst, domain_of(inst.n, inst.N)))
+
+    def game(wrap):
+        # Level 2's product over ``tri`` holds the all-INVALID forfeit.
+        protocol = Protocol(
+            "cover-" + wrap.__name__, PROVER,
+            (Level(bit_domain, cover(bit_domain, wrap)),
+             Level(tri_domain, cover(tri_domain, wrap))),
+            LocalVerifier(1, 2, accepts))
+        return game_evaluate(protocol, plain_instance(path_graph(2)), EXHAUSTIVE)
+
+    plain = game(tuple)
+    assert all(type(move) is tuple for move in plain.line)
+    assert plain == game(Labelling)
+
+
 def test_universal_forfeit_only_with_spare_patterns():
     def structured(ball_view) -> bool:
         return isinstance(ball_view.own_label(0), (Bit, Tri))
