@@ -7,7 +7,7 @@ graph families and encoded formulas) and ``export`` (DOT text).
 
 Reports go to stdout as JSON; diagnostics go to stderr.  A run report
 gives the identity bound ``N``, each level's domain ``width`` and bit
-``budget`` c * ceil(log2 N) (``bits``: the certificate size), and each
+``budget`` c * ceil(log2 N) + d (``bits``: the certificate size), and each
 witness label as its bit pattern under ``level.domain_of(n, N)``, or
 ``null`` for ``INVALID``.  Each top-level key and each witness label sits
 on its own line, as compact JSON kept in ``json``'s C encoder (``indent``

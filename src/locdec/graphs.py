@@ -299,9 +299,10 @@ class BallView:
     centre and radius of a (graph, identities) pair shares that pair's
     kept `Shape`, across games, and a game's `runtime.ViewStore` settles a
     view when it keeps it and serves later leaves `with_layers` copies that
-    share its cached attributes too.  So nothing else may write into a
-    view: a write would reach every later view of that centre, in this
-    game and in the games after it.
+    share its cached attributes too.  Within one view, frontier members
+    with equal in-ball neighbours share one `adj_in` set.  So nothing else
+    may write into a view: a write would reach every later view of that
+    centre, in this game and in the games after it.
 
     Hot verifier kernels read a member's fields directly, as
     `adj_in[centre]`, `ids_in[u]`, `inputs_in[u]` and `layers[i][u]`,
@@ -410,13 +411,27 @@ def make_view(centre: int, radius: int, dist: dict[int, int],
     the ball, so it keeps its adjacency as it is; a frontier member's is
     one set intersection with the members, which costs at most its
     degree.  The whole view costs the sum of the member degrees.
+
+    Frontier members whose in-ball neighbours are equal share one set, so
+    a radius-1 view of a triangle-free graph holds one set for all its
+    frontier (each member sees only the centre).  The sets are immutable
+    and views compare them by value; sharing only spares the cyclic
+    collector the objects a kept view would otherwise hold.
     """
     members = tuple(sorted(dist))
     inside = frozenset(members)
-    adj_in = {u: adj[u] if dist[u] < radius else adj[u] & inside
-              for u in members}
+    adj_in: dict[int, frozenset[int]] = {}
+    ids_in: dict[int, int] = {}
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    for u in members:
+        ids_in[u] = ids[u]
+        if dist[u] < radius:
+            adj_in[u] = adj[u]
+        else:
+            s = adj[u] & inside
+            adj_in[u] = shared.setdefault(s, s)
     return _view(
-        centre, radius, members, adj_in, {u: ids[u] for u in members}, dist,
+        centre, radius, members, adj_in, ids_in, dist,
         None if weights is None else {
             (u, w): weights[u, w] for u in members for w in adj_in[u] if u < w},
         inputs, layers, N)
@@ -459,20 +474,23 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
     That call finds the members by a breadth-first search over the graph's
     adjacency lists, at the cost of the sum of their degrees, builds the
     view with `make_view` and keeps its label-free, input-free fields
-    (`Shape`) in the pair's `geometry`.  Every later call for that centre
-    and radius, from any instance of the pair, builds a new view over the
-    kept fields and projects only the instance's inputs and `labellings`
-    onto the members.  `runtime.ViewStore` also reuses a whole settled
-    view across a game's leaves, and `node_view` a label-free one across
-    the instances of one pair.
+    (`Shape`) at the centre's index of the radius's list in the pair's
+    `geometry`.  Every later call for that centre and radius, from any
+    instance of the pair, builds a new view over the kept fields and
+    projects only the instance's inputs and `labellings` onto the members.
+    `runtime.ViewStore` also reuses a whole settled view across a game's
+    leaves, and `node_view` a label-free one across the instances of one
+    pair.
     """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")
     if t < 0:
         raise InstanceError("radius must be non-negative")
     shapes = geometry(instance).shapes
-    key = (v, t)
-    shape = shapes.get(key)
+    by_centre = shapes.get(t)
+    if by_centre is None:
+        by_centre = shapes[t] = [None] * instance.n
+    shape = by_centre[v]
     if shape is not None:
         return _view(v, t, *shape, instance.inputs.values, labellings,
                      instance.N)
@@ -490,8 +508,8 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
         frontier = nxt
     view = make_view(v, t, dist, adj, instance.ids.ids, instance.inputs.values,
                      labellings, g.weights, instance.N)
-    shapes[key] = (view.members, view.adj_in, view.ids_in, view.centre_dist,
-                   view.weights_in)
+    by_centre[v] = (view.members, view.adj_in, view.ids_in, view.centre_dist,
+                    view.weights_in)
     return view
 
 
@@ -504,7 +522,10 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
 
 
 # A view's label-free, input-free fields, in `BallView` order: `members`,
-# `adj_in`, `ids_in`, `centre_dist` and `weights_in`.
+# `adj_in`, `ids_in`, `centre_dist` and `weights_in`.  Of these only the
+# tuple itself, `adj_in`, its frontier sets (one per distinct value, see
+# `make_view`) and `weights_in` stay tracked by the cyclic collector:
+# `members`, `ids_in` and `centre_dist` hold only ints.
 Shape = tuple[tuple[int, ...], dict[int, frozenset[int]], dict[int, int],
               dict[int, int], Optional[dict[Edge, int]]]
 
@@ -512,8 +533,10 @@ Shape = tuple[tuple[int, ...], dict[int, frozenset[int]], dict[int, int],
 class Geometry(NamedTuple):
     """The input-free data of one (graph, identity assignment) pair, built
     on demand: each node's label-free radius-1 view (None until asked for),
-    the rooted spanning trees `schemes.kept_tree` builds, by root, and the
-    `Shape` of every (centre, radius) `ball` was asked for.
+    the rooted spanning trees `schemes.kept_tree` builds, by root, and, for
+    each radius `ball` was asked for, one list indexed by centre of the
+    `Shape`s it built (None until asked for).  A list per radius needs no
+    key object per shape, so the cyclic collector scans only the shapes.
 
     What is kept is shared by every view built over it, across games, so
     nothing may write into it (see `BallView`)."""
@@ -522,7 +545,7 @@ class Geometry(NamedTuple):
     ids: IdAssignment
     views: list[Optional[BallView]]
     trees: dict[int, object]
-    shapes: dict[tuple[int, int], Shape]
+    shapes: dict[int, list[Optional[Shape]]]
 
 
 _geometry: Optional[Geometry] = None

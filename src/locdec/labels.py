@@ -3,7 +3,7 @@
 A labelling assigns one value per node, drawn from a domain of structured
 values plus a shared ``INVALID`` token.  Domains carry a fixed-width binary
 encoding so certificate sizes can be audited against a per-node budget of
-c * ceil(log2 N) bits.
+c * ceil(log2 N) + d bits, for a constant d per domain.
 """
 
 from __future__ import annotations
@@ -279,10 +279,15 @@ class LabelDomain:
     """Finite set of structured label values with a fixed-width encoding.
 
     ``decode`` is total on width-bit integers: patterns that fit no structured
-    value yield INVALID.  The budget is c * ceil(log2 N) bits (floored at c),
-    and the packed width never exceeds it.  A domain is a function of the
-    node count ``n`` and the identity bound ``N`` alone: no instance goes
-    into it, so one domain serves every instance of that size.
+    value yield INVALID.  The budget is c * ceil(log2 N) + d bits (the log
+    floored at 1), and the packed width never exceeds it.  ``c`` counts the
+    identity-sized fields; ``d`` counts the bits that do not scale with
+    log N: the presence flag of an optional identity, and the carry of a
+    count that reaches 2Nn.  Each scheme's ``d`` is the least that holds
+    for every N >= n >= 2, the tightest case being N = n; a domain built
+    from others adds up their ``d``.  A domain is a function of the node
+    count ``n`` and the identity bound ``N`` alone: no instance goes into
+    it, so one domain serves every instance of that size.
     """
 
     name: str
@@ -291,12 +296,13 @@ class LabelDomain:
     N: int
     fields: tuple[FieldSpec, ...]
     make: Callable[..., object]
+    d: int = 0
 
     def __post_init__(self) -> None:
         if self.width > self.budget:
             raise DomainError(
                 f"domain {self.name}: width {self.width} exceeds budget {self.budget}"
-                f" (c={self.c}, N={self.N})")
+                f" (c={self.c}, d={self.d}, N={self.N})")
 
     @cached_property
     def width(self) -> int:
@@ -304,7 +310,7 @@ class LabelDomain:
 
     @cached_property
     def budget(self) -> int:
-        return self.c * id_width(self.N)
+        return self.c * id_width(self.N) + self.d
 
     @cached_property
     def size(self) -> int:
@@ -437,35 +443,39 @@ def build_bfs_tree(instance: Instance, root: int,
 def count_width(n: int, N: int) -> int:
     # Aggregates range over [0, 2*N*n]: doubled objective totals peak at
     # twice the weight of an n-edge tour with every weight at the cap N.
+    # That is at most 2 * ceil(log2 N) + 2 bits when n <= N.
     return max(1, (2 * N * n).bit_length())
 
 
 def tree_field_specs(n: int, N: int, suffix: str = "") -> tuple[FieldSpec, ...]:
-    """The (root, parent, dist) fields of a rooted-tree certificate."""
+    """The (root, parent, dist) fields of a rooted-tree certificate:
+    3 * ceil(log2 N) + 1 bits when n <= N, the parent's presence flag
+    being the one bit over its identity-sized fields."""
     return (id_field("root" + suffix, N),
             optional_id_field("parent" + suffix, N),
             range_field("dist" + suffix, 0, n - 1))
 
 
 def tree_cert_domain(n: int, N: int) -> LabelDomain:
-    return LabelDomain("tree-cert", 3, n, N, tree_field_specs(n, N), TreeCert)
+    return LabelDomain("tree-cert", 3, n, N, tree_field_specs(n, N), TreeCert,
+                       1)
 
 
 def size_cert_domain(n: int, N: int) -> LabelDomain:
     fields = (*tree_field_specs(n, N)[:2],
               range_field("size", 1, n, width=count_width(n, N)))
-    return LabelDomain("size-cert", 5, n, N, fields, SizeCert)
+    return LabelDomain("size-cert", 5, n, N, fields, SizeCert, 2)
 
 
 def gather_cert_domain(n: int, N: int) -> LabelDomain:
     fields = (*tree_field_specs(n, N),
               range_field("agg", 0, 2 * N * n, width=count_width(n, N)))
-    return LabelDomain("gather-cert", 6, n, N, fields, GatherCert)
+    return LabelDomain("gather-cert", 6, n, N, fields, GatherCert, 2)
 
 
 def ham_cert_domain(n: int, N: int) -> LabelDomain:
     fields = (*tree_field_specs(n, N), range_field("pos", 0, n - 1))
-    return LabelDomain("ham-cert", 4, n, N, fields, HamCert)
+    return LabelDomain("ham-cert", 4, n, N, fields, HamCert, 1)
 
 
 def nst_cert_domain(n: int, N: int) -> LabelDomain:
@@ -475,7 +485,7 @@ def nst_cert_domain(n: int, N: int) -> LabelDomain:
               optional_range_field("cpos", 0, n - 1),
               optional_range_field("clen", 2, max(2, n)),
               *tree_field_specs(n, N, "2"))
-    return LabelDomain("nst-cert", 11, n, N, fields, NSTCert)
+    return LabelDomain("nst-cert", 11, n, N, fields, NSTCert, 3)
 
 
 def non_ham_cert_domain(n: int, N: int) -> LabelDomain:
@@ -483,4 +493,4 @@ def non_ham_cert_domain(n: int, N: int) -> LabelDomain:
               range_field("idx", 1, max(2, n)),
               *tree_field_specs(n, N, "1"),
               *tree_field_specs(n, N, "2"))
-    return LabelDomain("non-ham-cert", 8, n, N, fields, NonHamCert)
+    return LabelDomain("non-ham-cert", 8, n, N, fields, NonHamCert, 2)

@@ -49,10 +49,10 @@ class CycleResponse(NamedTuple):
 
 
 def x_claim_domain(n: int, N: int) -> LabelDomain:
+    gdom = gather_cert_domain(n, N)
     return LabelDomain("x-claim", 7, n, N,
-                       (flag_field("member", 2),
-                        sub_field("count", gather_cert_domain(n, N))),
-                       XClaim)
+                       (flag_field("member", 2), sub_field("count", gdom)),
+                       XClaim, gdom.d)
 
 
 def s_pick_domain(n: int, N: int) -> LabelDomain:
@@ -69,7 +69,7 @@ def cycle_response_domain(n: int, N: int) -> LabelDomain:
                         sub_field("s_total", gdom),
                         sub_field("s_cycle", gdom),
                         sub_field("cycle_size", gdom)),
-                       CycleResponse)
+                       CycleResponse, 3 * gdom.d)
 
 
 def uniform_threshold(instance: Instance) -> Optional[int]:

@@ -64,7 +64,7 @@ def map_defect_domain(n: int, N: int) -> LabelDomain:
                        (flag_field("flag", 4),
                         sub_field("ta", tdom), sub_field("tb", tdom),
                         sub_field("tc", tdom), sub_field("td", tdom)),
-                       MapDefect)
+                       MapDefect, 4 * tdom.d)
 
 
 def _part_reader(part: str) -> TreeReader:

@@ -253,7 +253,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
              sub_field("yes_xp", ydom),
              sub_field("agg_x", gdom),
              sub_field("agg_xp", gdom)),
-            OptLabel)
+            OptLabel, ndom.d + 2 * ydom.d + 2 * gdom.d)
 
     def _sub_view(b: BallView, part: str, r: int,
                   inputs: Optional[dict[int, InputValue]] = None) -> BallView:

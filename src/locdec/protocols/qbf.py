@@ -50,7 +50,7 @@ class TruthLabel(NamedTuple):
 
 def truth_domain(n: int, N: int) -> LabelDomain:
     return LabelDomain("truth", 1, n, N,
-                       (optional_range_field("bit", 0, 1),), TruthLabel)
+                       (optional_range_field("bit", 0, 1),), TruthLabel, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def collapse_last_universal(p: Protocol) -> Protocol:
              optional_id_field("sparent", N),
              range_field("ssize", 1, n),
              range_field("nhat", 1, n)),
-            CollapsedLabel)
+            CollapsedLabel, base.d)
 
     @cache
     def final_axis(nhat: int, N: int) -> tuple:
@@ -345,7 +345,7 @@ def unanimous_combine(p_yes: Protocol, p_no: Protocol) -> Protocol:
             (flag_field("branch", 2),
              sub_field("yes", ydom),
              sub_field("no", ndom)),
-            CombinedLabel)
+            CombinedLabel, ydom.d + ndom.d)
 
     def decide(ball: BallView) -> bool:
         own = ball.own_label(0)

@@ -189,10 +189,17 @@ MUTANTS = (
         "a collapsed level accepts after its first accepting run"),
     Mutant(
         "frontier-keeps-full-adjacency", "src/locdec/graphs.py",
-        "    adj_in = {u: adj[u] if dist[u] < radius else adj[u] & inside\n",
-        "    adj_in = {u: adj[u]\n",
+        "            s = adj[u] & inside\n",
+        "            s = adj[u]\n",
         ("tests/test_ball_property.py::test_ball_matches_brute_force",),
         "a frontier member keeps neighbours outside the ball"),
+    Mutant(
+        "frontier-sets-shared-by-size", "src/locdec/graphs.py",
+        "            adj_in[u] = shared.setdefault(s, s)\n",
+        "            adj_in[u] = shared.setdefault(len(s), s)\n",
+        ("tests/test_ball_property.py::test_ball_matches_brute_force",),
+        "frontier members with as many in-ball neighbours share one set,"
+        " whatever the neighbours"),
     Mutant(
         "geometry-compares-graph-only", "src/locdec/graphs.py",
         "    if kept is None or (kept.graph, kept.ids) != (instance.graph,"
@@ -203,10 +210,21 @@ MUTANTS = (
         "a kept geometry serves a graph under another identity assignment"),
     Mutant(
         "shape-keyed-on-centre", "src/locdec/graphs.py",
-        "    key = (v, t)\n", "    key = v\n",
+        "    by_centre = shapes.get(t)\n    if by_centre is None:\n"
+        "        by_centre = shapes[t] = ",
+        "    by_centre = shapes.get(0)\n    if by_centre is None:\n"
+        "        by_centre = shapes[0] = ",
         ("tests/test_ball_property.py::"
          "test_kept_geometry_serves_each_pair_its_own_views",),
         "a kept shape serves its centre at every radius"),
+    Mutant(
+        "tree-cert-budget-counts-identities-only", "src/locdec/labels.py",
+        "tree_field_specs(n, N), TreeCert,\n                       1)",
+        "tree_field_specs(n, N), TreeCert)",
+        ("tests/test_schemes.py::"
+         "test_every_level_domain_builds_at_n_and_n_squared_identities",),
+        "a tree certificate's budget leaves out its parent flag, so N = n"
+        " refuses it"),
     Mutant(
         "tree-ok-skips-parent-adjacency", "src/locdec/schemes.py",
         "    for w in nbrs:\n        if ids[w] == parent:\n"

@@ -7,7 +7,7 @@ from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, check_protocol,
                            game_evaluate)
 from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance,
                            id_width)
-from locdec.labels import INVALID, DomainError, Labelling
+from locdec.labels import INVALID, DomainError, LabelDomain, Labelling
 from locdec.oracles import has_nontrivial_automorphism
 from locdec.protocols import resolve
 from locdec.protocols.nta import (GAINED_EDGE, IDENTITY_MAP, LOST_EDGE,
@@ -213,7 +213,10 @@ class TestDomains:
             idb = id_width(inst.N)
             assert map_defect_domain(inst.n, inst.N).width <= 14 * idb
 
-    def test_tiny_identifier_space_is_rejected(self):
-        inst = inst_of(Graph(2, frozenset({(0, 1)})), (1, 2), 2)
+    def test_defect_domain_fits_the_smallest_identifier_space(self):
+        # At n = N = 2 each identity takes one bit, and the four trees'
+        # parent flags are the four bits over 14 of them.
+        dom = map_defect_domain(2, 2)
+        assert dom.width == dom.budget == 14 + 4
         with pytest.raises(DomainError):
-            map_defect_domain(inst.n, inst.N)
+            LabelDomain(dom.name, dom.c, 2, 2, dom.fields, dom.make)

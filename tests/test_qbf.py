@@ -249,7 +249,7 @@ class TestGames:
         # SEARCH.  Its added final level plays complement_lift's strategy,
         # one move where the search tries roots in identity order, so the
         # stats differ; the outcome does not, and the strategy tries no
-        # more leaves.  The tree certificate needs the wider identity range.
+        # more leaves.
         p = resolve("lift:lift:qbf-3")
         verdicts = set()
         for k in (1, 2, 3):
@@ -262,6 +262,23 @@ class TestGames:
                 assert built.stats.leaf_evaluations \
                     <= searched.stats.leaf_evaluations
                 verdicts.add(built.verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name,k,modes", [
+        ("lift:qbf-1", 1, (WIDE_CONSTRUCTIVE, WIDEST)),
+        ("lift:lift:qbf-3", 3, (WIDE_CONSTRUCTIVE,)),
+    ], ids=["lift:qbf-1", "lift:lift:qbf-3"])
+    def test_lifts_play_formula_encodings(self, name, k, modes):
+        # encode_qbf bounds identities by the node count, N = n, the
+        # tightest bound the tree certificate the lift adds must fit.
+        p = resolve(name)
+        verdicts = set()
+        for inst in wide_formula_games(k):
+            assert inst.N == inst.n
+            for mode in modes:
+                verdict = game_evaluate(p, inst, mode).verdict
+                assert verdict is p.language.oracle(inst), inst.ids
+                verdicts.add(verdict)
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -352,8 +369,7 @@ def plain_graphs(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if pairs:
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
-    # The truth label needs 2 bits, within budget from N = 3 on.
-    N = draw(st.integers(max(n, 3), 2 * n + 1))
+    N = draw(st.integers(n, 2 * n + 1))
     ids = draw(st.permutations(range(1, N + 1)))[:n]
     return Instance(Graph(n, frozenset(edges)), IdAssignment(tuple(ids), N),
                     InputAssignment((None,) * n))

@@ -11,6 +11,7 @@ from locdec.labels import (GatherCert, HamCert, Labelling, NSTCert, SizeCert,
                            TreeCert, gather_cert_domain, ham_cert_domain,
                            non_ham_cert_domain, nst_cert_domain,
                            size_cert_domain, tree_cert_domain)
+from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, evaluate, first_rejection
 from locdec.schemes import (SchemeError, build_gathering_cert,
                             build_hamiltonian_cert, build_non_hamiltonian_cert,
@@ -20,7 +21,7 @@ from locdec.schemes import (SchemeError, build_gathering_cert,
                             verify_non_spanning_tree_cert, verify_size_cert,
                             verify_spanning_tree_cert)
 
-from corpus import c4, plain_instance
+from corpus import TRANSFORMS, c4, plain_instance
 
 ST = LocalVerifier(1, 1, verify_spanning_tree_cert)
 SIZE = LocalVerifier(1, 1, verify_size_cert)
@@ -496,6 +497,18 @@ def test_domain_budgets(n):
     for factory, _name in scheme_factories():
         dom = factory(inst.n, inst.N)
         assert dom.width <= dom.budget
+
+
+@pytest.mark.parametrize("name", (*names(), *TRANSFORMS, "lift:nta"))
+def test_every_level_domain_builds_at_n_and_n_squared_identities(name):
+    # The paper's O(log n)-bit certificates hold under any identity bound
+    # N >= n; N = n is the tightest.  A domain over budget raises
+    # DomainError when it is built.
+    for level in resolve(name).levels:
+        for n in range(2, 65):
+            for N in (n, n * n):
+                dom = level.domain_of(n, N)
+                assert dom.width <= dom.budget, (n, N)
 
 
 def test_built_certs_fit_domains():

@@ -8,6 +8,7 @@ is shared by every later leaf.
 """
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -169,13 +170,19 @@ def _kept_shapes_match_fresh_views() -> int:
     against a view `make_view` builds afresh; return how many there are."""
     kept = graphs._geometry
     g, n = kept.graph, kept.graph.n
-    for (v, t), shape in kept.shapes.items():
-        dist = {u: d for u, d in g.distances_from(v).items() if d <= t}
-        fresh = make_view(v, t, dist, g._adj, kept.ids.ids, (None,) * n, (),
-                          g.weights, kept.ids.N)
-        assert shape == (fresh.members, fresh.adj_in, fresh.ids_in,
-                         fresh.centre_dist, fresh.weights_in), (v, t)
-    return len(kept.shapes)
+    count = 0
+    for t, by_centre in kept.shapes.items():
+        assert len(by_centre) == n, t
+        for v, shape in enumerate(by_centre):
+            if shape is None:
+                continue
+            dist = {u: d for u, d in g.distances_from(v).items() if d <= t}
+            fresh = make_view(v, t, dist, g._adj, kept.ids.ids, (None,) * n,
+                              (), g.weights, kept.ids.N)
+            assert shape == (fresh.members, fresh.adj_in, fresh.ids_in,
+                             fresh.centre_dist, fresh.weights_in), (v, t)
+            count += 1
+    return count
 
 
 @pytest.mark.parametrize("name", (*names(), *TRANSFORMS))
@@ -188,6 +195,31 @@ def test_games_leave_kept_geometry_as_built(name):
         for inst in small_instances(name):
             game_evaluate(protocol, inst, mode)
             assert _kept_shapes_match_fresh_views() > 0
+
+
+def test_kept_shapes_hold_few_objects_the_collector_scans():
+    # A kept shape lives as long as its pair, so every object in it that
+    # the cyclic collector tracks is scanned again in each collection that
+    # reaches it: at most the shape tuple, `adj_in` and one frontier set.
+    side = 12
+    n = side * side
+    inst = Instance(grid_graph(side, side), IdAssignment.default(n),
+                    InputAssignment((None,) * n))
+    _evict_geometry(inst)
+    runtime.evaluate(LocalVerifier(1, 0, lambda view: True), inst)
+    gc.collect()
+    graph_owned = {id(s) for s in inst.graph._adj}
+    held = []
+    for shape in graphs._geometry.shapes[1]:
+        objects = [shape, *shape, *shape[1].values()]
+        held.append(len({id(x) for x in objects
+                         if gc.is_tracked(x) and id(x) not in graph_owned}))
+    assert len(held) == n and max(held) <= 3
+    centre = side + 1  # interior: four neighbours, none adjacent
+    view = ball(inst, (), centre, 1)
+    frontier = [u for u in view.members if u != centre]
+    assert len(frontier) == 4
+    assert len({id(view.adj_in[u]) for u in frontier}) == 1
 
 
 # ---------------------------------------------------------------------------
