@@ -68,8 +68,9 @@ class GameStats:
     decisions actually made at the leaves, which stop at the first
     rejection found: each draws one view, so it is the ``served`` count
     of the game's view store.  ``views_reused`` counts those whose view
-    the store served from a view it kept instead of taking a new one from
-    ``graphs.ball``.
+    was a copy of a view the store kept, not a new one from
+    ``graphs.ball``: the store's ``served`` count less the centres it
+    kept.
     ``first_refutations`` counts the leaves rejected by their hinted node
     (see ``game_evaluate``) at its first decision.
 
@@ -254,7 +255,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             f" {leaf.verdict} but the game gave {verdict}; the verifier is"
             f" not a pure function of the ball")
     return GameOutcome(verdict, line, leaf, GameStats(
-        counters["leaf"], views.served, views.reused, counters["first"]))
+        counters["leaf"], views.served, views.served - len(views.kept),
+        counters["first"]))
 
 
 def _decided_twice(protocol: Protocol) -> LocalVerifier:

@@ -297,12 +297,13 @@ class BallView:
 
     Views share their geometry dicts: every view `ball` builds for one
     centre and radius of a (graph, identities) pair shares that pair's
-    kept `Shape`, across games, and a game's `runtime.ViewStore` settles a
-    view when it keeps it and serves later leaves `with_layers` copies that
-    share its cached attributes too.  Within one view, frontier members
-    with equal in-ball neighbours share one `adj_in` set.  So nothing else
-    may write into a view: a write would reach every later view of that
-    centre, in this game and in the games after it.
+    kept `Shape`, across games, and a game's `runtime.ViewStore` keeps the
+    first view of each centre and serves later leaves `with_layers` copies
+    that share whatever attributes its first decision computed.  Within
+    one view, frontier members with equal in-ball neighbours share one
+    `adj_in` set.  So nothing else may write into a view: a write would
+    reach every later view of that centre, in this game and in the games
+    after it.
 
     Hot verifier kernels read a member's fields directly, as
     `adj_in[centre]`, `ids_in[u]`, `inputs_in[u]` and `layers[i][u]`,
@@ -330,15 +331,6 @@ class BallView:
     @_first_read
     def node_by_id(self) -> dict[int, int]:
         return {i: u for u, i in self.ids_in.items()}
-
-    DERIVED = ("edges", "node_by_id")
-
-    def settle(self) -> "BallView":
-        """Compute every first-read attribute now, so that `with_layers`
-        copies share them instead of each building its own."""
-        for name in self.DERIVED:
-            getattr(self, name)
-        return self
 
     def neighbours(self, v: int) -> frozenset[int]:
         return self.adj_in.get(v, frozenset())
@@ -478,9 +470,8 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
     `geometry`.  Every later call for that centre and radius, from any
     instance of the pair, builds a new view over the kept fields and
     projects only the instance's inputs and `labellings` onto the members.
-    `runtime.ViewStore` also reuses a whole settled view across a game's
-    leaves, and `node_view` a label-free one across the instances of one
-    pair.
+    `runtime.ViewStore` also reuses a centre's whole first view across a
+    game's leaves.
     """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")
@@ -532,18 +523,17 @@ Shape = tuple[tuple[int, ...], dict[int, frozenset[int]], dict[int, int],
 
 class Geometry(NamedTuple):
     """The input-free data of one (graph, identity assignment) pair, built
-    on demand: each node's label-free radius-1 view (None until asked for),
-    the rooted spanning trees `schemes.kept_tree` builds, by root, and, for
-    each radius `ball` was asked for, one list indexed by centre of the
-    `Shape`s it built (None until asked for).  A list per radius needs no
-    key object per shape, so the cyclic collector scans only the shapes.
+    on demand: the rooted spanning trees `schemes.kept_tree` builds, by
+    root, and, for each radius `ball` was asked for, one list indexed by
+    centre of the `Shape`s it built (None until asked for).  A list per
+    radius needs no key object per shape, so the cyclic collector scans
+    only the shapes.
 
     What is kept is shared by every view built over it, across games, so
     nothing may write into it (see `BallView`)."""
 
     graph: Graph
     ids: IdAssignment
-    views: list[Optional[BallView]]
     trees: dict[int, object]
     shapes: dict[int, list[Optional[Shape]]]
 
@@ -555,33 +545,14 @@ def geometry(instance: Instance) -> Geometry:
     """The geometry of `instance`'s (graph, identities) pair.
 
     One pair is kept at a time: a request for another graph or identity
-    assignment replaces it, so at most n views, n trees and one shape per
-    centre and radius asked of that pair stay alive.
+    assignment replaces it, so at most n trees and one shape per centre
+    and radius asked of that pair stay alive.
     """
     global _geometry
     kept = _geometry
     if kept is None or (kept.graph, kept.ids) != (instance.graph, instance.ids):
-        kept = _geometry = Geometry(instance.graph, instance.ids,
-                                    [None] * instance.n, {}, {})
+        kept = _geometry = Geometry(instance.graph, instance.ids, {}, {})
     return kept
-
-
-def node_view(instance: Instance, v: int) -> BallView:
-    """The radius-1 view of `v`, equal to `ball(instance, (), v, 1)`.
-
-    The first request for a node in its geometry keeps the view `ball`
-    builds over the pair's kept shape and gets that view itself, so what
-    it reads first is computed there and shared by the `with_layers`
-    copies, with the instance's inputs, that every later request gets.
-    """
-    views = geometry(instance).views
-    view = views[v]
-    if view is None:
-        view = views[v] = ball(instance, (), v, 1)
-        return view
-    inputs = instance.inputs.values
-    return view.with_layers(view.layers,
-                            {u: inputs[u] for u in view.members})
 
 
 # ---------------------------------------------------------------------------

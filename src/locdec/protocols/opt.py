@@ -11,10 +11,10 @@ halves an incident sum, keeping every aggregate integral.
 
 Cover, strategy and language oracle score up to 2^n substitute inputs of
 one instance.  A substitute changes only the inputs, so the candidates
-share one ``graphs.geometry``: ``graphs.node_view`` builds each node's
-radius-1 view once per (graph, identities) pair and hands every candidate
-a copy carrying its own inputs, and every gathering certificate folds the
-candidate's values up the one kept tree from the smallest identity.
+share one ``graphs.geometry``: ``graphs.ball`` builds each node's radius-1
+shape once per (graph, identities) pair and gives every candidate a view
+over it carrying its own inputs, and every gathering certificate folds
+the candidate's values up the one kept tree from the smallest identity.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ..graphs import (BallView, Instance, InstanceError, InputValue, Marks,
-                      Ptr, node_view)
+                      Ptr, ball)
 from ..labels import (GatherCert, LabelDomain, Labelling, build_bfs_tree,
                       flag_field, gather_cert_domain, ham_cert_domain,
                       input_value_field, non_ham_cert_domain, sub_field,
@@ -69,7 +69,7 @@ def unit_domain(n: int, N: int) -> LabelDomain:
 
 
 def _all_nodes(instance: Instance, rule: Callable[[BallView], bool]) -> bool:
-    return all(rule(node_view(instance, v)) for v in range(instance.n))
+    return all(rule(ball(instance, (), v, 1)) for v in range(instance.n))
 
 
 def _local_rule_protocol(name: str,
@@ -96,7 +96,7 @@ def _defect_protocol(name: str,
 
     def honest(instance: Instance) -> Optional[Labelling]:
         for v in sorted(range(instance.n), key=instance.id_of):
-            if not rule(node_view(instance, v)):
+            if not rule(ball(instance, (), v, 1)):
                 return honest_tree(instance, v)
         return None
 
@@ -283,7 +283,7 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
                                      local_value, lambda total: True)
 
     def _values(instance: Instance) -> list[int]:
-        return [local_value(node_view(instance, v))
+        return [local_value(ball(instance, (), v, 1))
                 for v in range(instance.n)]
 
     def rivals(instance: Instance,

@@ -1,13 +1,12 @@
 """Local verifier execution: per-node decisions over ball views, conjunct verdict.
 
 A labelling is accepted only if every node accepts, so one rejecting node
-refutes it.  ``first_rejection`` looks for one: it decides an optional
-hinted node first, then every other node in node order, each once, and
-stops at the first rejection.  A decision depends on its view alone, so
-the order cannot change whether a rejecting node exists, only how many
-decisions are made before one is found.  Without a hint it is the
-verdict-only search, ``first_rejection(...) is None`` exactly when every
-node accepts; ``evaluate`` decides every node.
+refutes it.  ``evaluate`` decides every node; a searched game's leaves
+look for one rejecting node with ``ViewStore.first_rejection``, which
+decides an optional hinted node first, then every other node in node
+order, each once, and stops at the first rejection.  A decision depends
+on its view alone, so the order cannot change whether a rejecting node
+exists, only how many decisions are made before one is found.
 
 ``ball`` is the one builder of fresh views.  It builds a centre's
 geometry (members, edges, identities, distances, weights) once per
@@ -20,30 +19,24 @@ its members.
 A searched game draws its views from a ``ViewStore``, bound to one
 instance and one radius.  Across the leaves of one game only the label
 layers change, so a centre's members, edges, identities, inputs and
-frontier stay the same.  A store takes a centre's view from ``ball`` on
-its first request and again on its second, keeping that one; from then
-on it serves the kept view with the requested labellings projected onto
-its members, with no inputs projected and no attribute computed again.
-``evaluate`` asks each centre once, so it makes no store: each node
-decides on a fresh view from ``ball``.
+frontier stay the same.  A store keeps the view ``ball`` builds on a
+centre's first request; every later request gets a ``with_layers`` copy
+of it with the requested labellings projected onto its members, with no
+inputs projected.  A view computes its edge set and identity inverse on
+first read (see ``BallView``), so a copy shares whichever of them the
+first decision on the kept view read.  ``evaluate`` asks each centre
+once, so it makes no store: each node decides on a fresh view from
+``ball``.
 
 Each node decision draws exactly one view from the store, so the
 store's ``served`` count is the number of decisions made with it; a
 game reads its node-decision count there.
 
-The leaf loop is the store's (``ViewStore.first_rejection``), and it
-trusts what it is handed: one row of labels per layer, each labelling
-every node (a ``Labelling`` is its own row, the tuple of its labels),
-and a hint that is a node.  ``first_rejection`` checks its
-arguments and runs that loop; a searched game checks each move once,
-when it is drawn (see ``engine.game_evaluate``), and runs the loop at
-every leaf below it.
-
-A view computes its edge set and identity inverse on first read (see
-``BallView``), so a fresh view costs only what its verifier reads.  The
-store settles a view when it keeps it: it computes both once, and every
-copy served from the kept view shares them instead of computing its own
-at each leaf.
+The leaf loop trusts what it is handed: one row of labels per layer,
+each labelling every node (a ``Labelling`` is its own row, the tuple of
+its labels), and a hint that is a node.  A searched game checks each
+move once, when it is drawn (see ``engine.game_evaluate``), and runs the
+loop at every leaf below it.
 
 ``game_evaluate`` shares one store across the leaves of a searched game,
 and hints each leaf with the node that last rejected a leaf at the same
@@ -116,48 +109,42 @@ class Decision:
 
 
 class ViewStore:
-    """Radius-``radius`` views of ``instance``, one whole view kept per
-    centre from its second request on and settled when kept (see the
-    module docstring).
+    """Radius-``radius`` views of ``instance``, one view kept per centre
+    from its first request on (see the module docstring).
 
-    ``kept`` maps each centre whose view is kept to that view.
-    ``served`` counts every view the store hands out, and ``reused`` those
-    served from a kept view.  Neither counts what ``ball`` reuses from the
-    geometry it keeps, so both depend on this game alone.
+    ``kept`` maps each centre asked for to the view ``ball`` built on its
+    first request.  ``served`` counts every view the store hands out, so
+    ``served - len(kept)`` of them were copies of a kept view.  Neither
+    counts what ``ball`` reuses from the geometry it keeps, so both depend
+    on this game alone.
     """
 
     def __init__(self, instance: Instance, radius: int) -> None:
         self.instance = instance
         self.radius = radius
         self.served = 0
-        self.reused = 0
         self.kept: dict[int, BallView] = {}
-        self._asked: set[int] = set()
 
     def view(self, rows: Sequence[Sequence[object]], v: int) -> BallView:
         """Node ``v``'s view with ``rows`` (one label sequence per layer,
         indexed by node) projected onto its members."""
         self.served += 1
         kept = self.kept.get(v)
-        if kept is not None:
-            self.reused += 1
-            members = kept.members
-            return kept.with_layers([{u: row[u] for u in members}
-                                     for row in rows])
-        view = ball(self.instance, rows, v, self.radius)
-        if v in self._asked:
-            self.kept[v] = view.settle()
-        else:
-            self._asked.add(v)
-        return view
+        if kept is None:
+            kept = self.kept[v] = ball(self.instance, rows, v, self.radius)
+            return kept
+        members = kept.members
+        return kept.with_layers([{u: row[u] for u in members}
+                                 for row in rows])
 
     def first_rejection(self, decide: Callable[[BallView], bool],
                         rows: Sequence[Sequence[object]],
                         first: Optional[int] = None) -> Optional[int]:
-        """The leaf loop of ``first_rejection``: node ``first``, when given,
-        then every other node in node order, each decided once on a view
-        from this store, until one rejects.  Nothing handed to it is
-        checked (see the module docstring)."""
+        """The first node found to reject, or None when every node accepts.
+
+        Node ``first``, when given, is decided first; then every other
+        node in node order, each once, on a view from this store.  Nothing
+        handed to it is checked (see the module docstring)."""
         if first is not None and not decide(self.view(rows, first)):
             return first
         for v in range(self.instance.n):
@@ -177,52 +164,20 @@ def layer_row(labelling: Sequence[object], n: int,
     return labelling
 
 
-def _checked_rows(verifier: LocalVerifier, instance: Instance,
-                  labellings: Sequence[Sequence[object]]
-                  ) -> tuple[Sequence[object], ...]:
-    labellings = tuple(labellings)
-    if len(labellings) != verifier.layer_count:
-        raise VerifierError(
-            f"verifier reads {verifier.layer_count} labelling layers, got {len(labellings)}")
-    return tuple(layer_row(lab, instance.n, i)
-                 for i, lab in enumerate(labellings))
-
-
 def evaluate(verifier: LocalVerifier, instance: Instance,
              labellings: Sequence[Sequence[object]] = ()) -> Decision:
     """Run the verifier at every node and collect the full decision map.
 
     Each node decides on a fresh view from ``ball``, with no store: every
-    centre is asked once, so a store would keep nothing.  The views share
+    centre is asked once, so a store would serve no copy.  The views share
     only the geometry ``ball`` keeps for the instance's graph and
     identities; their inputs and labels are projected afresh."""
-    rows = _checked_rows(verifier, instance, labellings)
+    labellings = tuple(labellings)
+    if len(labellings) != verifier.layer_count:
+        raise VerifierError(
+            f"verifier reads {verifier.layer_count} labelling layers, got {len(labellings)}")
+    rows = tuple(layer_row(lab, instance.n, i)
+                 for i, lab in enumerate(labellings))
     decide, radius, build = verifier.decide, verifier.radius, ball
     return Decision(tuple(bool(decide(build(instance, rows, v, radius)))
                           for v in range(instance.n)))
-
-
-def first_rejection(verifier: LocalVerifier, instance: Instance,
-                    labellings: Sequence[Sequence[object]] = (),
-                    views: Optional[ViewStore] = None,
-                    first: Optional[int] = None) -> Optional[int]:
-    """The first node found to reject, or None when every node accepts.
-
-    Node ``first``, when given, is decided first; then every other node in
-    node order, each once.  Decisions are pure, so the order changes only
-    how many are made before a rejection is found, never whether one is.
-    ``views`` is the store to draw views from, bound to this instance and
-    the verifier's radius; without one the call uses a fresh store.  Each
-    decision draws exactly one view, so the store's ``served`` count is
-    the number of decisions made with it.  The arguments are checked here;
-    the loop itself is the store's ``first_rejection``.
-    """
-    rows = _checked_rows(verifier, instance, labellings)
-    if views is None:
-        views = ViewStore(instance, verifier.radius)
-    elif views.instance is not instance or views.radius != verifier.radius:
-        raise VerifierError("view store belongs to another instance or radius")
-    if first is not None and not 0 <= first < instance.n:
-        raise VerifierError(
-            f"first node {first} is not a node of the instance")
-    return views.first_rejection(verifier.decide, rows, first)

@@ -265,7 +265,16 @@ MUTANTS = (
         ("tests/test_runtime.py::"
          "test_evaluate_builds_one_view_per_node_and_no_store",
          "tests/test_runtime.py::test_a_searched_game_makes_one_store"),
-        "a one-shot evaluation runs a view store that can keep nothing"),
+        "a one-shot evaluation runs a view store, which serves no copy when"
+        " each centre is asked once"),
+    Mutant(
+        "store-keeps-nothing", "src/locdec/runtime.py",
+        "            kept = self.kept[v] = ball(self.instance, rows, v,"
+        " self.radius)\n",
+        "            kept = ball(self.instance, rows, v, self.radius)\n",
+        ("tests/test_view_store.py::test_store_views_equal_fresh_balls",
+         "tests/test_view_store.py::test_nta_exhaustive_counts"),
+        "a view store never keeps a view, so every request builds one"),
     Mutant(
         "components-skip-last-edge", "src/locdec/oracles.py",
         "    for (u, v) in edges:\n        ru, rv = find(u), find(v)\n",

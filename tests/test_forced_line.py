@@ -18,7 +18,7 @@ from locdec.gen import grid_graph, path_graph
 from locdec.graphs import IdAssignment, InputAssignment, Instance
 from locdec.protocol import PROVER, SEARCH, Protocol, ProtocolError
 from locdec.protocols import names, resolve
-from locdec.runtime import LocalVerifier, ViewStore, first_rejection
+from locdec.runtime import LocalVerifier, ViewStore
 
 from corpus import TRANSFORMS, plain_instance, small_instances
 
@@ -79,7 +79,7 @@ def test_a_forced_line_is_its_own_replay(name):
         assert outcome.leaf == runtime.evaluate(protocol.verifier, inst,
                                                 outcome.line)
         views = ViewStore(inst, protocol.verifier.radius)
-        first_rejection(protocol.verifier, inst, outcome.line, views=views)
+        views.first_rejection(protocol.verifier.decide, outcome.line)
         assert outcome.stats.node_evaluations == views.served
         assert outcome.stats.leaf_evaluations == 1
         assert outcome.stats.views_reused == outcome.stats.first_refutations == 0

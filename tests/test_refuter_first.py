@@ -1,7 +1,7 @@
 """Refuter-first leaves: the hinted node is decided first, nothing changes
 but the number of decisions.
 
-``runtime.first_rejection`` decides an optional hinted node, then every
+``ViewStore.first_rejection`` decides an optional hinted node, then every
 other node in node order, each once.  ``game_evaluate`` hints, at each
 leaf, the node that last rejected a leaf at the same final-level cover
 position.  Verdicts, lines, leaf decisions and leaf counts must equal
@@ -20,7 +20,7 @@ from locdec.gen import path_graph
 from locdec.labels import LabelDomain, Labelling, range_field
 from locdec.protocol import PROVER, Level, Protocol
 from locdec.protocols import names, resolve
-from locdec.runtime import LocalVerifier, VerifierError, ViewStore, first_rejection
+from locdec.runtime import LocalVerifier, ViewStore
 
 from corpus import TRANSFORMS, plain_instance, small_instances
 
@@ -45,14 +45,16 @@ def _recording(rejects: frozenset[int]):
 def test_every_node_is_decided_once_hinted_node_first(first, order):
     verifier, decided = _recording(frozenset())
     inst = plain_instance(path_graph(4))
-    assert first_rejection(verifier, inst, first=first) is None
+    views = ViewStore(inst, verifier.radius)
+    assert views.first_rejection(verifier.decide, (), first) is None
     assert decided == order
 
 
 def test_an_accepting_hint_leaves_the_rest_to_node_order():
     verifier, decided = _recording(frozenset({0, 3}))
     inst = plain_instance(path_graph(4))
-    assert first_rejection(verifier, inst, first=2) == 0
+    views = ViewStore(inst, verifier.radius)
+    assert views.first_rejection(verifier.decide, (), 2) == 0
     assert decided == [2, 0]
 
 
@@ -60,16 +62,9 @@ def test_a_rejecting_hint_settles_the_leaf_at_one_decision():
     verifier, decided = _recording(frozenset({0, 3}))
     inst = plain_instance(path_graph(4))
     views = ViewStore(inst, verifier.radius)
-    assert first_rejection(verifier, inst, views=views, first=3) == 3
+    assert views.first_rejection(verifier.decide, (), 3) == 3
     assert decided == [3]
     assert views.served == 1
-
-
-@pytest.mark.parametrize("first", [-1, 4])
-def test_a_hint_outside_the_instance_is_refused(first):
-    verifier, _ = _recording(frozenset())
-    with pytest.raises(VerifierError):
-        first_rejection(verifier, plain_instance(path_graph(4)), first=first)
 
 
 # ---------------------------------------------------------------------------

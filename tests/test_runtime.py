@@ -8,7 +8,7 @@ from locdec.gen import grid_graph
 from locdec.graphs import Graph, IdAssignment
 from locdec.protocols import resolve
 from locdec.runtime import (Decision, LocalVerifier, VerifierError, ViewStore,
-                            evaluate, first_rejection)
+                            evaluate)
 
 from corpus import c4, p3, plain_instance
 
@@ -113,12 +113,10 @@ def test_evaluate_is_deterministic():
 def test_verdict_early_exit_and_served_count():
     inst = plain_instance(p3())
     views = ViewStore(inst, 0)
-    reject_all = LocalVerifier(radius=0, layer_count=0, decide=lambda b: False)
-    assert first_rejection(reject_all, inst, (), views=views) == 0
+    assert views.first_rejection(lambda b: False, ()) == 0
     assert views.served == 1
     views = ViewStore(inst, 0)
-    accept_all = LocalVerifier(radius=0, layer_count=0, decide=lambda b: True)
-    assert first_rejection(accept_all, inst, (), views=views) is None
+    assert views.first_rejection(lambda b: True, ()) is None
     assert views.served == 3
 
 

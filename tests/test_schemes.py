@@ -12,7 +12,7 @@ from locdec.labels import (GatherCert, HamCert, Labelling, NSTCert, SizeCert,
                            non_ham_cert_domain, nst_cert_domain,
                            size_cert_domain, tree_cert_domain)
 from locdec.protocols import names, resolve
-from locdec.runtime import LocalVerifier, evaluate, first_rejection
+from locdec.runtime import LocalVerifier, ViewStore, evaluate
 from locdec.schemes import (SchemeError, build_gathering_cert,
                             build_hamiltonian_cert, build_non_hamiltonian_cert,
                             build_non_spanning_tree_cert, build_size_cert,
@@ -97,17 +97,19 @@ def test_tree_cert_two_roots_always_rejected():
     # Input with two pointer roots on P3; no root/distance labelling survives.
     g = path_graph(3)
     inst = plain_instance(g).with_inputs((Ptr(None), Ptr(1), Ptr(None)))
+    views = ViewStore(inst, ST.radius)
     for combo in product(product(range(1, 10), range(3)), repeat=3):
         lab = Labelling(TreeCert(r, None, d) for r, d in combo)
-        assert first_rejection(ST, inst, (lab,)) is not None
+        assert views.first_rejection(ST.decide, (lab,)) is not None
 
 
 def test_tree_cert_pointer_cycle_always_rejected():
     g = path_graph(3)
     inst = plain_instance(g).with_inputs((Ptr(2), Ptr(1), Ptr(2)))
+    views = ViewStore(inst, ST.radius)
     for combo in product(product(range(1, 10), range(3)), repeat=3):
         lab = Labelling(TreeCert(r, None, d) for r, d in combo)
-        assert first_rejection(ST, inst, (lab,)) is not None
+        assert views.first_rejection(ST.decide, (lab,)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +155,16 @@ def test_size_cert_wrong_count_always_rejected():
     parents = (None, 1, 2, 3)
     per_node = [SizeCert(r, p, s)
                 for r in range(1, 4) for p in parents for s in range(1, 4)]
+    views = ViewStore(inst, SIZE.radius)
     for combo in product(per_node, repeat=3):
-        assert first_rejection(SIZE, inst, (Labelling(combo),)) is not None
+        assert views.first_rejection(SIZE.decide, (Labelling(combo),)) is not None
 
 
 def test_size_cert_ghost_parent_rejected():
     # A parent id naming no neighbour must not slip past the sum check.
     inst = plain_instance(path_graph(3)).with_inputs((2, 2, 2))
     lab = Labelling((SizeCert(5, 7, 1), SizeCert(5, 7, 1), SizeCert(5, 7, 1)))
-    assert first_rejection(SIZE, inst, (lab,)) is not None
+    assert not evaluate(SIZE, inst, (lab,)).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +296,13 @@ def test_ham_two_disjoint_triangles_always_rejected():
         base = [(rid, None if t.parent[v] is None else inst.id_of(t.parent[v]),
                  t.dist[v]) for v in range(6)]
         others = [v for v in range(6) if v != root]
+        views = ViewStore(inst, HAM.radius)
         for ps in product(range(6), repeat=5):
             pos = [0] * 6
             for v, p in zip(others, ps):
                 pos[v] = p
             lab = Labelling(HamCert(*base[v], pos[v]) for v in range(6))
-            assert first_rejection(HAM, inst, (lab,)) is not None
+            assert views.first_rejection(HAM.decide, (lab,)) is not None
         # Nonzero root positions die at the root's own clause.
         lab = Labelling(HamCert(*base[v], 1 if v == root else 0) for v in range(6))
         assert evaluate(HAM, inst, (lab,)).at(root) is False
@@ -401,7 +405,7 @@ def test_nst_flag2_rejects_on_connected_pointers():
     cert = build_non_spanning_tree_cert(forest)
     st = plain_instance(path_graph(4)).with_inputs(
         (Ptr(None), Ptr(1), Ptr(2), Ptr(3)))
-    assert first_rejection(NST, st, (cert,)) is not None
+    assert not evaluate(NST, st, (cert,)).verdict
 
 
 def triangle_pointer_cycle():
@@ -478,7 +482,7 @@ def test_non_ham_flag0_rejects_on_proper_marks():
     cert = build_non_hamiltonian_cert(defect)
     proper = plain_instance(c4()).with_inputs(
         (Marks((2, 4)), Marks((1, 3)), Marks((2, 4)), Marks((1, 3))))
-    assert first_rejection(NONHAM, proper, (cert,)) is not None
+    assert not evaluate(NONHAM, proper, (cert,)).verdict
 
 
 # ---------------------------------------------------------------------------

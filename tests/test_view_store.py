@@ -1,10 +1,11 @@
-"""The per-game view store: exact views, bounded keeping, read-only views.
+"""The per-game view store: exact views, one kept view per centre,
+read-only views.
 
 A ``ViewStore`` serves every view a game's leaves ask for.  Its views must
-equal what ``graphs.ball`` builds for the same labellings, it keeps a
-centre's geometry only from the second request on, and verifiers must
-leave the views they are given untouched, since a kept view's geometry
-is shared by every later leaf.
+equal what ``graphs.ball`` builds for the same labellings, it keeps the
+view of a centre's first request and serves every later request a copy
+of it, and verifiers must leave the views they are given untouched,
+since a kept view's geometry is shared by every later leaf.
 """
 from __future__ import annotations
 
@@ -22,9 +23,12 @@ from locdec.gen import clique_graph, cycle_graph, grid_graph, path_graph
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
                            Instance, ball, make_view)
 from locdec.protocols import names, resolve
-from locdec.runtime import LocalVerifier, VerifierError, ViewStore, first_rejection
+from locdec.runtime import LocalVerifier, ViewStore
 
 from corpus import TRANSFORMS, asymmetric6, plain_instance, small_instances
+
+# The view attributes computed on first read, not set with the view.
+DERIVED = ("edges", "node_by_id")
 
 
 def _graph(draw, n: int) -> Graph:
@@ -83,22 +87,23 @@ def test_store_views_equal_fresh_balls(case):
         assert got == ball(inst, labellings[lab], v, t)
         asked[which, v] += 1
     for which, store in enumerate(stores):
-        counts = [c for (w, _), c in asked.items() if w == which]
-        assert store.reused == sum(max(0, c - 2) for c in counts)
-        assert set(store.kept) == {v for (w, v), c in asked.items()
-                                   if w == which and c >= 2}
+        counts = {v: c for (w, v), c in asked.items() if w == which}
+        assert set(store.kept) == set(counts)
+        assert store.served - len(store.kept) == sum(c - 1 for c in counts.values())
 
 
 @settings(deadline=None)
 @given(cases())
-def test_store_asked_once_per_centre_keeps_nothing(case):
+def test_store_asked_once_per_centre_reuses_nothing(case):
     instances, t, labellings, _ = case
     inst = instances[0]
     store = ViewStore(inst, t)
+    served = []
     for v in range(inst.n):
-        assert store.view(labellings[v % len(labellings)], v) == ball(
-            inst, labellings[v % len(labellings)], v, t)
-    assert store.kept == {} and store.reused == 0
+        served.append(store.view(labellings[v % len(labellings)], v))
+        assert served[-1] == ball(inst, labellings[v % len(labellings)], v, t)
+    assert store.served == len(store.kept) == inst.n
+    assert all(store.kept[v] is view for v, view in enumerate(served))
 
 
 @settings(deadline=None)
@@ -111,20 +116,9 @@ def test_shared_store_gives_fresh_store_verdicts(case):
         runs = []
         for views in (shared[which], ViewStore(instances[which], t)):
             before = views.served
-            rejecter = first_rejection(verifier, instances[which], labellings[lab],
-                                       views=views)
+            rejecter = views.first_rejection(verifier.decide, labellings[lab])
             runs.append((rejecter, views.served - before))
         assert runs[0] == runs[1]
-
-
-def test_store_refuses_another_instance_or_radius():
-    inst = plain_instance(path_graph(3))
-    other = plain_instance(path_graph(3))
-    verifier = LocalVerifier(1, 0, lambda view: True)
-    with pytest.raises(VerifierError, match="another instance"):
-        first_rejection(verifier, inst, (), views=ViewStore(other, 1))
-    with pytest.raises(VerifierError, match="another instance"):
-        first_rejection(verifier, inst, (), views=ViewStore(inst, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +127,9 @@ def test_store_refuses_another_instance_or_radius():
 
 def _snapshot(view) -> list:
     out = []
-    # `BallView.DERIVED` are not fields, so the snapshot names them.
-    # Reading them builds them, which is harmless here.
-    for name in (*(f.name for f in fields(view)), *BallView.DERIVED):
+    # `DERIVED` are not fields, so the snapshot names them.  Reading them
+    # builds them, which is harmless here.
+    for name in (*(f.name for f in fields(view)), *DERIVED):
         value = getattr(view, name)
         if isinstance(value, dict):
             value = dict(value)
@@ -232,26 +226,28 @@ def test_nta_exhaustive_counts():
     # The first image move meets each cover position for the first time,
     # with no hint, and scans in node order up to each root (1 + 2 + ... +
     # 6 = 21 decisions); every later leaf is refuted by its hinted node at
-    # one decision.  Two builds per centre, every later view served
-    # from kept geometry.
+    # one decision.  One build per centre, every later view a copy of
+    # the one the store kept.
     inst = Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
                     InputAssignment((None,) * 6))
     stats = game_evaluate(resolve("nta"), inst, EXHAUSTIVE).stats
     assert stats.leaf_evaluations == 4_320
     assert stats.node_evaluations == 4_335 == 21 + (4_320 - 6)
     assert stats.first_refutations == 4_314
-    assert stats.views_reused == 4_335 - 2 * inst.n
+    assert stats.views_reused == 4_335 - inst.n
 
 
 def test_nta_exhaustive_computes_derived_attributes_once_per_ball(monkeypatch):
-    # A kept view is settled, so the copies served from it at every leaf
-    # share its edge set and identity inverse.  Each computation is charged
-    # to the geometry it serves, which copies share with their source: a
-    # view `ball` built and never kept may have one copy compute for it.
+    # A store keeps each centre's first view, so the copies served from it
+    # at every later leaf share whatever its first decision computed.
+    # Under a verifier that reads the edge set and the identity inverse
+    # of every view, each is computed once per view `ball` builds: once
+    # per centre for the store's kept views and once per centre for the
+    # replay's fresh views, never for a copy.
     inst = Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
                     InputAssignment((None,) * 6))
     built = []
-    computed = Counter()
+    computed = []
     build = runtime.ball
 
     def counted_ball(*args):
@@ -260,21 +256,29 @@ def test_nta_exhaustive_computes_derived_attributes_once_per_ball(monkeypatch):
         return view
 
     monkeypatch.setattr(runtime, "ball", counted_ball)
-    for name in BallView.DERIVED:
+    for name in DERIVED:
         attr = BallView.__dict__[name]
 
         def counted(view, compute=attr.compute, name=name):
-            computed[name, id(view.adj_in)] += 1
+            computed.append((name, view))
             return compute(view)
 
         monkeypatch.setattr(attr, "compute", counted)
-    stats = game_evaluate(resolve("nta"), inst, EXHAUSTIVE).stats
-    assert stats.views_reused == 4_335 - 2 * inst.n
-    geometries = {id(view.adj_in) for view in built}
-    assert {geometry for _, geometry in computed} <= geometries
-    assert max(computed.values()) == 1
-    # Settling each kept view computes its edge set.
-    assert sum(n for (name, _), n in computed.items() if name == "edges") >= inst.n
+    nta = resolve("nta")
+    decide = nta.verifier.decide
+
+    def reading(view) -> bool:
+        view.edges
+        view.node_of(view.own_id)
+        return decide(view)
+
+    protocol = replace(nta, verifier=replace(nta.verifier, decide=reading))
+    stats = game_evaluate(protocol, inst, EXHAUSTIVE).stats
+    assert stats.views_reused == 4_335 - inst.n
+    assert len(built) == 2 * inst.n
+    for name in DERIVED:
+        assert sorted(id(view) for n, view in computed if n == name) \
+            == sorted(id(view) for view in built)
 
 
 def test_nta_exhaustive_builds_graph_only_work_once(monkeypatch):
@@ -335,18 +339,18 @@ def test_certificates_share_one_bfs_tree(monkeypatch, name, inst, mode):
 def test_opt_candidates_share_one_view_per_node(monkeypatch):
     # The 16 substitute inputs of a 4-node maxcut instance differ from it
     # only in inputs, so the cover, the language oracle and every
-    # candidate's objective read views built once per node.
+    # candidate's objective read views over shapes built once per node.
     inst = Instance(cycle_graph(4), IdAssignment((3, 1, 4, 2), 16),
                     InputAssignment((1, 1, 0, 0)))
     built = []
-    build = graphs.ball
+    build = graphs.make_view
 
-    def counted_ball(*args):
+    def counted_make_view(*args):
         built.append(args)
         return build(*args)
 
     _evict_geometry(inst)
-    monkeypatch.setattr(graphs, "ball", counted_ball)
+    monkeypatch.setattr(graphs, "make_view", counted_make_view)
     protocol = resolve("maxcut")
     verdict = game_evaluate(protocol, inst, EXHAUSTIVE).verdict
     assert verdict is protocol.language.oracle(inst) is True
