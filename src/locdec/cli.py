@@ -149,7 +149,9 @@ def _row(row, width: int, n: int, level: int) -> tuple[Optional[int], ...]:
 
 
 def parse_report(text: str) -> RunReport:
-    """The report in ``text``, checked for shape; labels stay bit patterns."""
+    """The report in ``text``, checked for shape; labels stay bit patterns.
+    Its verdict must be the conjunction of its node decisions, as every
+    game's is."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -158,6 +160,11 @@ def parse_report(text: str) -> RunReport:
         decisions = doc["decisions"]
         if not isinstance(decisions, list):
             raise ReportError(f"decisions {decisions!r} is not a list")
+        verdict = _boolean(doc["verdict"], "verdict")
+        accepts = tuple(_boolean(d, "decision") for d in decisions)
+        if verdict != all(accepts):
+            raise ReportError(f"verdict {verdict} contradicts decisions"
+                              f" {list(accepts)}")
         bits = tuple(LevelBits(_natural(b["width"], "width"),
                                _natural(b["budget"], "budget"))
                      for b in doc["bits"])
@@ -168,8 +175,8 @@ def parse_report(text: str) -> RunReport:
             protocol=_string(doc["protocol"], "protocol"),
             digest=_string(doc["instance"], "instance"),
             N=_natural(doc["N"], "N"),
-            verdict=_boolean(doc["verdict"], "verdict"),
-            decisions=tuple(_boolean(d, "decision") for d in decisions),
+            verdict=verdict,
+            decisions=accepts,
             bits=bits,
             witness=tuple(_row(row, b.width, len(decisions), level)
                           for level, (b, row) in enumerate(zip(bits, witness), 1)),

@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import IdAssignment, InputAssignment, Instance, Marks, Ptr
 from .labels import DomainError, Labelling
-from .protocol import (DISPROVER, PROVER, SEARCH, Protocol, ProtocolError,
-                       all_invalid_labelling, canonical_labelling)
+from .protocol import (PROVER, Protocol, ProtocolError, all_invalid_labelling,
+                       canonical_labelling)
 from .runtime import Decision, LocalVerifier, ViewStore, evaluate, layer_row
 
 class CapExceeded(RuntimeError):
@@ -33,9 +33,9 @@ class EvalMode:
     """Resource caps and the constructive/exhaustive switch.
 
     ``constructive`` False searches every prover level over its cover;
-    True takes the strategy move on every prover level but one whose
-    strategy is ``protocol.SEARCH``, which it searches.  Disprover levels
-    are always searched over their covers.  ``move_cap`` bounds the moves
+    True takes the strategy move on every prover level that has a
+    strategy, and searches one that has none.  Disprover levels are
+    always searched over their covers.  ``move_cap`` bounds the moves
     drawn from one level's cover at one position: covers, the default
     full product among them, are drawn lazily and refused once they yield
     more.  ``eval_cap`` bounds leaf evaluations (complete label
@@ -107,15 +107,15 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     """Play the game to optimal completion and replay its principal line.
 
     One rule gives every level's moves (``moves``).  On a prover level in
-    constructive play whose strategy is not ``SEARCH`` the one move is the
-    strategy's, checked against the level's domain.  Otherwise the moves
-    are the level's cover, drawn lazily under ``move_cap``, followed on a
-    disprover level whose domain has spare bit patterns by the
-    all-``INVALID`` forfeit unless the cover held it; when that leaves no
-    move at all, the canonical labelling is forced.  The level's owner
-    takes the first move that wins its sub-game, and otherwise loses with
-    the first move.  Each level's owner and forfeit are fixed once per
-    game.
+    constructive play that has a strategy, the one move is the
+    strategy's, checked against the level's domain.  Otherwise, on a
+    prover level with no strategy too, the moves are the level's cover,
+    drawn lazily under ``move_cap``, followed on a disprover level whose
+    domain has spare bit patterns by the all-``INVALID`` forfeit unless
+    the cover held it; when that leaves no move at all, the canonical
+    labelling is forced.  The level's owner takes the first move that
+    wins its sub-game, and otherwise loses with the first move.  Each
+    level's owner and forfeit are fixed once per game.
 
     Every move is checked once, when ``moves`` draws it: a cover move
     that does not label every node is refused there with
@@ -138,12 +138,12 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     keeps for the instance's graph and identities.
 
     A game that searches no level plays a forced line: a protocol with no
-    levels, or constructive play of one prover level whose strategy is not
-    ``SEARCH``, has one line and one leaf.  That line is decided once,
-    every node in full, and the decision is both the leaf and the replay,
-    so each ball is built once.  Each view up to the first rejecting one
-    is decided twice instead, and two answers that differ refuse the
-    verifier as impure, as a replay that disagrees with the search does.
+    levels, or constructive play of one prover level that has a strategy,
+    has one line and one leaf.  That line is decided once, every node in
+    full, and the decision is both the leaf and the replay, so each ball
+    is built once.  Each view up to the first rejecting one is decided
+    twice instead, and two answers that differ refuse the verifier as
+    impure, as a replay that disagrees with the search does.
     """
     if instance.n > mode.node_cap:
         raise CapExceeded(
@@ -155,7 +155,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     # move is the strategy's, and the disprover's forfeit, if any.
     provers = tuple(protocol.owner(i + 1) == PROVER for i in range(k))
     strategic = tuple(mode.constructive and prover
-                      and level.strategy is not SEARCH
+                      and level.strategy is not None
                       for prover, level in zip(provers, protocol.levels))
     forfeits = tuple(
         all_invalid_labelling(n)
@@ -167,10 +167,6 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         # here, when drawn.
         level = protocol.levels[idx]
         if strategic[idx]:
-            if level.strategy is None:
-                raise ProtocolError(
-                    f"{protocol.name}: level {idx + 1} has no strategy for"
-                    f" constructive play")
             move = level.strategy(instance, earlier)
             try:
                 domains[idx].check_labelling(move)

@@ -17,8 +17,8 @@ checked strategy move on a prover level in constructive play, else the
 cover (plus the disprover's all-``INVALID`` forfeit), else the forced
 canonical labelling.  A strategy with no better move to make plays
 ``first_move``, the cover's first move or else the canonical labelling.
-A prover level whose strategy is ``SEARCH`` is searched in constructive
-play too: the paper's prover is unbounded, so a search is a fair strategy.
+A prover level with no strategy is searched in constructive play too:
+the paper's prover is unbounded, so a search is a fair strategy.
 """
 
 from __future__ import annotations
@@ -59,13 +59,6 @@ Cover = Callable[[Instance, tuple[Labelling, ...]], Iterable[Labelling]]
 Strategy = Callable[[Instance, tuple[Labelling, ...]], Labelling]
 
 
-def SEARCH(instance: Instance, earlier: tuple[Labelling, ...]) -> Labelling:
-    """Marks a level whose honest move is the engine's search of its cover.
-    It plays no move: a transform that calls its parts' strategies refuses
-    it when built, and a call is refused."""
-    raise ProtocolError("SEARCH plays no move: its level is searched")
-
-
 @dataclass(frozen=True)
 class Level:
     """One labelling round: its domain, move cover and optional strategy.
@@ -79,8 +72,9 @@ class Level:
     domain, so a built level always has a cover; the product is drawn
     lazily, and the engine refuses it only once more than ``move_cap``
     moves have been drawn.  ``strategy`` picks the honest move during
-    constructive play, or is ``SEARCH``, the engine's search of the cover;
-    it is only consulted on prover levels.
+    constructive play; left out (None), constructive play searches the
+    cover, as exhaustive play does.  It is only consulted on prover
+    levels.
     """
 
     domain_of: DomainFactory

@@ -375,7 +375,8 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
             return False
         return any(rivals(instance, base))
 
-    # As in ``unanimous_combine``, a strategy only when both parts have one.
+    # As in ``unanimous_combine``, a strategy only when both parts have one;
+    # otherwise constructive play searches the cover.
     level = Level(domain_of, cover,
                   strategy if yes_move and no_move else None)
     return Protocol(name, PROVER, (level,),

@@ -14,7 +14,7 @@ literal.  Universal rounds are kept meaningful by reading, not by
 rejection: a damaged or one-sided value at an even level counts as
 true, so straying from a real assignment only helps the prover, and
 the round covers range over exactly the real assignments.  The prover
-in the paper is unbounded, so its levels take ``SEARCH``: its honest
+in the paper is unbounded, so its levels carry no strategy: its honest
 move is the first cover move that wins the rest of the game, which the
 engine's search finds in constructive play as in exhaustive play.
 
@@ -39,8 +39,8 @@ from ..graphs import (BallView, Cls, Graph, IdAssignment, InputAssignment,
                       Instance, Lit)
 from ..labels import LabelDomain, Labelling, optional_range_field
 from ..oracles import oracle_qbf
-from ..protocol import (PROVER, SEARCH, LanguageSpec, Level, Protocol,
-                        ProtocolError, keep_last)
+from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
+                        keep_last)
 from ..runtime import LocalVerifier
 
 
@@ -243,9 +243,7 @@ def protocol_qbf_k(k: int) -> Protocol:
         except FormulaError:
             return False
 
-    levels = tuple(
-        Level(truth_domain, cover_at(i), SEARCH if i % 2 == 1 else None)
-        for i in range(1, k + 1))
+    levels = tuple(Level(truth_domain, cover_at(i)) for i in range(1, k + 1))
     name = "qbf" if k == 2 else f"qbf-{k}"
     return Protocol(name, PROVER, levels, LocalVerifier(1, k, _decide),
                     LanguageSpec(oracle))

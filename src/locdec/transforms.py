@@ -21,27 +21,23 @@ from .graphs import BallView, Instance, make_view
 from .labels import (INVALID, LabelDomain, Labelling, flag_field, id_field,
                      optional_id_field, range_field, sub_field,
                      tree_cert_domain)
-from .protocol import (DISPROVER, PROVER, SEARCH, LanguageSpec, Level,
-                       Protocol, ProtocolError, canonical_labelling,
-                       other_side, pattern_tag)
+from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
+                       ProtocolError, canonical_labelling, other_side,
+                       pattern_tag)
 from .runtime import LocalVerifier, evaluate
 from .schemes import (READ_TREE_CERT, build_size_cert, honest_tree, size_ok,
                       tree_ok, tree_reader, uniform)
 
 
 def require_single_prover_level(purpose: str, *protocols: Protocol) -> None:
-    """Refuse any of ``protocols`` that is not one prover level, or whose
-    level is searched (``SEARCH``): every caller plays its parts by
-    calling their strategies."""
+    """Refuse any of ``protocols`` that is not one prover level.  A part
+    whose level has no strategy is taken: the caller's own level then has
+    none either, and constructive play searches it."""
     for q in protocols:
         if q.level_count != 1 or q.first != PROVER:
             raise ProtocolError(
                 f"{purpose} needs single-level prover-first protocols,"
                 f" {q.name} is {pattern_tag(q.first, q.level_count)}")
-        if q.levels[0].strategy is SEARCH:
-            raise ProtocolError(
-                f"{purpose} calls its parts' strategies, but {q.name}'s"
-                f" level is searched (SEARCH)")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +85,8 @@ def complement_lift(p: Protocol) -> Protocol:
 
     The old levels change owners but keep their domains, covers and
     strategies; a protocol keeps strategies on its prover levels only, so
-    a lift of a lift plays its base protocol's strategies again.  A new
+    a lift of a lift plays its base protocol's strategies again, and a
+    base disprover level, which the prover now owns, is searched.  A new
     final prover level carries a rooted tree certificate whose root names
     one node, and the root node re-runs the old verifier on the swapped
     layers and accepts exactly when it rejects.  A protocol whose added
@@ -296,9 +293,9 @@ def collapse_last_universal(p: Protocol) -> Protocol:
             yield Labelling(CollapsedLabel(bm[v], *fragment[v])
                             for v in range(instance.n))
 
-    # A searched (SEARCH) base level stays searched, over the wider cover.
+    # A base level with no strategy stays searched, over the wider cover.
     strategy = base_level.strategy
-    if strategy is not None and strategy is not SEARCH:
+    if strategy is not None:
         def strategy(instance: Instance,
                      earlier: tuple[Labelling, ...]) -> Labelling:
             bm = base_level.strategy(instance, earlier)
@@ -326,8 +323,9 @@ def unanimous_combine(p_yes: Protocol, p_no: Protocol) -> Protocol:
     """Single protocol whose honest runs are unanimous on every instance.
 
     Both inputs must be single-level prover-first protocols, with ``p_no``
-    accepting exactly the instances ``p_yes`` rejects; the strategy calls
-    theirs, so a searched (``SEARCH``) part is refused.  Each node carries
+    accepting exactly the instances ``p_yes`` rejects.  The strategy calls
+    theirs, so when a part has none the level has none, and constructive
+    play searches its cover.  Each node carries
     a branch bit plus a label for both sub-protocols.  Inside a uniformly
     flagged region a node answers as the flagged sub-protocol (negated on
     the no branch); on a flag boundary it answers its own bit.

@@ -64,11 +64,14 @@ MUTANTS = (
          "test_a_rejected_forced_line_refuses_an_impure_node_up_to_its_rejection"),
         "a forced line decides each node once, so an impure verifier passes"),
     Mutant(
-        "constructive-play-calls-search", "src/locdec/engine.py",
-        "                      and level.strategy is not SEARCH\n", "",
-        ("tests/test_qbf.py::TestGames::"
-         "test_searched_levels_play_the_exhaustive_game_on_wider_formulas",),
-        "constructive play calls a SEARCH level's strategy"),
+        "constructive-play-calls-a-missing-strategy", "src/locdec/engine.py",
+        "                      and level.strategy is not None\n", "",
+        ("tests/test_engine.py::"
+         "test_a_prover_level_without_a_strategy_is_searched",
+         "tests/test_qbf.py::TestGames::"
+         "test_searched_levels_play_the_exhaustive_game_on_wider_formulas"),
+        "constructive play calls the strategy of a prover level that has"
+        " none"),
     Mutant(
         "searched-level-plays-a-forced-line", "src/locdec/engine.py",
         "    if all(strategic):\n",
@@ -77,25 +80,17 @@ MUTANTS = (
          "test_a_searched_level_plays_what_exhaustive_play_plays",
          "tests/test_qbf.py::TestGames::"
          "test_collapsed_searched_level_plays_the_exhaustive_game"),
-        "constructive play of one SEARCH level takes its first cover move"
-        " unsearched"),
+        "constructive play of one prover level with no strategy takes its"
+        " first cover move unsearched"),
     Mutant(
-        "collapse-wraps-search", "src/locdec/transforms.py",
-        "    if strategy is not None and strategy is not SEARCH:\n",
+        "collapse-wraps-a-missing-strategy", "src/locdec/transforms.py",
         "    if strategy is not None:\n",
+        "    if True:\n",
         ("tests/test_engine.py::test_collapse_keeps_a_searched_level_searched",
-         "tests/test_forced_line.py::"
-         "test_a_searched_level_plays_what_exhaustive_play_plays"),
-        "collapse_last_universal wraps SEARCH in a strategy that calls it"),
-    Mutant(
-        "unanimous-accepts-a-searched-part", "src/locdec/transforms.py",
-        "        if q.levels[0].strategy is SEARCH:\n",
-        "        if False:\n",
-        ("tests/test_engine.py::test_unanimous_refuses_a_searched_part",
-         "tests/test_opt.py::TestProtocolOptConstruction::"
-         "test_admissibility_protocols_must_have_strategies_to_call"),
-        "unanimous and opt build on a SEARCH part, whose strategy they call"
-        " mid-game"),
+         "tests/test_qbf.py::TestGames::"
+         "test_collapsed_searched_level_plays_the_exhaustive_game"),
+        "collapse_last_universal wraps a missing base strategy in a strategy"
+        " that calls it"),
     Mutant(
         "no-forfeit", "src/locdec/engine.py",
         "        if not prover and domain.has_invalid else None\n",

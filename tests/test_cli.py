@@ -20,6 +20,8 @@ from locdec.protocol import PROVER, Protocol
 from locdec.protocols import resolve
 from locdec.runtime import LocalVerifier
 
+from corpus import small_instances
+
 
 def _decoded(report):
     """The report's rows decoded by its protocol's level domains."""
@@ -137,6 +139,19 @@ def test_non_boolean_verdicts_are_rejected(field, value):
     doc = json.loads(emit_report(_mst_report()[0]))
     doc[field] = value
     with pytest.raises(ReportError, match=field.rstrip("s")):
+        parse_report(json.dumps(doc))
+
+
+@pytest.mark.parametrize("verdict, decisions", [
+    (True, [True, False, True]), (False, [True, True, True]),
+])
+def test_a_verdict_that_contradicts_the_decisions_is_rejected(verdict,
+                                                              decisions):
+    # `export --report` colours nodes from the decisions, so they must
+    # agree with the verdict they explain.
+    doc = json.loads(emit_report(_mst_report()[0]))
+    doc["verdict"], doc["decisions"] = verdict, decisions
+    with pytest.raises(ReportError, match="contradicts decisions"):
         parse_report(json.dumps(doc))
 
 
@@ -319,6 +334,24 @@ def _write(tmp_path, name, instance):
     path = tmp_path / name
     path.write_text(emit_instance(instance))
     return path
+
+
+@pytest.mark.parametrize("name", ["lift:cycle-vc", "lift:nta"])
+def test_check_plays_a_lift_constructively(tmp_path, capsys, name):
+    # The base's disprover level passes to the prover with no strategy,
+    # and constructive play searches it.
+    protocol = resolve(name)
+    verdicts = []
+    for i, instance in enumerate(small_instances(name.partition(":")[2])):
+        path = _write(tmp_path, f"{i}.json", instance)
+        want = protocol.language.oracle(instance)
+        status = main(["check", name, str(path), "--mode", "constructive"])
+        assert status == (0 if want else 1)
+        report = parse_report(capsys.readouterr().out)
+        assert (report.protocol, report.verdict) == (name, want)
+        verdicts.append(want)
+    assert verdicts == {"lift:cycle-vc": [True, True, True, False],
+                        "lift:nta": [False, False]}[name]
 
 
 def _pointer_path():

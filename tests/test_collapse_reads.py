@@ -372,8 +372,8 @@ def test_collapsed_qbf_runs_its_base_only_on_what_it_reads():
                                                  max_clauses=4, k=2))
         except InstanceError:
             continue
-        # The prover's level is searched (SEARCH), so its honest move is
-        # the constructive game's line.
+        # The prover's level has no strategy and is searched, so its honest
+        # move is the constructive game's line.
         line = game_evaluate(folded, inst, EvalMode(constructive=True,
                                                     node_cap=inst.n)).line
         for v in range(inst.n):

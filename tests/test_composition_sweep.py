@@ -4,16 +4,15 @@ or plays to its oracle's verdict.
 The sweep resolves 294 names: the 14 registered ones, each of them under
 one or two ``lift:``/``collapse:`` prefixes, and every ``unanimous:A+B``.
 A transform must work on a protocol or refuse it when it is built, with
-a ``ProtocolError``; the one other refusal allowed is at game start, when
-constructive play reaches a level with no strategy.  Each name that
-builds is played, exhaustive and constructive, on the small corpus
+a ``ProtocolError``; no game is refused once it is built, since
+constructive play searches a prover level with no strategy.  Each name
+that builds is played, exhaustive and constructive, on the small corpus
 instances of its left base name (the name with its prefixes dropped, or
 ``A`` of ``unanimous:A+B``), and every verdict of a protocol that
 declares a language must be its oracle's.
 """
 from __future__ import annotations
 
-import re
 from itertools import product
 
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
@@ -23,8 +22,6 @@ from locdec.protocols import names, resolve
 from corpus import small_instances
 
 PREFIXES = ("lift:", "collapse:")
-NO_STRATEGY = re.compile(r"(.+): level (\d+) has no strategy for"
-                         r" constructive play")
 
 
 def composed_names() -> list[str]:
@@ -49,8 +46,7 @@ def test_the_sweep_names_each_composition_once():
 
 
 def test_compositions_are_refused_by_name_or_play_their_oracles():
-    built, refused, games = [], [], 0
-    start_refusals, disagreements = [], []
+    built, refused, games, disagreements = [], [], 0, []
     for name in composed_names():
         try:
             protocol = resolve(name)
@@ -61,19 +57,14 @@ def test_compositions_are_refused_by_name_or_play_their_oracles():
         oracle = protocol.language and protocol.language.oracle
         for inst in small_instances(left_base(name)):
             for mode in (EXHAUSTIVE, CONSTRUCTIVE):
-                try:
-                    outcome = game_evaluate(protocol, inst, mode)
-                except ProtocolError as exc:
-                    match = NO_STRATEGY.fullmatch(str(exc))
-                    assert match and mode is CONSTRUCTIVE, (name, str(exc))
-                    start_refusals.append((match[1], int(match[2])))
-                    continue
+                # Any error, a ProtocolError among them, fails the sweep.
+                outcome = game_evaluate(protocol, inst, mode)
                 games += 1
                 if oracle and outcome.verdict != oracle(inst):
                     disagreements.append((name, mode.constructive, inst))
     assert (len(built), len(refused)) == (142, 152)
-    assert (games, len(start_refusals)) == (1_002, 6)
-    # `complement_lift` hands the base's disprover level to the prover
-    # with no strategy, so constructive play cannot start it.
-    assert set(start_refusals) == {("lift:cycle-vc", 2), ("lift:nta", 2)}
+    # Every game that starts ends: `lift:cycle-vc` and `lift:nta` hand
+    # the base's disprover level to the prover with no strategy, and
+    # constructive play searches it.
+    assert games == 1_008
     assert disagreements == []

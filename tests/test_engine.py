@@ -14,7 +14,7 @@ from locdec.gen import (clique_graph, cycle_graph, grid_graph, path_graph,
 from locdec.graphs import (IdAssignment, InputAssignment, Instance, Ptr, ball)
 from locdec.labels import (INVALID, LabelDomain, Labelling, TreeCert,
                            build_bfs_tree, flag_field, tree_cert_domain)
-from locdec.protocol import (DISPROVER, PROVER, SEARCH, LanguageSpec, Level,
+from locdec.protocol import (DISPROVER, PROVER, LanguageSpec, Level,
                              Protocol, ProtocolError, all_invalid_labelling,
                              canonical_labelling, pattern_tag, product_cover)
 from locdec.protocols.basic import (protocol_non_spanning_tree,
@@ -462,11 +462,19 @@ def test_caps_accept_one():
     assert EvalMode(node_cap=1, move_cap=1, eval_cap=1).eval_cap == 1
 
 
-def test_constructive_needs_strategy():
+def test_a_prover_level_without_a_strategy_is_searched():
+    # Constructive play searches the level's cover, as exhaustive play
+    # does, so the whole outcome is exhaustive play's, stats included.
     bare = Protocol("bare", PROVER, (Level(bit_domain),),
-                    LocalVerifier(1, 1, lambda b: True))
-    with pytest.raises(ProtocolError, match="no strategy"):
-        game_evaluate(bare, plain_instance(path_graph(2)), CONSTRUCTIVE)
+                    LocalVerifier(1, 1, lambda b: _two_col_check(b, 0)))
+    verdicts = []
+    for graph in (path_graph(3), cycle_graph(3)):
+        inst = plain_instance(graph)
+        outcome = game_evaluate(bare, inst, CONSTRUCTIVE)
+        assert outcome == game_evaluate(bare, inst, EXHAUSTIVE)
+        assert outcome.stats.leaf_evaluations > 1
+        verdicts.append(outcome.verdict)
+    assert verdicts == [True, False]
 
 
 def test_strategy_outside_domain_is_an_error():
@@ -708,22 +716,16 @@ def test_unanimous_needs_single_level():
 
 @pytest.mark.parametrize("name", ["unanimous:qbf-1+size",
                                   "unanimous:size+qbf-1"])
-def test_unanimous_refuses_a_searched_part(name):
-    # The combined strategy calls each part's strategy, and a SEARCH level
-    # has none to call, so the build refuses it rather than a game.
-    with pytest.raises(ProtocolError, match="qbf-1's level is searched"):
-        resolve(name)
+def test_unanimous_of_a_searched_part_builds_without_a_strategy(name):
+    # The combined strategy calls each part's strategy; qbf-1's level has
+    # none, so the combined level has none either and is searched.
+    assert resolve(name).levels[0].strategy is None
 
 
 def test_collapse_keeps_a_searched_level_searched():
-    assert resolve("qbf").levels[0].strategy is SEARCH
-    assert resolve("collapse:qbf").levels[0].strategy is SEARCH
-    assert resolve("collapse:qbf-4").levels[0].strategy is SEARCH
-
-
-def test_search_plays_no_move():
-    with pytest.raises(ProtocolError, match="SEARCH plays no move"):
-        SEARCH(p3_pointer_instance(), ())
+    assert resolve("qbf").levels[0].strategy is None
+    assert resolve("collapse:qbf").levels[0].strategy is None
+    assert resolve("collapse:qbf-4").levels[0].strategy is None
 
 
 def test_unanimous_honest_yes_is_all_accept():

@@ -1,11 +1,12 @@
 """Forced lines: a game that searches no level decides its one line once.
 
-A protocol with no levels, or constructive play of one prover level whose
-strategy is not ``SEARCH``, has one line.  ``game_evaluate`` decides it in
-one ``evaluate`` call that is both the leaf and the replay: each ball is
+A protocol with no levels, or constructive play of one prover level that
+has a strategy, has one line.  ``game_evaluate`` decides it in one
+``evaluate`` call that is both the leaf and the replay: each ball is
 built once, each view up to the first rejecting one decided twice and
 every later one once, and the counts are those of a hint-free search of
-its one leaf.  A ``SEARCH`` level is searched in constructive play too.
+its one leaf.  A prover level with no strategy is searched in
+constructive play too.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, game_evaluate,
                            identity_variants)
 from locdec.gen import grid_graph, path_graph
 from locdec.graphs import IdAssignment, InputAssignment, Instance
-from locdec.protocol import PROVER, SEARCH, Protocol, ProtocolError
+from locdec.protocol import PROVER, Protocol, ProtocolError
 from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, ViewStore
 
@@ -39,12 +40,13 @@ def test_a_forced_line_plays_what_the_search_plays(name):
 def _one_prover_level(name: str, searched: bool) -> bool:
     protocol = resolve(name)
     return (protocol.level_count == 1 and protocol.first == PROVER
-            and (protocol.levels[0].strategy is SEARCH) == searched)
+            and (protocol.levels[0].strategy is None) == searched)
 
 
 ONE_PROVER_LEVEL = tuple(name for name in (*names(), *TRANSFORMS)
                          if _one_prover_level(name, searched=False))
-# One prover level that the engine searches (SEARCH), so no forced line.
+# One prover level with no strategy, which the engine searches, so no forced
+# line.
 ONE_SEARCHED_LEVEL = tuple(name for name in (*names(), *TRANSFORMS)
                            if _one_prover_level(name, searched=True))
 
@@ -57,8 +59,8 @@ def test_every_one_prover_level_name_is_swept():
 
 @pytest.mark.parametrize("name", ONE_SEARCHED_LEVEL)
 def test_a_searched_level_plays_what_exhaustive_play_plays(name):
-    # Constructive play searches a SEARCH level's cover, leaves, hints and
-    # replay included, so the whole outcome is exhaustive play's.
+    # Constructive play searches a strategy-less level's cover, leaves,
+    # hints and replay included, so the whole outcome is exhaustive play's.
     protocol = resolve(name)
     leaves = []
     for base in small_instances(name):

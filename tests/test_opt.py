@@ -336,13 +336,13 @@ class TestProtocolOptConstruction:
                          resolve("non-spanning-tree"), lambda b: 0, "min",
                          candidates=lambda inst: (), name="lifted")
 
-    def test_admissibility_protocols_must_have_strategies_to_call(self):
-        # The strategy calls both admissibility strategies; a searched
-        # (SEARCH) level has none, so the build refuses it.
-        with pytest.raises(ProtocolError, match="qbf-1's level is searched"):
-            protocol_opt(resolve("qbf-1"), resolve("non-spanning-tree"),
-                         lambda b: 0, "min", candidates=lambda inst: (),
-                         name="searched")
+    def test_a_searched_admissibility_part_leaves_no_strategy(self):
+        # The strategy calls both admissibility strategies; qbf-1's level
+        # has none, so the optimality level has none and is searched.
+        searched = protocol_opt(resolve("qbf-1"), resolve("non-spanning-tree"),
+                                lambda b: 0, "min", candidates=lambda inst: (),
+                                name="searched")
+        assert searched.levels[0].strategy is None
 
     def test_admissibility_protocols_must_declare_a_language(self):
         # A unanimous combination declares no language; the strategy and

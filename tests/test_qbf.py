@@ -179,7 +179,7 @@ class TestGames:
         assert report.ok, report.disagreements
 
     def test_three_level_strategies_win_every_won_game(self):
-        # qbf's prover levels are SEARCH levels, so constructive play
+        # qbf's prover levels carry no strategy, so constructive play
         # searches levels 1 and 3 over their covers, as exhaustive play
         # does; the level-3 search reads the literal truths the earlier
         # levels set.
@@ -207,7 +207,7 @@ class TestGames:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_strategy_plays_the_exhaustive_line(self, k):
-        # The prover's strategy is the engine's search (SEARCH), so
+        # The prover's levels carry no strategy and are searched, so
         # constructive and exhaustive play give the same outcome: verdict,
         # principal line, leaf and stats.  Four levels need more seeds to
         # reach 40 games, as fewer formulas encode.
@@ -238,18 +238,19 @@ class TestGames:
         assert games == 488
 
     def test_collapsed_searched_level_plays_the_exhaustive_game(self):
-        # collapse_last_universal keeps the widened level's SEARCH.
+        # collapse_last_universal leaves the widened level with no
+        # strategy, so it is searched.
         p = resolve("collapse:qbf")
         for inst in wide_formula_games(2):
             assert game_evaluate(p, inst, WIDE_CONSTRUCTIVE) \
                 == game_evaluate(p, inst, WIDEST), inst.ids
 
     def test_double_lift_searches_the_base_prover_levels(self):
-        # lift:lift:qbf-3 gives qbf-3's levels back to the prover with their
-        # SEARCH.  Its added final level plays complement_lift's strategy,
-        # one move where the search tries roots in identity order, so the
-        # stats differ; the outcome does not, and the strategy tries no
-        # more leaves.
+        # lift:lift:qbf-3 gives qbf-3's levels back to the prover with no
+        # strategy, so they are searched.  Its added final level plays
+        # complement_lift's strategy, one move where the search tries roots
+        # in identity order, so the stats differ; the outcome does not, and
+        # the strategy tries no more leaves.
         p = resolve("lift:lift:qbf-3")
         verdicts = set()
         for k in (1, 2, 3):
