@@ -78,7 +78,7 @@ def build_report(protocol: Protocol, instance: Instance,
         digest=instance_digest(instance),
         N=instance.N,
         verdict=outcome.verdict,
-        decisions=tuple(outcome.leaf.at(v) for v in range(instance.n)),
+        decisions=outcome.leaf.accepts,
         bits=tuple(LevelBits(d.width, d.budget) for d in domains),
         witness=tuple(tuple(None if x is INVALID else d.encode(x)
                             for x in layer)

@@ -178,19 +178,10 @@ class IdAssignment:
     def node_by_id(self) -> dict[int, int]:
         return {ident: v for v, ident in enumerate(self.ids)}
 
-    def id_of(self, v: int) -> int:
-        return self.ids[v]
-
-    def node_of(self, ident: int) -> Optional[int]:
-        return self.node_by_id.get(ident)
-
 
 @dataclass(frozen=True)
 class InputAssignment:
     values: tuple[InputValue, ...]
-
-    def value(self, v: int) -> InputValue:
-        return self.values[v]
 
 
 @dataclass(frozen=True)
@@ -242,13 +233,13 @@ class Instance:
         return self.ids.N
 
     def id_of(self, v: int) -> int:
-        return self.ids.id_of(v)
+        return self.ids.ids[v]
 
     def node_of(self, ident: int) -> Optional[int]:
-        return self.ids.node_of(ident)
+        return self.ids.node_by_id.get(ident)
 
     def input_of(self, v: int) -> InputValue:
-        return self.inputs.value(v)
+        return self.inputs.values[v]
 
     def with_inputs(self, values: Sequence[InputValue]) -> "Instance":
         return Instance(self.graph, self.ids, InputAssignment(tuple(values)))
@@ -282,18 +273,20 @@ class BallView:
     may be truncated and verifiers must not assume they see all edges
     incident to them.
 
-    Views are plain values built by `make_view`, whose cost is the sum of
-    the member degrees, or by `ball` over a kept `Shape` (see `geometry`),
-    whose cost is the projection of the inputs and labels onto the
-    members.  Every field is set with the view: `adj_in` maps
-    each member to its neighbours inside the ball, and `weights_in` is None
-    unless the instance is weighted.  `edges` and `node_by_id` (the inverse
-    of `ids_in`) are not fields.  Each is computed from the fields on its
-    first read and cached in the view; these caches are the only writes a
-    view takes after it is built.  Equality is over the fields, and the two
-    are functions of them.  A view holds no
-    reference to graph-wide data (adjacency, identities, weights), so only
-    what can be derived from in-ball data can be left to a first read.
+    A view is a `Shape`, its label-free and input-free fields, plus the
+    inputs and labels projected onto its members.  `make_shape` builds a
+    shape at the cost of the sum of the member degrees, and `view_over`
+    fills a view over one at the cost of the projection.  `ball` keeps
+    each shape it builds (see `geometry`).  Every field is set with the
+    view: `adj_in` maps each member to its neighbours inside the ball,
+    and `weights_in` is None unless the instance is weighted.  `edges` and
+    `node_by_id` (the inverse of `ids_in`) are not fields.  Each is
+    computed from the fields on its first read and cached in the view;
+    these caches are the only writes a view takes after it is built.
+    Equality is over the fields, and the two are functions of them.  A
+    view holds no reference to graph-wide data (adjacency, identities,
+    weights), so only what can be derived from in-ball data can be left
+    to a first read.
 
     Views share their geometry dicts: every view `ball` builds for one
     centre and radius of a (graph, identities) pair shares that pair's
@@ -388,27 +381,37 @@ class BallView:
         return view
 
 
-def make_view(centre: int, radius: int, dist: dict[int, int],
-              adj: Sequence[frozenset[int]] | Mapping[int, frozenset[int]],
-              ids: Sequence[int] | Mapping[int, int],
-              inputs: Sequence[InputValue] | Mapping[int, InputValue],
-              layers: Sequence[Sequence[object] | Mapping[int, object]],
-              weights: Optional[Mapping[Edge, int]], N: int) -> BallView:
-    """The radius-`radius` view of `centre` whose members are the keys of `dist`.
+# A ball's label-free, input-free fields, in `BallView` order: `members`,
+# `adj_in`, `ids_in`, `centre_dist` and `weights_in`.  `make_shape` builds
+# them and `view_over` fills a view over them.  Of these only the tuple
+# itself, `adj_in`, its frontier sets (one per distinct value) and
+# `weights_in` stay tracked by the cyclic collector: `members`, `ids_in`
+# and `centre_dist` hold only ints.
+Shape = tuple[tuple[int, ...], dict[int, frozenset[int]], dict[int, int],
+              dict[int, int], Optional[dict[Edge, int]]]
 
-    `dist` maps every node within `radius` of `centre` to its distance.
-    `adj`, `ids`, `inputs` and each layer are indexed by node, `weights`
-    by edge; a whole instance or a wider view around the same centre can
-    supply them.  A member closer than `radius` has all its neighbours in
-    the ball, so it keeps its adjacency as it is; a frontier member's is
-    one set intersection with the members, which costs at most its
-    degree.  The whole view costs the sum of the member degrees.
+
+def make_shape(radius: int, dist: dict[int, int],
+               adj: Sequence[frozenset[int]] | Mapping[int, frozenset[int]],
+               ids: Sequence[int] | Mapping[int, int],
+               weights: Optional[Mapping[Edge, int]]) -> Shape:
+    """The `Shape` of the radius-`radius` ball whose members are the keys
+    of `dist`.
+
+    `dist` maps every node within `radius` of the centre to its distance
+    and becomes the shape's `centre_dist`.  `adj` and `ids` are indexed by
+    node, `weights` by edge; a whole instance or a wider view around the
+    same centre can supply them.  A member closer than `radius` has all
+    its neighbours in the ball, so it keeps its adjacency as it is; a
+    frontier member's is one set intersection with the members, which
+    costs at most its degree.  The whole shape costs the sum of the member
+    degrees.
 
     Frontier members whose in-ball neighbours are equal share one set, so
-    a radius-1 view of a triangle-free graph holds one set for all its
+    a radius-1 shape of a triangle-free graph holds one set for all its
     frontier (each member sees only the centre).  The sets are immutable
     and views compare them by value; sharing only spares the cyclic
-    collector the objects a kept view would otherwise hold.
+    collector the objects a kept shape would otherwise hold.
     """
     members = tuple(sorted(dist))
     inside = frozenset(members)
@@ -422,25 +425,21 @@ def make_view(centre: int, radius: int, dist: dict[int, int],
         else:
             s = adj[u] & inside
             adj_in[u] = shared.setdefault(s, s)
-    return _view(
-        centre, radius, members, adj_in, ids_in, dist,
-        None if weights is None else {
-            (u, w): weights[u, w] for u in members for w in adj_in[u] if u < w},
-        inputs, layers, N)
+    return (members, adj_in, ids_in, dist, None if weights is None else {
+        (u, w): weights[u, w] for u in members for w in adj_in[u] if u < w})
 
 
-def _view(centre: int, radius: int, members: tuple[int, ...],
-          adj_in: dict[int, frozenset[int]], ids_in: dict[int, int],
-          centre_dist: dict[int, int], weights_in: Optional[dict[Edge, int]],
-          inputs: Sequence[InputValue] | Mapping[int, InputValue],
-          layers: Sequence[Sequence[object] | Mapping[int, object]],
-          N: int) -> BallView:
-    """A new view over the given geometry fields, with `inputs` and each
-    layer projected onto its members.
+def view_over(centre: int, radius: int, shape: Shape,
+              inputs: Sequence[InputValue] | Mapping[int, InputValue],
+              layers: Sequence[Sequence[object] | Mapping[int, object]],
+              N: int) -> BallView:
+    """A new view of `centre` over `shape`, with `inputs` and each layer
+    (indexed by node) projected onto its members.
 
     Filled like `with_layers` fills its copies: the frozen constructor
     sets each field through `object.__setattr__`, a noticeable share of
     the cost of the small views a game builds by the thousand."""
+    members, adj_in, ids_in, centre_dist, weights_in = shape
     view = object.__new__(BallView)
     view.__dict__.update(
         centre=centre,
@@ -462,16 +461,15 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
     """Radius-t view of node v, with `labellings` restricted to it.
 
     Each call builds a new view, but only the first call for a centre and
-    radius in the instance's (graph, identities) pair builds its geometry.
+    radius in the instance's (graph, identities) pair builds its `Shape`.
     That call finds the members by a breadth-first search over the graph's
-    adjacency lists, at the cost of the sum of their degrees, builds the
-    view with `make_view` and keeps its label-free, input-free fields
-    (`Shape`) at the centre's index of the radius's list in the pair's
-    `geometry`.  Every later call for that centre and radius, from any
-    instance of the pair, builds a new view over the kept fields and
-    projects only the instance's inputs and `labellings` onto the members.
-    `runtime.ViewStore` also reuses a centre's whole first view across a
-    game's leaves.
+    adjacency lists, builds the shape with `make_shape` at the cost of the
+    sum of their degrees, and keeps it at the centre's index of the
+    radius's list in the pair's `geometry`.  Every call, from any instance
+    of the pair, then fills a view over the kept shape with `view_over`,
+    which projects only the instance's inputs and `labellings` onto the
+    members.  `runtime.ViewStore` also reuses a centre's whole first view
+    across a game's leaves.
     """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")
@@ -482,26 +480,23 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
     if by_centre is None:
         by_centre = shapes[t] = [None] * instance.n
     shape = by_centre[v]
-    if shape is not None:
-        return _view(v, t, *shape, instance.inputs.values, labellings,
+    if shape is None:
+        g = instance.graph
+        adj = g._adj
+        dist = {v: 0}
+        frontier = [v]
+        for d in range(1, t + 1):
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        shape = by_centre[v] = make_shape(t, dist, adj, instance.ids.ids,
+                                          g.weights)
+    return view_over(v, t, shape, instance.inputs.values, labellings,
                      instance.N)
-    g = instance.graph
-    adj = g._adj
-    dist = {v: 0}
-    frontier = [v]
-    for d in range(1, t + 1):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    view = make_view(v, t, dist, adj, instance.ids.ids, instance.inputs.values,
-                     labellings, g.weights, instance.N)
-    by_centre[v] = (view.members, view.adj_in, view.ids_in, view.centre_dist,
-                    view.weights_in)
-    return view
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +507,13 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
 # game and replay on the pair until another pair replaces it.
 
 
-# A view's label-free, input-free fields, in `BallView` order: `members`,
-# `adj_in`, `ids_in`, `centre_dist` and `weights_in`.  Of these only the
-# tuple itself, `adj_in`, its frontier sets (one per distinct value, see
-# `make_view`) and `weights_in` stay tracked by the cyclic collector:
-# `members`, `ids_in` and `centre_dist` hold only ints.
-Shape = tuple[tuple[int, ...], dict[int, frozenset[int]], dict[int, int],
-              dict[int, int], Optional[dict[Edge, int]]]
-
-
 class Geometry(NamedTuple):
     """The input-free data of one (graph, identity assignment) pair, built
     on demand: the rooted spanning trees `schemes.kept_tree` builds, by
     root, and, for each radius `ball` was asked for, one list indexed by
-    centre of the `Shape`s it built (None until asked for).  A list per
-    radius needs no key object per shape, so the cyclic collector scans
-    only the shapes.
+    centre of the `Shape`s it built with `make_shape` (None until asked
+    for).  A list per radius needs no key object per shape, so the cyclic
+    collector scans only the shapes.
 
     What is kept is shared by every view built over it, across games, so
     nothing may write into it (see `BallView`)."""

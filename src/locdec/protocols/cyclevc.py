@@ -50,7 +50,7 @@ class CycleResponse(NamedTuple):
 
 def x_claim_domain(n: int, N: int) -> LabelDomain:
     gdom = gather_cert_domain(n, N)
-    return LabelDomain("x-claim", 7, n, N,
+    return LabelDomain("x-claim", 1 + gdom.c, n, N,
                        (flag_field("member", 2), sub_field("count", gdom)),
                        XClaim, gdom.d)
 
@@ -62,7 +62,7 @@ def s_pick_domain(n: int, N: int) -> LabelDomain:
 
 def cycle_response_domain(n: int, N: int) -> LabelDomain:
     gdom = gather_cert_domain(n, N)
-    return LabelDomain("cycle-response", 23, n, N,
+    return LabelDomain("cycle-response", 5 + 3 * gdom.c, n, N,
                        (flag_field("onc", 2),
                         optional_range_field("cpos", 0, max(1, n - 1)),
                         range_field("clen", 0, n),
@@ -231,11 +231,9 @@ def protocol_cycle_vc() -> Protocol:
         return k is not None and oracle_cycle_vc(instance.graph, k)
 
     claim = Level(x_claim_domain, claim_cover, claim_strategy)
-    respond = Level(cycle_response_domain, respond_cover,
-                    lambda instance, earlier: first_move(respond, instance,
-                                                         earlier))
     return Protocol(
         "cycle-vc", PROVER,
-        (claim, Level(s_pick_domain, pick_cover, None), respond),
+        (claim, Level(s_pick_domain, pick_cover, None),
+         Level(cycle_response_domain, respond_cover, None)),
         LocalVerifier(1, 3, _decide),
         LanguageSpec(in_language))

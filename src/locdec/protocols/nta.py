@@ -15,8 +15,9 @@ leading branch flag:
 
 A map whose images all name existing identities and that has none of
 these defects is a nontrivial automorphism, so refuting every
-certificate proves the claim.  Witness duties are read at tree roots:
-a root compares its own input with the image tree's root identity, and
+certificate proves the claim.  A node whose own image is not a
+``NodeImage`` rejects.  Witness duties are read at tree roots: a root
+compares its own input with the image tree's root identity, and
 adjacency claims are checked against neighbour identities.
 """
 
@@ -60,7 +61,7 @@ def node_image_domain(n: int, N: int) -> LabelDomain:
 
 def map_defect_domain(n: int, N: int) -> LabelDomain:
     tdom = tree_cert_domain(n, N)
-    return LabelDomain("map-defect", 14, n, N,
+    return LabelDomain("map-defect", 2 + 4 * tdom.c, n, N,
                        (flag_field("flag", 4),
                         sub_field("ta", tdom), sub_field("tb", tdom),
                         sub_field("tc", tdom), sub_field("td", tdom)),
@@ -223,6 +224,10 @@ def protocol_nontrivial_automorphism() -> Protocol:
                                  (earlier[1],))
 
     def decide(b: BallView) -> bool:
+        # An unreadable image claims no map; the lifted verifier would read
+        # it as a missing input, which no defect certificate names.
+        if not isinstance(b.own_label(0), NodeImage):
+            return False
         images = project(b, NodeImage, "image", missing=None)
         return bool(lifted.verifier.decide(
             embed(b, b.layers[1:], lifted.verifier.radius, images)))

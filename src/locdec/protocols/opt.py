@@ -22,8 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ..graphs import (BallView, Instance, InstanceError, InputValue, Marks,
-                      Ptr, ball)
+from ..graphs import BallView, Instance, InputValue, Marks, Ptr, ball
 from ..labels import (GatherCert, LabelDomain, Labelling, build_bfs_tree,
                       flag_field, gather_cert_domain, ham_cert_domain,
                       input_value_field, non_ham_cert_domain, sub_field,
@@ -43,7 +42,8 @@ from .basic import protocol_non_spanning_tree, protocol_spanning_tree
 LocalValue = Callable[[BallView], int]
 Candidates = Callable[[Instance], Iterable[tuple[InputValue, ...]]]
 
-_VALUE_ERRORS = (SchemeError, InstanceError, ValueError, TypeError, KeyError)
+# `SchemeError` and `InstanceError` are `ValueError`s.
+_VALUE_ERRORS = (ValueError, TypeError, KeyError)
 
 
 class OptLabel(NamedTuple):

@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from functools import cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import BallView, Instance, make_view
+from .graphs import BallView, Instance, make_shape, view_over
 from .labels import (INVALID, LabelDomain, Labelling, flag_field, id_field,
                      optional_id_field, range_field, sub_field,
                      tree_cert_domain)
@@ -45,12 +45,15 @@ def require_single_prover_level(purpose: str, *protocols: Protocol) -> None:
 
 
 def shrink_ball(view: BallView, t: int) -> BallView:
-    """Restrict a ball view to the radius-t sub-ball around its centre."""
+    """Restrict a ball view to the radius-t sub-ball around its centre:
+    the view over the sub-ball's shape, built from the wider view's
+    fields, with its inputs and layers projected onto the sub-ball."""
     if t > view.radius:
         raise ProtocolError(f"cannot grow a radius-{view.radius} ball to {t}")
     dist = {v: d for v, d in view.centre_dist.items() if d <= t}
-    return make_view(view.centre, t, dist, view.adj_in, view.ids_in,
-                     view.inputs_in, view.layers, view.weights_in, view.N)
+    shape = make_shape(t, dist, view.adj_in, view.ids_in, view.weights_in)
+    return view_over(view.centre, t, shape, view.inputs_in, view.layers,
+                     view.N)
 
 
 def project(view: BallView, kind: type, part: str, layer: int = 0,

@@ -271,6 +271,15 @@ MUTANTS = (
          "tests/test_view_store.py::test_nta_exhaustive_counts"),
         "a view store never keeps a view, so every request builds one"),
     Mutant(
+        "nta-accepts-unreadable-image", "src/locdec/protocols/nta.py",
+        "        if not isinstance(b.own_label(0), NodeImage):\n"
+        "            return False\n",
+        "",
+        ("tests/test_nta.py::TestGames::"
+         "test_lifted_nta_refutes_an_unreadable_map",
+         "tests/test_nta.py::TestGames::test_an_unreadable_map_is_no_symmetry"),
+        "nta reads a node with no image as a mapped node with no input"),
+    Mutant(
         "components-skip-last-edge", "src/locdec/oracles.py",
         "    for (u, v) in edges:\n        ru, rv = find(u), find(v)\n",
         "    for (u, v) in list(edges)[:-1]:\n        ru, rv = find(u), find(v)\n",

@@ -1,5 +1,7 @@
 """Threshold claims, challenges and cycle responses."""
 
+import pytest
+
 from locdec import gen
 from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, check_protocol,
                            game_evaluate)
@@ -61,6 +63,19 @@ class TestGames:
         assert game_evaluate(resolve("cycle-vc"), accept, EXHAUSTIVE).verdict
         assert not game_evaluate(resolve("cycle-vc"), reject,
                                  EXHAUSTIVE).verdict
+
+    @pytest.mark.parametrize("graph, ids, k", (
+        (gen.clique_graph(4), (1, 2, 3, 4), 2),
+        (gen.cycle_graph(4), (4, 1, 3, 2), 1)))
+    def test_constructive_play_searches_the_response(self, graph, ids, k):
+        # Yes-instances, so the game reaches the response level, which has
+        # no strategy: constructive play searches it as exhaustive play does.
+        inst = inst_of(graph, ids, 6, k)
+        full = game_evaluate(resolve("cycle-vc"), inst, EXHAUSTIVE)
+        played = game_evaluate(resolve("cycle-vc"), inst, CONSTRUCTIVE)
+        assert full.verdict is played.verdict is True
+        assert played.line == full.line
+        assert played.stats.leaf_evaluations == full.stats.leaf_evaluations
 
     def test_verdict_matches_oracle_across_corpus(self):
         corpus = [

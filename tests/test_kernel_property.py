@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from locdec import schemes, transforms
 from locdec.gen import path_graph
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
-                           Instance, Ptr, ball, make_view)
+                           Instance, Ptr, ball, make_shape, view_over)
 from locdec.labels import (INVALID, GatherCert, HamCert, Labelling,
                            NonHamCert, NSTCert, SizeCert, TreeCert,
                            build_bfs_tree, gather_cert_domain,
@@ -131,12 +131,13 @@ def view_requests(draw):
 
 def _check_kept_radius1_view(inst: Instance, v: int) -> None:
     """The label-free radius-1 views of `v` that `ball` builds, the second
-    one over a kept shape, equal a cold `make_view` build, first-read
-    attributes included."""
+    one over a kept shape, equal a view over a cold `make_shape` build,
+    first-read attributes included."""
     g = inst.graph
     dist = {u: d for u, d in g.distances_from(v).items() if d <= 1}
-    cold = make_view(v, 1, dist, [g.neighbours(u) for u in range(g.n)],
-                     inst.ids.ids, inst.inputs.values, (), g.weights, inst.N)
+    shape = make_shape(1, dist, [g.neighbours(u) for u in range(g.n)],
+                       inst.ids.ids, g.weights)
+    cold = view_over(v, 1, shape, inst.inputs.values, (), inst.N)
     for view in (ball(inst, (), v, 1), ball(inst, (), v, 1)):
         assert view == cold
         for name in ("edges", "node_by_id"):
@@ -567,7 +568,7 @@ def kernel_views(draw):
         elif source == "drawn":
             # The honest label with one field redrawn, so that most checks
             # pass up to the redrawn field.
-            nbr_ids = tuple(ids.id_of(w) for w in sorted(graph.neighbours(v)))
+            nbr_ids = tuple(ids.ids[w] for w in sorted(graph.neighbours(v)))
             fields = list(honest[v])
             i = draw(st.integers(0, 2))
             fields[i] = draw((st.sampled_from(ids.ids),

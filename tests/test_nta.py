@@ -1,5 +1,7 @@
 """Symmetry detection: image level, defect certificates, full games."""
 
+from dataclasses import replace
+
 import pytest
 
 from locdec import gen
@@ -9,6 +11,7 @@ from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance,
                            id_width)
 from locdec.labels import INVALID, DomainError, LabelDomain, Labelling
 from locdec.oracles import has_nontrivial_automorphism
+from locdec.protocol import all_invalid_labelling
 from locdec.protocols import resolve
 from locdec.protocols.nta import (GAINED_EDGE, IDENTITY_MAP, LOST_EDGE,
                                   MapDefect, NodeImage, SHARED_IMAGE,
@@ -16,6 +19,8 @@ from locdec.protocols.nta import (GAINED_EDGE, IDENTITY_MAP, LOST_EDGE,
                                   node_image_domain, protocol_map_defect)
 from locdec.runtime import evaluate
 from locdec.schemes import honest_tree
+
+from corpus import asymmetric6, plain_instance
 
 ASYMMETRIC_6 = Graph(6, frozenset({(0, 1), (0, 2), (0, 3),
                                    (1, 2), (1, 4), (3, 5)}))
@@ -182,6 +187,28 @@ class TestGames:
         ]
         report = check_protocol(resolve("nta"), corpus, mode=MIXED)
         assert report.ok, report.disagreements
+
+    # A node whose image is not a `NodeImage` rejects, so a map with
+    # unreadable images claims no symmetry.  Otherwise the lifted defect
+    # check reads such a map as one with no defect.
+
+    @pytest.mark.parametrize("mode", (EXHAUSTIVE, CONSTRUCTIVE))
+    def test_lifted_nta_refutes_an_unreadable_map(self, mode):
+        inst = plain_instance(asymmetric6())
+        assert inst.N == 36
+        protocol = resolve("lift:nta")
+        assert protocol.language.oracle(inst) is True
+        assert game_evaluate(protocol, inst, mode).verdict is True
+
+    def test_an_unreadable_map_is_no_symmetry(self):
+        inst = plain_instance(asymmetric6())
+        nta = resolve("nta")
+        image, *rest = nta.levels
+        unreadable = replace(nta, levels=(replace(
+            image, cover=lambda instance, earlier: [
+                all_invalid_labelling(instance.n)]), *rest))
+        assert nta.language.oracle(inst) is False
+        assert game_evaluate(unreadable, inst, EXHAUSTIVE).verdict is False
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from locdec import graphs, runtime, schemes
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate
 from locdec.gen import clique_graph, cycle_graph, grid_graph, path_graph
 from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
-                           Instance, ball, make_view)
+                           Instance, ball, make_shape)
 from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, ViewStore
 
@@ -161,7 +161,7 @@ def test_verifiers_do_not_write_into_views(name):
 
 def _kept_shapes_match_fresh_views() -> int:
     """Check every shape kept for the current (graph, identities) pair
-    against a view `make_view` builds afresh; return how many there are."""
+    against one `make_shape` builds afresh; return how many there are."""
     kept = graphs._geometry
     g, n = kept.graph, kept.graph.n
     count = 0
@@ -171,10 +171,8 @@ def _kept_shapes_match_fresh_views() -> int:
             if shape is None:
                 continue
             dist = {u: d for u, d in g.distances_from(v).items() if d <= t}
-            fresh = make_view(v, t, dist, g._adj, kept.ids.ids, (None,) * n,
-                              (), g.weights, kept.ids.N)
-            assert shape == (fresh.members, fresh.adj_in, fresh.ids_in,
-                             fresh.centre_dist, fresh.weights_in), (v, t)
+            assert shape == make_shape(t, dist, g._adj, kept.ids.ids,
+                                       g.weights), (v, t)
             count += 1
     return count
 
@@ -343,14 +341,14 @@ def test_opt_candidates_share_one_view_per_node(monkeypatch):
     inst = Instance(cycle_graph(4), IdAssignment((3, 1, 4, 2), 16),
                     InputAssignment((1, 1, 0, 0)))
     built = []
-    build = graphs.make_view
+    build = graphs.make_shape
 
-    def counted_make_view(*args):
+    def counted_make_shape(*args):
         built.append(args)
         return build(*args)
 
     _evict_geometry(inst)
-    monkeypatch.setattr(graphs, "make_view", counted_make_view)
+    monkeypatch.setattr(graphs, "make_shape", counted_make_shape)
     protocol = resolve("maxcut")
     verdict = game_evaluate(protocol, inst, EXHAUSTIVE).verdict
     assert verdict is protocol.language.oracle(inst) is True
