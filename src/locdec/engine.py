@@ -128,10 +128,13 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     position: its index among ``moves(k - 1, ...)``, so a strategy move or
     a forced canonical move is position 0.  Each leaf first decides the
     node that last rejected a leaf at the same position, if any, then every
-    other node in node order (see ``ViewStore.first_rejection``).  Leaves at
-    one position under different earlier moves often fail at the same node,
-    so one decision settles them.  The verdict is a conjunction of pure
-    decisions, so the order changes only the number of decisions made.
+    other node in the store's order, most recent rejecter first (see
+    ``ViewStore.first_rejection``).  Leaves at one position under different
+    earlier moves often fail at the same node, so one decision settles
+    them.  A node that refutes leaves at many positions is tried early
+    too, as in a one-level game, where each position comes up once.  The
+    verdict is a conjunction of pure decisions, so the order changes only
+    the number of decisions made.
     The principal line is then replayed by ``evaluate`` on fresh view
     objects, apart from the game's store: each projects the line's labels
     and the instance's inputs afresh over the geometry ``graphs.ball``

@@ -289,16 +289,18 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
     def rivals(instance: Instance,
                base: int) -> Iterable[tuple[tuple[InputValue, ...], int]]:
         """Each admissible substitute input whose total beats ``base``,
-        with that total, in ``candidates`` order."""
+        with that total, in ``candidates`` order.  A candidate is scored
+        first, and its admissibility is asked only when it scores better.
+        The candidate generators emit well-typed inputs, and every local
+        value is total on them, so scoring an inadmissible candidate raises
+        nothing new: the rivals are those of asking admissibility first."""
         for xp in candidates(instance):
             inst2 = instance.with_inputs(xp)
-            if not adm_yes.language.oracle(inst2):
-                continue
             try:
                 obj = sum(_values(inst2))
             except _VALUE_ERRORS:
                 continue
-            if better(obj, base):
+            if better(obj, base) and adm_yes.language.oracle(inst2):
                 yield xp, obj
 
     def _fillers(instance: Instance):

@@ -3,10 +3,13 @@
 A labelling is accepted only if every node accepts, so one rejecting node
 refutes it.  ``evaluate`` decides every node; a searched game's leaves
 look for one rejecting node with ``ViewStore.first_rejection``, which
-decides an optional hinted node first, then every other node in node
-order, each once, and stops at the first rejection.  A decision depends
-on its view alone, so the order cannot change whether a rejecting node
-exists, only how many decisions are made before one is found.
+decides an optional hinted node first, then every other node in the
+store's order, each once, and stops at the first rejection.  The order
+starts as node order, and a node found rejecting in that scan moves to
+its front (move-to-front, Sleator & Tarjan 1985), so a node that refuted
+a recent leaf is tried before the rest.  A decision depends on its view
+alone, so the order cannot change whether a rejecting node exists, only
+how many decisions are made before one is found.
 
 ``ball`` is the one builder of fresh views.  It builds a centre's
 geometry (members, edges, identities, distances, weights) once per
@@ -38,19 +41,19 @@ its labels), and a hint that is a node.  A searched game checks each
 move once, when it is drawn (see ``engine.game_evaluate``), and runs the
 loop at every leaf below it.
 
-``game_evaluate`` shares one store across the leaves of a searched game,
-and hints each leaf with the node that last rejected a leaf at the same
-final-level move position.  Its final replay of the principal line
-calls ``evaluate``, which builds fresh view objects, with freshly
-projected labels and inputs, over the pair's kept geometry, apart from
-the game's store.  So the replay stays an independent check of what the
-store serves: a verifier that depends on anything but its view, or a
-view the game's store served wrongly, can show up as a verdict mismatch
-instead of being repeated.  The kept geometry itself is shared with the
-game, which is why no verifier may write into a view.  A game that
-searches no level has one leaf, so it makes no store and no hint: it
-calls ``evaluate`` once on its one line, deciding each view twice until
-one rejects, and that is both its leaf and its replay.
+``game_evaluate`` shares one store, and so one order, across the leaves
+of a searched game, and hints each leaf with the node that last rejected
+a leaf at the same final-level move position.  Its final replay of the
+principal line calls ``evaluate``, which builds fresh view objects, with
+freshly projected labels and inputs, over the pair's kept geometry,
+apart from the game's store.  So the replay stays an independent check
+of what the store serves: a verifier that depends on anything but its
+view, or a view the game's store served wrongly, can show up as a
+verdict mismatch instead of being repeated.  The kept geometry itself is
+shared with the game, which is why no verifier may write into a view.
+A game that searches no level has one leaf, so it makes no store and no
+hint: it calls ``evaluate`` once on its one line, deciding each view
+twice until one rejects, and that is both its leaf and its replay.
 """
 
 from __future__ import annotations
@@ -100,9 +103,6 @@ class Decision:
     def verdict(self) -> bool:
         return all(self.accepts)
 
-    def at(self, v: int) -> bool:
-        return self.accepts[v]
-
     @property
     def rejecting_nodes(self) -> tuple[int, ...]:
         return tuple(v for v, ok in enumerate(self.accepts) if not ok)
@@ -117,6 +117,9 @@ class ViewStore:
     ``served - len(kept)`` of them were copies of a kept view.  Neither
     counts what ``ball`` reuses from the geometry it keeps, so both depend
     on this game alone.
+
+    ``order`` lists every node, the most recent rejecter found by
+    ``first_rejection``'s scan first; it starts as node order.
     """
 
     def __init__(self, instance: Instance, radius: int) -> None:
@@ -124,6 +127,7 @@ class ViewStore:
         self.radius = radius
         self.served = 0
         self.kept: dict[int, BallView] = {}
+        self.order = list(range(instance.n))
 
     def view(self, rows: Sequence[Sequence[object]], v: int) -> BallView:
         """Node ``v``'s view with ``rows`` (one label sequence per layer,
@@ -143,12 +147,18 @@ class ViewStore:
         """The first node found to reject, or None when every node accepts.
 
         Node ``first``, when given, is decided first; then every other
-        node in node order, each once, on a view from this store.  Nothing
-        handed to it is checked (see the module docstring)."""
+        node in ``order``, each once, on a view from this store.  A node
+        that rejects in that scan moves to the front of ``order``; a
+        rejecting ``first`` stays where it is.  Nothing handed to it is
+        checked (see the module docstring)."""
         if first is not None and not decide(self.view(rows, first)):
             return first
-        for v in range(self.instance.n):
+        order = self.order
+        for i, v in enumerate(order):
             if v != first and not decide(self.view(rows, v)):
+                if i:
+                    del order[i]
+                    order.insert(0, v)
                 return v
         return None
 

@@ -150,12 +150,22 @@ MUTANTS = (
         "the leaf loop decides the hinted node but ignores its rejection"),
     Mutant(
         "accepting-hint-ends-the-leaf", "src/locdec/runtime.py",
-        "            return first\n        for v in range(self.instance.n):\n",
+        "            return first\n        order = self.order\n",
         "            return first\n        if first is not None:\n"
-        "            return None\n        for v in range(self.instance.n):\n",
+        "            return None\n        order = self.order\n",
         ("tests/test_refuter_first.py::"
          "test_an_accepting_hint_leaves_the_rest_to_node_order",),
         "a leaf whose hinted node accepts is accepted at once"),
+    Mutant(
+        "rejecter-stays-in-place", "src/locdec/runtime.py",
+        "                if i:\n                    del order[i]\n"
+        "                    order.insert(0, v)\n",
+        "",
+        ("tests/test_refuter_first.py::"
+         "test_one_level_game_finds_its_rejecter_at_the_front",
+         "tests/test_pin_gate.py::test_workload_replays_its_pinned_lines"),
+        "a rejecter found in the leaf loop's scan stays where it is in the"
+        " order"),
     Mutant(
         "qbf-decodes-per-call", "src/locdec/protocols/qbf.py",
         "    @keep_last\n    def checked_view", "    def checked_view",

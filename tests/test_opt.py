@@ -15,7 +15,7 @@ from locdec.oracles import (cut_size, is_dominating, is_independent,
                             oracle_min_dominating, oracle_mst_weight,
                             oracle_tsp_weight)
 from locdec.protocol import ProtocolError
-from locdec.protocols import names, resolve
+from locdec.protocols import names, opt, resolve
 from locdec.protocols.basic import (non_spanning_tree_inputs,
                                     spanning_tree_inputs)
 from locdec.protocols.opt import (hamiltonian_inputs,
@@ -307,6 +307,23 @@ class TestSetProblems:
             got = game_evaluate(proto, inst).verdict
             want = (len(edges) < best) if admissible else True
             assert got == want, xs
+
+    def test_rival_scan_asks_admissibility_of_better_candidates_only(
+            self, monkeypatch):
+        # No cut is smaller than the empty one, so none of the 16 subsets
+        # is asked whether it is admissible: 4 views each to score it, and
+        # 12 for the two admissibility oracles and the input's own total.
+        views = []
+        build = opt.ball
+
+        def counted_ball(*args):
+            views.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(opt, "ball", counted_ball)
+        assert resolve("mincut").language.oracle(
+            self.c4_instance((0, 0, 0, 0))) is False
+        assert len(views) == 16 * 4 + 12
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ProtocolError, match="unknown set problem"):

@@ -29,9 +29,9 @@ EXPECTED_FAILURES = {
 
 # (leaf_evals, node_evals) of one pass at seed 0.
 EXPECTED_COUNTS = {
-    "exhaustive-search": (4_624, 6_754),
+    "exhaustive-search": (4_624, 6_615),
     "constructive-grid": (25, 9_616),
-    "corpus-sweep": (1_714, 3_527),
+    "corpus-sweep": (1_714, 3_083),
 }
 
 

@@ -90,9 +90,9 @@ def test_verdict_is_conjunction():
         assert Decision(accepts).verdict is False
 
 
-def test_decision_at():
+def test_decision_accepts_by_node():
     d = Decision((True, False))
-    assert d.at(0) is True and d.at(1) is False
+    assert d.accepts[0] is True and d.accepts[1] is False
 
 
 def test_decisions_ignore_ids_outside_ball():
@@ -102,7 +102,7 @@ def test_decisions_ignore_ids_outside_ball():
     v = LocalVerifier(radius=1, layer_count=0, decide=decide)
     a = plain_instance(c4(), IdAssignment((1, 2, 3, 4), 16))
     b = plain_instance(c4(), IdAssignment((1, 2, 9, 4), 16))
-    assert evaluate(v, a).at(0) == evaluate(v, b).at(0)
+    assert evaluate(v, a).accepts[0] == evaluate(v, b).accepts[0]
 
 
 def test_evaluate_is_deterministic():

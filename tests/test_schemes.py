@@ -80,7 +80,7 @@ def test_tree_cert_distance_jump_rejects():
     cert = build_spanning_tree_cert(inst, frozenset({(0, 1), (1, 2)}), 0)
     bad = cert.replace(2, TreeCert(1, 2, 5))
     d = evaluate(ST, inst, (bad,))
-    assert d.at(2) is False and d.verdict is False
+    assert d.accepts[2] is False and d.verdict is False
 
 
 def test_tree_cert_parent_must_be_the_pointer_target():
@@ -204,7 +204,7 @@ def test_gather_tampered_child_rejects_parent():
     bad = cert.replace(2, GatherCert(cert[2].root, cert[2].parent, cert[2].dist, 2))
     v = gather_verifier(lambda b: b.own_input, lambda agg: agg == 4)
     d = evaluate(v, inst, (bad,))
-    assert d.at(0) is False
+    assert d.accepts[0] is False
 
 
 def test_gather_sum_matches_direct_sum_on_random_trees():
@@ -305,7 +305,7 @@ def test_ham_two_disjoint_triangles_always_rejected():
             assert views.first_rejection(HAM.decide, (lab,)) is not None
         # Nonzero root positions die at the root's own clause.
         lab = Labelling(HamCert(*base[v], 1 if v == root else 0) for v in range(6))
-        assert evaluate(HAM, inst, (lab,)).at(root) is False
+        assert evaluate(HAM, inst, (lab,)).accepts[root] is False
 
 
 def test_ham_rejects_tiny_cycles():
@@ -386,7 +386,7 @@ def test_nst_mixed_flags_reject():
     cert = build_non_spanning_tree_cert(inst)
     mixed = cert.replace(1, NSTCert(1, *tuple(cert[1])[1:]))
     d = evaluate(NST, inst, (mixed,))
-    assert d.at(0) is False
+    assert d.accepts[0] is False
 
 
 def test_nst_flag0_rejects_when_spanned():
@@ -395,7 +395,7 @@ def test_nst_flag0_rejects_when_spanned():
     unspanned_shape = build_non_spanning_tree_cert(
         plain_instance(path_graph(2)).with_inputs((Ptr(None), Ptr(None))))
     d = evaluate(NST, inst, (unspanned_shape,))
-    assert d.at(0) is False
+    assert d.accepts[0] is False
 
 
 def test_nst_flag2_rejects_on_connected_pointers():
@@ -418,7 +418,7 @@ def test_nst_clen_disagreement_rejects():
     inst, cert = triangle_pointer_cycle()
     bad = cert.replace(1, cert[1]._replace(clen=2))
     d = evaluate(NST, inst, (bad,))
-    assert d.at(0) is False
+    assert d.accepts[0] is False
 
 
 def test_nst_cycle_position_break_rejects():
@@ -426,7 +426,7 @@ def test_nst_cycle_position_break_rejects():
     bad = cert.replace(2, cert[2]._replace(cpos=None))
     d = evaluate(NST, inst, (bad,))
     # Node b expects its pointer target to carry the next position.
-    assert d.at(1) is False
+    assert d.accepts[1] is False
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +470,9 @@ def test_non_ham_idx_mutations_reject():
     inst = two_triangles_instance()
     cert = build_non_hamiltonian_cert(inst)
     pinned = cert.replace(3, cert[3]._replace(idx=1))
-    assert evaluate(NONHAM, inst, (pinned,)).at(3) is False
+    assert evaluate(NONHAM, inst, (pinned,)).accepts[3] is False
     crossed = cert.replace(4, cert[4]._replace(idx=1))
-    assert evaluate(NONHAM, inst, (crossed,)).at(4) is False
+    assert evaluate(NONHAM, inst, (crossed,)).accepts[4] is False
 
 
 def test_non_ham_flag0_rejects_on_proper_marks():

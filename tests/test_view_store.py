@@ -113,11 +113,14 @@ def test_shared_store_gives_fresh_store_verdicts(case):
     verifier = _scrambling_verifier(t, len(labellings[0]))
     shared = tuple(ViewStore(inst, t) for inst in instances)
     for which, lab, _ in requests:
+        # The fresh store starts from the order the shared one has reached.
+        fresh = ViewStore(instances[which], t)
+        fresh.order[:] = shared[which].order
         runs = []
-        for views in (shared[which], ViewStore(instances[which], t)):
+        for views in (shared[which], fresh):
             before = views.served
             rejecter = views.first_rejection(verifier.decide, labellings[lab])
-            runs.append((rejecter, views.served - before))
+            runs.append((rejecter, views.served - before, views.order))
         assert runs[0] == runs[1]
 
 
@@ -222,9 +225,10 @@ def test_nta_exhaustive_counts():
     # Every leaf loses: the six rebut trees come in the same cover order
     # under each of the 720 image moves, and each is refuted by its root.
     # The first image move meets each cover position for the first time,
-    # with no hint, and scans in node order up to each root (1 + 2 + ... +
-    # 6 = 21 decisions); every later leaf is refuted by its hinted node at
-    # one decision.  One build per centre, every later view a copy of
+    # with no hint.  Its roots follow node order, so each scan passes the
+    # earlier roots, now at the front, before it reaches the nodes after
+    # them up to its own root (1 + 2 + ... + 6 = 21 decisions); every
+    # later leaf is refuted by its hinted node at one decision.  One build per centre, every later view a copy of
     # the one the store kept.
     inst = Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
                     InputAssignment((None,) * 6))
