@@ -132,15 +132,21 @@ class Graph:
             raise InstanceError("graph has no weights")
         return self.weights[norm_edge(u, v)]
 
-    def distances_from(self, v: int) -> dict[int, int]:
+    def distances_from(self, v: int,
+                       radius: Optional[int] = None) -> dict[int, int]:
+        """Each node within ``radius`` of ``v`` (every node when None),
+        mapped to its distance from ``v``, by a breadth-first search."""
+        adj = self._adj
         dist = {v: 0}
         frontier = [v]
-        while frontier:
+        d = 0
+        while frontier and d != radius:
+            d += 1
             nxt = []
             for u in frontier:
-                for w in self.neighbours(u):
+                for w in adj[u]:
                     if w not in dist:
-                        dist[w] = dist[u] + 1
+                        dist[w] = d
                         nxt.append(w)
             frontier = nxt
         return dist
@@ -212,8 +218,9 @@ class Instance:
                         raise InstanceError(f"more than {MAX_MARKS} marks at node {v}")
                     if not (x.ids <= nbr_ids and all(map(_is_int, x.ids))):
                         raise InstanceError(f"mark at node {v} names a non-neighbour")
-            if isinstance(x, Lit) and not _is_int(x.level):
-                raise InstanceError(f"literal level {x.level!r} at node {v} is not an integer")
+            if isinstance(x, Lit) and not (_is_int(x.level) and _is_int(x.sign)
+                                           and x.sign in (1, -1)):
+                raise InstanceError(f"literal {x!r} at node {v}: level must be an integer, sign 1 or -1")
             if isinstance(x, int) and not (_is_int(x) and 0 <= x <= self.N * self.N):
                 raise InstanceError(f"integer input {x!r} at node {v} out of range")
         if self.graph.weights is not None:
@@ -343,12 +350,6 @@ class BallView:
     def label(self, layer: int, v: int) -> object:
         return self.layers[layer][v]
 
-    def is_frontier(self, v: int) -> bool:
-        return self.centre_dist.get(v) == self.radius
-
-    def dist_from_centre(self, v: int) -> int:
-        return self.centre_dist[v]
-
     def weight(self, u: int, v: int) -> int:
         if self.weights_in is None:
             raise InstanceError("ball carries no weights")
@@ -462,13 +463,12 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
 
     Each call builds a new view, but only the first call for a centre and
     radius in the instance's (graph, identities) pair builds its `Shape`.
-    That call finds the members by a breadth-first search over the graph's
-    adjacency lists, builds the shape with `make_shape` at the cost of the
-    sum of their degrees, and keeps it at the centre's index of the
-    radius's list in the pair's `geometry`.  Every call, from any instance
-    of the pair, then fills a view over the kept shape with `view_over`,
-    which projects only the instance's inputs and `labellings` onto the
-    members.  `runtime.ViewStore` also reuses a centre's whole first view
+    That call finds the members with `Graph.distances_from`, builds the
+    shape with `make_shape` at the cost of the sum of their degrees, and
+    keeps it at the centre's index of the radius's list in the pair's
+    `geometry`.  Every call, from any instance of the pair, then fills a
+    view over the kept shape with `view_over`, which projects only the
+    instance's inputs and `labellings` onto the members.  `runtime.ViewStore` also reuses a centre's whole first view
     across a game's leaves.
     """
     if not (0 <= v < instance.n):
@@ -482,19 +482,8 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
     shape = by_centre[v]
     if shape is None:
         g = instance.graph
-        adj = g._adj
-        dist = {v: 0}
-        frontier = [v]
-        for d in range(1, t + 1):
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        shape = by_centre[v] = make_shape(t, dist, adj, instance.ids.ids,
-                                          g.weights)
+        shape = by_centre[v] = make_shape(t, g.distances_from(v, t), g._adj,
+                                          instance.ids.ids, g.weights)
     return view_over(v, t, shape, instance.inputs.values, labellings,
                      instance.N)
 

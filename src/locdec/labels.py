@@ -337,6 +337,9 @@ class LabelDomain:
     def encode(self, value: object) -> int:
         if value is INVALID:
             raise DomainError("INVALID has no canonical encoding")
+        if type(value) is not self.make:  # verifiers read labels by class
+            raise DomainError(f"domain {self.name}: {value!r} is not a"
+                              f" {self.make.__name__}")
         parts = tuple(value)
         if len(parts) != len(self.fields):
             raise DomainError(

@@ -26,8 +26,7 @@ from ..labels import (GatherCert, LabelDomain, Labelling, flag_field,
 from ..oracles import cycle_vc_witness, oracle_cycle_vc, simple_cycles
 from ..protocol import PROVER, LanguageSpec, Level, Protocol, first_move
 from ..runtime import LocalVerifier
-from ..schemes import build_gathering_cert, verify_gathering_cert
-from ..transforms import embed, project
+from ..schemes import build_gathering_cert, part_reader, sum_ok, tree_ok
 
 
 class XClaim(NamedTuple):
@@ -84,6 +83,11 @@ def uniform_threshold(instance: Instance) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # verifier
 
+# The counting certificates, each read in place from its field.
+_READ_COUNT = part_reader(XClaim, "count", GatherCert)
+_READ_RESPONSE = {part: part_reader(CycleResponse, part, GatherCert)
+                  for part in ("s_total", "s_cycle", "cycle_size")}
+
 
 def _challenged(b: BallView, v: int) -> int:
     x = b.label(0, v)
@@ -102,9 +106,9 @@ def _decide(b: BallView) -> bool:
         if b.input_of(w) != k or not isinstance(b.label(0, w), XClaim):
             return False
 
-    count_ball = embed(b, (project(b, XClaim, "count"),), b.radius)
-    if not verify_gathering_cert(count_ball, lambda _: own1.member,
-                                 lambda agg: agg >= k):
+    if not (tree_ok(b, 0, _READ_COUNT)
+            and sum_ok(b, 0, _READ_COUNT, own1.member,
+                       lambda total: total >= k)):
         return False
 
     own3 = b.own_label(2)
@@ -125,17 +129,16 @@ def _decide(b: BallView) -> bool:
     on_cycle = 1 if own3.onc == 1 else 0
     checks = (
         ("s_total", _challenged(b, b.centre),
-         lambda agg: agg == own3.s_cycle.agg),
+         lambda total: total == own3.s_cycle.agg),
         ("s_cycle", _challenged(b, b.centre) * on_cycle,
-         lambda agg: True),
+         lambda total: True),
         ("cycle_size", on_cycle,
-         lambda agg: agg == own3.clen
+         lambda total: total == own3.clen
          and (own3.clen == 0 or own3.clen >= 3)),
     )
     for part, value, at_root in checks:
-        gball = embed(b, (project(b, CycleResponse, part, 2),), b.radius)
-        if not verify_gathering_cert(gball, lambda _, value=value: value,
-                                     at_root):
+        read = _READ_RESPONSE[part]
+        if not (tree_ok(b, 2, read) and sum_ok(b, 2, read, value, at_root)):
             return False
 
     if own3.onc == 1:

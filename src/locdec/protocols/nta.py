@@ -33,7 +33,7 @@ from ..oracles import has_nontrivial_automorphism, oracle_automorphisms
 from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
                         certificate_protocol, keep_last)
 from ..runtime import LocalVerifier
-from ..schemes import TreeReader, honest_tree, tree_ok, uniform
+from ..schemes import honest_tree, part_reader, tree_ok, uniform
 from ..transforms import complement_lift, embed, project
 
 IDENTITY_MAP = 0
@@ -68,21 +68,8 @@ def map_defect_domain(n: int, N: int) -> LabelDomain:
                        MapDefect, 4 * tdom.d)
 
 
-def _part_reader(part: str) -> TreeReader:
-    """Reads a ``MapDefect``'s tree part in place, as ``READ_TREE_CERT``
-    reads a tree certificate; None for any other value or part."""
-    index = MapDefect._fields.index(part)
-
-    def read(lbl: object):
-        if isinstance(lbl, MapDefect):
-            tree = lbl[index]
-            if isinstance(tree, TreeCert):
-                return tree
-        return None
-    return read
-
-
-_READ_PART = {part: _part_reader(part) for part in ("ta", "tb", "tc", "td")}
+_READ_PART = {part: part_reader(MapDefect, part, TreeCert)
+              for part in ("ta", "tb", "tc", "td")}
 
 
 def verify_map_defect(b: BallView) -> bool:

@@ -7,7 +7,9 @@ substitute input exists: it embeds admissibility certificates for both the
 given input and the substitute, the substitute's per-node values, and two
 summing gathering certificates whose shared root compares the totals.
 Per-node objective contributions are doubled where the natural objective
-halves an incident sum, keeping every aggregate integral.
+halves an incident sum, keeping every aggregate integral.  The
+admissibility certificates go to their verifiers as projected views, and
+the gathering certificates are read in place.
 
 Cover, strategy and language oracle score up to 2^n substitute inputs of
 one instance.  A substitute changes only the inputs, so the candidates
@@ -33,8 +35,8 @@ from ..protocol import (PROVER, LanguageSpec, Level, Protocol, ProtocolError,
 from ..runtime import LocalVerifier
 from ..schemes import (READ_TREE_CERT, SchemeError, build_gathering_cert,
                        build_hamiltonian_cert, build_non_hamiltonian_cert,
-                       honest_tree, mutual_pair, tree_certs, tree_ok, uniform,
-                       verify_gathering_cert, verify_hamiltonian_cert,
+                       honest_tree, mutual_pair, part_reader, sum_ok,
+                       tree_certs, tree_ok, uniform, verify_hamiltonian_cert,
                        verify_non_hamiltonian_cert)
 from ..transforms import embed, project, require_single_prover_level
 from .basic import protocol_non_spanning_tree, protocol_spanning_tree
@@ -54,6 +56,10 @@ class OptLabel(NamedTuple):
     yes_xp: object
     agg_x: object
     agg_xp: object
+
+
+_READ_AGG_X = part_reader(OptLabel, "agg_x", GatherCert)
+_READ_AGG_XP = part_reader(OptLabel, "agg_xp", GatherCert)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +277,18 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
         if not adm_yes.verifier.decide(_sub_view(b, "yes_xp", ry, xp_inputs)):
             return False
 
-        def at_root(total_x: int) -> bool:
-            rival = own.agg_xp
-            return (isinstance(rival, GatherCert) and rival.parent is None
-                    and better(rival.agg, total_x))
-
-        if not verify_gathering_cert(_sub_view(b, "agg_x", b.radius),
-                                     local_value, at_root):
+        try:
+            value_x = local_value(b)
+            value_xp = local_value(b.with_layers(b.layers, xp_inputs))
+        except _VALUE_ERRORS:
             return False
-        return verify_gathering_cert(_sub_view(b, "agg_xp", b.radius, xp_inputs),
-                                     local_value, lambda total: True)
+        # Once both trees hold, own.agg_xp is the rival's gathering label,
+        # and the x root compares its total with the rival's.
+        rival = own.agg_xp
+        return (tree_ok(b, 0, _READ_AGG_X) and tree_ok(b, 0, _READ_AGG_XP)
+                and sum_ok(b, 0, _READ_AGG_X, value_x, lambda total: (
+                    rival.parent is None and better(rival.agg, total)))
+                and sum_ok(b, 0, _READ_AGG_XP, value_xp, lambda total: True))
 
     def _values(instance: Instance) -> list[int]:
         return [local_value(ball(instance, (), v, 1))

@@ -13,11 +13,13 @@ and checks such a tree:
   serves every certificate on it;
 * ``subtree_sums`` folds per-node values up a tree;
 * ``tree_ok`` is the one local check of a tree certificate, and
-  ``size_ok`` the one check of a subtree-size certificate.  Both read the
-  fields through a ``tree_reader`` built once per label class, lazily, so
-  no projected view is made for them; a label whose class leads with the
-  tree fields is read in place, as its own reading.  The spanning-tree
-  check is ``tree_ok`` plus the parent agreeing with the pointer input;
+  ``sum_ok`` the one check of a subtree sum (of sizes or of values), so
+  a gathering check is ``tree_ok`` and then ``sum_ok``.  Both read the
+  fields through a reader built once per label class, so no projected
+  view is made for them: a ``tree_reader`` reads a label's own fields,
+  and a ``part_reader`` a tree certificate held in one field of a
+  composite label, each in place.  The spanning-tree check is
+  ``tree_ok`` plus the parent agreeing with the pointer input;
 * ``uniform`` checks that a node and its neighbours carry labels of one
   class that agree on a flag;
 * ``mutual_pair`` reads a node's two reciprocated marks, on a whole
@@ -51,7 +53,8 @@ class SchemeError(ValueError):
 # ---------------------------------------------------------------------------
 # the tree kernel
 
-# A tree reading: items 0, 1 and 2 are (root, parent, dist).
+# A tree reading: items 0, 1 and 2 are (root, parent, dist); a summed one's
+# last item is its total.
 TreeFields = Sequence
 TreeReader = Callable[[object], Optional[TreeFields]]
 
@@ -122,6 +125,21 @@ def tree_reader(kind: type, root: str = "root", parent: str = "parent",
     return read
 
 
+def part_reader(kind: type, part: str, cert: type) -> TreeReader:
+    """Reads field ``part`` of a ``kind`` label in place when that field
+    holds a ``cert`` label, None for any other value.  ``cert`` leads with
+    the tree fields, as ``TreeCert`` and ``GatherCert`` do."""
+    index = kind._fields.index(part)
+
+    def read(value: object) -> Optional[TreeFields]:
+        if isinstance(value, kind):
+            nested = value[index]
+            if isinstance(nested, cert):
+                return nested
+        return None
+    return read
+
+
 def tree_ok(ball: BallView, layer: int, read: TreeReader) -> bool:
     """Root/parent/distance checks of a tree certificate carried in ``layer``.
 
@@ -147,6 +165,43 @@ def tree_ok(ball: BallView, layer: int, read: TreeReader) -> bool:
     for w in nbrs:
         if ids[w] == parent:
             return read(labels[w])[2] == own[2] - 1
+    return False
+
+
+def sum_ok(ball: BallView, layer: int, read: TreeReader, value: int,
+           at_root: Callable[[int], bool]) -> bool:
+    """Subtree-sum checks of a certificate carried in ``layer``.
+
+    ``read`` gives a label's root at item 0, its parent at item 1 and its
+    total as its last item.  The centre and its neighbours must name the
+    same root, and the centre's total must be ``value`` plus the totals of
+    the neighbours that name the centre as parent.  A node without a
+    parent must be that root, with a total that ``at_root`` accepts; any
+    other node's parent must be a neighbour.  Where ``tree_ok`` has passed
+    on the same reader, these root and parent checks pass too.
+    """
+    labels = ball.layers[layer]
+    centre = ball.centre
+    own = read(labels[centre])
+    if own is None:
+        return False
+    r, total = own[0], own[-1]
+    ids = ball.ids_in
+    me = ids[centre]
+    nbrs = ball.adj_in[centre]
+    children = 0
+    for w in nbrs:
+        other = read(labels[w])
+        if other is None or other[0] != r:
+            return False
+        if other[1] == me:
+            children += other[-1]
+    parent = own[1]
+    if parent is None:
+        return me == r and total == value + children and at_root(total)
+    for w in nbrs:
+        if ids[w] == parent:
+            return total == value + children
     return False
 
 
@@ -198,39 +253,6 @@ def build_size_cert(instance: Instance) -> Labelling:
     return Labelling(SizeCert(c.root, c.parent, s) for c, s in zip(certs, size))
 
 
-def size_ok(ball: BallView, layer: int, read: TreeReader, total: int) -> bool:
-    """Subtree-size checks of a size certificate carried in ``layer``.
-
-    ``read`` gives a label's (root, parent, size).  The centre and its
-    neighbours must name the same root; a node without a parent must be
-    that root with size ``total``, and any other node's parent must be a
-    neighbour.  Every node's size is one more than its children's sizes.
-    """
-    labels = ball.layers[layer]
-    centre = ball.centre
-    own = read(labels[centre])
-    if own is None:
-        return False
-    r, size = own[0], own[2]
-    ids = ball.ids_in
-    me = ids[centre]
-    nbrs = ball.adj_in[centre]
-    children = 0
-    for w in nbrs:
-        other = read(labels[w])
-        if other is None or other[0] != r:
-            return False
-        if other[1] == me:
-            children += other[2]
-    parent = own[1]
-    if parent is None:
-        return me == r and size == total == 1 + children
-    for w in nbrs:
-        if ids[w] == parent:
-            return size == 1 + children
-    return False
-
-
 _READ_SIZE = tree_reader(SizeCert, "root", "parent", "size")
 
 
@@ -243,7 +265,7 @@ def verify_size_cert(ball: BallView) -> bool:
     for w in ball.adj_in[centre]:
         if inputs[w] != x:
             return False
-    return size_ok(ball, 0, _READ_SIZE, x)
+    return sum_ok(ball, 0, _READ_SIZE, 1, lambda size: size == x)
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +287,6 @@ def build_gathering_cert(instance: Instance, values: Sequence[int]) -> Labelling
     tree, certs = _lowest_tree(instance)
     agg = subtree_sums(tree, values)
     return Labelling(GatherCert(*c, a) for c, a in zip(certs, agg))
-
-
-_READ_GATHER = tree_reader(GatherCert)
-
-
-def verify_gathering_cert(ball: BallView, value_of: Callable[[BallView], int],
-                          at_root: Callable[[int], bool]) -> bool:
-    if not tree_ok(ball, 0, _READ_GATHER):
-        return False
-    own = ball.own_label(0)
-    try:
-        value = value_of(ball)
-    except (ValueError, TypeError, KeyError):
-        return False
-    child_aggs = [ball.label(0, w).agg for w in ball.neighbours(ball.centre)
-                  if ball.label(0, w).parent == ball.own_id]
-    if own.agg != value + sum(child_aggs):
-        return False
-    return own.parent is not None or bool(at_root(own.agg))
 
 
 # ---------------------------------------------------------------------------

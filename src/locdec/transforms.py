@@ -8,7 +8,9 @@ size proof, and ``unanimous_combine`` merges a protocol pair into one
 whose honest runs are unanimous.  Each transform refuses, when it is
 built, a protocol it cannot carry, so no game built from it fails for
 that reason.  ``project`` and ``embed`` hand one field of a composite
-label to a sub-verifier as the view it expects.
+label to a sub-verifier as the view it expects; they serve sub-verifiers
+only, since a certificate nested in a field is read in place by
+``schemes.part_reader``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .protocol import (DISPROVER, PROVER, LanguageSpec, Level, Protocol,
                        ProtocolError, canonical_labelling, other_side,
                        pattern_tag)
 from .runtime import LocalVerifier, evaluate
-from .schemes import (READ_TREE_CERT, build_size_cert, honest_tree, size_ok,
+from .schemes import (READ_TREE_CERT, build_size_cert, honest_tree, sum_ok,
                       tree_ok, tree_reader, uniform)
 
 
@@ -263,9 +265,10 @@ def collapse_last_universal(p: Protocol) -> Protocol:
 
     def decide(ball: BallView) -> bool:
         own = ball.own_label(sl)
-        # Once size_ok holds, every neighbour carries a CollapsedLabel.
+        # Once sum_ok holds, every neighbour carries a CollapsedLabel.
         if not (isinstance(own, CollapsedLabel)
-                and size_ok(ball, sl, _READ_SIZE_PROOF, own.nhat)
+                and sum_ok(ball, sl, _READ_SIZE_PROOF, 1,
+                           lambda size: size == own.nhat)
                 and all(ball.label(sl, w).nhat == own.nhat
                         for w in ball.neighbours(ball.centre))):
             return False

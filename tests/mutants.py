@@ -263,6 +263,31 @@ MUTANTS = (
          "test_kernels_read_and_answer_as_their_references",),
         "tree_ok reads the parent's label before its neighbours' labels"),
     Mutant(
+        "sum-ok-ignores-children", "src/locdec/schemes.py",
+        "            children += other[-1]\n",
+        "            pass\n",
+        ("tests/test_kernel_property.py::"
+         "test_kernels_read_and_answer_as_their_references",
+         "tests/test_schemes.py::test_gather_sum_honest_accepts",
+         "tests/test_nested_reads.py::"
+         "test_cyclevc_reads_its_counts_as_the_projected_views_did",
+         "tests/test_nested_reads.py::"
+         "test_opt_reads_its_gatherings_as_the_projected_views_did"),
+        "sum_ok checks each total against the node's own value alone, not"
+        " its children's totals"),
+    Mutant(
+        "part-reader-ignores-cert-class", "src/locdec/schemes.py",
+        "            if isinstance(nested, cert):\n"
+        "                return nested\n",
+        "            return nested\n",
+        ("tests/test_kernel_property.py::"
+         "test_tree_readers_read_what_attrgetter_reads",
+         "tests/test_nested_reads.py::"
+         "test_cyclevc_reads_its_counts_as_the_projected_views_did",
+         "tests/test_nested_reads.py::"
+         "test_opt_reads_its_gatherings_as_the_projected_views_did"),
+        "part_reader reads a nested field of any class as a certificate"),
+    Mutant(
         "evaluate-makes-a-store", "src/locdec/runtime.py",
         "    return Decision(tuple(bool(decide(build(instance, rows, v, radius)))\n",
         "    views = ViewStore(instance, radius)\n"

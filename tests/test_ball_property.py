@@ -65,7 +65,8 @@ def _check_against_reference(view: BallView, inst: Instance, labellings,
         assert view.node_of(inst.id_of(outside[0])) is None
     assert view.node_of(inst.N + 1) is None
     for u in range(inst.n):
-        assert view.is_frontier(u) == (ref["centre_dist"].get(u) == t), u
+        assert (view.centre_dist.get(u) == view.radius) \
+            == (ref["centre_dist"].get(u) == t), u
 
 
 @settings(deadline=None)

@@ -34,7 +34,7 @@ from locdec.protocol import DISPROVER, PROVER, Level, Protocol, ProtocolError
 from locdec.protocols import resolve
 from locdec.protocols.qbf import encode_qbf, protocol_qbf_k
 from locdec.runtime import LocalVerifier, evaluate
-from locdec.schemes import build_size_cert, size_ok
+from locdec.schemes import build_size_cert, sum_ok
 from locdec.transforms import (CollapsedLabel, collapse_last_universal, embed,
                                project)
 
@@ -55,7 +55,8 @@ def full_product_decide(p: Protocol):
     def decide(view) -> bool:
         own = view.own_label(sl)
         if not (isinstance(own, CollapsedLabel)
-                and size_ok(view, sl, transforms._READ_SIZE_PROOF, own.nhat)
+                and sum_ok(view, sl, transforms._READ_SIZE_PROOF, 1,
+                           lambda size: size == own.nhat)
                 and all(view.label(sl, w).nhat == own.nhat
                         for w in view.neighbours(view.centre))):
             return False

@@ -23,7 +23,8 @@ from locdec.protocols.basic import (protocol_non_spanning_tree,
                                     spanning_tree_inputs)
 from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, VerifierError, evaluate
-from locdec.schemes import build_non_spanning_tree_cert, build_spanning_tree_cert
+from locdec.schemes import (build_non_spanning_tree_cert,
+                            build_spanning_tree_cert, honest_tree)
 from locdec.transforms import (CollapsedLabel, CombinedLabel,
                                collapse_last_universal, complement_lift,
                                shrink_ball, unanimous_combine)
@@ -487,6 +488,19 @@ def test_strategy_outside_domain_is_an_error():
         game_evaluate(broken, plain_instance(path_graph(2)), CONSTRUCTIVE)
 
 
+def test_a_strategy_of_plain_tuples_is_an_error():
+    # The honest tree as plain tuples: no verifier reads a tuple as a
+    # TreeCert, so the move is outside the level's domain.
+    tuples = Protocol(
+        "tuple-strategy", PROVER,
+        (Level(tree_cert_domain, None,
+               lambda inst, earlier: Labelling(
+                   tuple(c) for c in honest_tree(inst, 0))),),
+        LocalVerifier(1, 1, lambda b: True))
+    with pytest.raises(StrategyError, match="not in domain tree-cert"):
+        game_evaluate(tuples, plain_instance(path_graph(3)), CONSTRUCTIVE)
+
+
 def test_impure_verifier_detected_at_replay():
     calls = {"n": 0}
 
@@ -522,7 +536,7 @@ def test_shrink_ball():
     assert wide.members == (0, 1, 2)
     small = shrink_ball(wide, 1)
     assert small.members == (0, 1)
-    assert small.is_frontier(1) and not small.is_frontier(0)
+    assert small.centre_dist[1] == small.radius != small.centre_dist[0]
     assert small.label(0, 1) == Bit(1)
     with pytest.raises(ProtocolError, match="cannot grow"):
         shrink_ball(small, 2)

@@ -167,7 +167,8 @@ def test_instances_refuse_booleans():
     with pytest.raises(InstanceError, match="not an integer"):
         IdAssignment((1, 2), True)
     inst = plain_instance(c4())  # node 0 has identity 1, next to 2 and 4
-    for bad in (True, Ptr(True), Ptr(2.0), Marks({True}), Lit(True, 1)):
+    for bad in (True, Ptr(True), Ptr(2.0), Marks({True}), Lit(True, 1),
+                Lit(1, 5), Lit(1, 0), Lit(1, True)):
         with pytest.raises(InstanceError):
             inst.with_inputs([bad, None, None, None])
         with pytest.raises(InstanceError):
@@ -178,8 +179,8 @@ def test_ball_p3_radius1():
     inst = parse_instance(P3_TEXT)
     view = ball(inst, [], 1, 1)
     assert view.members == (0, 1, 2)
-    assert view.is_frontier(0) and view.is_frontier(2)
-    assert not view.is_frontier(1)
+    assert view.centre_dist[0] == view.centre_dist[2] == view.radius
+    assert view.centre_dist[1] != view.radius
     assert view.edges == frozenset({(0, 1), (1, 2)})
 
 
@@ -196,8 +197,8 @@ def test_ball_c4_radius2():
     inst = plain_instance(c4())
     view = ball(inst, [], 0, 2)
     assert view.members == (0, 1, 2, 3)
-    assert view.is_frontier(2)          # the antipodal node
-    assert not any(view.is_frontier(v) for v in (0, 1, 3))
+    assert view.centre_dist[2] == view.radius   # the antipodal node
+    assert not any(view.centre_dist[v] == view.radius for v in (0, 1, 3))
 
 
 def test_ball_matches_independent_distances():
@@ -211,7 +212,8 @@ def test_ball_matches_independent_distances():
                     assert set(view.members) == {u for u in range(n)
                                                  if dist[v][u] <= t}
                     for u in view.members:
-                        assert view.is_frontier(u) == (dist[v][u] == t)
+                        assert (view.centre_dist[u] == view.radius) \
+                            == (dist[v][u] == t)
 
 
 def _floyd(g: Graph) -> list[list[int]]:
@@ -233,7 +235,7 @@ def test_ball_nesting():
             for t in range(0, 4):
                 small = ball(inst, [], v, t)
                 big = ball(inst, [], v, t + 1)
-                inner = {u for u in big.members if big.dist_from_centre(u) <= t}
+                inner = {u for u in big.members if big.centre_dist[u] <= t}
                 assert inner == set(small.members)
                 assert {e for e in big.edges
                         if e[0] in set(small.members) and e[1] in set(small.members)} \

@@ -6,9 +6,9 @@ its kept shapes equal freshly built ones (each kind alone, and the two
 interleaved on one memo),
 ``subtree_sums`` matches a brute-force sum, a tree certificate that
 every node accepts describes a real rooted tree, and every tree reader
-reads what an ``attrgetter`` reads, so ``tree_ok`` and ``size_ok`` give
+reads what an ``attrgetter`` reads, so ``tree_ok`` and ``sum_ok`` give
 the verdicts of checks that unpack the three fields.  The kernels that
-read a view's fields directly (``tree_ok``, ``size_ok``,
+read a view's fields directly (``tree_ok``, ``sum_ok`` as a size check,
 ``verify_size_cert``, ``uniform`` and 3col's colour check) give the
 answers of their accessor-based references, by the same label and input
 reads in the same order, and ``tree_ok`` takes only a neighbour as a
@@ -35,8 +35,8 @@ from locdec.labels import (INVALID, GatherCert, HamCert, Labelling,
                            tree_cert_domain)
 from locdec.protocols import basic, nta, resolve
 from locdec.schemes import (READ_TREE_CERT, build_size_cert, honest_tree,
-                            kept_tree, size_ok, subtree_sums, tree_certs,
-                            tree_ok)
+                            kept_tree, part_reader, subtree_sums, sum_ok,
+                            tree_certs, tree_ok, tree_reader)
 
 from corpus import plain_instance
 
@@ -248,7 +248,7 @@ class ReaderCase(NamedTuple):
     """One tree carried by one label class: the reader the verifiers use,
     the fields it reads, where they sit and the domain that decodes the
     labels.  ``part`` names the ``MapDefect`` part holding the tree, and a
-    ``sized`` tree is checked by ``size_ok``."""
+    ``sized`` tree is checked by ``sum_ok`` as a size check."""
 
     name: str
     read: Callable
@@ -282,7 +282,7 @@ READER_CASES = (
     ReaderCase("tree-cert", READ_TREE_CERT, TreeCert, TREE, tree_cert_domain),
     ReaderCase("size-cert", schemes._READ_SIZE, SizeCert, SIZE,
                size_cert_domain, sized=True),
-    ReaderCase("gather-cert", schemes._READ_GATHER, GatherCert, TREE,
+    ReaderCase("gather-cert", tree_reader(GatherCert), GatherCert, TREE,
                gather_cert_domain),
     ReaderCase("ham-cert", schemes._READ_HAM, HamCert, TREE, ham_cert_domain),
     ReaderCase("nst-cert-1", schemes._READ_NST1, NSTCert,
@@ -296,7 +296,8 @@ READER_CASES = (
     ReaderCase("collapsed-size-proof", transforms._READ_SIZE_PROOF,
                transforms.CollapsedLabel, ("sroot", "sparent", "ssize"),
                _collapsed_domain, sized=True),
-    *(ReaderCase(f"map-defect-{part}", nta._READ_PART[part], TreeCert, TREE,
+    *(ReaderCase(f"map-defect-{part}",
+                 part_reader(nta.MapDefect, part, TreeCert), TreeCert, TREE,
                  nta.map_defect_domain, part=part)
       for part in ("ta", "tb", "tc", "td")),
 )
@@ -321,6 +322,12 @@ def _tree_ok_unpacked(b: BallView, read) -> bool:
     if target is None or not b.has_edge(b.centre, target):
         return False
     return read(labels[target])[2] == d - 1
+
+
+def _size_sum_ok(b: BallView, layer: int, read, total: int) -> bool:
+    """``sum_ok`` as a size check: each node adds 1, and the root's total
+    must be ``total``."""
+    return sum_ok(b, layer, read, 1, lambda size: size == total)
 
 
 def _size_ok_unpacked(b: BallView, read, total: int) -> bool:
@@ -382,7 +389,7 @@ def test_tree_readers_read_what_attrgetter_reads(drawn):
     for v in range(inst.n):
         b = ball(inst, (lab,), v, 1)
         if case.sized:
-            assert size_ok(b, 0, case.read, total) \
+            assert _size_sum_ok(b, 0, case.read, total) \
                 == _size_ok_unpacked(b, case.by_attrgetter, total), case.name
         else:
             assert tree_ok(b, 0, case.read) \
@@ -473,9 +480,9 @@ KERNELS = (
     ("tree_ok/tree-cert", tree_ok, _tree_ok_reference, (0, READ_TREE_CERT)),
     ("tree_ok/size-cert", tree_ok, _tree_ok_reference,
      (0, schemes._READ_SIZE)),
-    ("size_ok/size-cert", size_ok, _size_ok_reference,
+    ("sum_ok/size-cert", _size_sum_ok, _size_ok_reference,
      (0, schemes._READ_SIZE, "total")),
-    ("size_ok/tree-cert", size_ok, _size_ok_reference,
+    ("sum_ok/tree-cert", _size_sum_ok, _size_ok_reference,
      (0, READ_TREE_CERT, "total")),
     ("verify_size_cert", schemes.verify_size_cert,
      _verify_size_cert_reference, ()),
@@ -620,7 +627,7 @@ def test_tree_ok_refuses_a_parent_two_steps_away():
     shortcut = (TreeCert(honest[0].root, inst.id_of(2), honest[2].dist + 1),
                 *honest[1:])
     view = ball(inst, (shortcut,), 0, 2)
-    assert view.dist_from_centre(2) == 2
+    assert view.centre_dist[2] == 2
     assert not tree_ok(view, 0, READ_TREE_CERT)
     assert not _tree_ok_reference(view, 0, READ_TREE_CERT)
     assert tree_ok(ball(inst, (honest,), 0, 2), 0, READ_TREE_CERT)

@@ -7,17 +7,19 @@ import pytest
 
 from locdec.gen import path_graph, random_connected_graph, star_graph
 from locdec.graphs import Graph, IdAssignment, Marks, Ptr
-from locdec.labels import (GatherCert, HamCert, Labelling, NSTCert, SizeCert,
-                           TreeCert, gather_cert_domain, ham_cert_domain,
-                           non_ham_cert_domain, nst_cert_domain,
-                           size_cert_domain, tree_cert_domain)
+from locdec.labels import (DomainError, GatherCert, HamCert, Labelling,
+                           NSTCert, SizeCert, TreeCert, gather_cert_domain,
+                           ham_cert_domain, non_ham_cert_domain,
+                           nst_cert_domain, size_cert_domain,
+                           tree_cert_domain)
 from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, ViewStore, evaluate
 from locdec.schemes import (SchemeError, build_gathering_cert,
                             build_hamiltonian_cert, build_non_hamiltonian_cert,
                             build_non_spanning_tree_cert, build_size_cert,
-                            build_spanning_tree_cert, verify_gathering_cert,
-                            verify_hamiltonian_cert, verify_non_hamiltonian_cert,
+                            build_spanning_tree_cert, sum_ok, tree_ok,
+                            tree_reader, verify_hamiltonian_cert,
+                            verify_non_hamiltonian_cert,
                             verify_non_spanning_tree_cert, verify_size_cert,
                             verify_spanning_tree_cert)
 
@@ -30,8 +32,15 @@ NST = LocalVerifier(1, 1, verify_non_spanning_tree_cert)
 NONHAM = LocalVerifier(1, 1, verify_non_hamiltonian_cert)
 
 
+READ_GATHER = tree_reader(GatherCert)
+
+
 def gather_verifier(value_of, at_root):
-    return LocalVerifier(1, 1, lambda b: verify_gathering_cert(b, value_of, at_root))
+    """A gathering certificate in layer 0, checked as a protocol checks
+    one: ``tree_ok``, then ``sum_ok`` over the node's value."""
+    return LocalVerifier(1, 1, lambda b: (
+        tree_ok(b, 0, READ_GATHER)
+        and sum_ok(b, 0, READ_GATHER, value_of(b), at_root)))
 
 
 def p3_pointer_instance():
@@ -525,6 +534,18 @@ def test_built_certs_fit_domains():
     sdom = size_cert_domain(inst.n, inst.N)
     for value in build_size_cert(inst):
         assert sdom.decode(sdom.encode(value)) == value
+
+
+def test_a_domain_refuses_values_of_another_class():
+    # A verifier reads a label by its class, so a plain tuple, a list or
+    # a label of another class with the same components is no tree
+    # certificate.
+    dom = tree_cert_domain(4, 5)
+    assert dom.contains(TreeCert(1, None, 0))
+    for value in ((1, None, 0), [1, None, 0], SizeCert(1, None, 0)):
+        assert not dom.contains(value)
+        with pytest.raises(DomainError, match="not in domain tree-cert"):
+            dom.check_labelling([TreeCert(1, None, 0)] * 3 + [value])
 
 
 def test_decode_total_on_small_domain():

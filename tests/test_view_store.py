@@ -70,7 +70,8 @@ def _scrambling_verifier(t: int, width: int) -> LocalVerifier:
         acc = view.centre + 3 * len(view.edges)
         for u in view.members:
             acc += view.id_of(u) * (1 + sum(layer[u] for layer in view.layers))
-            acc += view.dist_from_centre(u) + 7 * view.is_frontier(u)
+            dist = view.centre_dist[u]
+            acc += dist + 7 * (dist == view.radius)
         return acc % 5 != 0
     return LocalVerifier(t, width, decide)
 
