@@ -67,10 +67,13 @@ class GameStats:
     """Work done by one game.  ``node_evaluations`` counts the node
     decisions actually made at the leaves, which stop at the first
     rejection found: each draws one view, so it is the ``served`` count
-    of the game's view store.  ``views_reused`` counts those whose view
-    was a copy of a view the store kept, not a new one from
-    ``graphs.ball``: the store's ``served`` count less the centres it
-    kept.
+    of the game's view store.  ``decisions_reused`` counts the node
+    verdicts a leaf took from the store instead, because the node's
+    labels were those of its last decision (the store's ``reused``), so
+    the two add up to the verdicts the leaves asked for.
+    ``views_reused`` counts the decisions whose view was a copy of a view
+    the store kept, not a new one from ``graphs.ball``: the store's
+    ``served`` count less the centres it kept.
     ``first_refutations`` counts the leaves rejected by their hinted node
     (see ``game_evaluate``) at its first decision.
 
@@ -81,6 +84,7 @@ class GameStats:
 
     leaf_evaluations: int
     node_evaluations: int
+    decisions_reused: int
     views_reused: int
     first_refutations: int
 
@@ -132,9 +136,11 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     ``ViewStore.first_rejection``).  Leaves at one position under different
     earlier moves often fail at the same node, so one decision settles
     them.  A node that refutes leaves at many positions is tried early
-    too, as in a one-level game, where each position comes up once.  The
-    verdict is a conjunction of pure decisions, so the order changes only
-    the number of decisions made.
+    too, as in a one-level game, where each position comes up once.  A
+    node whose labels are those of its last decision, in an earlier leaf,
+    is not decided again: the store answers with that decision's verdict.
+    The verdict is a conjunction of pure decisions, so neither the order
+    nor the reuse changes it, only the number of decisions made.
     The principal line is then replayed by ``evaluate`` on fresh view
     objects, apart from the game's store: each projects the line's labels
     and the instance's inputs afresh over the geometry ``graphs.ball``
@@ -203,7 +209,7 @@ def game_evaluate(protocol: Protocol, instance: Instance,
         leaf = evaluate(_decided_twice(protocol), instance, line)
         rejecting = leaf.rejecting_nodes
         return GameOutcome(leaf.verdict, line, leaf, GameStats(
-            1, rejecting[0] + 1 if rejecting else n, 0, 0))
+            1, rejecting[0] + 1 if rejecting else n, 0, 0, 0))
 
     eval_cap = mode.eval_cap
     decide = protocol.verifier.decide
@@ -254,8 +260,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             f" {leaf.verdict} but the game gave {verdict}; the verifier is"
             f" not a pure function of the ball")
     return GameOutcome(verdict, line, leaf, GameStats(
-        counters["leaf"], views.served, views.served - len(views.kept),
-        counters["first"]))
+        counters["leaf"], views.served, views.reused,
+        views.served - len(views.kept), counters["first"]))
 
 
 def _decided_twice(protocol: Protocol) -> LocalVerifier:

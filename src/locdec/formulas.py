@@ -61,18 +61,6 @@ class Formula:
                 return i + 1
         raise FormulaError(f"unknown variable {var}")
 
-    def to_text(self) -> str:
-        prefix = " ".join(
-            ("∃" if i % 2 == 0 else "∀") + " ".join(block)
-            for i, block in enumerate(self.blocks))
-        order = {v: j for j, v in enumerate(self.variables())}
-        body = " ∧ ".join(
-            "(" + " ∨ ".join(("" if s > 0 else "¬") + v
-                             for (v, s) in sorted(cl, key=lambda l: (order[l[0]], -l[1])))
-            + ")"
-            for cl in self.clauses)
-        return f"{prefix}: {body}"
-
 
 _QUANT = {"∃": 0, "E": 0, "∀": 1, "A": 1}
 _IDENT = re.compile(r"[a-z_][A-Za-z0-9_]*")

@@ -398,8 +398,13 @@ class LabelDomain:
             raise DomainError(
                 f"labelling covers {len(labelling)} nodes, domain has {self.n}")
         for v, value in enumerate(labelling):
-            if not self.contains(value):
-                raise DomainError(f"node {v}: {value!r} not in domain {self.name}")
+            if value is INVALID:
+                continue
+            try:
+                self.encode(value)
+            except (DomainError, TypeError) as exc:
+                raise DomainError(f"node {v}: {value!r} not in domain"
+                                  f" {self.name}: {exc}") from exc
 
 
 class BFSTree(NamedTuple):

@@ -59,12 +59,6 @@ def spanning_trees(graph: Graph) -> Iterator[frozenset[Edge]]:
             yield frozenset(combo)
 
 
-def oracle_mst_weight(graph: Graph) -> int:
-    if graph.weights is None:
-        raise ValueError("mst needs edge weights")
-    return min(sum(graph.weight(u, v) for (u, v) in t) for t in spanning_trees(graph))
-
-
 # ---------------------------------------------------------------- cycles
 
 def simple_cycles(graph: Graph) -> list[tuple[int, ...]]:
@@ -90,17 +84,6 @@ def simple_cycles(graph: Graph) -> list[tuple[int, ...]]:
 
 def hamiltonian_cycles(graph: Graph) -> list[tuple[int, ...]]:
     return [c for c in simple_cycles(graph) if len(c) == graph.n]
-
-
-def oracle_tsp_weight(graph: Graph) -> Optional[int]:
-    if graph.weights is None:
-        raise ValueError("tsp needs edge weights")
-    best: Optional[int] = None
-    for cyc in hamiltonian_cycles(graph):
-        w = sum(graph.weight(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
-        if best is None or w < best:
-            best = w
-    return best
 
 
 def cycle_node_sets(graph: Graph) -> list[frozenset[int]]:
@@ -131,18 +114,7 @@ def oracle_cycle_vc(graph: Graph, k: int) -> bool:
     return cycle_vc_witness(graph, k) is not None
 
 
-# ---------------------------------------------------------------- set problems
-
-def subsets(n: int) -> Iterator[frozenset[int]]:
-    for mask in range(1 << n):
-        yield frozenset(v for v in range(n) if mask >> v & 1)
-
-
-def is_independent(graph: Graph, s: frozenset[int]) -> bool:
-    return not any(u in s and v in s for (u, v) in graph.edges)
-
-def is_dominating(graph: Graph, s: frozenset[int]) -> bool:
-    return all(v in s or any(w in s for w in graph.neighbours(v)) for v in range(graph.n))
+# ---------------------------------------------------------------- matchings
 
 def is_matching(edges: frozenset[Edge]) -> bool:
     seen: set[int] = set()
@@ -152,33 +124,6 @@ def is_matching(edges: frozenset[Edge]) -> bool:
         seen.add(u)
         seen.add(v)
     return True
-
-def cut_size(graph: Graph, side: frozenset[int]) -> int:
-    return sum(1 for (u, v) in graph.edges if (u in side) != (v in side))
-
-
-def oracle_max_independent(graph: Graph) -> int:
-    return max(len(s) for s in subsets(graph.n) if is_independent(graph, s))
-
-def oracle_min_dominating(graph: Graph) -> int:
-    return min(len(s) for s in subsets(graph.n) if is_dominating(graph, s))
-
-def oracle_max_matching(graph: Graph) -> int:
-    best = 0
-    for r in range(len(graph.edges), 0, -1):
-        if r <= best:
-            break
-        for combo in combinations(sorted(graph.edges), r):
-            if is_matching(frozenset(combo)):
-                best = r
-                break
-    return best
-
-def oracle_max_cut(graph: Graph) -> int:
-    return max(cut_size(graph, s) for s in subsets(graph.n))
-
-def oracle_min_cut(graph: Graph) -> int:
-    return min(cut_size(graph, s) for s in subsets(graph.n))
 
 
 # ---------------------------------------------------------------- symmetry

@@ -139,10 +139,10 @@ MUTANTS = (
         "a cover move is yielded without its draw-time length check"),
     Mutant(
         "hinted-rejection-ignored", "src/locdec/runtime.py",
-        "        if first is not None and not decide(self.view(rows, first)):\n"
+        "        if first is not None and not verdict(decide, rows, first):\n"
         "            return first\n",
         "        if first is not None:\n"
-        "            decide(self.view(rows, first))\n",
+        "            verdict(decide, rows, first)\n",
         ("tests/test_refuter_first.py::"
          "test_a_rejecting_hint_settles_the_leaf_at_one_decision",
          "tests/test_reference_minimax.py::"
@@ -291,7 +291,7 @@ MUTANTS = (
         "evaluate-makes-a-store", "src/locdec/runtime.py",
         "    return Decision(tuple(bool(decide(build(instance, rows, v, radius)))\n",
         "    views = ViewStore(instance, radius)\n"
-        "    return Decision(tuple(bool(decide(views.view(rows, v)))\n",
+        "    return Decision(tuple(bool(views.verdict(decide, rows, v))\n",
         ("tests/test_runtime.py::"
          "test_evaluate_builds_one_view_per_node_and_no_store",
          "tests/test_runtime.py::test_a_searched_game_makes_one_store"),
@@ -299,12 +299,33 @@ MUTANTS = (
         " each centre is asked once"),
     Mutant(
         "store-keeps-nothing", "src/locdec/runtime.py",
-        "            kept = self.kept[v] = ball(self.instance, rows, v,"
+        "            view = self.kept[v] = ball(self.instance, rows, v,"
         " self.radius)\n",
-        "            kept = ball(self.instance, rows, v, self.radius)\n",
+        "            view = ball(self.instance, rows, v, self.radius)\n",
         ("tests/test_view_store.py::test_store_views_equal_fresh_balls",
          "tests/test_view_store.py::test_nta_exhaustive_counts"),
-        "a view store never keeps a view, so every request builds one"),
+        "a view store never keeps a view or a verdict, so every request"
+        " builds a view and is decided"),
+    Mutant(
+        "reuse-ignores-a-changed-layer", "src/locdec/runtime.py",
+        "            if layers == last_layers:\n",
+        "            if layers[:1] == last_layers[:1]:\n",
+        ("tests/test_view_store.py::"
+         "test_a_reusing_store_scans_as_the_fresh_reference",
+         "tests/test_view_store.py::"
+         "test_a_label_changed_in_any_layer_is_decided_again"),
+        "a node whose first layer is unchanged gets its kept verdict, though"
+        " a later layer changed"),
+    Mutant(
+        "reused-verdict-negated", "src/locdec/runtime.py",
+        "                self.reused += 1\n                return accepts\n",
+        "                self.reused += 1\n                return not accepts\n",
+        ("tests/test_view_store.py::"
+         "test_a_reusing_store_scans_as_the_fresh_reference",
+         "tests/test_view_store.py::"
+         "test_a_label_changed_in_any_layer_is_decided_again",
+         "tests/test_view_store.py::test_nta_exhaustive_counts"),
+        "a kept verdict is returned negated"),
     Mutant(
         "nta-accepts-unreadable-image", "src/locdec/protocols/nta.py",
         "        if not isinstance(b.own_label(0), NodeImage):\n"

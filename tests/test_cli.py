@@ -76,7 +76,8 @@ def test_invalid_labels_round_trip(name, n):
 def test_report_stats_round_trip_keeps_views_reused():
     report, _ = _mst_report()
     assert set(report.stats) == {"leaf_evaluations", "node_evaluations",
-                                 "views_reused", "first_refutations"}
+                                 "decisions_reused", "views_reused",
+                                 "first_refutations"}
     assert parse_report(emit_report(report)).stats == report.stats
 
 

@@ -501,6 +501,20 @@ def test_a_strategy_of_plain_tuples_is_an_error():
         game_evaluate(tuples, plain_instance(path_graph(3)), CONSTRUCTIVE)
 
 
+def test_a_refused_strategy_move_names_the_encoders_reason():
+    # The domain's refusal keeps the encoder's reason: a plain tuple is no
+    # TreeCert.
+    tuples = Protocol(
+        "tuple-strategy", PROVER,
+        (Level(tree_cert_domain, None,
+               lambda inst, earlier: Labelling([(1, None, 0)] * inst.n)),),
+        LocalVerifier(1, 1, lambda b: True))
+    with pytest.raises(StrategyError,
+                       match=r"node 0: \(1, None, 0\) not in domain"
+                             r" tree-cert: .* is not a TreeCert"):
+        game_evaluate(tuples, plain_instance(path_graph(4)), CONSTRUCTIVE)
+
+
 def test_impure_verifier_detected_at_replay():
     calls = {"n": 0}
 

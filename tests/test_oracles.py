@@ -13,15 +13,18 @@ from locdec.formulas import parse_formula
 from locdec.gen import cycle_graph, path_graph, with_random_weights
 from locdec.graphs import Graph, IdAssignment, InputAssignment, Instance, Ptr
 from locdec.oracles import (
-    components, connected_graphs, cut_size, hamiltonian_cycles,
-    has_nontrivial_automorphism, is_dominating, is_independent, is_matching,
-    iso_representatives,
-    oracle_automorphisms, oracle_cycle_vc, oracle_max_cut,
-    oracle_max_independent, oracle_max_matching, oracle_min_cut,
-    oracle_min_dominating, oracle_mst_weight, oracle_qbf, oracle_spanning_tree,
-    oracle_tsp_weight, simple_cycles, spanning_trees, subsets,
+    components, connected_graphs, hamiltonian_cycles,
+    has_nontrivial_automorphism, is_matching, iso_representatives,
+    oracle_automorphisms, oracle_cycle_vc, oracle_qbf, oracle_spanning_tree,
+    simple_cycles, spanning_trees,
 )
 from locdec.protocols.basic import spanning_tree_inputs
+
+from reference import (cut_size, is_dominating, is_independent,
+                       oracle_max_cut, oracle_max_independent,
+                       oracle_max_matching, oracle_min_cut,
+                       oracle_min_dominating, oracle_mst_weight,
+                       oracle_tsp_weight, subsets)
 
 
 TRIANGLE = cycle_graph(3)

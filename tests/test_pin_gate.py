@@ -29,9 +29,9 @@ EXPECTED_FAILURES = {
 
 # (leaf_evals, node_evals) of one pass at seed 0.
 EXPECTED_COUNTS = {
-    "exhaustive-search": (4_624, 6_615),
+    "exhaustive-search": (4_624, 5_622),
     "constructive-grid": (25, 9_616),
-    "corpus-sweep": (1_714, 3_083),
+    "corpus-sweep": (1_714, 3_036),
 }
 
 

@@ -20,6 +20,8 @@ from locdec.protocols.qbf import (TruthLabel, decode_qbf, encode_qbf,
                                   protocol_qbf_k)
 from locdec.runtime import evaluate
 
+from reference import formula_text
+
 WIDE = EvalMode(node_cap=32)
 WIDEST = EvalMode(node_cap=64)
 WIDE_CONSTRUCTIVE = EvalMode(constructive=True, node_cap=64)
@@ -80,7 +82,7 @@ class TestEncoding:
         g = decode_qbf(encode_qbf(f))
         assert tuple(len(b) for b in g.blocks) == (1, 1)
         assert oracle_qbf(g) == oracle_qbf(f)
-        assert g.to_text() == "∃x1 ∀x2: (x1 ∨ x2) ∧ (x1 ∨ ¬x2)"
+        assert formula_text(g) == "∃x1 ∀x2: (x1 ∨ x2) ∧ (x1 ∨ ¬x2)"
 
     def test_decode_rejects_plain_graphs(self):
         inst = Instance(gen.path_graph(3), IdAssignment((1, 2, 3), 3),
@@ -139,7 +141,7 @@ class TestGames:
                 continue
             tested += 1
             want = oracle_qbf(f)
-            assert game_evaluate(p, inst, WIDE).verdict == want, f.to_text()
+            assert game_evaluate(p, inst, WIDE).verdict == want, formula_text(f)
         assert tested >= 40
 
     def test_collapsed_game_matches_oracle_on_generated_formulas(self):
@@ -199,9 +201,9 @@ class TestGames:
         for f, inst in formulas:
             want = oracle_qbf(f)
             for variant in identity_variants(inst, 2):
-                assert game_evaluate(p, variant, WIDE).verdict == want, f.to_text()
+                assert game_evaluate(p, variant, WIDE).verdict == want, formula_text(f)
                 assert game_evaluate(p, variant, constructive).verdict == want, \
-                    f.to_text()
+                    formula_text(f)
                 verdicts.append(want)
         assert len(verdicts) == 40 and True in verdicts and False in verdicts
 

@@ -214,6 +214,6 @@ def test_a_forced_line_plays_the_strategy_move(game):
     assert constructive.leaf == exhaustive.leaf
     rejecting = constructive.leaf.rejecting_nodes
     assert constructive.stats == GameStats(
-        1, rejecting[0] + 1 if rejecting else inst.n, 0, 0)
+        1, rejecting[0] + 1 if rejecting else inst.n, 0, 0, 0)
     if not line:
         assert constructive == exhaustive

@@ -1,13 +1,14 @@
 """Refuter-first leaves: the hinted node is decided first, then the
 store's recent rejecters, and nothing changes but the number of decisions.
 
-``ViewStore.first_rejection`` decides an optional hinted node, then every
+``ViewStore.first_rejection`` asks an optional hinted node, then every
 other node in the store's order, each once; a node found rejecting in
 that scan moves to the front of the order.  A fresh store's order is node
 order.  ``game_evaluate`` hints, at each leaf, the node that last rejected
 a leaf at the same final-level cover position.  Verdicts, lines, leaf
 decisions and leaf counts must equal those of a game whose hints are
-dropped, and those of a reference leaf loop in plain node order.
+dropped, and those of a reference leaf loop in plain node order that
+decides every node it asks.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from locdec.engine import CONSTRUCTIVE, EXHAUSTIVE, game_evaluate, relabel_identities
 from locdec.gen import path_graph
+from locdec.graphs import ball
 from locdec.labels import LabelDomain, Labelling, range_field
 from locdec.protocol import PROVER, Level, Protocol
 from locdec.protocols import names, resolve
@@ -61,26 +63,30 @@ def test_an_accepting_hint_leaves_the_rest_to_node_order():
 
 
 def test_a_rejecter_found_in_the_scan_moves_to_the_front():
-    rejects = {2}
+    # A node rejects where its label is 1.  A node whose label is the one
+    # of its last decision is not decided again: the store answers with
+    # that decision's verdict.
     decided = []
 
     def decide(view) -> bool:
         decided.append(view.centre)
-        return view.centre not in rejects
+        return view.own_label(0) == 0
+
+    def rejecting(*nodes):
+        return (tuple(int(v in nodes) for v in range(4)),)
 
     views = ViewStore(plain_instance(path_graph(4)), 0)
-    assert views.first_rejection(decide, ()) == 2
+    assert views.first_rejection(decide, rejecting(2)) == 2
     assert views.order == [2, 0, 1, 3]
-    rejects = {3}
-    assert views.first_rejection(decide, ()) == 3
+    assert views.first_rejection(decide, rejecting(3)) == 3
     assert views.order == [3, 2, 0, 1]
     # A rejecting hint ends the leaf before the scan, so it stays in place.
-    rejects = {1}
-    assert views.first_rejection(decide, (), 1) == 1
+    assert views.first_rejection(decide, rejecting(1), 1) == 1
     assert views.order == [3, 2, 0, 1]
-    assert views.first_rejection(decide, (), 0) == 1
+    assert views.first_rejection(decide, rejecting(1), 0) == 1
     assert views.order == [1, 3, 2, 0]
-    assert decided == [0, 1, 2, 2, 0, 1, 3, 1, 0, 3, 2, 1]
+    assert decided == [0, 1, 2, 2, 3, 1, 3]
+    assert views.served + views.reused == 12
 
 
 def test_a_rejecting_hint_settles_the_leaf_at_one_decision():
@@ -104,10 +110,12 @@ def _hint_free(store, decide, rows, first=None):
 
 
 def _in_node_order(store, decide, rows, first=None):
-    """The reference leaf loop: no hint, every node in node order, and
-    nothing moved to the front."""
+    """The reference leaf loop: no hint, every node in node order, each
+    decided on a fresh view from `ball` and counted in the store's
+    ``served``, no verdict reused and nothing moved to the front."""
     for v in range(store.instance.n):
-        if not decide(store.view(rows, v)):
+        store.served += 1
+        if not decide(ball(store.instance, rows, v, store.radius)):
             return v
     return None
 

@@ -1,11 +1,14 @@
-"""The per-game view store: exact views, one kept view per centre,
-read-only views.
+"""The per-game view store: exact views, one kept view and one kept
+verdict per centre, read-only views.
 
-A ``ViewStore`` serves every view a game's leaves ask for.  Its views must
-equal what ``graphs.ball`` builds for the same labellings, it keeps the
-view of a centre's first request and serves every later request a copy
-of it, and verifiers must leave the views they are given untouched,
-since a kept view's geometry is shared by every later leaf.
+A ``ViewStore`` answers every node verdict a game's leaves ask for.  Its
+views must equal what ``graphs.ball`` builds for the same labellings, it
+keeps the view of a centre's first request and decides every later
+request on a copy of it, unless the request's labels are those of the
+centre's last decision, whose verdict it then returns with no view.  Its
+rejecters and order must be those of a leaf loop with no store, and
+verifiers must leave the views they are given untouched, since a kept
+view's geometry is shared by every later leaf.
 """
 from __future__ import annotations
 
@@ -76,21 +79,39 @@ def _scrambling_verifier(t: int, width: int) -> LocalVerifier:
     return LocalVerifier(t, width, decide)
 
 
+def _accepting(seen: list):
+    """A verifier that accepts every view and appends it to ``seen``."""
+    def decide(view) -> bool:
+        seen.append(view)
+        return True
+    return decide
+
+
 @settings(deadline=None)
 @given(cases())
 def test_store_views_equal_fresh_balls(case):
+    # Each request is decided on a view equal to the one `ball` builds, or,
+    # when its labels on the centre's ball are those of the centre's last
+    # decision, answered without a view.
     instances, t, labellings, requests = case
     stores = tuple(ViewStore(inst, t) for inst in instances)
     asked = Counter()
+    last = {}
     for which, lab, v in requests:
         inst = instances[which]
-        got = stores[which].view(labellings[lab], v)
-        assert got == ball(inst, labellings[lab], v, t)
+        want = ball(inst, labellings[lab], v, t)
+        got = []
+        assert stores[which].verdict(_accepting(got), labellings[lab], v)
+        if last.get((which, v)) == want.layers:
+            assert got == []
+        else:
+            assert got == [want]
+            last[which, v] = want.layers
         asked[which, v] += 1
     for which, store in enumerate(stores):
         counts = {v: c for (w, v), c in asked.items() if w == which}
         assert set(store.kept) == set(counts)
-        assert store.served - len(store.kept) == sum(c - 1 for c in counts.values())
+        assert store.served + store.reused == sum(counts.values())
 
 
 @settings(deadline=None)
@@ -101,15 +122,19 @@ def test_store_asked_once_per_centre_reuses_nothing(case):
     store = ViewStore(inst, t)
     served = []
     for v in range(inst.n):
-        served.append(store.view(labellings[v % len(labellings)], v))
+        store.verdict(_accepting(served), labellings[v % len(labellings)], v)
         assert served[-1] == ball(inst, labellings[v % len(labellings)], v, t)
     assert store.served == len(store.kept) == inst.n
+    assert store.reused == 0
     assert all(store.kept[v] is view for v, view in enumerate(served))
 
 
 @settings(deadline=None)
 @given(cases())
 def test_shared_store_gives_fresh_store_verdicts(case):
+    # A store shared across requests answers some of them from its kept
+    # verdicts; a fresh store decides every node it asks.  Both find the
+    # same rejecter, leave the same order and ask the same nodes.
     instances, t, labellings, requests = case
     verifier = _scrambling_verifier(t, len(labellings[0]))
     shared = tuple(ViewStore(inst, t) for inst in instances)
@@ -119,10 +144,94 @@ def test_shared_store_gives_fresh_store_verdicts(case):
         fresh.order[:] = shared[which].order
         runs = []
         for views in (shared[which], fresh):
-            before = views.served
+            before = views.served + views.reused
             rejecter = views.first_rejection(verifier.decide, labellings[lab])
-            runs.append((rejecter, views.served - before, views.order))
+            runs.append((rejecter, views.served + views.reused - before,
+                         views.order))
         assert runs[0] == runs[1]
+        assert fresh.reused == 0
+
+
+def _reference_scan(inst: Instance, t: int, decide, rows, order: list,
+                    first) -> tuple:
+    """The leaf loop with no store: the hinted node, then every other node
+    in ``order``, each decided on a fresh view from `ball`, the rejecter
+    found in the scan moved to the front.  Returns the rejecter and the
+    number of decisions."""
+    decisions = 0
+
+    def rejects(v: int) -> bool:
+        nonlocal decisions
+        decisions += 1
+        return not decide(ball(inst, rows, v, t))
+
+    if first is not None and rejects(first):
+        return first, decisions
+    for i, v in enumerate(order):
+        if v != first and rejects(v):
+            order.insert(0, order.pop(i))
+            return v, decisions
+    return None, decisions
+
+
+@st.composite
+def scans(draw):
+    """An instance, a radius, labellings, and a sequence of leaves, each a
+    labelling and an optional hinted node.  Each labelling after the first
+    changes a few labels of the one before, as the leaves of a game change
+    a few levels' moves, so a ball often sees some layers change and
+    others stay."""
+    instances, t, labellings, _ = draw(cases())
+    n, width = instances[0].n, len(labellings[0])
+    rows = [list(row) for row in labellings[0]]
+    labellings = [labellings[0]]
+    for _ in range(draw(st.integers(0, 4))):
+        for i, v, label in draw(st.lists(st.tuples(
+                st.integers(0, width - 1), st.integers(0, n - 1),
+                st.integers(0, 3)), min_size=1, max_size=3)):
+            rows[i][v] = label
+        labellings.append(tuple(tuple(row) for row in rows))
+    leaves = draw(st.lists(st.tuples(st.integers(0, len(labellings) - 1),
+                                     st.none() | st.integers(0, n - 1)),
+                           min_size=1, max_size=30))
+    return instances[0], t, labellings, leaves
+
+
+@settings(deadline=None)
+@given(scans())
+def test_a_reusing_store_scans_as_the_fresh_reference(scan):
+    # Across a game's leaves, the store's kept verdicts change no rejecter
+    # and no order, only how many of the verdicts asked for are decided.
+    inst, t, labellings, leaves = scan
+    verifier = _scrambling_verifier(t, len(labellings[0]))
+    store = ViewStore(inst, t)
+    order = list(range(inst.n))
+    decisions = 0
+    for lab, first in leaves:
+        want, made = _reference_scan(inst, t, verifier.decide,
+                                     labellings[lab], order, first)
+        decisions += made
+        assert store.first_rejection(verifier.decide, labellings[lab],
+                                     first) == want
+        assert store.order == order
+        assert store.served + store.reused == decisions
+
+
+def test_a_label_changed_in_any_layer_is_decided_again():
+    decided = []
+
+    def decide(view) -> bool:
+        decided.append(view.centre)
+        return view.own_label(1) == 0
+
+    store = ViewStore(plain_instance(path_graph(3)), 0)
+    still = ((0, 0, 0), (0, 0, 0))
+    assert store.first_rejection(decide, still) is None
+    assert store.first_rejection(decide, still) is None
+    assert decided == [0, 1, 2] and store.reused == 3
+    # Node 1's second layer changes, its first does not.
+    assert store.first_rejection(decide, ((0, 0, 0), (0, 1, 0))) == 1
+    assert decided == [0, 1, 2, 1] and store.reused == 4
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +337,21 @@ def test_nta_exhaustive_counts():
     # The first image move meets each cover position for the first time,
     # with no hint.  Its roots follow node order, so each scan passes the
     # earlier roots, now at the front, before it reaches the nodes after
-    # them up to its own root (1 + 2 + ... + 6 = 21 decisions); every
-    # later leaf is refuted by its hinted node at one decision.  One build per centre, every later view a copy of
-    # the one the store kept.
+    # them up to its own root (1 + 2 + ... + 6 = 21 verdicts); every
+    # later leaf is refuted by its hinted node at its first verdict.  Of
+    # those 4,335 verdicts, 574 are asked of a node whose labels are those
+    # of its last decision, and the store answers them with no decision.
+    # One build per centre, every later view a copy of the one the store
+    # kept.
     inst = Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
                     InputAssignment((None,) * 6))
     stats = game_evaluate(resolve("nta"), inst, EXHAUSTIVE).stats
     assert stats.leaf_evaluations == 4_320
-    assert stats.node_evaluations == 4_335 == 21 + (4_320 - 6)
+    assert stats.node_evaluations + stats.decisions_reused \
+        == 4_335 == 21 + (4_320 - 6)
+    assert (stats.node_evaluations, stats.decisions_reused) == (3_761, 574)
     assert stats.first_refutations == 4_314
-    assert stats.views_reused == 4_335 - inst.n
+    assert stats.views_reused == 3_761 - inst.n
 
 
 def test_nta_exhaustive_computes_derived_attributes_once_per_ball(monkeypatch):
@@ -277,7 +391,7 @@ def test_nta_exhaustive_computes_derived_attributes_once_per_ball(monkeypatch):
 
     protocol = replace(nta, verifier=replace(nta.verifier, decide=reading))
     stats = game_evaluate(protocol, inst, EXHAUSTIVE).stats
-    assert stats.views_reused == 4_335 - inst.n
+    assert stats.views_reused == 3_761 - inst.n
     assert len(built) == 2 * inst.n
     for name in DERIVED:
         assert sorted(id(view) for n, view in computed if n == name) \
