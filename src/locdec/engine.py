@@ -71,11 +71,12 @@ class GameStats:
     verdicts a leaf took from the store instead, because the node's
     labels were those of its last decision (the store's ``reused``), so
     the two add up to the verdicts the leaves asked for.
-    ``views_reused`` counts the decisions whose view was a copy of a view
-    the store kept, not a new one from ``graphs.ball``: the store's
-    ``served`` count less the centres it kept.
-    ``first_refutations`` counts the leaves rejected by their hinted node
-    (see ``game_evaluate``) at its first decision.
+    ``views_reused`` counts the decisions whose view was a copy of the
+    first view the store kept for its centre, not a new one from
+    ``graphs.ball``: the store's ``served`` count less the centres it
+    kept.  ``first_refutations`` counts the leaves rejected by their
+    hinted node (see ``game_evaluate``) at its first verdict, the store's
+    ``first_refutations``.
 
     A forced line (see ``game_evaluate``) has one leaf, no store and no
     hint: it counts the decisions up to and including the first rejecting
@@ -213,32 +214,28 @@ def game_evaluate(protocol: Protocol, instance: Instance,
 
     eval_cap = mode.eval_cap
     decide = protocol.verifier.decide
-    counters = {"leaf": 0, "first": 0}
     views = ViewStore(instance, protocol.verifier.radius)
     # Final-level move position -> the node that last rejected a leaf
     # ending there.
     hints: dict[int, int] = {}
-
-    def leaf_value(rows: tuple[Labelling, ...], position: int) -> bool:
-        counters["leaf"] += 1
-        if counters["leaf"] > eval_cap:
-            raise CapExceeded(
-                f"{protocol.name}: leaf evaluations exceed the cap {eval_cap}")
-        hint = hints.get(position)
-        rejecter = views.first_rejection(decide, rows, hint)
-        if rejecter is None:
-            return True
-        if rejecter == hint:
-            counters["first"] += 1
-        hints[position] = rejecter
-        return False
+    leaves = 0
 
     def play(idx: int, earlier: tuple[Labelling, ...], position: int = 0):
         # ``position`` is the last move's index among its level's moves;
         # the leaf reads it as the final level's.  ``earlier`` holds the
         # checked moves, so at a leaf it is the leaf's rows.
+        nonlocal leaves
         if idx == k:
-            return leaf_value(earlier, position), ()
+            leaves += 1
+            if leaves > eval_cap:
+                raise CapExceeded(f"{protocol.name}: leaf evaluations exceed"
+                                  f" the cap {eval_cap}")
+            rejecter = views.first_rejection(decide, earlier,
+                                             hints.get(position))
+            if rejecter is None:
+                return True, ()
+            hints[position] = rejecter
+            return False, ()
         wants = provers[idx]
         fallback = None
         for position, move in enumerate(moves(idx, earlier)):
@@ -260,8 +257,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             f" {leaf.verdict} but the game gave {verdict}; the verifier is"
             f" not a pure function of the ball")
     return GameOutcome(verdict, line, leaf, GameStats(
-        counters["leaf"], views.served, views.reused,
-        views.served - len(views.kept), counters["first"]))
+        leaves, views.served, views.reused, views.served - len(views.kept),
+        views.first_refutations))
 
 
 def _decided_twice(protocol: Protocol) -> LocalVerifier:

@@ -175,10 +175,6 @@ class IdAssignment:
                 raise InstanceError(f"duplicate identity {i}")
             seen.add(i)
 
-    @staticmethod
-    def default(n: int, N: Optional[int] = None) -> "IdAssignment":
-        return IdAssignment(tuple(range(1, n + 1)), N if N is not None else max(1, n * n))
-
     # Note: cached dict kept out of dataclass fields so equality stays on ids/N.
     @cached_property
     def node_by_id(self) -> dict[int, int]:
@@ -298,12 +294,12 @@ class BallView:
     Views share their geometry dicts: every view `ball` builds for one
     centre and radius of a (graph, identities) pair shares that pair's
     kept `Shape`, across games, and a game's `runtime.ViewStore` keeps the
-    first view of each centre and serves later leaves `with_layers` copies
-    that share whatever attributes its first decision computed.  Within
-    one view, frontier members with equal in-ball neighbours share one
-    `adj_in` set.  So nothing else may write into a view: a write would
-    reach every later view of that centre, in this game and in the games
-    after it.
+    first view of each centre in the centre's one entry and decides later
+    leaves on `with_layers` copies of it, which share whatever attributes
+    its first decision computed.  Within one view, frontier members with
+    equal in-ball neighbours share one `adj_in` set.  So nothing else may
+    write into a view: a write would reach every later view of that
+    centre, in this game and in the games after it.
 
     Hot verifier kernels read a member's fields directly, as
     `adj_in[centre]`, `ids_in[u]`, `inputs_in[u]` and `layers[i][u]`,
@@ -468,8 +464,9 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
     keeps it at the centre's index of the radius's list in the pair's
     `geometry`.  Every call, from any instance of the pair, then fills a
     view over the kept shape with `view_over`, which projects only the
-    instance's inputs and `labellings` onto the members.  `runtime.ViewStore` also reuses a centre's whole first view
-    across a game's leaves.
+    instance's inputs and `labellings` onto the members.
+    `runtime.ViewStore` keeps a centre's first view in its one entry for
+    the centre, and copies it at the game's later leaves.
     """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")
@@ -543,26 +540,6 @@ def geometry(instance: Instance) -> Geometry:
 # reports and benchmark pins name instances by that digest.
 # ---------------------------------------------------------------------------
 
-def input_to_json(x: InputValue):
-    """JSON form of an input value, as stored in instance files."""
-    if x is None:
-        return None
-    if isinstance(x, bool):
-        raise InstanceError("boolean is not an input value")
-    if isinstance(x, int):
-        return {"kind": "int", "value": x}
-    if isinstance(x, Ptr):
-        return {"kind": "ptr", "to": x.to}
-    if isinstance(x, Marks):
-        return {"kind": "marks", "ids": sorted(x.ids)}
-    if isinstance(x, Lit):
-        return {"kind": "lit", "level": x.level,
-                "sign": "+" if x.sign > 0 else "-"}
-    if isinstance(x, Cls):
-        return {"kind": "clause"}
-    raise InstanceError(f"unserializable input {x!r}")
-
-
 def _int_field(x, kind: str) -> int:
     if not _is_int(x):
         raise InstanceError(f"malformed {kind} input: {x!r} is not an integer")
@@ -570,7 +547,8 @@ def _int_field(x, kind: str) -> int:
 
 
 def input_from_json(obj) -> InputValue:
-    """Inverse of `input_to_json`; raises InstanceError on malformed data."""
+    """The input value a node record's `input` object stores (the form
+    `_render_input` writes); raises InstanceError on malformed data."""
     if obj is None:
         return None
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -657,7 +635,8 @@ _IDS = ",\n          "
 
 
 def _render_input(x: InputValue) -> str:
-    """`input_to_json(x)` as indent-2 JSON at a node record's `input` key."""
+    """Input `x` as its JSON object (`kind` and that kind's fields), in
+    indent-2 JSON at a node record's `input` key."""
     if x is None:
         return "null"
     t = type(x)

@@ -51,11 +51,6 @@ class Labelling(tuple):
         """The labelling itself, which is its own tuple of labels."""
         return self
 
-    def replace(self, v: int, value: object) -> "Labelling":
-        vals = list(self)
-        vals[v] = value
-        return Labelling(vals)
-
 
 class TreeCert(NamedTuple):
     root: int
@@ -383,15 +378,6 @@ class LabelDomain:
     def first(self) -> object:
         """The value ``values()`` yields first, in O(number of fields)."""
         return self.make(*(f.first for f in self.fields))
-
-    def contains(self, value: object) -> bool:
-        if value is INVALID:
-            return True
-        try:
-            self.encode(value)
-        except (DomainError, TypeError):
-            return False
-        return True
 
     def check_labelling(self, labelling: Sequence[object]) -> None:
         if len(labelling) != self.n:

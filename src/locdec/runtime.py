@@ -19,31 +19,28 @@ later one on the pair, is a new view object over the kept geometry with
 the instance's inputs and the requested labels freshly projected onto
 its members.
 
-A searched game draws its views from a ``ViewStore``, bound to one
+A searched game draws its verdicts from a ``ViewStore``, bound to one
 instance and one radius.  Across the leaves of one game only the label
 layers change, so a centre's members, edges, identities, inputs and
-frontier stay the same.  A store keeps the view ``ball`` builds on a
-centre's first request; every later decision gets a ``with_layers`` copy
-of it with the requested labellings projected onto its members, with no
-inputs projected.  A view computes its edge set and identity inverse on
-first read (see ``BallView``), so a copy shares whichever of them the
-first decision on the kept view read.  ``evaluate`` asks each centre
-once, so it makes no store: each node decides on a fresh view from
-``ball``.
-
-A decision depends on its view alone, so a store also keeps, for
-each centre, the label layers and the verdict of its last decision.  A
-request whose labels, projected onto the centre's members, equal those
-layers gets the kept verdict, with no view and no decision: the store's
-instance and radius are fixed, so equal layers mean an equal view (a
-transposition table for the leaves, Zobrist 1970, bounded to one entry
-per centre, which go with the store at the end of its game).  Any other
-request is decided, and its layers and verdict replace the kept ones.
+frontier stay the same.  A store keeps one entry per centre: the view
+``ball`` builds on the centre's first request, and the label layers and
+verdict of the centre's last decision.  A decision depends on its view
+alone, and the store's instance and radius are fixed, so a request whose
+labels, projected onto the centre's members, equal the kept layers gets
+the kept verdict, with no view and no decision (a transposition table
+for the leaves, Zobrist 1970, bounded to one entry per centre, which go
+with the store at the end of its game).  Any other request is decided on
+a ``with_layers`` copy of the first view, with no inputs projected, and
+its layers and verdict replace the kept ones.  A view computes its edge
+set and identity inverse on first read (see ``BallView``), so a copy
+shares whichever of them the first decision on the first view read.
+``evaluate`` asks each centre once, so it makes no store: each node
+decides on a fresh view from ``ball``.
 
 Each node decision draws exactly one view from the store, so the
 store's ``served`` count is the number of decisions made with it, and
 its ``reused`` count the verdicts it answered without one; a game reads
-its node-decision and reuse counts there.
+these counts, and the store's count of first refutations, there.
 
 The leaf loop trusts what it is handed: one row of labels per layer,
 each labelling every node (a ``Labelling`` is its own row, the tuple of
@@ -120,18 +117,19 @@ class Decision:
 
 
 class ViewStore:
-    """Node verdicts over radius-``radius`` views of ``instance``, one view
-    kept per centre from its first request on, and each centre's last
-    verdict kept with the labels it was decided on (see the module
+    """Node verdicts over radius-``radius`` views of ``instance``, with one
+    entry kept per centre from its first request on (see the module
     docstring).
 
-    ``kept`` maps each centre asked for to the view ``ball`` built on its
-    first request, and ``last`` to the label layers and verdict of its
+    ``kept`` maps each centre asked for to its entry: the view ``ball``
+    built on its first request, and the label layers and verdict of its
     last decision.  ``served`` counts the decisions made, one view each,
     so ``served - len(kept)`` of them were made on copies of a kept view.
     ``reused`` counts the requests answered with a kept verdict, which
-    make no view and no decision.  None of them counts what ``ball``
-    reuses from the geometry it keeps, so all depend on this game alone.
+    make no view and no decision, and ``first_refutations`` the scans
+    that ``first_rejection``'s hinted node settled.  None of them counts
+    what ``ball`` reuses from the geometry it keeps, so all depend on
+    this game alone.
 
     ``order`` lists every node, the most recent rejecter found by
     ``first_rejection``'s scan first; it starts as node order.
@@ -142,8 +140,9 @@ class ViewStore:
         self.radius = radius
         self.served = 0
         self.reused = 0
-        self.kept: dict[int, BallView] = {}
-        self.last: dict[int, tuple[tuple[dict[int, object], ...], bool]] = {}
+        self.first_refutations = 0
+        self.kept: dict[int, tuple[BallView, tuple[dict[int, object], ...],
+                                   bool]] = {}
         self.order = list(range(instance.n))
 
     def verdict(self, decide: Callable[[BallView], bool],
@@ -151,22 +150,23 @@ class ViewStore:
         """Node ``v``'s verdict with ``rows`` (one label sequence per
         layer, indexed by node) projected onto its members: the kept
         verdict when the projected layers equal those of ``v``'s last
-        decision, else a decision on a view, which is kept as the last."""
-        kept = self.kept.get(v)
-        if kept is None:
-            view = self.kept[v] = ball(self.instance, rows, v, self.radius)
+        decision, else a decision on a view, whose layers and verdict
+        become the kept ones."""
+        entry = self.kept.get(v)
+        if entry is None:
+            view = first = ball(self.instance, rows, v, self.radius)
             layers = view.layers
         else:
-            members = kept.members
+            first, last_layers, accepts = entry
+            members = first.members
             layers = tuple([{u: row[u] for u in members} for row in rows])
-            last_layers, accepts = self.last[v]
             if layers == last_layers:
                 self.reused += 1
                 return accepts
-            view = kept.with_layers(layers)
+            view = first.with_layers(layers)
         self.served += 1
         accepts = decide(view)
-        self.last[v] = (layers, accepts)
+        self.kept[v] = (first, layers, accepts)
         return accepts
 
     def first_rejection(self, decide: Callable[[BallView], bool],
@@ -174,13 +174,15 @@ class ViewStore:
                         first: Optional[int] = None) -> Optional[int]:
         """The first node found to reject, or None when every node accepts.
 
-        Node ``first``, when given, is asked first; then every other node
-        in ``order``, each once, for its ``verdict``.  A node that rejects
-        in that scan moves to the front of ``order``; a rejecting
-        ``first`` stays where it is.  Nothing handed to it is checked (see
-        the module docstring)."""
+        Node ``first``, when given, is asked first, and its rejection
+        counts as a first refutation; then every other node in ``order``,
+        each once, for its ``verdict``.  A node that rejects in that scan
+        moves to the front of ``order``; a rejecting ``first`` stays where
+        it is.  Nothing handed to it is checked (see the module
+        docstring)."""
         verdict = self.verdict
         if first is not None and not verdict(decide, rows, first):
+            self.first_refutations += 1
             return first
         order = self.order
         for i, v in enumerate(order):

@@ -99,12 +99,6 @@ def complement_lift(p: Protocol) -> Protocol:
     count, disprover-first with an odd one) is refused.
     """
     k = p.level_count
-    first = PROVER if k == 0 else other_side(p.first)
-    owner = first if k % 2 == 0 else other_side(first)
-    if owner != PROVER:
-        raise ProtocolError(
-            f"lift needs the added level {k + 1} to be the prover's, but on"
-            f" {p.name} ({pattern_tag(p.first, k)}) it would be the {owner}'s")
     base_radius = p.verifier.radius
     radius = max(base_radius, 1)
 
@@ -131,8 +125,15 @@ def complement_lift(p: Protocol) -> Protocol:
     if p.language is not None:
         oracle = p.language.oracle
         language = LanguageSpec(lambda instance: not oracle(instance))
-    return Protocol("lift:" + p.name, first, levels,
-                    LocalVerifier(radius, k + 1, decide), language)
+    first = PROVER if k == 0 else other_side(p.first)
+    lifted = Protocol("lift:" + p.name, first, levels,
+                      LocalVerifier(radius, k + 1, decide), language)
+    owner = lifted.owner(k + 1)
+    if owner != PROVER:
+        raise ProtocolError(
+            f"lift needs the added level {k + 1} to be the prover's, but on"
+            f" {p.name} ({pattern_tag(p.first, k)}) it would be the {owner}'s")
+    return lifted
 
 
 # ---------------------------------------------------------------------------

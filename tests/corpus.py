@@ -7,12 +7,23 @@ from locdec.formulas import parse_formula
 from locdec.gen import clique_graph, cycle_graph, path_graph
 from locdec.graphs import (Graph, IdAssignment, InputAssignment, Instance,
                            Marks, Ptr)
+from locdec.labels import Labelling
 from locdec.protocols.qbf import encode_qbf
+
+
+def default_ids(n: int) -> IdAssignment:
+    """Identities 1..n out of N = n * n (at least 1)."""
+    return IdAssignment(tuple(range(1, n + 1)), max(1, n * n))
+
+
+def with_label(labelling, v: int, value: object) -> Labelling:
+    """``labelling`` with node ``v`` relabelled ``value``."""
+    return Labelling(value if u == v else x for u, x in enumerate(labelling))
 
 
 def plain_instance(graph: Graph, ids: IdAssignment | None = None) -> Instance:
     return Instance(graph,
-                    ids if ids is not None else IdAssignment.default(graph.n),
+                    ids if ids is not None else default_ids(graph.n),
                     InputAssignment((None,) * graph.n))
 
 

@@ -14,10 +14,13 @@ directory and first runs every chosen mutant's tests there unmutated,
 which must pass, so that a failure is the mutant's doing.  It then
 applies one mutant at a time to the copy and runs that mutant's tests in
 a child process: the mutant is killed when a test fails, and survives
-when all pass.  It prints one line per mutant with the time taken, exits
-non-zero unless every mutant is killed, and writes nothing into the
-checkout.  ``tests/test_mutants.py`` checks, without running a mutant,
-that every anchor occurs exactly once and every test id names a test.
+when all pass.  The child runs load the ``mutants`` hypothesis profile
+(``tests/conftest.py``), which does not shrink: a failing test kills the
+mutant whatever its counterexample.  It prints one line per mutant with
+the time taken, exits non-zero unless every mutant is killed, and writes
+nothing into the checkout.  ``tests/test_mutants.py`` checks, without
+running a mutant, that every anchor occurs exactly once and every test id
+names a test.
 """
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+from conftest import MUTANTS_PROFILE
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
@@ -126,7 +131,7 @@ MUTANTS = (
     Mutant(
         "extra-leaf-per-game", "src/locdec/engine.py",
         "    verdict, line = play(0, ())\n",
-        "    verdict, line = play(0, ())\n    leaf_value(line, 0)\n",
+        "    verdict, line = play(0, ())\n    play(k, line)\n",
         ("tests/test_pin_gate.py::test_workload_replays_its_pinned_lines",),
         "each searched game decides one leaf more than it needs"),
     Mutant(
@@ -140,6 +145,7 @@ MUTANTS = (
     Mutant(
         "hinted-rejection-ignored", "src/locdec/runtime.py",
         "        if first is not None and not verdict(decide, rows, first):\n"
+        "            self.first_refutations += 1\n"
         "            return first\n",
         "        if first is not None:\n"
         "            verdict(decide, rows, first)\n",
@@ -299,12 +305,10 @@ MUTANTS = (
         " each centre is asked once"),
     Mutant(
         "store-keeps-nothing", "src/locdec/runtime.py",
-        "            view = self.kept[v] = ball(self.instance, rows, v,"
-        " self.radius)\n",
-        "            view = ball(self.instance, rows, v, self.radius)\n",
+        "        self.kept[v] = (first, layers, accepts)\n", "",
         ("tests/test_view_store.py::test_store_views_equal_fresh_balls",
          "tests/test_view_store.py::test_nta_exhaustive_counts"),
-        "a view store never keeps a view or a verdict, so every request"
+        "a view store never keeps an entry, so every request"
         " builds a view and is decided"),
     Mutant(
         "reuse-ignores-a-changed-layer", "src/locdec/runtime.py",
@@ -313,7 +317,10 @@ MUTANTS = (
         ("tests/test_view_store.py::"
          "test_a_reusing_store_scans_as_the_fresh_reference",
          "tests/test_view_store.py::"
-         "test_a_label_changed_in_any_layer_is_decided_again"),
+         "test_a_label_changed_in_any_layer_is_decided_again",
+         "tests/test_view_store.py::test_store_views_equal_fresh_balls",
+         "tests/test_view_store.py::"
+         "test_shared_store_gives_fresh_store_verdicts"),
         "a node whose first layer is unchanged gets its kept verdict, though"
         " a later layer changed"),
     Mutant(
@@ -326,6 +333,15 @@ MUTANTS = (
          "test_a_label_changed_in_any_layer_is_decided_again",
          "tests/test_view_store.py::test_nta_exhaustive_counts"),
         "a kept verdict is returned negated"),
+    Mutant(
+        "first-refutation-uncounted", "src/locdec/runtime.py",
+        "            self.first_refutations += 1\n", "",
+        ("tests/test_refuter_first.py::"
+         "test_a_rejecting_hint_settles_the_leaf_at_one_decision",
+         "tests/test_refuter_first.py::"
+         "test_one_rejecter_is_found_once_per_game"),
+        "a leaf settled by its hinted node is not counted as a first"
+        " refutation"),
     Mutant(
         "nta-accepts-unreadable-image", "src/locdec/protocols/nta.py",
         "        if not isinstance(b.own_label(0), NodeImage):\n"
@@ -360,6 +376,7 @@ def _pytest(into: Path, tests: tuple[str, ...], stop_early: bool) -> str:
     env = dict(os.environ, PYTHONPATH=str(into / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               f"--hypothesis-profile={MUTANTS_PROFILE}",
                *(["-x"] if stop_early else []), *tests]
     try:
         return str(subprocess.run(

@@ -1,10 +1,12 @@
 """Reference answers that only the tests read.
 
 Optimisation oracles over every subset, spanning tree or Hamiltonian
-cycle of a test-scale graph, and a formula's text form.  The program
-decides none of these values itself: its protocols check a labelling
-against a rival locally, so these exhaustive answers are what the tests
-measure the protocols' verdicts against.
+cycle of a test-scale graph, a formula's text form, and an input value's
+JSON form.  The program decides none of these values itself: its
+protocols check a labelling against a rival locally, so these exhaustive
+answers are what the tests measure the protocols' verdicts against, and
+`graphs.emit_instance` writes instance files from string templates, so
+the JSON form is what the tests measure its bytes against.
 """
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from locdec.formulas import Formula
-from locdec.graphs import Graph
+from locdec.graphs import (Cls, Graph, InputValue, InstanceError, Lit,
+                           Marks, Ptr)
 from locdec.oracles import hamiltonian_cycles, is_matching, spanning_trees
 
 
@@ -84,3 +87,23 @@ def formula_text(formula: Formula) -> str:
         + ")"
         for cl in formula.clauses)
     return f"{prefix}: {body}"
+
+
+def input_to_json(x: InputValue):
+    """JSON form of an input value, as stored in instance files."""
+    if x is None:
+        return None
+    if isinstance(x, bool):
+        raise InstanceError("boolean is not an input value")
+    if isinstance(x, int):
+        return {"kind": "int", "value": x}
+    if isinstance(x, Ptr):
+        return {"kind": "ptr", "to": x.to}
+    if isinstance(x, Marks):
+        return {"kind": "marks", "ids": sorted(x.ids)}
+    if isinstance(x, Lit):
+        return {"kind": "lit", "level": x.level,
+                "sign": "+" if x.sign > 0 else "-"}
+    if isinstance(x, Cls):
+        return {"kind": "clause"}
+    raise InstanceError(f"unserializable input {x!r}")

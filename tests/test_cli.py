@@ -20,7 +20,7 @@ from locdec.protocol import PROVER, Protocol
 from locdec.protocols import resolve
 from locdec.runtime import LocalVerifier
 
-from corpus import small_instances
+from corpus import default_ids, small_instances
 
 
 def _decoded(report):
@@ -61,7 +61,7 @@ def test_mst_report_round_trips_input_valued_labels():
 ])
 def test_invalid_labels_round_trip(name, n):
     graph = path_graph(n)
-    inst = Instance(graph, IdAssignment.default(n), InputAssignment((None,) * n))
+    inst = Instance(graph, default_ids(n), InputAssignment((None,) * n))
     protocol = resolve(name)
     outcome = game_evaluate(protocol, inst)
     report = parse_report(emit_report(build_report(protocol, inst, outcome)))
@@ -241,7 +241,7 @@ def test_reports_never_use_the_pure_python_encoder(monkeypatch):
     # `json.dumps(..., indent=...)` encodes through `_make_iterencode`;
     # the C encoder never does.
     graph = grid_graph(6, 6)
-    inst = Instance(graph, IdAssignment.default(graph.n),
+    inst = Instance(graph, default_ids(graph.n),
                     InputAssignment((graph.n,) * graph.n))
     protocol = resolve("size")
     outcome = game_evaluate(protocol, inst,

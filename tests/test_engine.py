@@ -29,7 +29,7 @@ from locdec.transforms import (CollapsedLabel, CombinedLabel,
                                collapse_last_universal, complement_lift,
                                shrink_ball, unanimous_combine)
 
-from corpus import plain_instance
+from corpus import default_ids, plain_instance, with_label
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def test_a_labelling_is_the_tuple_of_its_labels():
     assert isinstance(lab, tuple)
     assert lab == labels and hash(lab) == hash(labels)
     assert lab.values is lab
-    swapped = lab.replace(1, Bit(0))
+    swapped = with_label(lab, 1, Bit(0))
     assert type(swapped) is Labelling
     assert swapped == (Bit(0), Bit(0), Bit(1)) and lab == labels
     assert not hasattr(lab, "__dict__")
@@ -826,7 +826,7 @@ def test_identity_variants_stop_counting_at_the_count():
     # N!/(N-n)! is a 1,600-factor product on this grid; one round needs
     # none of it.
     n = 40 * 40
-    grid = Instance(grid_graph(40, 40), IdAssignment.default(n),
+    grid = Instance(grid_graph(40, 40), default_ids(n),
                     InputAssignment((None,) * n))
     assert identity_variants(grid, count=1) == (grid,)
     # Three nodes under N = 3 have 3! = 6 assignments, fewer than asked.

@@ -16,12 +16,12 @@ from locdec import runtime
 from locdec.engine import (CONSTRUCTIVE, EXHAUSTIVE, EvalMode, game_evaluate,
                            identity_variants)
 from locdec.gen import grid_graph, path_graph
-from locdec.graphs import IdAssignment, InputAssignment, Instance
+from locdec.graphs import InputAssignment, Instance
 from locdec.protocol import PROVER, Protocol, ProtocolError
 from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, ViewStore
 
-from corpus import TRANSFORMS, plain_instance, small_instances
+from corpus import TRANSFORMS, default_ids, plain_instance, small_instances
 
 PARITY = ("3col", "size", "spanning-tree", "non-spanning-tree")
 
@@ -89,7 +89,7 @@ def test_a_forced_line_is_its_own_replay(name):
 
 def _grid(side: int, inputs) -> Instance:
     n = side * side
-    return Instance(grid_graph(side, side), IdAssignment.default(n),
+    return Instance(grid_graph(side, side), default_ids(n),
                     InputAssignment(tuple(inputs(v) for v in range(n))))
 
 

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 from locdec.formulas import parse_formula
 from locdec.gen import path_graph
 from locdec.graphs import (Cls, Graph, IdAssignment, InputAssignment, Instance,
-                           Lit, Marks, Ptr, emit_instance, input_to_json,
-                           instance_digest, parse_instance)
+                           Lit, Marks, Ptr, emit_instance, instance_digest,
+                           parse_instance)
 from locdec.protocols.qbf import encode_qbf
+
+from corpus import default_ids
+from reference import input_to_json
 
 
 def reference_emit(instance: Instance) -> str:
@@ -79,7 +82,7 @@ def test_single_node_instance_has_empty_edge_list():
 
 # Digests taken from the indented `json.dumps` emitter this one replaced.
 GOLDEN = [
-    (lambda: Instance(path_graph(4), IdAssignment.default(4),
+    (lambda: Instance(path_graph(4), default_ids(4),
                       InputAssignment((None,) * 4)),
      "7672bc0ae28b4bb1"),
     (lambda: Instance(Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}),

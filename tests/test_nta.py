@@ -20,7 +20,7 @@ from locdec.protocols.nta import (GAINED_EDGE, IDENTITY_MAP, LOST_EDGE,
 from locdec.runtime import evaluate
 from locdec.schemes import honest_tree
 
-from corpus import asymmetric6, plain_instance
+from corpus import asymmetric6, plain_instance, with_label
 
 ASYMMETRIC_6 = Graph(6, frozenset({(0, 1), (0, 2), (0, 3),
                                    (1, 2), (1, 4), (3, 5)}))
@@ -127,7 +127,7 @@ class TestMapDefect:
     def test_mixed_flags_are_rejected_everywhere(self):
         inst = self.map_instance(gen.path_graph(3), (2, 1, 3), 5, (2, 1, 3))
         move = self.first_move(inst)
-        broken = move.replace(1, move[1]._replace(flag=GAINED_EDGE))
+        broken = with_label(move, 1, move[1]._replace(flag=GAINED_EDGE))
         decision = evaluate(protocol_map_defect().verifier, inst, (broken,))
         assert decision.rejecting_nodes == (0, 1, 2)
 

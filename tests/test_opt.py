@@ -385,9 +385,9 @@ class TestProtocolOptConstruction:
         domain = proto.levels[0].domain_of(inst.n, inst.N)
         assert domain.width <= domain.c * id_width(inst.N)
         move = game_evaluate(proto, inst).line[0]
+        domain.check_labelling(move)
         for lbl in move:
             assert domain.decode(domain.encode(lbl)) == lbl
-            assert domain.contains(lbl)
 
 
 # ---------------------------------------------------------------------------

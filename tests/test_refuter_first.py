@@ -95,7 +95,7 @@ def test_a_rejecting_hint_settles_the_leaf_at_one_decision():
     views = ViewStore(inst, verifier.radius)
     assert views.first_rejection(verifier.decide, (), 3) == 3
     assert decided == [3]
-    assert views.served == 1
+    assert views.served == views.first_refutations == 1
 
 
 # ---------------------------------------------------------------------------

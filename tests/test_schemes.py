@@ -23,7 +23,7 @@ from locdec.schemes import (SchemeError, build_gathering_cert,
                             verify_non_spanning_tree_cert, verify_size_cert,
                             verify_spanning_tree_cert)
 
-from corpus import TRANSFORMS, c4, plain_instance
+from corpus import TRANSFORMS, c4, plain_instance, with_label
 
 ST = LocalVerifier(1, 1, verify_spanning_tree_cert)
 SIZE = LocalVerifier(1, 1, verify_size_cert)
@@ -87,7 +87,7 @@ def test_tree_cert_honest_accepts():
 def test_tree_cert_distance_jump_rejects():
     inst = p3_pointer_instance()
     cert = build_spanning_tree_cert(inst, frozenset({(0, 1), (1, 2)}), 0)
-    bad = cert.replace(2, TreeCert(1, 2, 5))
+    bad = with_label(cert, 2, TreeCert(1, 2, 5))
     d = evaluate(ST, inst, (bad,))
     assert d.accepts[2] is False and d.verdict is False
 
@@ -98,7 +98,7 @@ def test_tree_cert_parent_must_be_the_pointer_target():
     inst = plain_instance(c4()).with_inputs((Ptr(None), Ptr(1), Ptr(2), Ptr(1)))
     cert = build_spanning_tree_cert(inst, frozenset({(0, 1), (1, 2), (0, 3)}), 0)
     assert evaluate(ST, inst, (cert,)).verdict is True
-    bad = cert.replace(2, TreeCert(1, 4, 2))
+    bad = with_label(cert, 2, TreeCert(1, 4, 2))
     assert evaluate(ST, inst, (bad,)).rejecting_nodes == (2,)
 
 
@@ -210,7 +210,7 @@ def test_gather_sum_honest_accepts():
 def test_gather_tampered_child_rejects_parent():
     inst = plain_instance(star_graph(4)).with_inputs((1, 1, 1, 1))
     cert = build_gathering_cert(inst, (1, 1, 1, 1))
-    bad = cert.replace(2, GatherCert(cert[2].root, cert[2].parent, cert[2].dist, 2))
+    bad = with_label(cert, 2, GatherCert(cert[2].root, cert[2].parent, cert[2].dist, 2))
     v = gather_verifier(lambda b: b.own_input, lambda agg: agg == 4)
     d = evaluate(v, inst, (bad,))
     assert d.accepts[0] is False
@@ -282,7 +282,7 @@ def test_ham_honest_accepts():
 def test_ham_position_gap_rejects():
     inst = c4_cycle_instance()
     cert = build_hamiltonian_cert(inst, inst.graph.edges, 0)
-    bad = cert.replace(2, HamCert(cert[2].root, cert[2].parent, cert[2].dist, 3))
+    bad = with_label(cert, 2, HamCert(cert[2].root, cert[2].parent, cert[2].dist, 3))
     d = evaluate(HAM, inst, (bad,))
     assert d.verdict is False
     assert 3 in d.rejecting_nodes
@@ -393,7 +393,7 @@ def test_build_nst_rejects_non_pointer_inputs():
 def test_nst_mixed_flags_reject():
     inst = plain_instance(path_graph(2)).with_inputs((Ptr(None), Ptr(None)))
     cert = build_non_spanning_tree_cert(inst)
-    mixed = cert.replace(1, NSTCert(1, *tuple(cert[1])[1:]))
+    mixed = with_label(cert, 1, NSTCert(1, *tuple(cert[1])[1:]))
     d = evaluate(NST, inst, (mixed,))
     assert d.accepts[0] is False
 
@@ -425,14 +425,14 @@ def triangle_pointer_cycle():
 
 def test_nst_clen_disagreement_rejects():
     inst, cert = triangle_pointer_cycle()
-    bad = cert.replace(1, cert[1]._replace(clen=2))
+    bad = with_label(cert, 1, cert[1]._replace(clen=2))
     d = evaluate(NST, inst, (bad,))
     assert d.accepts[0] is False
 
 
 def test_nst_cycle_position_break_rejects():
     inst, cert = triangle_pointer_cycle()
-    bad = cert.replace(2, cert[2]._replace(cpos=None))
+    bad = with_label(cert, 2, cert[2]._replace(cpos=None))
     d = evaluate(NST, inst, (bad,))
     # Node b expects its pointer target to carry the next position.
     assert d.accepts[1] is False
@@ -478,9 +478,9 @@ def test_non_ham_builder_rejects_cycle():
 def test_non_ham_idx_mutations_reject():
     inst = two_triangles_instance()
     cert = build_non_hamiltonian_cert(inst)
-    pinned = cert.replace(3, cert[3]._replace(idx=1))
+    pinned = with_label(cert, 3, cert[3]._replace(idx=1))
     assert evaluate(NONHAM, inst, (pinned,)).accepts[3] is False
-    crossed = cert.replace(4, cert[4]._replace(idx=1))
+    crossed = with_label(cert, 4, cert[4]._replace(idx=1))
     assert evaluate(NONHAM, inst, (crossed,)).accepts[4] is False
 
 
@@ -541,9 +541,10 @@ def test_a_domain_refuses_values_of_another_class():
     # a label of another class with the same components is no tree
     # certificate.
     dom = tree_cert_domain(4, 5)
-    assert dom.contains(TreeCert(1, None, 0))
+    dom.encode(TreeCert(1, None, 0))
     for value in ((1, None, 0), [1, None, 0], SizeCert(1, None, 0)):
-        assert not dom.contains(value)
+        with pytest.raises(DomainError, match="is not a TreeCert"):
+            dom.encode(value)
         with pytest.raises(DomainError, match="not in domain tree-cert"):
             dom.check_labelling([TreeCert(1, None, 0)] * 3 + [value])
 

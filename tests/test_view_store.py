@@ -1,14 +1,14 @@
-"""The per-game view store: exact views, one kept view and one kept
-verdict per centre, read-only views.
+"""The per-game view store: exact views, one entry per centre (its first
+view and its last decision), read-only views.
 
 A ``ViewStore`` answers every node verdict a game's leaves ask for.  Its
-views must equal what ``graphs.ball`` builds for the same labellings, it
-keeps the view of a centre's first request and decides every later
-request on a copy of it, unless the request's labels are those of the
-centre's last decision, whose verdict it then returns with no view.  Its
-rejecters and order must be those of a leaf loop with no store, and
-verifiers must leave the views they are given untouched, since a kept
-view's geometry is shared by every later leaf.
+views must equal what ``graphs.ball`` builds for the same labellings.  It
+keeps one entry per centre: the view of the centre's first request, and
+the layers and verdict of its last decision.  A request whose labels are
+those layers gets that verdict with no view; any other is decided on a
+copy of the first view.  Its rejecters and order must be those of a leaf
+loop with no store, and verifiers must leave the views they are given
+untouched, since a kept view's geometry is shared by every later leaf.
 """
 from __future__ import annotations
 
@@ -28,7 +28,8 @@ from locdec.graphs import (BallView, Graph, IdAssignment, InputAssignment,
 from locdec.protocols import names, resolve
 from locdec.runtime import LocalVerifier, ViewStore
 
-from corpus import TRANSFORMS, asymmetric6, plain_instance, small_instances
+from corpus import (TRANSFORMS, asymmetric6, default_ids, plain_instance,
+                    small_instances)
 
 # The view attributes computed on first read, not set with the view.
 DERIVED = ("edges", "node_by_id")
@@ -52,14 +53,23 @@ def _instance(draw, n: int) -> Instance:
 @st.composite
 def cases(draw):
     """Two instances on the same node count, a radius, labellings of one
-    layer count, and a sequence of (instance, labellings, centre) requests."""
+    layer count, and a sequence of (instance, labellings, centre) requests.
+    Each labelling after the first changes one to three labels of the one
+    before, as the leaves of a game change a few levels' moves, so a ball
+    often sees some layers change and others stay."""
     n = draw(st.integers(1, 8))
     instances = (_instance(draw, n), _instance(draw, n))
     t = draw(st.integers(0, 3))
     width = draw(st.integers(1, 3))
-    layer = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
-    labellings = draw(st.lists(st.lists(layer, min_size=width, max_size=width)
-                               .map(tuple), min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                         min_size=width, max_size=width))
+    labellings = [tuple(tuple(row) for row in rows)]
+    for _ in range(draw(st.integers(0, 4))):
+        for i, v, label in draw(st.lists(st.tuples(
+                st.integers(0, width - 1), st.integers(0, n - 1),
+                st.integers(0, 3)), min_size=1, max_size=3)):
+            rows[i][v] = label
+        labellings.append(tuple(tuple(row) for row in rows))
     requests = draw(st.lists(st.tuples(st.integers(0, 1),
                                        st.integers(0, len(labellings) - 1),
                                        st.integers(0, n - 1)),
@@ -126,7 +136,7 @@ def test_store_asked_once_per_centre_reuses_nothing(case):
         assert served[-1] == ball(inst, labellings[v % len(labellings)], v, t)
     assert store.served == len(store.kept) == inst.n
     assert store.reused == 0
-    assert all(store.kept[v] is view for v, view in enumerate(served))
+    assert all(store.kept[v][0] is view for v, view in enumerate(served))
 
 
 @settings(deadline=None)
@@ -176,23 +186,11 @@ def _reference_scan(inst: Instance, t: int, decide, rows, order: list,
 
 @st.composite
 def scans(draw):
-    """An instance, a radius, labellings, and a sequence of leaves, each a
-    labelling and an optional hinted node.  Each labelling after the first
-    changes a few labels of the one before, as the leaves of a game change
-    a few levels' moves, so a ball often sees some layers change and
-    others stay."""
+    """An instance, a radius, the chained labellings of `cases`, and a
+    sequence of leaves, each a labelling and an optional hinted node."""
     instances, t, labellings, _ = draw(cases())
-    n, width = instances[0].n, len(labellings[0])
-    rows = [list(row) for row in labellings[0]]
-    labellings = [labellings[0]]
-    for _ in range(draw(st.integers(0, 4))):
-        for i, v, label in draw(st.lists(st.tuples(
-                st.integers(0, width - 1), st.integers(0, n - 1),
-                st.integers(0, 3)), min_size=1, max_size=3)):
-            rows[i][v] = label
-        labellings.append(tuple(tuple(row) for row in rows))
     leaves = draw(st.lists(st.tuples(st.integers(0, len(labellings) - 1),
-                                     st.none() | st.integers(0, n - 1)),
+                                     st.none() | st.integers(0, instances[0].n - 1)),
                            min_size=1, max_size=30))
     return instances[0], t, labellings, leaves
 
@@ -308,7 +306,7 @@ def test_kept_shapes_hold_few_objects_the_collector_scans():
     # reaches it: at most the shape tuple, `adj_in` and one frontier set.
     side = 12
     n = side * side
-    inst = Instance(grid_graph(side, side), IdAssignment.default(n),
+    inst = Instance(grid_graph(side, side), default_ids(n),
                     InputAssignment((None,) * n))
     _evict_geometry(inst)
     runtime.evaluate(LocalVerifier(1, 0, lambda view: True), inst)
@@ -432,7 +430,7 @@ def _evict_geometry(inst: Instance) -> None:
 @pytest.mark.parametrize("name,inst,mode", [
     ("cycle-vc", Instance(clique_graph(4), IdAssignment((3, 1, 4, 2), 16),
                           InputAssignment((2,) * 4)), EXHAUSTIVE),
-    ("size", Instance(grid_graph(3, 3), IdAssignment.default(9),
+    ("size", Instance(grid_graph(3, 3), default_ids(9),
                       InputAssignment((9,) * 9)), CONSTRUCTIVE),
 ])
 def test_certificates_share_one_bfs_tree(monkeypatch, name, inst, mode):
@@ -476,7 +474,7 @@ def test_opt_candidates_share_one_view_per_node(monkeypatch):
 
 def test_one_leaf_game_reuses_no_view():
     n = 9
-    inst = Instance(grid_graph(3, 3), IdAssignment.default(n),
+    inst = Instance(grid_graph(3, 3), default_ids(n),
                     InputAssignment((n,) * n))
     stats = game_evaluate(resolve("size"), inst, CONSTRUCTIVE).stats
     assert stats.leaf_evaluations == 1
@@ -488,7 +486,7 @@ def test_one_leaf_game_reuses_no_view():
     ("nta", Instance(asymmetric6(), IdAssignment((1, 2, 3, 4, 5, 6), 9),
                      InputAssignment((None,) * 6)), EXHAUSTIVE),
     ("qbf", small_instances("qbf")[0], EXHAUSTIVE),
-    ("size", Instance(grid_graph(3, 3), IdAssignment.default(9),
+    ("size", Instance(grid_graph(3, 3), default_ids(9),
                       InputAssignment((9,) * 9)), CONSTRUCTIVE),
     ("maxcut", Instance(cycle_graph(4), IdAssignment((3, 1, 4, 2), 16),
                         InputAssignment((1, 1, 0, 0))), EXHAUSTIVE),
@@ -499,7 +497,7 @@ def test_outcomes_do_not_depend_on_kept_geometry(name, inst, mode):
     # outcomes are one.
     protocol = resolve(name)
     m = inst.n + 1
-    elsewhere = Instance(path_graph(m), IdAssignment.default(m),
+    elsewhere = Instance(path_graph(m), default_ids(m),
                          InputAssignment(tuple(1 + v % 2 for v in range(m))))
     game_evaluate(resolve("3col"), elsewhere, CONSTRUCTIVE)
     assert graphs._geometry.graph != inst.graph
