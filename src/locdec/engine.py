@@ -64,19 +64,16 @@ CONSTRUCTIVE = EvalMode(constructive=True)
 
 @dataclass(frozen=True)
 class GameStats:
-    """Work done by one game.  ``node_evaluations`` counts the node
-    decisions actually made at the leaves, which stop at the first
-    rejection found: each draws one view, so it is the ``served`` count
-    of the game's view store.  ``decisions_reused`` counts the node
-    verdicts a leaf took from the store instead, because the node's
-    labels were those of its last decision (the store's ``reused``), so
-    the two add up to the verdicts the leaves asked for.
-    ``views_reused`` counts the decisions whose view was a copy of the
-    first view the store kept for its centre, not a new one from
-    ``graphs.ball``: the store's ``served`` count less the centres it
-    kept.  ``first_refutations`` counts the leaves rejected by their
-    hinted node (see ``game_evaluate``) at its first verdict, the store's
-    ``first_refutations``.
+    """Work done by one game, read off its view store (see ``runtime``).
+    ``leaf_evaluations`` is the store's ``leaves``.  ``node_evaluations``
+    counts the node decisions made at the leaves, which stop at the first
+    rejection found: the store's ``served``.  ``decisions_reused`` counts
+    the verdicts the store kept instead (its ``reused``), so the two add
+    up to the verdicts the leaves asked for.  ``views_reused`` counts the
+    decisions made on a copy of a kept first view, not a new one from
+    ``graphs.ball``: ``served`` less the centres kept.
+    ``first_refutations`` counts the leaves rejected by their hinted node
+    at its first verdict, the store's ``first_refutations``.
 
     A forced line (see ``game_evaluate``) has one leaf, no store and no
     hint: it counts the decisions up to and including the first rejecting
@@ -126,26 +123,15 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     that does not label every node is refused there with
     ``VerifierError`` (``runtime.layer_row``).  A move is its own row of
     labels, so each leaf hands its line, one move per level and so one
-    row per verifier layer, to the game store's leaf loop, which checks
+    row per verifier layer, to the game store's ``leaf``, which checks
     nothing again.
 
-    Leaves are decided refuter first.  A leaf's final-level move has a
-    position: its index among ``moves(k - 1, ...)``, so a strategy move or
-    a forced canonical move is position 0.  Each leaf first decides the
-    node that last rejected a leaf at the same position, if any, then every
-    other node in the store's order, most recent rejecter first (see
-    ``ViewStore.first_rejection``).  Leaves at one position under different
-    earlier moves often fail at the same node, so one decision settles
-    them.  A node that refutes leaves at many positions is tried early
-    too, as in a one-level game, where each position comes up once.  A
-    node whose labels are those of its last decision, in an earlier leaf,
-    is not decided again: the store answers with that decision's verdict.
-    The verdict is a conjunction of pure decisions, so neither the order
-    nor the reuse changes it, only the number of decisions made.
-    The principal line is then replayed by ``evaluate`` on fresh view
-    objects, apart from the game's store: each projects the line's labels
-    and the instance's inputs afresh over the geometry ``graphs.ball``
-    keeps for the instance's graph and identities.
+    Each leaf is decided by the game store's ``leaf``: refuter first, by
+    its position's hint and the store's order, and with kept verdicts for
+    nodes whose labels are those of their last decision (see
+    ``runtime``).  None of this changes a verdict, only the number of
+    decisions made.  The principal line is then replayed by ``evaluate``
+    on fresh view objects, apart from the game's store.
 
     A game that searches no level plays a forced line: a protocol with no
     levels, or constructive play of one prover level that has a strategy,
@@ -215,27 +201,16 @@ def game_evaluate(protocol: Protocol, instance: Instance,
     eval_cap = mode.eval_cap
     decide = protocol.verifier.decide
     views = ViewStore(instance, protocol.verifier.radius)
-    # Final-level move position -> the node that last rejected a leaf
-    # ending there.
-    hints: dict[int, int] = {}
-    leaves = 0
 
     def play(idx: int, earlier: tuple[Labelling, ...], position: int = 0):
         # ``position`` is the last move's index among its level's moves;
         # the leaf reads it as the final level's.  ``earlier`` holds the
         # checked moves, so at a leaf it is the leaf's rows.
-        nonlocal leaves
         if idx == k:
-            leaves += 1
-            if leaves > eval_cap:
+            if views.leaves == eval_cap:
                 raise CapExceeded(f"{protocol.name}: leaf evaluations exceed"
                                   f" the cap {eval_cap}")
-            rejecter = views.first_rejection(decide, earlier,
-                                             hints.get(position))
-            if rejecter is None:
-                return True, ()
-            hints[position] = rejecter
-            return False, ()
+            return views.leaf(decide, earlier, position), ()
         wants = provers[idx]
         fallback = None
         for position, move in enumerate(moves(idx, earlier)):
@@ -257,8 +232,8 @@ def game_evaluate(protocol: Protocol, instance: Instance,
             f" {leaf.verdict} but the game gave {verdict}; the verifier is"
             f" not a pure function of the ball")
     return GameOutcome(verdict, line, leaf, GameStats(
-        leaves, views.served, views.reused, views.served - len(views.kept),
-        views.first_refutations))
+        views.leaves, views.served, views.reused,
+        views.served - len(views.kept), views.first_refutations))
 
 
 def _decided_twice(protocol: Protocol) -> LocalVerifier:
@@ -355,10 +330,6 @@ class CheckReport:
     protocol: str
     total_runs: int
     disagreements: tuple[CheckEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
 
 
 def check_protocol(protocol: Protocol, corpus: Iterable[Instance],

@@ -48,10 +48,6 @@ class Formula:
                 if s not in (1, -1):
                     raise FormulaError(f"bad literal sign {s}")
 
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
     def variables(self) -> tuple[str, ...]:
         return tuple(v for block in self.blocks for v in block)
 

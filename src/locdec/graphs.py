@@ -293,13 +293,13 @@ class BallView:
 
     Views share their geometry dicts: every view `ball` builds for one
     centre and radius of a (graph, identities) pair shares that pair's
-    kept `Shape`, across games, and a game's `runtime.ViewStore` keeps the
-    first view of each centre in the centre's one entry and decides later
-    leaves on `with_layers` copies of it, which share whatever attributes
-    its first decision computed.  Within one view, frontier members with
-    equal in-ball neighbours share one `adj_in` set.  So nothing else may
-    write into a view: a write would reach every later view of that
-    centre, in this game and in the games after it.
+    kept `Shape`, across games, and a searched game decides its later
+    leaves on `with_layers` copies of each centre's first view, which
+    share whatever attributes its first decision computed (see
+    `runtime`).  Within one view, frontier members with equal in-ball
+    neighbours share one `adj_in` set.  So nothing else may write into a
+    view: a write would reach every later view of that centre, in this
+    game and in the games after it.
 
     Hot verifier kernels read a member's fields directly, as
     `adj_in[centre]`, `ids_in[u]`, `inputs_in[u]` and `layers[i][u]`,
@@ -464,9 +464,9 @@ def ball(instance: Instance, labellings: Sequence[Sequence[object]],
     keeps it at the centre's index of the radius's list in the pair's
     `geometry`.  Every call, from any instance of the pair, then fills a
     view over the kept shape with `view_over`, which projects only the
-    instance's inputs and `labellings` onto the members.
-    `runtime.ViewStore` keeps a centre's first view in its one entry for
-    the centre, and copies it at the game's later leaves.
+    instance's inputs and `labellings` onto the members.  A searched
+    game copies a centre's first view at its later leaves (see
+    `runtime`).
     """
     if not (0 <= v < instance.n):
         raise InstanceError(f"unknown node {v}")

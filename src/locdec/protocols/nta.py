@@ -34,7 +34,7 @@ from ..protocol import (PROVER, LanguageSpec, Level, Protocol,
                         certificate_protocol, keep_last)
 from ..runtime import LocalVerifier
 from ..schemes import honest_tree, part_reader, tree_ok, uniform
-from ..transforms import complement_lift, embed, project
+from ..transforms import complement_lift, project, sub_decide
 
 IDENTITY_MAP = 0
 SHARED_IMAGE = 1
@@ -216,8 +216,7 @@ def protocol_nontrivial_automorphism() -> Protocol:
         if not isinstance(b.own_label(0), NodeImage):
             return False
         images = project(b, NodeImage, "image", missing=None)
-        return bool(lifted.verifier.decide(
-            embed(b, b.layers[1:], lifted.verifier.radius, images)))
+        return bool(sub_decide(lifted.verifier, b, b.layers[1:], images))
 
     return Protocol(
         "nta", PROVER,

@@ -38,7 +38,7 @@ from ..schemes import (READ_TREE_CERT, SchemeError, build_gathering_cert,
                        honest_tree, mutual_pair, part_reader, sum_ok,
                        tree_certs, tree_ok, uniform, verify_hamiltonian_cert,
                        verify_non_hamiltonian_cert)
-from ..transforms import embed, project, require_single_prover_level
+from ..transforms import project, require_single_prover_level, sub_decide
 from .basic import protocol_non_spanning_tree, protocol_spanning_tree
 
 LocalValue = Callable[[BallView], int]
@@ -235,11 +235,9 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
             raise ProtocolError(
                 f"optimality needs admissibility protocols that declare a"
                 f" language, {q.name} declares none")
-    ry = adm_yes.verifier.radius
-    rn = adm_no.verifier.radius
     yes_move = adm_yes.levels[0].strategy
     no_move = adm_no.levels[0].strategy
-    radius = max(ry, rn, 1)
+    radius = max(adm_yes.verifier.radius, adm_no.verifier.radius, 1)
     if sense == "min":
         better, best_of = (lambda a, b: a < b), min
     else:
@@ -261,20 +259,19 @@ def protocol_opt(adm_yes: Protocol, adm_no: Protocol,
              sub_field("agg_xp", gdom)),
             OptLabel, ndom.d + 2 * ydom.d + 2 * gdom.d)
 
-    def _sub_view(b: BallView, part: str, r: int,
-                  inputs: Optional[dict[int, InputValue]] = None) -> BallView:
-        return embed(b, (project(b, OptLabel, part),), r, inputs)
-
     def decide(b: BallView) -> bool:
         own = uniform(b, OptLabel, "flag")
         if own is None:
             return False
         if own.flag == 0:
-            return bool(adm_no.verifier.decide(_sub_view(b, "no_part", rn)))
+            no = project(b, OptLabel, "no_part")
+            return bool(sub_decide(adm_no.verifier, b, (no,)))
         xp_inputs = project(b, OptLabel, "xprime", missing=None)
-        if not adm_yes.verifier.decide(_sub_view(b, "yes_x", ry)):
+        yes_x = project(b, OptLabel, "yes_x")
+        if not sub_decide(adm_yes.verifier, b, (yes_x,)):
             return False
-        if not adm_yes.verifier.decide(_sub_view(b, "yes_xp", ry, xp_inputs)):
+        yes_xp = project(b, OptLabel, "yes_xp")
+        if not sub_decide(adm_yes.verifier, b, (yes_xp,), xp_inputs):
             return False
 
         try:

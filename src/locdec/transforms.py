@@ -7,10 +7,10 @@ enumeration, at each node, of the labels its verifier reads, backed by a
 size proof, and ``unanimous_combine`` merges a protocol pair into one
 whose honest runs are unanimous.  Each transform refuses, when it is
 built, a protocol it cannot carry, so no game built from it fails for
-that reason.  ``project`` and ``embed`` hand one field of a composite
-label to a sub-verifier as the view it expects; they serve sub-verifiers
-only, since a certificate nested in a field is read in place by
-``schemes.part_reader``.
+that reason.  ``sub_decide`` is the one way a composite runs a part's
+verifier: on the part's own layers (one field of a composite label, cut
+out by ``project``) over the part's own radius-t sub-ball.  A certificate
+nested in a field is read in place by ``schemes.part_reader`` instead.
 """
 
 from __future__ import annotations
@@ -70,15 +70,16 @@ def project(view: BallView, kind: type, part: str, layer: int = 0,
     return out
 
 
-def embed(view: BallView, layers: Sequence[dict[int, object]], radius: int,
-          inputs: Optional[dict[int, object]] = None) -> BallView:
-    """The view a radius-``radius`` sub-verifier sees: ``layers`` (and
-    ``inputs``, when given) in place of the view's own, shrunk to its
-    radius.  Swapping both makes one copy."""
+def sub_decide(verifier: LocalVerifier, view: BallView,
+               layers: Sequence[dict[int, object]],
+               inputs: Optional[dict[int, object]] = None) -> bool:
+    """``verifier``'s decision on ``view`` with ``layers`` (and ``inputs``,
+    when given) in place of the view's own, shrunk to the verifier's
+    radius when that is smaller.  Swapping both makes one copy."""
     sub = view.with_layers(layers, inputs)
-    if radius < view.radius:
-        sub = shrink_ball(sub, radius)
-    return sub
+    if verifier.radius < view.radius:
+        sub = shrink_ball(sub, verifier.radius)
+    return verifier.decide(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +100,7 @@ def complement_lift(p: Protocol) -> Protocol:
     count, disprover-first with an odd one) is refused.
     """
     k = p.level_count
-    base_radius = p.verifier.radius
-    radius = max(base_radius, 1)
+    radius = max(p.verifier.radius, 1)
 
     def final_cover(instance: Instance, earlier: tuple[Labelling, ...]):
         for root in sorted(range(instance.n), key=instance.id_of):
@@ -119,7 +119,7 @@ def complement_lift(p: Protocol) -> Protocol:
             return False
         if ball.own_label(k).parent is not None:
             return True
-        return not p.verifier.decide(embed(ball, ball.layers[:k], base_radius))
+        return not sub_decide(p.verifier, ball, ball.layers[:k])
 
     language = None
     if p.language is not None:
@@ -244,8 +244,7 @@ def collapse_last_universal(p: Protocol) -> Protocol:
             f" {p.name} ({pattern_tag(p.first, k)}) has none")
     base_level = p.levels[sl]
     final_level = p.levels[k - 1]
-    base_radius = p.verifier.radius
-    radius = max(base_radius, 1)
+    radius = max(p.verifier.radius, 1)
     name = "collapse:" + p.name
 
     def domain_of(n: int, N: int) -> LabelDomain:
@@ -282,8 +281,7 @@ def collapse_last_universal(p: Protocol) -> Protocol:
         path: list[list] = []
         while True:
             final = _ReadLayer(ball, axis, path, name)
-            if not p.verifier.decide(embed(ball, virtual + (final,),
-                                           base_radius)):
+            if not sub_decide(p.verifier, ball, virtual + (final,)):
                 return False
             if len(final.chosen) < len(path):
                 raise final.impure()
@@ -338,9 +336,7 @@ def unanimous_combine(p_yes: Protocol, p_no: Protocol) -> Protocol:
     the no branch); on a flag boundary it answers its own bit.
     """
     require_single_prover_level("unanimous combination", p_yes, p_no)
-    ry = p_yes.verifier.radius
-    rn = p_no.verifier.radius
-    radius = max(ry, rn, 1)
+    radius = max(p_yes.verifier.radius, p_no.verifier.radius, 1)
 
     def domain_of(n: int, N: int) -> LabelDomain:
         ydom = p_yes.levels[0].domain_of(n, N)
@@ -361,9 +357,9 @@ def unanimous_combine(p_yes: Protocol, p_no: Protocol) -> Protocol:
             return bool(own.branch)
         if own.branch == 1:
             yes = project(ball, CombinedLabel, "yes")
-            return bool(p_yes.verifier.decide(embed(ball, (yes,), ry)))
+            return bool(sub_decide(p_yes.verifier, ball, (yes,)))
         no = project(ball, CombinedLabel, "no")
-        return not p_no.verifier.decide(embed(ball, (no,), rn))
+        return not sub_decide(p_no.verifier, ball, (no,))
 
     def cover(instance: Instance, earlier: tuple[Labelling, ...]):
         ydom = p_yes.levels[0].domain_of(instance.n, instance.N)

@@ -173,6 +173,31 @@ MUTANTS = (
         "a rejecter found in the leaf loop's scan stays where it is in the"
         " order"),
     Mutant(
+        "hint-not-recorded", "src/locdec/runtime.py",
+        "        self.hints[position] = rejecter\n", "",
+        ("tests/test_refuter_first.py::"
+         "test_one_rejecter_is_found_once_per_game",
+         "tests/test_refuter_first.py::"
+         "test_a_rejecter_alternating_with_position_is_hinted_by_the_table",
+         "tests/test_pin_gate.py::test_workload_replays_its_pinned_lines"),
+        "a leaf's rejecter never becomes its position's hint, so no leaf is"
+        " hinted"),
+    Mutant(
+        "replay-check-dropped", "src/locdec/engine.py",
+        "    if leaf.verdict != verdict:\n", "    if False:\n",
+        ("tests/test_engine.py::"
+         "test_searched_game_refuses_an_impure_verifier_at_replay",),
+        "a searched game's principal-line replay no longer checks the"
+        " verdict, so an impure verifier passes"),
+    Mutant(
+        "sub-verifier-unshrunk", "src/locdec/transforms.py",
+        "    if verifier.radius < view.radius:\n"
+        "        sub = shrink_ball(sub, verifier.radius)\n", "",
+        ("tests/test_engine.py::"
+         "test_lift_shrinks_the_root_view_to_the_base_radius",),
+        "a part's verifier decides on the composite's wider view, not on its"
+        " own radius's sub-ball"),
+    Mutant(
         "qbf-decodes-per-call", "src/locdec/protocols/qbf.py",
         "    @keep_last\n    def checked_view", "    def checked_view",
         ("tests/test_keep_last.py::test_qbf_decodes_its_formula_once_per_game",),

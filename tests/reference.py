@@ -6,7 +6,9 @@ JSON form.  The program decides none of these values itself: its
 protocols check a labelling against a rival locally, so these exhaustive
 answers are what the tests measure the protocols' verdicts against, and
 `graphs.emit_instance` writes instance files from string templates, so
-the JSON form is what the tests measure its bytes against.
+the JSON form is what the tests measure its bytes against.  `embed`
+builds the view `transforms.sub_decide` hands a sub-verifier, for the
+references that check a field's certificate on a view of its own.
 """
 from __future__ import annotations
 
@@ -14,9 +16,10 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from locdec.formulas import Formula
-from locdec.graphs import (Cls, Graph, InputValue, InstanceError, Lit,
-                           Marks, Ptr)
+from locdec.graphs import (BallView, Cls, Graph, InputValue, InstanceError,
+                           Lit, Marks, Ptr)
 from locdec.oracles import hamiltonian_cycles, is_matching, spanning_trees
+from locdec.transforms import shrink_ball
 
 
 def oracle_mst_weight(graph: Graph) -> int:
@@ -107,3 +110,13 @@ def input_to_json(x: InputValue):
     if isinstance(x, Cls):
         return {"kind": "clause"}
     raise InstanceError(f"unserializable input {x!r}")
+
+
+def embed(view: BallView, layers, radius: int, inputs=None) -> BallView:
+    """``view`` with ``layers`` (and ``inputs``, when given) in place of its
+    own, shrunk to ``radius`` when that is smaller: the view
+    ``transforms.sub_decide`` hands a radius-``radius`` verifier."""
+    sub = view.with_layers(layers, inputs)
+    if radius < view.radius:
+        sub = shrink_ball(sub, radius)
+    return sub

@@ -226,6 +226,18 @@ def test_run_refuses_a_non_positive_node_cap(tmp_path, capsys, command, cap):
     assert "instance has" not in err
 
 
+def test_check_plays_past_the_default_node_cap_when_raised(tmp_path, capsys):
+    instance = tmp_path / "grid44.json"
+    assert main(["gen", "grid", "4", "4", "-o", str(instance)]) == 0
+    capsys.readouterr()
+    assert main(["check", "3col", str(instance)]) == 2
+    assert "instance has 16 nodes, cap is 12" in capsys.readouterr().err
+    assert main(["check", "3col", str(instance), "--node-cap", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["stats"]["leaf_evaluations"] == 1
+
+
 @pytest.mark.parametrize("rounds", ["0", "-2"])
 def test_game_refuses_fewer_than_one_identity_round(tmp_path, capsys, rounds):
     instance = tmp_path / "p3.json"

@@ -35,7 +35,7 @@ from locdec.protocols import resolve
 from locdec.protocols.qbf import encode_qbf, protocol_qbf_k
 from locdec.runtime import LocalVerifier, evaluate
 from locdec.schemes import build_size_cert, sum_ok
-from locdec.transforms import (CollapsedLabel, collapse_last_universal, embed,
+from locdec.transforms import (CollapsedLabel, collapse_last_universal,
                                project)
 
 from corpus import plain_instance
@@ -50,7 +50,6 @@ def full_product_decide(p: Protocol):
     k = p.level_count
     sl = 0 if p.first == PROVER else 1
     final_level = p.levels[k - 1]
-    base_radius = p.verifier.radius
 
     def decide(view) -> bool:
         own = view.own_label(sl)
@@ -66,7 +65,7 @@ def full_product_decide(p: Protocol):
                    for j in range(k - 1)]
         for combo in product(axis, repeat=len(view.members)):
             layers = tuple(virtual) + (dict(zip(view.members, combo)),)
-            if not p.verifier.decide(embed(view, layers, base_radius)):
+            if not transforms.sub_decide(p.verifier, view, layers):
                 return False
         return True
 

@@ -105,7 +105,7 @@ class TestGames:
         corpus = [inst_of(gen.clique_graph(4), (1, 2, 3, 4), 9, 2),
                   inst_of(gen.path_graph(3), (2, 1, 3), 9, 1)]
         report = check_protocol(resolve("cycle-vc"), corpus)
-        assert report.ok, report.disagreements
+        assert not report.disagreements, report.disagreements
 
 
 # ---------------------------------------------------------------------------

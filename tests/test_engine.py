@@ -528,6 +528,25 @@ def test_impure_verifier_detected_at_replay():
         game_evaluate(impure, plain_instance(path_graph(2)))
 
 
+def test_searched_game_refuses_an_impure_verifier_at_replay():
+    # One searched level with one move: the leaf's first decision rejects,
+    # so the game reads False, and the replay's decisions all accept.
+    calls = {"n": 0}
+
+    def first_call_rejects(ball_view) -> bool:
+        calls["n"] += 1
+        return calls["n"] > 1
+
+    def one_move(instance, earlier):
+        yield Labelling(Bit(0) for _ in range(instance.n))
+
+    impure = Protocol("impure", PROVER, (Level(bit_domain, one_move),),
+                      LocalVerifier(1, 1, first_call_rejects))
+    with pytest.raises(ProtocolError, match="replaying the principal line"
+                       " gives True but the game gave False"):
+        game_evaluate(impure, plain_instance(path_graph(2)))
+
+
 def test_protocol_structure_validation():
     with pytest.raises(ProtocolError, match="verifier reads 0 layers"):
         Protocol("bad", PROVER, (Level(bit_domain),),
@@ -859,7 +878,7 @@ def test_check_protocol_clean_sweep():
     report = check_protocol(
         protocol_spanning_tree(),
         [p3_pointer_instance(), k3_pointer_cycle(), p4_two_roots()])
-    assert report.ok is True
+    assert report.disagreements == ()
     assert report.total_runs == 9
 
 
@@ -901,9 +920,9 @@ def test_check_protocol_catches_forgetful_verifier():
     tight = Instance(clique_graph(3), IdAssignment((1, 2, 3), 5),
                      InputAssignment((Ptr(2), Ptr(3), Ptr(1))))
     report = check_protocol(mutant, [tight])
-    assert report.ok is False
+    assert report.disagreements
     assert all(e.expected is False and e.got is True
                for e in report.disagreements)
     # The honest verifier survives the same sweep.
     honest = check_protocol(protocol_spanning_tree(), [tight])
-    assert honest.ok is True
+    assert honest.disagreements == ()

@@ -10,7 +10,7 @@ from reference import formula_text
 
 def test_parse_single_clause():
     f = parse_formula("∃y:(y)")
-    assert f.k == 1
+    assert len(f.blocks) == 1
     assert f.blocks == (("y",),)
     assert f.clauses == (frozenset({("y", 1)}),)
 
@@ -19,7 +19,7 @@ def test_parse_ascii_and_unicode_agree():
     a = parse_formula("Ey1 Ay2: (y1 | y2) & (y1 | ~y2)")
     b = parse_formula("∃y1∀y2:(y1∨y2)∧(y1∨¬y2)")
     assert a == b
-    assert a.k == 2
+    assert len(a.blocks) == 2
     assert a.level_of("y1") == 1 and a.level_of("y2") == 2
 
 

@@ -39,6 +39,7 @@ from locdec.schemes import (READ_TREE_CERT, build_size_cert, honest_tree,
                             tree_certs, tree_ok, tree_reader)
 
 from corpus import plain_instance
+from reference import embed
 
 
 def _graph(draw, n: int) -> Graph:
@@ -539,7 +540,8 @@ def _input(draw, inst_ids: tuple[int, ...], graph: Graph, v: int, common: int):
 
 @st.composite
 def kernel_views(draw):
-    """A view of radius 0-2 from `ball`, `shrink_ball` or `embed`, whose
+    """A view of radius 0-2 from `ball`, `shrink_ball` or `embed` (the view
+    `transforms.sub_decide` hands a sub-verifier), whose
     layer holds honest tree or size certificate labels, drawn labels of the
     same kind, labels of the other kind, `INVALID` or ints, and whose
     inputs are ints, None or pointers; and a size total.
@@ -600,7 +602,7 @@ def kernel_views(draw):
         # labels and inputs swapped in, as a transform hands its base.
         blank = Instance(graph, ids, InputAssignment((None,) * n))
         wide = ball(blank, ((INVALID,) * n,), centre, draw(st.integers(t, 2)))
-        view = transforms.embed(
+        view = embed(
             wide, ({u: labels[u] for u in wide.members},), t,
             {u: inputs[u] for u in wide.members})
     return view, draw(st.integers(1, n + 1))

@@ -6,7 +6,7 @@ certificates sit in fields of composite labels.  The verifiers read them
 in place: ``schemes.part_reader`` reads the field, and the check is
 ``tree_ok`` and then ``sum_ok``.  The references below are the earlier
 route, kept here: ``transforms.project`` copies the field into a layer of
-its own, ``transforms.embed`` puts that layer (and, for ``opt``'s rival,
+its own, ``reference.embed`` puts that layer (and, for ``opt``'s rival,
 the substitute's inputs) into a copy of the view, and a fold checks the
 tree, takes the node's value and compares its total with the children's.
 ``hypothesis`` draws honest layers, layers with one part of some nodes'
@@ -27,7 +27,9 @@ from locdec.protocols import cyclevc, opt
 from locdec.protocols.basic import (protocol_non_spanning_tree,
                                     protocol_spanning_tree)
 from locdec.schemes import tree_ok, tree_reader, uniform
-from locdec.transforms import embed, project
+from locdec.transforms import project
+
+from reference import embed
 
 _READ_GATHER = tree_reader(GatherCert)
 

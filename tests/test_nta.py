@@ -186,7 +186,7 @@ class TestGames:
             inst_of(ASYMMETRIC_6, (1, 2, 3, 4, 5, 6), 12),
         ]
         report = check_protocol(resolve("nta"), corpus, mode=MIXED)
-        assert report.ok, report.disagreements
+        assert not report.disagreements, report.disagreements
 
     # A node whose image is not a `NodeImage` rejects, so a map with
     # unreadable images claims no symmetry.  Otherwise the lifted defect

@@ -376,7 +376,7 @@ class TestProtocolOptConstruction:
     def test_identity_relabelling_preserves_verdicts(self):
         inst = triangle_instance((Ptr(None), Ptr(1), Ptr(2)))
         report = check_protocol(resolve("mst"), [inst])
-        assert report.ok
+        assert not report.disagreements
         assert report.total_runs == 3
 
     def test_packed_label_round_trips_through_domain(self):

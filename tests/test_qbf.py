@@ -159,7 +159,7 @@ class TestGames:
         assert len(corpus) == 15
         report = check_protocol(resolve("collapse:qbf"), corpus, mode=WIDE)
         assert report.total_runs == 45
-        assert report.ok, report.disagreements
+        assert not report.disagreements, report.disagreements
 
     @pytest.mark.parametrize("name, k", [("collapse:qbf", 2),
                                          ("collapse:qbf-4", 4)])
@@ -178,7 +178,7 @@ class TestGames:
         report = check_protocol(resolve(name), [i for i, _ in corpus],
                                 mode=WIDE, id_rounds=2)
         assert report.total_runs == 80
-        assert report.ok, report.disagreements
+        assert not report.disagreements, report.disagreements
 
     def test_three_level_strategies_win_every_won_game(self):
         # qbf's prover levels carry no strategy, so constructive play
@@ -298,7 +298,7 @@ class TestGames:
     def test_verdict_is_identity_invariant(self):
         inst = encode_qbf(parse_formula("∃y1∀y2:(y1∨y2)∧(y1∨¬y2)"))
         report = check_protocol(resolve("qbf"), [inst])
-        assert report.ok, report.disagreements
+        assert not report.disagreements, report.disagreements
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ store's recent rejecters, and nothing changes but the number of decisions.
 ``ViewStore.first_rejection`` asks an optional hinted node, then every
 other node in the store's order, each once; a node found rejecting in
 that scan moves to the front of the order.  A fresh store's order is node
-order.  ``game_evaluate`` hints, at each leaf, the node that last rejected
-a leaf at the same final-level cover position.  Verdicts, lines, leaf
-decisions and leaf counts must equal those of a game whose hints are
+order.  ``ViewStore.leaf`` hints, at each leaf, the node that last
+rejected a leaf at the same final-level cover position.  Verdicts, lines,
+leaf decisions and leaf counts must equal those of a game whose hints are
 dropped, and those of a reference leaf loop in plain node order that
 decides every node it asks.
 """
